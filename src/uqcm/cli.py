@@ -72,6 +72,16 @@ class UsageError(Exception):
     """Invalid configuration or flags."""
 
 
+def _check_theta(theta: float) -> None:
+    if not (-math.pi / 2 < theta <= math.pi / 2):
+        raise UsageError(f"theta value {theta!r} outside (-pi/2, pi/2]")
+
+
+def _check_delta(delta: float) -> None:
+    if not (0.0 <= delta < 2.0 * math.pi):
+        raise UsageError(f"delta value {delta!r} outside [0, 2*pi)")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     mode: str = "exact"
@@ -92,19 +102,24 @@ class SweepConfig:
         if self.theta_steps < 1:
             raise UsageError("theta_steps must be >= 1")
         for th in (self.theta_start, self.theta_end):
-            if not (-math.pi / 2 < th <= math.pi / 2):
-                raise UsageError(f"theta value {th!r} outside (-pi/2, pi/2]")
+            _check_theta(th)
         if self.theta_end < self.theta_start:
             raise UsageError("theta_end must be >= theta_start")
         if self.trials < 1:
             raise UsageError("trials must be >= 1")
         if self.samples < 1:
             raise UsageError("samples must be >= 1")
+        if self.seed < 0:
+            raise UsageError("seed must be >= 0")
+        if not (math.isfinite(self.jitter_deg) and math.isfinite(self.delta_c)):
+            raise UsageError("jitter_deg and delta_c must be finite")
         if self.jitter_deg < 0 or self.delta_c < 0:
             raise UsageError("jitter_deg and delta_c must be nonnegative")
         deltas = tuple(sorted(float(d) for d in self.delta_list))
         if not deltas:
             raise UsageError("delta_list must not be empty")
+        for d in deltas:
+            _check_delta(d)
         object.__setattr__(self, "delta_list", deltas)
 
     def theta_grid(self) -> np.ndarray:
@@ -413,6 +428,12 @@ def run_tomo(theta: float, delta: float, mode: str, trials: int, seed: int, stdo
     stdout = stdout or sys.stdout
     if mode not in ("exact", "montecarlo"):
         raise UsageError(f"tomo supports modes 'exact' and 'montecarlo', got {mode!r}")
+    _check_theta(theta)
+    _check_delta(delta)
+    if trials < 1:
+        raise UsageError("trials must be >= 1")
+    if seed < 0:
+        raise UsageError("seed must be >= 0")
     if mode == "exact":
         rho1, rho2 = replicas_from_state(measurement_state(theta, delta))
         rep = exact_report(theta, delta)

@@ -8,19 +8,29 @@ theta). The analytic upper bound combines them as
     Delta F = sum_i Delta C_i + (3/2) Delta theta.
 
 The empirical side perturbs every mounted axis angle of the optical train
-independently and reruns the exact pipeline; samples exceeding a supplied
-bound are counted rather than silently accepted.
+independently and reruns the exact pipeline, propagating all jittered
+copies of the train as one batch; samples exceeding a supplied bound are
+counted rather than silently accepted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .hilbert import DensityMatrix, fidelity
-from .network import input_state, optimal_fidelity
-from .optics import ORIENTED_ELEMENTS, OpticalTrain, build_cloner_train, optical_measurement_state
+from .network import cloner_prep_angles, input_state, optimal_fidelity
+from .optics import (
+    N_BENCH_PATHS,
+    ORIENTED_ELEMENTS,
+    ModeSpace,
+    PhotonState,
+    _cloner_train_elements,
+    _propagate,
+    _require_lossless,
+    modes_to_qubits,
+)
 from .tomography import reconstruct_replica, signal_probabilities
 
 _TARGET_F = optimal_fidelity(1, 2)
@@ -85,17 +95,6 @@ class PerturbationResult:
         return int(np.sum(self.deviations > self.bound))
 
 
-def _perturbed_train(base: OpticalTrain, jitter: float, rng: np.random.Generator) -> OpticalTrain:
-    """Independently jitter every mounted axis angle by uniform(-jitter, +jitter)."""
-    elements = []
-    for e in base.elements:
-        if isinstance(e, ORIENTED_ELEMENTS):
-            elements.append(replace(e, angle=e.angle + rng.uniform(-jitter, jitter)))
-        else:
-            elements.append(e)
-    return OpticalTrain(base.space, elements)
-
-
 def perturbation_sweep(
     jitter: float,
     n_samples: int,
@@ -111,8 +110,9 @@ def perturbation_sweep(
     every axis-mounted element of the bench for input (theta, delta), adds
     the optional count-oscillation injection (the four replica-1 path
     weights are scaled by 1 + u_i with sum |u_i| = delta_c_total), and
-    records |F - 5/6| of replica 1. Deterministic given the seed; samples
-    use independent substreams and may run in parallel.
+    records |F - 5/6| of replica 1. Deterministic given the seed: sample i
+    draws from its own substream (seed, i). The jittered trains of all
+    samples are compiled as one batch, and each is checked unitary.
     """
     if jitter < 0:
         raise ValueError("jitter must be nonnegative")
@@ -120,15 +120,24 @@ def perturbation_sweep(
         raise ValueError("n_samples must be positive")
     if delta_c_total < 0:
         raise ValueError("delta_c_total must be nonnegative")
-    base = build_cloner_train(theta, delta)
+    elements = _cloner_train_elements(theta, delta, cloner_prep_angles())
+    n_oriented = sum(isinstance(e, ORIENTED_ELEMENTS) for e in elements)
     psi = input_state(theta, delta)
+    rngs = [
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
+        for i in range(n_samples)
+    ]
+    offsets = np.array([rng.uniform(-jitter, jitter, size=n_oriented) for rng in rngs])
+    dim = 2 * N_BENCH_PATHS
+    trains = _propagate(elements, np.tile(np.eye(dim, dtype=complex), (n_samples, 1, 1)), offsets)
+    _require_lossless(trains)
+    space = ModeSpace(N_BENCH_PATHS)
     devs = np.empty(n_samples)
     f1s = np.empty(n_samples)
     f2s = np.empty(n_samples)
-    for i in range(n_samples):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
-        train = _perturbed_train(base, jitter, rng)
-        probs = signal_probabilities(optical_measurement_state(theta, delta, train=train))
+    for i, rng in enumerate(rngs):
+        # The source photon enters in mode (path 0, H): column 0.
+        probs = signal_probabilities(modes_to_qubits(PhotonState(space, trains[i, :, 0])))
         if delta_c_total > 0.0:
             u = rng.uniform(-1.0, 1.0, size=4)
             norm = float(np.abs(u).sum())

@@ -172,14 +172,43 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     return u
 
 
+def _basis_permutation(gate: Gate, register: tuple) -> np.ndarray:
+    """Image of every computational basis index under a CNOT, SWAP or CSWAP.
+
+    Each of these gates is its own inverse, so the permutation is too.
+    """
+    idx = np.arange(1 << len(register))
+    if isinstance(gate, CNOT):
+        cbit = _bit_weight(register, gate.control)
+        return np.where(idx & cbit, idx ^ _bit_weight(register, gate.target), idx)
+    abit = _bit_weight(register, gate.a)
+    bbit = _bit_weight(register, gate.b)
+    move = ((idx & abit) > 0) != ((idx & bbit) > 0)
+    if isinstance(gate, CSWAP):
+        move &= (idx & _bit_weight(register, gate.control)) > 0
+    return np.where(move, idx ^ abit ^ bbit, idx)
+
+
 def apply_circuit(circuit: Circuit, state: PureState) -> PureState:
-    """Apply the circuit's gates in order to the state."""
+    """Apply the circuit's gates in order to the state's amplitude tensor.
+
+    A rotation multiplies the 2x2 rotation matrix into its qubit's axis;
+    CNOT, SWAP and CSWAP permute basis states, so they only reindex the
+    amplitudes. No dense 2^n x 2^n gate matrix is built (`gate_unitary`
+    remains the reference).
+    """
     if state.labels != circuit.register:
         raise LabelError(
             f"state register {state.labels!r} does not match circuit register "
             f"{circuit.register!r}"
         )
+    register = circuit.register
     amps = state.amplitudes
     for g in circuit.gates:
-        amps = gate_unitary(g, circuit.register) @ amps
-    return PureState(circuit.register, amps)
+        if isinstance(g, Rotation):
+            # Canonical order: the qubit at position k has 2^k more significant states.
+            high = 1 << register.index(g.target)
+            amps = (rotation_matrix(g.angle) @ amps.reshape(high, 2, -1)).reshape(-1)
+        else:
+            amps = amps[_basis_permutation(g, register)]
+    return PureState(register, amps)

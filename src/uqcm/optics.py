@@ -179,6 +179,8 @@ OpticalElement = Union[HWP, QWP, AJWP, PBS, BS, Polarizer, PhaseShift]
 # Elements owning a mechanical axis-orientation angle (jitter targets).
 ORIENTED_ELEMENTS = (HWP, QWP, Polarizer)
 
+_BS_COUPLING = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / math.sqrt(2.0)
+
 
 def element_paths(element: OpticalElement) -> tuple:
     if isinstance(element, (PBS, BS)):
@@ -186,30 +188,45 @@ def element_paths(element: OpticalElement) -> tuple:
     return (element.path,)
 
 
-def _jones(element: OpticalElement) -> np.ndarray:
-    """2x2 polarization action of a single-path element."""
-    if isinstance(element, HWP):
-        c, s = math.cos(2 * element.angle), math.sin(2 * element.angle)
-        return np.array([[c, s], [s, -c]], dtype=complex)
-    if isinstance(element, QWP):
-        c, s = math.cos(element.angle), math.sin(element.angle)
-        rot = np.array([[c, -s], [s, c]], dtype=complex)
-        return rot @ np.diag([1.0, 1.0j]) @ rot.T.conj()
+def _jones(element: OpticalElement, angle=None) -> np.ndarray:
+    """2x2 polarization action of a single-path element.
+
+    `angle`, an array of shape (B,), replaces an oriented element's axis
+    angle and gives a (B, 2, 2) stack, one Jones matrix per batch entry.
+    """
     if isinstance(element, AJWP):
         return np.diag([1.0, np.exp(1j * element.retardance)]).astype(complex)
-    if isinstance(element, Polarizer):
-        c, s = math.cos(element.angle), math.sin(element.angle)
-        return np.array([[c * c, c * s], [c * s, s * s]], dtype=complex)
     if isinstance(element, PhaseShift):
         return np.exp(1j * element.phase) * np.eye(2, dtype=complex)
-    raise TypeError(f"{element!r} has no single-path Jones matrix")
+    if not isinstance(element, ORIENTED_ELEMENTS):
+        raise TypeError(f"{element!r} has no single-path Jones matrix")
+    a = np.asarray(element.angle if angle is None else angle, dtype=float)
+    if isinstance(element, HWP):
+        c, s = np.cos(2 * a), np.sin(2 * a)
+        rows = [[c, s], [s, -c]]
+    else:
+        c, s = np.cos(a), np.sin(a)
+        if isinstance(element, QWP):
+            # R(a) diag(1, i) R(-a)
+            rows = [[c * c + 1j * s * s, (1 - 1j) * c * s], [(1 - 1j) * c * s, s * s + 1j * c * c]]
+        else:
+            rows = [[c * c, c * s], [c * s, s * s]]
+    return np.moveaxis(np.array(rows, dtype=complex), (0, 1), (-2, -1))
 
 
-def element_matrix(element: OpticalElement, space: ModeSpace) -> np.ndarray:
-    """Full mode-space matrix of one element (identity outside its modes)."""
+def _check_paths(element: OpticalElement, space: ModeSpace) -> None:
     for p in element_paths(element):
         if not (0 <= p < space.n_paths):
             raise ValueError(f"element {element!r} references path {p} outside {space!r}")
+
+
+def element_matrix(element: OpticalElement, space: ModeSpace) -> np.ndarray:
+    """Full mode-space matrix of one element (identity outside its modes).
+
+    Propagation never builds these; they are the dense reference for the
+    row-update kernel.
+    """
+    _check_paths(element, space)
     mat = np.eye(space.dim, dtype=complex)
     if isinstance(element, PBS):
         av = space.index(element.path_a, POL_V)
@@ -217,33 +234,80 @@ def element_matrix(element: OpticalElement, space: ModeSpace) -> np.ndarray:
         mat[av, av] = mat[bv, bv] = 0.0
         mat[av, bv] = mat[bv, av] = 1.0
     elif isinstance(element, BS):
-        coupling = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / math.sqrt(2.0)
         for pol in (POL_H, POL_V):
             idx = [space.index(element.path_a, pol), space.index(element.path_b, pol)]
-            mat[np.ix_(idx, idx)] = coupling
+            mat[np.ix_(idx, idx)] = _BS_COUPLING
     else:
         idx = [space.index(element.path, POL_H), space.index(element.path, POL_V)]
         mat[np.ix_(idx, idx)] = _jones(element)
     return mat
 
 
+def _apply_element(element: OpticalElement, m: np.ndarray, jones=None) -> None:
+    """Apply one element in place to the mode rows of `m`, shape (..., dim, k).
+
+    Only the element's rows change: the two polarization rows of its path
+    (Jones matrix), the two pairs of same-polarization rows of a BS, or the
+    two V rows a PBS exchanges. `jones` replaces a single-path element's
+    Jones matrix; with a leading batch axis ((B, 2, 2) for `m` of shape
+    (B, dim, k)) each batch entry gets its own matrix.
+    """
+    if isinstance(element, PBS):
+        av, bv = 2 * element.path_a + POL_V, 2 * element.path_b + POL_V
+        m[..., [av, bv], :] = m[..., [bv, av], :]
+    elif isinstance(element, BS):
+        for pol in (POL_H, POL_V):
+            rows = [2 * element.path_a + pol, 2 * element.path_b + pol]
+            m[..., rows, :] = _BS_COUPLING @ m[..., rows, :]
+    else:
+        rows = slice(2 * element.path, 2 * element.path + 2)
+        m[..., rows, :] = (_jones(element) if jones is None else jones) @ m[..., rows, :]
+
+
+def _propagate(elements, m: np.ndarray, offsets=None) -> np.ndarray:
+    """Apply `elements` in order to `m` (shape (..., dim, k)) in place; returns `m`.
+
+    With `offsets` of shape (B, n_oriented), `m` has a leading batch axis of
+    length B and the j-th oriented element of batch entry b is turned by
+    offsets[b, j] (jittered copies of one train, propagated together).
+    """
+    j = 0
+    for e in elements:
+        jones = None
+        if offsets is not None and isinstance(e, ORIENTED_ELEMENTS):
+            jones = _jones(e, e.angle + offsets[:, j])
+            j += 1
+        _apply_element(e, m, jones)
+    return m
+
+
+def _require_lossless(m: np.ndarray) -> None:
+    """Columns of `m` (shape (..., dim, k)) orthonormal within 1e-10, for every batch entry."""
+    gram = np.swapaxes(m, -1, -2).conj() @ m
+    dev = float(np.max(np.abs(gram - np.eye(m.shape[-1]))))
+    if dev > 1e-10:
+        raise ValueError(f"lossless train composite is not unitary (dev {dev:.3e})")
+
+
 class OpticalTrain:
     """Ordered optical elements on a fixed mode space.
 
-    The composite matrix is computed at construction; it must be unitary
-    (within 1e-10) whenever no Polarizer is present.
+    The composite matrix is compiled at construction by propagating the
+    identity through the elements (each touches only its own rows); it must
+    be unitary (within 1e-10) whenever no Polarizer is present. The
+    measurement pipeline does not build trains: it uses the compiled body
+    isometry (`optical_measurement_state`) or a batch of jittered copies
+    (`errormodel.perturbation_sweep`).
     """
 
     def __init__(self, space: ModeSpace, elements):
         elements = tuple(elements)
-        composite = np.eye(space.dim, dtype=complex)
         for e in elements:
-            composite = element_matrix(e, space) @ composite
+            _check_paths(e, space)
+        composite = _propagate(elements, np.eye(space.dim, dtype=complex))
         lossy = any(isinstance(e, Polarizer) for e in elements)
         if not lossy:
-            dev = float(np.max(np.abs(composite.conj().T @ composite - np.eye(space.dim))))
-            if dev > 1e-10:
-                raise ValueError(f"lossless train composite is not unitary (dev {dev:.3e})")
+            _require_lossless(composite)
         composite.flags.writeable = False
         self.space = space
         self._elements = elements
@@ -284,9 +348,7 @@ def apply_train(train: OpticalTrain, state: PhotonState) -> PhotonState:
     """Apply the elements one by one; norm is non-increasing."""
     if state.space != train.space:
         raise ValueError(f"state lives on {state.space!r}, train on {train.space!r}")
-    amps = state.amplitudes
-    for e in train.elements:
-        amps = element_matrix(e, train.space) @ amps
+    amps = _propagate(train.elements, state.amplitudes.reshape(-1, 1).copy())
     return PhotonState(train.space, amps)
 
 
@@ -428,6 +490,7 @@ def crot_polarization_controls_path(
 
 
 # Path pair groups of the 8-path bench; path bits are (probe, q2, q3).
+N_BENCH_PATHS = 8
 _Q3_PAIRS = ((0, 1), (2, 3), (4, 5), (6, 7))
 _Q2_PAIRS = ((0, 2), (1, 3), (4, 6), (5, 7))
 _PROBE_PAIRS = ((0, 4), (1, 5), (2, 6), (3, 7))
@@ -435,16 +498,18 @@ _Q2_ONE = (2, 3, 6, 7)
 _Q3_ONE = (1, 3, 5, 7)
 
 
-def _cloner_train_elements(theta: float, delta: float, prep: PrepAngles) -> tuple:
+def _input_elements(theta: float, delta: float) -> list:
+    """Input preparation on the source path: polarization rotation by theta
+    (HWP pair) and the adjustable plate driving the relative phase delta."""
+    return _pol_rotation([0], theta) + [AJWP(0, delta)]
+
+
+def _body_elements(prep: PrepAngles) -> list:
+    """Everything after the input preparation; independent of (theta, delta)."""
     t1, t2, t3 = prep.as_tuple()
-    els = []
-    # Input preparation on the source path: polarization rotation by theta
-    # (HWP pair) and the adjustable plate driving the relative phase delta.
-    els += _pol_rotation([0], theta)
-    els += [AJWP(0, delta)]
     # State swap: move the input from polarization onto path bit q2, leaving
     # a definite H polarization behind.
-    els += _swap_pol_with_path(_Q2_PAIRS, _Q2_ONE)
+    els = _swap_pol_with_path(_Q2_PAIRS, _Q2_ONE)
     # Preparation stage, now acting on (polarization, q3).
     els += _pol_rotation(range(8), t1)
     els += [PBS(a, b) for a, b in _Q3_PAIRS]
@@ -467,12 +532,26 @@ def _cloner_train_elements(theta: float, delta: float, prep: PrepAngles) -> tupl
     els += [PhaseShift(p, -math.pi / 2) for p in (4, 5, 6, 7)]
     # Probe-controlled swap of the replicas: acts in the upper paths only.
     els += _swap_pol_with_path([(4, 6), (5, 7)], [6, 7])
-    return tuple(els)
+    return els
 
 
-@lru_cache(maxsize=None)
-def _cached_cloner_train(theta: float, delta: float, prep: PrepAngles) -> OpticalTrain:
-    return OpticalTrain(ModeSpace(8), _cloner_train_elements(theta, delta, prep))
+def _cloner_train_elements(theta: float, delta: float, prep: PrepAngles) -> tuple:
+    """Element list of the 8-path bench: input preparation, then the body."""
+    return tuple(_input_elements(theta, delta) + _body_elements(prep))
+
+
+@lru_cache(maxsize=4)
+def _body_isometry(prep: PrepAngles) -> np.ndarray:
+    """16 x 2 read-only image of the source path's H and V modes under the body.
+
+    The input preparation acts on the source path alone, so the photon
+    enters the body in modes (0, H) and (0, V); these two columns of the
+    body's unitary are all the measurement pipeline needs.
+    """
+    iso = _propagate(_body_elements(prep), np.eye(2 * N_BENCH_PATHS, 2, dtype=complex))
+    _require_lossless(iso)
+    iso.flags.writeable = False
+    return iso
 
 
 def build_cloner_train(
@@ -485,21 +564,27 @@ def build_cloner_train(
     probe splitters, and the probe-controlled replica swap. At the default
     (0, 0) input the preparation elements are neutral and the extracted
     unitary matches the gate-tier measurement circuit up to global phase.
+    Each call compiles a new train.
     """
     if prep_angles is None:
         prep_angles = cloner_prep_angles()
-    return _cached_cloner_train(float(theta), float(delta), prep_angles)
+    return OpticalTrain(
+        ModeSpace(N_BENCH_PATHS), _cloner_train_elements(float(theta), float(delta), prep_angles)
+    )
 
 
-def optical_measurement_state(
-    theta: float, delta: float, train: OpticalTrain | None = None
-) -> PureState:
-    """Send the source photon through the bench and read the result as qubits."""
-    if train is None:
-        train = build_cloner_train(theta, delta)
-    photon = source_photon(train.space, path=0, pol="H")
-    out = PhotonState(train.space, train.unitary() @ photon.amplitudes)
-    return modes_to_qubits(out)
+def optical_measurement_state(theta: float, delta: float) -> PureState:
+    """Send the source photon through the bench and read the result as qubits.
+
+    Only the three input-preparation elements depend on (theta, delta), and
+    they act on the source path alone: they turn the source photon's
+    polarization, and the body's 16 x 2 isometry, compiled once per prep
+    angles on first use, carries that polarization to the detectors. Equals
+    column 0 of `build_cloner_train(theta, delta).unitary()`.
+    """
+    pol = _propagate(_input_elements(theta, delta), np.array([[1.0], [0.0]], dtype=complex))
+    amps = _body_isometry(cloner_prep_angles()) @ pol[:, 0]
+    return modes_to_qubits(PhotonState(ModeSpace(N_BENCH_PATHS), amps))
 
 
 @dataclass(frozen=True)

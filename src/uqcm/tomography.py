@@ -60,6 +60,9 @@ N_PATHS = 8
 # Salt for deriving the bootstrap stream from a record's seed.
 _BOOTSTRAP_SALT = 0x626F6F74
 
+# Header fields of the CountsRecord text format.
+_HEADER_FIELDS = ("trials", "seed", "efficiency", "dark_rate", "max_rate", "gate_window")
+
 
 class ReconstructionError(ValueError):
     """Counts are insufficient to invert a density matrix."""
@@ -125,14 +128,40 @@ class CountsRecord:
 
     @classmethod
     def from_text(cls, text: str) -> "CountsRecord":
+        """Parse the `to_text` format.
+
+        Raises ValueError unless the header carries every field and each of
+        the 32 (path, basis) cells appears exactly once.
+        """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("#"):
             raise ValueError("missing counts header line")
-        fields = dict(item.split("=", 1) for item in lines[0][1:].split())
+        fields = {}
+        for item in lines[0][1:].split():
+            key, sep, value = item.partition("=")
+            if not sep:
+                raise ValueError(f"malformed counts header item {item!r}")
+            fields[key] = value
+        missing = [name for name in _HEADER_FIELDS if name not in fields]
+        if missing:
+            raise ValueError(f"counts header lacks fields: {', '.join(missing)}")
         counts = np.zeros((N_PATHS, len(BASES)), dtype=np.int64)
+        seen = set()
         for ln in lines[1:]:
-            path, basis, value = ln.split()
-            counts[int(path), BASES.index(basis)] = int(value)
+            try:
+                path, basis, value = ln.split()
+                cell = (int(path), BASES.index(basis))
+                count = int(value)
+            except ValueError:
+                raise ValueError(f"malformed counts line {ln!r}") from None
+            if not (0 <= cell[0] < N_PATHS):
+                raise ValueError(f"malformed counts line {ln!r}: no path {cell[0]}")
+            if cell in seen:
+                raise ValueError(f"duplicate counts cell {ln!r}")
+            seen.add(cell)
+            counts[cell] = count
+        if len(seen) != counts.size:
+            raise ValueError(f"counts record has {len(seen)} of {counts.size} (path, basis) cells")
         model = DetectorModel(
             efficiency=float(fields["efficiency"]),
             dark_rate=float(fields["dark_rate"]),

@@ -1,5 +1,6 @@
 """Harness behavior: config handling, CSV output, exit codes, reproducibility."""
 
+import hashlib
 import io
 import math
 
@@ -140,6 +141,23 @@ class TestSweep:
         assert len(lines) == 1 + 19 * 4 * 2
 
 
+class TestGoldenCsv:
+    """The default sweep CSVs are pinned byte for byte (Python 3.11, numpy 2.4)."""
+
+    GOLDEN_SHA256 = {
+        "exact": "7a790a2eb13a029f03cbcadcd4057c49b9efa3c4f269ec1f4426c82b74f67e03",
+        "montecarlo": "053ab2149ce42455291ef2a51d5084b4421a69d2e26178d21c42957710c9385c",
+        "perturbed": "333b2dfccd6dc83894372f98912ff861ea7e45bf79b25267cac7fdc313e93e89",
+    }
+
+    @pytest.mark.parametrize("mode", sorted(GOLDEN_SHA256))
+    def test_default_sweep_csv_hash(self, mode, tmp_path, capsys):
+        out = tmp_path / f"{mode}.csv"
+        assert main(["sweep", "--mode", mode, "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN_SHA256[mode]
+
+
 class TestExitCodes:
     def test_usage_error_from_bad_flag_value(self, capsys):
         assert main(["sweep", "--mode", "bogus"]) == EXIT_USAGE
@@ -150,6 +168,30 @@ class TestExitCodes:
         path.write_text("trials = -5\n")
         assert main(["sweep", "--config", str(path)]) == EXIT_USAGE
         capsys.readouterr()
+
+    def test_delta_outside_range_in_config(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text("delta_list = 7.0\n")
+        assert main(["sweep", "--config", str(path)]) == EXIT_USAGE
+        assert "delta value 7.0 outside" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["jitter_deg = inf", "delta_c = nan"])
+    def test_nonfinite_jitter_or_delta_c_in_config(self, line, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"mode = perturbed\n{line}\n")
+        assert main(["sweep", "--config", str(path)]) == EXIT_USAGE
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_negative_seed(self, capsys):
+        assert main(["sweep", "--mode", "montecarlo", "--seed", "-1"]) == EXIT_USAGE
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags", [["--theta", "3"], ["--delta", "-0.5"], ["--trials", "0"], ["--seed", "-1"]]
+    )
+    def test_tomo_out_of_range_input(self, flags, capsys):
+        assert main(["tomo", "--mode", "montecarlo", *flags]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_io_error_on_unwritable_output(self, capsys):
         assert main(["sweep", "--out", "/nonexistent-dir/x.csv"]) == EXIT_IO

@@ -1,9 +1,36 @@
 """Error budget: analytic bound arithmetic and jitter perturbation sweeps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from uqcm.errormodel import ErrorBudget, PerturbationResult, fidelity_error_bound, perturbation_sweep
+from uqcm.hilbert import DensityMatrix, fidelity
+from uqcm.network import input_state
+from uqcm.optics import ORIENTED_ELEMENTS, OpticalTrain, PhotonState, build_cloner_train, modes_to_qubits
+from uqcm.tomography import reconstruct_replica, signal_probabilities
+
+
+def reference_sweep(jitter, n_samples, seed, theta, delta, delta_c_total):
+    """Sample by sample: one jittered OpticalTrain per sample, scalar draws."""
+    base = build_cloner_train(theta, delta)
+    psi = input_state(theta, delta)
+    f1s, f2s = [], []
+    for i in range(n_samples):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
+        elements = [
+            replace(e, angle=e.angle + rng.uniform(-jitter, jitter))
+            if isinstance(e, ORIENTED_ELEMENTS) else e
+            for e in base.elements
+        ]
+        train = OpticalTrain(base.space, elements)
+        probs = signal_probabilities(modes_to_qubits(PhotonState(train.space, train.unitary()[:, 0])))
+        u = rng.uniform(-1.0, 1.0, size=4)
+        probs[0:4] *= (1.0 + u * (delta_c_total / np.abs(u).sum()))[:, None]
+        for rho, out in ((reconstruct_replica(probs, 1), f1s), (reconstruct_replica(probs, 2), f2s)):
+            out.append(fidelity(psi, DensityMatrix([1], rho.matrix)))
+    return np.array(f1s), np.array(f2s)
 
 
 class TestAnalyticBound:
@@ -45,6 +72,14 @@ class TestPerturbationSweep:
         a = perturbation_sweep(jitter=0.0018, n_samples=10, seed=5, delta_c_total=0.002)
         b = perturbation_sweep(jitter=0.0018, n_samples=10, seed=5, delta_c_total=0.002)
         assert np.array_equal(a.deviations, b.deviations)
+
+    def test_batch_matches_per_sample_trains(self):
+        args = dict(jitter=0.01, n_samples=12, seed=31, theta=0.7, delta=2.4, delta_c_total=0.002)
+        res = perturbation_sweep(**args)
+        f1s, f2s = reference_sweep(**args)
+        assert np.max(np.abs(res.fidelities1 - f1s)) < 1e-12
+        assert np.max(np.abs(res.fidelities2 - f2s)) < 1e-12
+        assert np.max(np.abs(res.deviations - np.abs(f1s - 5 / 6))) < 1e-12
 
     def test_mean_deviation_monotone_in_jitter(self):
         means = [

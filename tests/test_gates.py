@@ -95,14 +95,23 @@ def test_apply_circuit_register_mismatch():
 
 def test_apply_circuit_matches_composite_unitary():
     rng = np.random.default_rng(8)
-    circ = Circuit(
-        (1, 2, 3),
-        [Rotation(2, 0.5), CNOT(2, 3), Rotation(3, -0.9), CNOT(3, 1), SWAP(1, 2)],
+    circuits = (
+        Circuit(
+            (1, 2, 3),
+            [Rotation(2, 0.5), CNOT(2, 3), Rotation(3, -0.9), CNOT(3, 1), SWAP(1, 2)],
+        ),
+        Circuit(
+            (1, 2, 3, AUX),
+            [Rotation(AUX, 0.4), SWAP(1, 3), CNOT(AUX, 2), Rotation(1, 1.3),
+             CSWAP(AUX, 1, 2), CSWAP(2, 3, AUX), Rotation(3, -0.2), SWAP(AUX, 2)],
+        ),
     )
-    u = circuit_unitary(circ)
-    assert np.max(np.abs(u.conj().T @ u - np.eye(8))) < 1e-12
-    for _ in range(20):
-        psi = random_pure_state((1, 2, 3), rng)
-        out = apply_circuit(circ, psi)
-        assert np.allclose(out.amplitudes, u @ psi.amplitudes, atol=1e-12)
-        assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
+    for circ in circuits:
+        u = circuit_unitary(circ)
+        dim = u.shape[0]
+        assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) < 1e-12
+        for _ in range(20):
+            psi = random_pure_state(circ.register, rng)
+            out = apply_circuit(circ, psi)
+            assert np.allclose(out.amplitudes, u @ psi.amplitudes, atol=1e-12)
+            assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)

@@ -2,6 +2,7 @@
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from uqcm.optics import (
     AJWP,
     BS,
     HWP,
+    ORIENTED_ELEMENTS,
     PBS,
     QWP,
     LossyTrainError,
@@ -32,6 +34,8 @@ from uqcm.optics import (
     qubits_to_modes,
     source_photon,
     verify_equivalence,
+    _apply_element,
+    _jones,
 )
 from uqcm.tomography import measurement_state, path_distribution, replicas_from_state
 
@@ -102,6 +106,51 @@ class TestElements:
             element_matrix(HWP(5, 0.0), SP2)
 
 
+# One element of every kind on a 4-path space, mostly off path 0 so row offsets matter.
+ALL_KINDS = (
+    HWP(1, 0.3),
+    QWP(2, 1.1),
+    AJWP(3, 2.2),
+    PBS(0, 3),
+    BS(3, 1),
+    Polarizer(2, 0.7),
+    PhaseShift(1, -0.4),
+)
+
+
+def _random_modes(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestRowUpdateKernel:
+    """The in-place row update equals the dense element matrix product."""
+
+    SPACE = ModeSpace(4)
+
+    @pytest.mark.parametrize("element", ALL_KINDS, ids=lambda e: type(e).__name__)
+    def test_unbatched_matches_dense(self, element):
+        rng = np.random.default_rng(11)
+        m = _random_modes(rng, (self.SPACE.dim, 3))
+        got = m.copy()
+        _apply_element(element, got)
+        assert np.max(np.abs(got - element_matrix(element, self.SPACE) @ m)) < 1e-12
+
+    @pytest.mark.parametrize("element", ALL_KINDS, ids=lambda e: type(e).__name__)
+    def test_batched_matches_dense(self, element):
+        rng = np.random.default_rng(12)
+        m = _random_modes(rng, (5, self.SPACE.dim, 3))
+        got = m.copy()
+        if isinstance(element, ORIENTED_ELEMENTS):
+            angles = rng.uniform(-math.pi, math.pi, size=5)
+            _apply_element(element, got, _jones(element, angles))
+            dense = [element_matrix(replace(element, angle=a), self.SPACE) for a in angles]
+        else:
+            _apply_element(element, got)
+            dense = [element_matrix(element, self.SPACE)] * 5
+        for b in range(5):
+            assert np.max(np.abs(got[b] - dense[b] @ m[b])) < 1e-12
+
+
 class TestTrains:
     def test_empty_train_is_identity(self):
         train = OpticalTrain(SP2, [])
@@ -122,6 +171,17 @@ class TestTrains:
         stepwise = apply_train(train, photon)
         direct = train.unitary() @ amps
         assert np.max(np.abs(stepwise.amplitudes - direct)) < 1e-12
+
+    def test_composite_matches_dense_product(self):
+        train = build_cloner_train(0.5, 2.5)
+        dense = np.eye(16, dtype=complex)
+        for e in train.elements:
+            dense = element_matrix(e, train.space) @ dense
+        assert np.max(np.abs(train.unitary() - dense)) < 1e-12
+
+    def test_train_rejects_path_outside_space(self):
+        with pytest.raises(ValueError, match="outside"):
+            OpticalTrain(SP2, [BS(0, 2)])
 
     def test_lossless_composites_are_unitary(self):
         trains = [
@@ -251,6 +311,16 @@ class TestClonerTrain:
                 po = path_distribution(optics, basis)
                 pg = path_distribution(gates, basis)
                 assert np.max(np.abs(po - pg)) < 1e-10
+
+    def test_isometry_path_matches_full_train(self):
+        rng = np.random.default_rng(20)
+        for _ in range(24):
+            theta = rng.uniform(-math.pi / 2, math.pi / 2)
+            delta = rng.uniform(0.0, 2 * math.pi)
+            column = build_cloner_train(theta, delta).unitary()[:, 0]
+            state = optical_measurement_state(theta, delta)
+            amps = qubits_to_modes(state, ModeSpace(8)).amplitudes
+            assert np.max(np.abs(amps - column)) < 1e-12
 
     def test_optics_pipeline_reaches_optimal_fidelity(self):
         thetas = np.linspace(-math.pi / 2 + math.pi / 36, math.pi / 2, 7)

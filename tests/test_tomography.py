@@ -161,6 +161,52 @@ class TestSimulateCounts:
         assert back.total_trials == rec.total_trials
         assert back.seed == rec.seed
         assert back.model == rec.model
+        assert back.to_text() == rec.to_text()
+
+
+class TestCountsText:
+    """CountsRecord.from_text rejects truncated and malformed records."""
+
+    @staticmethod
+    def text():
+        probs = signal_probabilities(measurement_state(0.3, 1.0))
+        return simulate_counts(probs, DetectorModel(), 5000, 7).to_text()
+
+    def test_single_cell_record_rejected(self):
+        header = self.text().splitlines()[0]
+        with pytest.raises(ValueError, match="1 of 32"):
+            CountsRecord.from_text(f"{header}\n0 H 3\n")
+
+    def test_missing_cell_rejected(self):
+        lines = self.text().splitlines()
+        with pytest.raises(ValueError, match="31 of 32"):
+            CountsRecord.from_text("\n".join(lines[:17] + lines[18:]))
+
+    def test_duplicate_cell_rejected(self):
+        lines = self.text().splitlines()
+        lines[2] = lines[1]
+        with pytest.raises(ValueError, match="duplicate"):
+            CountsRecord.from_text("\n".join(lines))
+
+    @pytest.mark.parametrize("bad", ["0 H", "0 H 3 4", "0 X 3", "8 H 3", "a H 3", "0 H 1.5"])
+    def test_malformed_line_rejected(self, bad):
+        lines = self.text().splitlines()
+        lines[1] = bad
+        with pytest.raises(ValueError, match="malformed counts line"):
+            CountsRecord.from_text("\n".join(lines))
+
+    @pytest.mark.parametrize("field", ["trials", "seed", "efficiency", "gate_window"])
+    def test_header_missing_field_rejected(self, field):
+        lines = self.text().splitlines()
+        lines[0] = " ".join(item for item in lines[0].split() if not item.startswith(field + "="))
+        with pytest.raises(ValueError, match=f"lacks fields: {field}"):
+            CountsRecord.from_text("\n".join(lines))
+
+    def test_header_item_without_value_rejected(self):
+        lines = self.text().splitlines()
+        lines[0] += " stray"
+        with pytest.raises(ValueError, match="header item"):
+            CountsRecord.from_text("\n".join(lines))
 
 
 class TestSingleQubitInversion:
