@@ -18,6 +18,10 @@ Finite counts can land outside the physical set; the reconstruction then
 shortens the Stokes vector to unit length, which for a trace-one qubit
 matrix is the same projection as clipping negative eigenvalues to zero and
 renormalizing (and is idempotent and trace-preserving).
+
+A replica's Stokes vector S is the H+V-weighted mean of its four paths'
+vectors, and its fidelity with a pure input of Bloch vector n is
+F = (1 + S . n) / 2; `_replica_stokes` evaluates S over whole count arrays.
 """
 
 from __future__ import annotations
@@ -31,10 +35,11 @@ import numpy as np
 from .gates import CSWAP, Circuit, apply_circuit
 from .hilbert import (
     AUX,
+    PSD_FLOOR,
     DensityMatrix,
     PureState,
-    fidelity,
     stokes_compose,
+    stokes_decompose,
     tensor_product,
 )
 from .network import clone, input_state
@@ -48,12 +53,10 @@ BASIS_VECTORS = {
     "D": np.array([_SQ2, _SQ2], dtype=complex),
     "R": np.array([_SQ2, 1.0j * _SQ2], dtype=complex),
 }
-_ORTHOGONAL = {
-    "H": np.array([0.0, 1.0], dtype=complex),
-    "V": np.array([1.0, 0.0], dtype=complex),
-    "D": np.array([_SQ2, -_SQ2], dtype=complex),
-    "R": np.array([_SQ2, -1.0j * _SQ2], dtype=complex),
-}
+# (2, 4): amplitude rows times this give the basis-state overlaps H, V, D, R.
+_BASIS_MATRIX = np.stack([BASIS_VECTORS[b] for b in BASES], axis=1).conj()
+# (4, 3): (H, V, D, R) counts times this give (2 C_D, 2 C_R, C_H - C_V).
+_INVERSION = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
 
 N_PATHS = 8
 
@@ -214,15 +217,20 @@ def path_distribution(meas: PureState, basis: str) -> np.ndarray:
     """
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}; expected one of {BASES}")
-    rows = per_path_amplitudes(meas)
-    plus = np.abs(rows @ BASIS_VECTORS[basis].conj()) ** 2
-    minus = np.abs(rows @ _ORTHOGONAL[basis].conj()) ** 2
-    return np.stack([plus, minus], axis=1)
+    b0, b1 = BASIS_VECTORS[basis]
+    # Column 1 is the conjugate of (-conj(b1), conj(b0)), orthogonal to b.
+    projections = np.array([[b0.conjugate(), -b1], [b1.conjugate(), b0]])
+    return np.abs(per_path_amplitudes(meas) @ projections) ** 2
+
+
+def _click_probabilities(rows: np.ndarray) -> np.ndarray:
+    """(..., 8, 4) click probabilities from (..., 8, 2) per-path amplitudes."""
+    return np.abs(rows @ _BASIS_MATRIX) ** 2
 
 
 def signal_probabilities(meas: PureState) -> np.ndarray:
     """(8, 4) probability of a click behind the polarizer per (path, basis)."""
-    return np.stack([path_distribution(meas, b)[:, 0] for b in BASES], axis=1)
+    return _click_probabilities(per_path_amplitudes(meas))
 
 
 def simulate_counts(
@@ -262,57 +270,76 @@ def simulate_counts(
     return CountsRecord(counts=counts, total_trials=trials, seed=seed, model=model)
 
 
+def _path_stokes(counts: np.ndarray) -> np.ndarray:
+    """(..., 3) per-path inversion of (..., 4) H, V, D, R counts, shortened to
+    the unit ball; zero where a path has no H/V counts."""
+    total = counts[..., 0] + counts[..., 1]
+    # einsum, not a float matmul: verify's scalar calls would otherwise page in BLAS code.
+    s = np.einsum("...i,ij->...j", counts, _INVERSION)
+    s = s / np.where(total > 0, total, 1.0)[..., None] - (1.0, 1.0, 0.0)
+    s = s / np.maximum(np.linalg.norm(s, axis=-1, keepdims=True), 1.0)
+    return np.where((total > 0)[..., None], s, 0.0)
+
+
+def _replica_stokes(counts, replicas=(1, 2)) -> np.ndarray:
+    """(..., len(replicas), 3) replica Stokes vectors from (..., 8, 4) counts.
+
+    Accepts a CountsRecord, counts or exact probabilities. Raises
+    ReconstructionError for a replica whose path group has no H/V counts,
+    and ValueError if an eigenvalue (1 - |S|) / 2 is below the positivity
+    floor.
+    """
+    arr = np.asarray(counts.counts if isinstance(counts, CountsRecord) else counts, dtype=float)
+    if arr.shape[-2:] != (N_PATHS, len(BASES)):
+        raise ValueError(f"counts must have shape (..., 8, 4), got {arr.shape}")
+    groups = arr.reshape(arr.shape[:-2] + (2, 4, len(BASES)))[..., [r - 1 for r in replicas], :, :]
+    weights = groups[..., 0] + groups[..., 1]
+    totals = weights.sum(axis=-1)
+    for i, r in enumerate(replicas):
+        if np.any(totals[..., i] <= 0):
+            raise ReconstructionError(f"replica {r}: no counts in its path group")
+    stokes = np.einsum("...p,...pk->...k", weights / totals[..., None], _path_stokes(groups))
+    if np.any(np.linalg.norm(stokes, axis=-1) > 1.0 - 2.0 * PSD_FLOOR):
+        raise ValueError("replica matrix has an eigenvalue below the positivity floor")
+    return stokes
+
+
+def _stokes_fidelity(stokes, psi: PureState) -> np.ndarray:
+    """<psi|rho|psi> = (1 + S . n) / 2 for rho = (I + S . sigma) / 2, n the Bloch vector of psi."""
+    return 0.5 * (1.0 + np.asarray(stokes) @ np.array(stokes_decompose(psi.density())))
+
+
+def _replica_fidelities(counts, psi: PureState) -> np.ndarray:
+    """(..., 2) fidelities of both replicas with `psi`, from (..., 8, 4) counts."""
+    return _stokes_fidelity(_replica_stokes(counts), psi)
+
+
 def reconstruct_single_qubit(c_h, c_v, c_d, c_r, label=1) -> DensityMatrix:
     """Linear-inversion reconstruction from one path's four settings.
 
     Accepts integer counts or exact (float) probabilities; the formulas are
     scale-invariant as long as all four share one scale.
     """
-    total = c_h + c_v
-    if total <= 0:
+    if c_h + c_v <= 0:
         raise ReconstructionError("no H/V counts: cannot normalize the inversion")
-    sz = (c_h - c_v) / total
-    sx = 2.0 * c_d / total - 1.0
-    sy = 2.0 * c_r / total - 1.0
-    s = np.array([sx, sy, sz])
-    slen = float(np.linalg.norm(s))
-    if slen > 1.0:
-        s = s / slen
-    return stokes_compose(s[0], s[1], s[2], label=label)
-
-
-def _counts_array(counts) -> np.ndarray:
-    if isinstance(counts, CountsRecord):
-        return np.asarray(counts.counts, dtype=float)
-    arr = np.asarray(counts, dtype=float)
-    if arr.shape != (N_PATHS, len(BASES)):
-        raise ValueError(f"counts must have shape (8, 4), got {arr.shape}")
-    return arr
+    return stokes_compose(*_path_stokes(np.array([c_h, c_v, c_d, c_r], dtype=float)), label=label)
 
 
 def reconstruct_replica(counts, which: int) -> DensityMatrix:
     """Weighted per-path reconstruction of one replica.
 
-    Replica 1 uses paths 0-3 (probe 0), replica 2 uses paths 4-7 (probe 1).
-    Path weights are the relative H+V counts, the per-setting totals that
-    estimate each path's photon flux; D and R settings re-measure the same
-    flux and would bias the weights.
+    Replica 1 uses paths 0-3 (probe 0), replica 2 uses paths 4-7 (probe 1);
+    only that group needs counts. Path weights are the relative H+V counts,
+    the per-setting totals that estimate each path's photon flux; D and R
+    re-measure the same flux and would bias the weights. The result is
+    `stokes_compose` of the weighted mean of the per-path Stokes vectors.
     """
     if which not in (1, 2):
         raise ValueError(f"replica selector must be 1 or 2, got {which!r}")
-    arr = _counts_array(counts)
-    group = arr[0:4] if which == 1 else arr[4:8]
-    weights = group[:, 0] + group[:, 1]
-    total = float(weights.sum())
-    if total <= 0:
-        raise ReconstructionError(f"replica {which}: no counts in its path group")
-    acc = np.zeros((2, 2), dtype=complex)
-    for i in range(4):
-        if weights[i] <= 0:
-            continue
-        rho_i = reconstruct_single_qubit(group[i, 0], group[i, 1], group[i, 2], group[i, 3])
-        acc += (weights[i] / total) * rho_i.matrix
-    return DensityMatrix([1], acc)
+    stokes = _replica_stokes(counts, (which,))
+    if stokes.shape != (1, 3):
+        raise ValueError("reconstruct_replica takes one (8, 4) count array, not a batch")
+    return stokes_compose(*stokes[0])
 
 
 def replicas_from_state(meas: PureState) -> tuple:
@@ -344,12 +371,6 @@ class FidelityReport:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
-def _replica_fidelities(rho1: DensityMatrix, rho2: DensityMatrix, psi: PureState) -> tuple:
-    f1 = fidelity(psi, DensityMatrix([1], rho1.matrix))
-    f2 = fidelity(psi, DensityMatrix([1], rho2.matrix))
-    return f1, f2
-
-
 def fidelity_report(
     rho1: DensityMatrix,
     rho2: DensityMatrix,
@@ -361,35 +382,28 @@ def fidelity_report(
 ) -> FidelityReport:
     """Fidelities of both replicas against the (theta, delta) input state.
 
-    When a CountsRecord is supplied, statistical error bars are estimated by
-    a parametric bootstrap: each cell is resampled as Binomial(trials,
-    observed fraction) `n_bootstrap` times and the sample standard deviation
-    of the refitted fidelities is reported.
+    The point estimates come from the single-qubit matrices `rho1`, `rho2`
+    (any qubit label). When a CountsRecord is supplied, statistical error
+    bars are estimated by a parametric bootstrap: all cells are resampled at
+    once as Binomial(trials, observed fraction), an (n_bootstrap, 8, 4)
+    draw, every draw is refitted in one `_replica_fidelities` call, and the
+    sample standard deviation of the refitted fidelities is reported.
     """
     psi = input_state(theta, delta)
-    f1, f2 = _replica_fidelities(rho1, rho2, psi)
+    f1, f2 = _stokes_fidelity([stokes_decompose(rho1), stokes_decompose(rho2)], psi)
     err1 = err2 = 0.0
     if counts is not None:
         rng = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence((counts.seed, _BOOTSTRAP_SALT)))
         )
-        trials = counts.total_trials
-        fractions = np.asarray(counts.counts, dtype=float) / trials
-        f1s, f2s = [], []
-        for _ in range(n_bootstrap):
-            resampled = rng.binomial(trials, fractions)
-            b1 = reconstruct_replica(resampled, 1)
-            b2 = reconstruct_replica(resampled, 2)
-            g1, g2 = _replica_fidelities(b1, b2, psi)
-            f1s.append(g1)
-            f2s.append(g2)
-        err1 = float(np.std(f1s, ddof=1))
-        err2 = float(np.std(f2s, ddof=1))
+        fractions = counts.counts / counts.total_trials
+        draws = rng.binomial(counts.total_trials, fractions, size=(n_bootstrap,) + fractions.shape)
+        err1, err2 = np.std(_replica_fidelities(draws, psi), axis=0, ddof=1)
     return FidelityReport(
-        fidelity1=f1,
-        fidelity2=f2,
-        stderr1=err1,
-        stderr2=err2,
+        fidelity1=float(f1),
+        fidelity2=float(f2),
+        stderr1=float(err1),
+        stderr2=float(err2),
         theta=theta,
         delta=delta,
         mode=mode,
@@ -414,8 +428,7 @@ def montecarlo_report(
     record = simulate_counts(
         signal_probabilities(measurement_state(theta, delta)), model, trials, seed
     )
-    rho1 = reconstruct_replica(record, 1)
-    rho2 = reconstruct_replica(record, 2)
+    rho1, rho2 = reconstruct_replica(record, 1), reconstruct_replica(record, 2)
     return fidelity_report(
         rho1, rho2, theta, delta, mode="montecarlo", counts=record, n_bootstrap=n_bootstrap
     )

@@ -243,3 +243,32 @@ class TestTomo:
         assert main(["tomo", "--mode", "montecarlo", "--trials", "5000", "--seed", "4"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "+/-" in out
+
+    # Whole printouts, recorded before the reconstruction became array
+    # arithmetic. The exact point is off the poles: at theta = 0 the printed
+    # off-diagonals are 1e-16 rounding residue, not a property of the state.
+    PINNED_STDOUT = {
+        ("--theta", "0.7", "--delta", "2.1"): (
+            'input: theta=0.700000000 delta=2.100000000 mode=exact\n'
+            'replica 1: F = 0.833333333 +/- 0.000000000 (reference 5/6 = 0.833333333)\n'
+            '[[ 0.556656+0.j      -0.165833-0.28355j]\n'
+            ' [-0.165833+0.28355j  0.443344+0.j     ]]\n'
+            'replica 2: F = 0.833333333 +/- 0.000000000 (reference 5/6 = 0.833333333)\n'
+            '[[ 0.556656+0.j      -0.165833-0.28355j]\n'
+            ' [-0.165833+0.28355j  0.443344+0.j     ]]\n'
+        ),
+        ("--mode", "montecarlo"): (
+            'input: theta=0.000000000 delta=0.000000000 mode=montecarlo\n'
+            'replica 1: F = 0.833753618 +/- 0.004292925 (reference 5/6 = 0.833333333)\n'
+            '[[0.833754+0.j       0.007131-0.011077j]\n'
+            ' [0.007131+0.011077j 0.166246+0.j      ]]\n'
+            'replica 2: F = 0.833109368 +/- 0.003344766 (reference 5/6 = 0.833333333)\n'
+            '[[0.833109+0.j      0.005835+0.00338j]\n'
+            ' [0.005835-0.00338j 0.166891+0.j     ]]\n'
+        ),
+    }
+
+    @pytest.mark.parametrize("flags", sorted(PINNED_STDOUT))
+    def test_stdout_pinned(self, flags, capsys):
+        assert main(["tomo", *flags]) == EXIT_OK
+        assert capsys.readouterr().out == self.PINNED_STDOUT[flags]

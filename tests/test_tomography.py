@@ -5,9 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from uqcm.hilbert import AUX, DensityMatrix, PureState, fidelity, partial_trace, stokes_compose
+from uqcm.hilbert import (
+    AUX,
+    DensityMatrix,
+    PureState,
+    fidelity,
+    partial_trace,
+    random_pure_state,
+    stokes_compose,
+)
 from uqcm.network import clone, input_state
 from uqcm.tomography import (
+    _BOOTSTRAP_SALT,
     BASES,
     CountsRecord,
     DetectorModel,
@@ -23,9 +32,23 @@ from uqcm.tomography import (
     replicas_from_state,
     signal_probabilities,
     simulate_counts,
+    _replica_fidelities,
 )
 
 F_OPT = 5.0 / 6.0
+
+
+def reference_replica_fidelities(counts, psi):
+    """Per path: invert to a 2 x 2 matrix, mix by H+V weight, take <psi|rho|psi>."""
+    out = []
+    for group in (counts[0:4], counts[4:8]):
+        weights = group[:, 0] + group[:, 1]
+        acc = np.zeros((2, 2), dtype=complex)
+        for row, w in zip(group, weights):
+            if w > 0:
+                acc += (w / weights.sum()) * reconstruct_single_qubit(*row).matrix
+        out.append(fidelity(psi, DensityMatrix([1], acc)))
+    return out
 
 
 def test_basis_projectors_span_operator_space():
@@ -303,6 +326,76 @@ class TestReplicaReconstruction:
             reconstruct_replica(counts, 2)
         with pytest.raises(ValueError, match="selector"):
             reconstruct_replica(counts, 3)
+        # Only the selected group needs counts.
+        assert reconstruct_replica(counts, 1).labels == (1,)
+
+
+class TestArrayReconstruction:
+    """The array kernel against the per-path 2 x 2 route it replaced."""
+
+    def test_matches_per_path_route(self):
+        rng = np.random.default_rng(77)
+        counts = rng.integers(0, 1000, size=(40, 8, 4)).astype(float)
+        counts[0, 2, 0:2] = 0        # a path with no H/V counts
+        counts[1, 5] = [1000, 0, 1000, 500]   # raw Stokes (1, 0, 1), outside the ball
+        c_h, c_v, c_d, c_r = np.moveaxis(counts, -1, 0)
+        n = np.maximum(c_h + c_v, 1.0)
+        raw = np.stack([2 * c_d / n - 1, 2 * c_r / n - 1, (c_h - c_v) / n])
+        assert np.sum(np.linalg.norm(raw, axis=0) > 1.0) > 100
+        psi = random_pure_state([1], rng)
+        fids = _replica_fidelities(counts, psi)
+        assert fids.shape == (40, 2)
+        ref = np.array([reference_replica_fidelities(c, psi) for c in counts])
+        assert np.max(np.abs(fids - ref)) < 1e-12
+
+    def test_reconstruct_replica_matches_per_path_route(self):
+        counts = np.random.default_rng(78).integers(0, 500, size=(8, 4)).astype(float)
+        psi = random_pure_state([1], np.random.default_rng(79))
+        ref = reference_replica_fidelities(counts, psi)
+        for which in (1, 2):
+            f = fidelity(psi, reconstruct_replica(counts, which))
+            assert f == pytest.approx(ref[which - 1], abs=1e-12)
+
+    def test_batch_rejected_by_single_replica_api(self):
+        with pytest.raises(ValueError, match="batch"):
+            reconstruct_replica(np.ones((3, 8, 4)), 1)
+        with pytest.raises(ValueError, match="shape"):
+            reconstruct_replica(np.ones((8, 3)), 1)
+
+    def test_positivity_floor_kept(self):
+        # A negative weight (a path scaled below zero) pushes |S| to 2.
+        counts = np.ones((8, 4))
+        counts[0] = [1, 1, 2, 1]
+        counts[1] = [-1, 0, 0, 0]
+        counts[2:4] = 0
+        with pytest.raises(ValueError, match="positivity floor"):
+            _replica_fidelities(counts, input_state(0.0, 0.0))
+
+    def test_bootstrap_is_one_batched_draw(self):
+        theta, delta = 0.4, 1.1
+        probs = signal_probabilities(measurement_state(theta, delta))
+        rec = simulate_counts(probs, DetectorModel(), 20000, 11)
+        psi = input_state(theta, delta)
+
+        def stream():
+            seeds = np.random.SeedSequence((rec.seed, _BOOTSTRAP_SALT))
+            return np.random.Generator(np.random.PCG64(seeds))
+
+        fractions = rec.counts / rec.total_trials
+        batched = stream().binomial(rec.total_trials, fractions, size=(50, 8, 4))
+        rng = stream()
+        looped = np.array([rng.binomial(rec.total_trials, fractions) for _ in range(50)])
+        assert np.array_equal(batched, looped)
+        ref = np.array([reference_replica_fidelities(draw, psi) for draw in looped])
+        rep = fidelity_report(
+            reconstruct_replica(rec, 1), reconstruct_replica(rec, 2), theta, delta,
+            mode="montecarlo", counts=rec,
+        )
+        point = reference_replica_fidelities(rec.counts.astype(float), psi)
+        assert rep.fidelity1 == pytest.approx(point[0], abs=1e-12)
+        assert rep.fidelity2 == pytest.approx(point[1], abs=1e-12)
+        assert rep.stderr1 == pytest.approx(np.std(ref[:, 0], ddof=1), abs=1e-12)
+        assert rep.stderr2 == pytest.approx(np.std(ref[:, 1], ddof=1), abs=1e-12)
 
 
 class TestFidelityReport:
