@@ -28,25 +28,35 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gates import apply_circuit
-from .hilbert import PureState, partial_trace, random_pure_state, stokes_compose, tensor_product
+from .hilbert import (
+    PureState,
+    _qubit_stokes,
+    _stokes_fidelity,
+    partial_trace,
+    random_pure_state,
+    stokes_compose,
+    tensor_product,
+)
 from .angles import SolverError, prep_circuit, solve_prep_angles
 from .errormodel import ErrorBudget, fidelity_error_bound, perturbation_sweep
 from .network import (
     CLONER_PREP_TARGET,
     TRIPLICATOR_PREP_TARGET,
+    _clone_outputs,
+    _input_amplitudes,
+    _replica_stokes_of_outputs,
     build_cloning_network,
     build_measurement_circuit,
-    clone,
-    input_state,
     optimal_fidelity,
     reference_clone_output,
 )
-from .optics import HWP, OpticalTrain, build_cloner_train, optical_measurement_state, verify_equivalence
+from .optics import HWP, OpticalTrain, _bench_path_amplitudes, build_cloner_train, verify_equivalence
 from .tomography import (
     BASES,
     BASIS_VECTORS,
     DetectorModel,
-    _replica_fidelities,
+    _click_probabilities,
+    _replica_stokes,
     exact_report,
     fidelity_report,
     measurement_state,
@@ -64,6 +74,8 @@ EXIT_IO = 4
 
 TARGET_F = optimal_fidelity(1, 2)
 EXACT_TOL = 1e-9
+# Grid points per array pass of the exact sweep.
+EXACT_BLOCK = 128
 PERTURBED_BOUND = 0.005
 
 CSV_HEADER = "mode,delta_rad,theta_rad,replica,fidelity,stderr,seed"
@@ -195,6 +207,17 @@ def format_row(mode, delta, theta, replica, fid, stderr, seed) -> str:
     return f"{mode},{delta:.9f},{theta:.9f},{replica},{fid:.9f},{stderr:.9f},{seed}"
 
 
+def _exact_fidelities(theta: np.ndarray, delta: np.ndarray) -> tuple:
+    """(N, 2) replica fidelities of the gate tier and of the optics tier for
+    N input points: one product with the compiled network image, one with
+    the bench's body isometry, and (1 + S . n) / 2 for both."""
+    amps = _input_amplitudes(theta, delta)
+    bloch = _qubit_stokes(amps)
+    f_gate = _stokes_fidelity(_replica_stokes_of_outputs(_clone_outputs(amps)), bloch)
+    probs = _click_probabilities(_bench_path_amplitudes(theta, delta))
+    return f_gate, _stokes_fidelity(_replica_stokes(probs), bloch)
+
+
 def compute_sweep(config: SweepConfig):
     """Run the sweep; returns (csv_rows, summary_lines, exit_code)."""
     rows = []
@@ -203,19 +226,22 @@ def compute_sweep(config: SweepConfig):
     thetas = config.theta_grid()
 
     if config.mode == "exact":
-        max_dev_gate = 0.0
-        max_dev_optics = 0.0
-        for i_d, delta in enumerate(config.delta_list):
-            for i_t, theta in enumerate(thetas):
-                res = clone(theta, delta)
-                for replica, fid in ((1, res.fidelity1), (2, res.fidelity2)):
-                    rows.append((delta, theta, replica, fid, 0.0, config.seed))
-                    max_dev_gate = max(max_dev_gate, abs(fid - TARGET_F))
-                f_opt = _replica_fidelities(
-                    signal_probabilities(optical_measurement_state(theta, delta)),
-                    input_state(theta, delta),
-                )
-                max_dev_optics = max(max_dev_optics, float(np.max(np.abs(f_opt - TARGET_F))))
+        # The whole (delta, theta) grid, delta-major, as array arithmetic in
+        # fixed-size blocks of points, which bound the working set.
+        grid_delta = np.repeat(config.delta_list, len(thetas))
+        grid_theta = np.tile(thetas, len(config.delta_list))
+        blocks = [
+            _exact_fidelities(grid_theta[i:i + EXACT_BLOCK], grid_delta[i:i + EXACT_BLOCK])
+            for i in range(0, grid_theta.size, EXACT_BLOCK)
+        ]
+        f_gate, f_opt = (np.concatenate(tier) for tier in zip(*blocks))
+        rows = [
+            (delta, theta, replica, fid, 0.0, config.seed)
+            for delta, theta, fids in zip(grid_delta.tolist(), grid_theta.tolist(), f_gate.tolist())
+            for replica, fid in enumerate(fids, start=1)
+        ]
+        max_dev_gate = float(np.max(np.abs(f_gate - TARGET_F)))
+        max_dev_optics = float(np.max(np.abs(f_opt - TARGET_F)))
         summary.append(f"exact sweep: {len(rows)} rows over {len(config.delta_list)} delta x {len(thetas)} theta")
         summary.append(f"max |F - 5/6| gate tier:   {max_dev_gate:.3e}")
         summary.append(f"max |F - 5/6| optics tier: {max_dev_optics:.3e}")
@@ -444,8 +470,17 @@ def run_tomo(theta: float, delta: float, mode: str, trials: int, seed: int, stdo
         ("replica 2", rho2, rep.fidelity2, rep.stderr2),
     ):
         print(f"{name}: F = {fid:.9f} +/- {err:.9f} (reference 5/6 = {TARGET_F:.9f})", file=stdout)
-        print(np.array2string(rho.matrix, precision=6, suppress_small=False), file=stdout)
+        print(_format_matrix(rho.matrix), file=stdout)
     return EXIT_OK
+
+
+def _format_matrix(matrix: np.ndarray) -> str:
+    """Fixed-point printout at 6 decimals; parts that round to zero print as
+    0., never as -0. or as rounding residue in scientific notation."""
+    m = np.array(matrix, dtype=complex)
+    for part in (m.real, m.imag):
+        part[np.abs(part) < 5e-7] = 0.0
+    return np.array2string(m, precision=6, suppress_small=True)
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hilbert import _require_isometry
 from .network import cloner_prep_angles, input_state, optimal_fidelity
-from .optics import (
-    N_BENCH_PATHS,
-    ORIENTED_ELEMENTS,
-    _cloner_train_elements,
-    _propagate,
-    _require_lossless,
-)
+from .optics import N_BENCH_PATHS, ORIENTED_ELEMENTS, _cloner_train_elements, _propagate
 from .tomography import _click_probabilities, _replica_fidelities
 
 _TARGET_F = optimal_fidelity(1, 2)
@@ -129,7 +124,7 @@ def perturbation_sweep(
     offsets = np.array([rng.uniform(-jitter, jitter, size=n_oriented) for rng in rngs])
     dim = 2 * N_BENCH_PATHS
     trains = _propagate(elements, np.tile(np.eye(dim, dtype=complex), (n_samples, 1, 1)), offsets)
-    _require_lossless(trains)
+    _require_isometry(trains, "jittered train composite")
     # The source photon enters in mode (path 0, H): column 0. Mode 2p + pol
     # is path p's polarization, so the rows regroup as (samples, 8, 2).
     out = trains[:, :, 0]

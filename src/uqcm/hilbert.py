@@ -22,6 +22,7 @@ PSD_FLOOR = -1e-10
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
 
 
 class LabelError(ValueError):
@@ -222,6 +223,41 @@ def stokes_decompose(rho: DensityMatrix) -> tuple:
     sy = float(np.real(np.trace(m @ PAULI_Y)))
     sz = float(np.real(np.trace(m @ PAULI_Z)))
     return sx, sy, sz
+
+
+def _qubit_stokes(amps, position: int = 0) -> np.ndarray:
+    """(..., 3) Stokes vectors of one qubit of (..., 2^n) pure-state amplitudes.
+
+    `position` is the qubit's place in canonical basis order (0 = most
+    significant). S_k = <psi| sigma_k on that qubit |psi>, the Stokes vector of
+    its reduced matrix; for a single qubit, the Bloch vector of the state.
+    """
+    amps = np.asarray(amps)
+    split = amps.reshape(amps.shape[:-1] + (1 << position, 2, -1))
+    return np.einsum("...aib,kij,...ajb->...k", split.conj(), _PAULIS, split).real
+
+
+def _require_physical_stokes(stokes) -> None:
+    """Eigenvalues (1 +- |S|) / 2 of every (..., 3) Stokes vector above PSD_FLOOR."""
+    if np.any(np.linalg.norm(stokes, axis=-1) > 1.0 - 2.0 * PSD_FLOOR):
+        raise ValueError("replica matrix has an eigenvalue below the positivity floor")
+
+
+def _stokes_fidelity(stokes, bloch) -> np.ndarray:
+    """(..., R) overlaps <psi|rho|psi> = (1 + S . n) / 2.
+
+    `stokes` (..., R, 3) holds R single-qubit matrices rho = (I + S . sigma) / 2,
+    `bloch` (..., 3) the Bloch vector n of each pure input psi.
+    """
+    return 0.5 * (1.0 + np.einsum("...rk,...k->...r", stokes, bloch))
+
+
+def _require_isometry(m: np.ndarray, what: str) -> None:
+    """Columns of `m` (shape (..., dim, k)) orthonormal within 1e-10, for every batch entry."""
+    gram = np.swapaxes(m, -1, -2).conj() @ m
+    dev = float(np.max(np.abs(gram - np.eye(m.shape[-1]))))
+    if dev > 1e-10:
+        raise ValueError(f"{what} is not an isometry (dev {dev:.3e})")
 
 
 def stokes_compose(sx: float, sy: float, sz: float, label=1) -> DensityMatrix:

@@ -13,13 +13,26 @@ against which the gate network and the optical realization are checked.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .angles import PrepAngles, prep_circuit, solve_prep_angles
 from .gates import CNOT, CSWAP, SWAP, Circuit, Rotation, apply_circuit
-from .hilbert import AUX, DensityMatrix, PureState, fidelity, partial_trace, tensor_product
+from .hilbert import (
+    ATOL,
+    AUX,
+    DensityMatrix,
+    PureState,
+    _qubit_stokes,
+    _require_isometry,
+    _require_physical_stokes,
+    _stokes_fidelity,
+    partial_trace,
+    stokes_compose,
+    tensor_product,
+)
 
 # Preparation target for the 1-to-2 cloner: (2|00> + |01> + |11>) / sqrt(6)
 # on qubits (2, 3).
@@ -39,17 +52,26 @@ TRIPLICATOR_PREP_TARGET = np.array(
 TRIPLICATOR_FIDELITY = 5.0 / 6.0
 
 
+def _input_amplitudes(theta, delta) -> np.ndarray:
+    """(..., 2) amplitudes cos(theta), e^(i delta) sin(theta) for theta and
+    delta of one shape (...); rejects any value out of range."""
+    theta, delta = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(delta, dtype=float))
+    bad_theta = ~((-math.pi / 2 < theta) & (theta <= math.pi / 2))
+    if np.any(bad_theta):
+        raise ValueError(f"theta={float(theta[bad_theta][0])!r} outside (-pi/2, pi/2]")
+    bad_delta = ~((0.0 <= delta) & (delta < 2.0 * math.pi))
+    if np.any(bad_delta):
+        raise ValueError(f"delta={float(delta[bad_delta][0])!r} outside [0, 2*pi)")
+    return np.stack([np.cos(theta), np.exp(1j * delta) * np.sin(theta)], axis=-1)
+
+
 def input_state(theta: float, delta: float) -> PureState:
     """Input qubit cos(theta)|0> + e^(i delta) sin(theta)|1> on qubit 1.
 
     Accepts theta in (-pi/2, pi/2] and delta in the full [0, 2 pi) range
     (sweeps typically use the narrower [0, pi) slice).
     """
-    if not (-math.pi / 2 < theta <= math.pi / 2):
-        raise ValueError(f"theta={theta!r} outside (-pi/2, pi/2]")
-    if not (0.0 <= delta < 2.0 * math.pi):
-        raise ValueError(f"delta={delta!r} outside [0, 2*pi)")
-    return PureState([1], [math.cos(theta), np.exp(1j * delta) * math.sin(theta)])
+    return PureState([1], _input_amplitudes(theta, delta))
 
 
 def cloner_prep_angles() -> PrepAngles:
@@ -109,6 +131,48 @@ def reference_clone_output(psi: PureState) -> PureState:
     return PureState((1, 2, 3), a0 * _IMAGE_OF_0 + a1 * _IMAGE_OF_1)
 
 
+@lru_cache(maxsize=4)
+def _network_image(prep: PrepAngles) -> np.ndarray:
+    """8 x 2 read-only image of the input basis states |0>, |1> (qubit 1,
+    blank qubits 2 and 3) under the cloning network.
+
+    The machine is linear in the input qubit, so these two columns carry the
+    whole network: the output for input amplitudes (a0, a1) is
+    a0 * image[:, 0] + a1 * image[:, 1]. Compiled once per prep-angle set,
+    on first use.
+    """
+    network = build_cloning_network(prep)
+    blank = PureState((2, 3), [1, 0, 0, 0])
+    image = np.stack(
+        [apply_circuit(network, tensor_product(PureState([1], basis), blank)).amplitudes for basis in np.eye(2)],
+        axis=1,
+    )
+    _require_isometry(image, "cloning network image")
+    image.flags.writeable = False
+    return image
+
+
+def _clone_outputs(amps) -> np.ndarray:
+    """(..., 8) machine outputs on qubits (1, 2, 3) for (..., 2) input amplitudes.
+
+    One product with the compiled network image; every output must have
+    unit norm within ATOL.
+    """
+    out = np.asarray(amps) @ _network_image(cloner_prep_angles()).T
+    norm2 = np.sum(np.abs(out) ** 2, axis=-1)
+    off = np.abs(norm2 - 1.0) > ATOL
+    if np.any(off):
+        raise ValueError(f"machine output is not normalized: sum |a|^2 = {float(norm2[off][0])!r}")
+    return out
+
+
+def _replica_stokes_of_outputs(out) -> np.ndarray:
+    """(..., 2, 3) Stokes vectors of replicas 1 and 2 (qubits 1 and 2) of (..., 8) outputs."""
+    stokes = np.stack([_qubit_stokes(out, 0), _qubit_stokes(out, 1)], axis=-2)
+    _require_physical_stokes(stokes)
+    return stokes
+
+
 class CloneResult(NamedTuple):
     output: PureState
     rho1: DensityMatrix
@@ -118,19 +182,24 @@ class CloneResult(NamedTuple):
 
 
 def clone(theta: float, delta: float) -> CloneResult:
-    """Run the full gate network on the (theta, delta) input qubit.
+    """Run the cloning machine on the (theta, delta) input qubit.
 
     Returns the three-qubit output, both replicas' reduced density
-    matrices, and their fidelities against the input (5/6 each).
+    matrices, and their fidelities (1 + S . n) / 2 against the input (5/6
+    each). A single-point use of the grid kernels `_clone_outputs` and
+    `_replica_stokes_of_outputs`.
     """
-    psi = input_state(theta, delta)
-    blank = PureState((2, 3), [1, 0, 0, 0])
-    out = apply_circuit(build_cloning_network(), tensor_product(psi, blank))
-    rho1 = partial_trace(out, [1])
-    rho2 = partial_trace(out, [2])
-    f1 = fidelity(psi, rho1)
-    f2 = fidelity(psi, DensityMatrix([1], rho2.matrix))
-    return CloneResult(out, rho1, rho2, f1, f2)
+    amps = _input_amplitudes(theta, delta)
+    out = _clone_outputs(amps)
+    stokes = _replica_stokes_of_outputs(out)
+    f1, f2 = _stokes_fidelity(stokes, _qubit_stokes(amps))
+    return CloneResult(
+        PureState((1, 2, 3), out),
+        stokes_compose(*stokes[0], label=1),
+        stokes_compose(*stokes[1], label=2),
+        float(f1),
+        float(f2),
+    )
 
 
 def optimal_fidelity(m: int, n: int) -> float:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .angles import PrepAngles
 from .gates import Circuit, circuit_unitary
-from .hilbert import AUX, PureState
+from .hilbert import AUX, PureState, _require_isometry
 from .network import cloner_prep_angles
 
 POL_H, POL_V = 0, 1
@@ -191,11 +191,16 @@ def element_paths(element: OpticalElement) -> tuple:
 def _jones(element: OpticalElement, angle=None) -> np.ndarray:
     """2x2 polarization action of a single-path element.
 
-    `angle`, an array of shape (B,), replaces an oriented element's axis
-    angle and gives a (B, 2, 2) stack, one Jones matrix per batch entry.
+    An array-valued parameter gives a (..., 2, 2) stack, one Jones matrix
+    per entry: `angle` of shape (B,) replaces an oriented element's axis
+    angle, and an AJWP may carry an array retardance.
     """
     if isinstance(element, AJWP):
-        return np.diag([1.0, np.exp(1j * element.retardance)]).astype(complex)
+        phase = np.exp(1j * np.asarray(element.retardance, dtype=float))
+        jones = np.zeros(phase.shape + (2, 2), dtype=complex)
+        jones[..., 0, 0] = 1.0
+        jones[..., 1, 1] = phase
+        return jones
     if isinstance(element, PhaseShift):
         return np.exp(1j * element.phase) * np.eye(2, dtype=complex)
     if not isinstance(element, ORIENTED_ELEMENTS):
@@ -281,14 +286,6 @@ def _propagate(elements, m: np.ndarray, offsets=None) -> np.ndarray:
     return m
 
 
-def _require_lossless(m: np.ndarray) -> None:
-    """Columns of `m` (shape (..., dim, k)) orthonormal within 1e-10, for every batch entry."""
-    gram = np.swapaxes(m, -1, -2).conj() @ m
-    dev = float(np.max(np.abs(gram - np.eye(m.shape[-1]))))
-    if dev > 1e-10:
-        raise ValueError(f"lossless train composite is not unitary (dev {dev:.3e})")
-
-
 class OpticalTrain:
     """Ordered optical elements on a fixed mode space.
 
@@ -307,7 +304,7 @@ class OpticalTrain:
         composite = _propagate(elements, np.eye(space.dim, dtype=complex))
         lossy = any(isinstance(e, Polarizer) for e in elements)
         if not lossy:
-            _require_lossless(composite)
+            _require_isometry(composite, "lossless train composite")
         composite.flags.writeable = False
         self.space = space
         self._elements = elements
@@ -382,6 +379,16 @@ def _mode_to_qubit_permutation(n_paths: int) -> np.ndarray:
     return perm
 
 
+def _unit_norms(amps: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Norms of (..., dim) photon amplitude vectors; LossyTrainError unless
+    every one is 1 within `tol` (post-selection on no loss)."""
+    nrm = np.linalg.norm(amps, axis=-1)
+    lossy = np.abs(nrm - 1.0) > tol
+    if np.any(lossy):
+        raise LossyTrainError(f"photon norm {float(nrm[lossy][0])!r} is not 1 within {tol:g}")
+    return nrm
+
+
 def modes_to_qubits(state: PhotonState, tol: float = 1e-9) -> PureState:
     """Relabel photon modes as qubits: polarization is qubit 1 (H=0, V=1),
     path bits are qubits 2, 3 (and the probe qubit for 8 paths).
@@ -391,9 +398,7 @@ def modes_to_qubits(state: PhotonState, tol: float = 1e-9) -> PureState:
     """
     n_paths = state.space.n_paths
     labels = mode_qubit_labels(n_paths)
-    nrm = state.norm()
-    if abs(nrm - 1.0) > tol:
-        raise LossyTrainError(f"photon norm {nrm!r} is not 1 within {tol:g}")
+    nrm = _unit_norms(state.amplitudes, tol)
     perm = _mode_to_qubit_permutation(n_paths)
     qamps = np.empty(state.space.dim, dtype=complex)
     qamps[perm] = state.amplitudes
@@ -498,9 +503,13 @@ _Q2_ONE = (2, 3, 6, 7)
 _Q3_ONE = (1, 3, 5, 7)
 
 
-def _input_elements(theta: float, delta: float) -> list:
+def _input_elements(theta, delta) -> list:
     """Input preparation on the source path: polarization rotation by theta
-    (HWP pair) and the adjustable plate driving the relative phase delta."""
+    (HWP pair) and the adjustable plate driving the relative phase delta.
+
+    Array-valued theta and delta (one shape) give elements whose Jones
+    matrices are stacks, one per (theta, delta) entry.
+    """
     return _pol_rotation([0], theta) + [AJWP(0, delta)]
 
 
@@ -549,7 +558,7 @@ def _body_isometry(prep: PrepAngles) -> np.ndarray:
     body's unitary are all the measurement pipeline needs.
     """
     iso = _propagate(_body_elements(prep), np.eye(2 * N_BENCH_PATHS, 2, dtype=complex))
-    _require_lossless(iso)
+    _require_isometry(iso, "bench body")
     iso.flags.writeable = False
     return iso
 
@@ -573,18 +582,42 @@ def build_cloner_train(
     )
 
 
-def optical_measurement_state(theta: float, delta: float) -> PureState:
-    """Send the source photon through the bench and read the result as qubits.
+def _bench_modes(theta, delta) -> np.ndarray:
+    """(..., 16) mode amplitudes of the source photon behind the bench, for
+    theta and delta of one shape (...).
 
     Only the three input-preparation elements depend on (theta, delta), and
     they act on the source path alone: they turn the source photon's
-    polarization, and the body's 16 x 2 isometry, compiled once per prep
-    angles on first use, carries that polarization to the detectors. Equals
-    column 0 of `build_cloner_train(theta, delta).unitary()`.
+    polarization, one (..., 2) batch, and one product with the body's 16 x 2
+    isometry, compiled once per prep angles on first use, carries every
+    polarization to the detectors.
     """
-    pol = _propagate(_input_elements(theta, delta), np.array([[1.0], [0.0]], dtype=complex))
-    amps = _body_isometry(cloner_prep_angles()) @ pol[:, 0]
-    return modes_to_qubits(PhotonState(ModeSpace(N_BENCH_PATHS), amps))
+    theta, delta = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(delta, dtype=float))
+    pol = np.zeros(theta.shape + (2, 1), dtype=complex)
+    pol[..., 0, 0] = 1.0
+    _propagate(_input_elements(theta, delta), pol)
+    return pol[..., 0] @ _body_isometry(cloner_prep_angles()).T
+
+
+def _bench_path_amplitudes(theta, delta) -> np.ndarray:
+    """(..., 8, 2) unit-norm polarization amplitudes per detector path.
+
+    Mode 2 p + s is row p, column s, the layout of
+    `tomography.per_path_amplitudes(optical_measurement_state(theta, delta))`;
+    every photon must arrive unabsorbed (norm 1 within 1e-9).
+    """
+    modes = _bench_modes(theta, delta)
+    rows = modes / _unit_norms(modes)[..., None]
+    return rows.reshape(modes.shape[:-1] + (N_BENCH_PATHS, 2))
+
+
+def optical_measurement_state(theta: float, delta: float) -> PureState:
+    """Send the source photon through the bench and read the result as qubits.
+
+    Equals column 0 of `build_cloner_train(theta, delta).unitary()`, read
+    through `modes_to_qubits`; the single-point use of `_bench_modes`.
+    """
+    return modes_to_qubits(PhotonState(ModeSpace(N_BENCH_PATHS), _bench_modes(theta, delta)))
 
 
 @dataclass(frozen=True)

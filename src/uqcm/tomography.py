@@ -35,14 +35,16 @@ import numpy as np
 from .gates import CSWAP, Circuit, apply_circuit
 from .hilbert import (
     AUX,
-    PSD_FLOOR,
     DensityMatrix,
     PureState,
+    _qubit_stokes,
+    _require_physical_stokes,
+    _stokes_fidelity,
     stokes_compose,
     stokes_decompose,
     tensor_product,
 )
-from .network import clone, input_state
+from .network import _clone_outputs, _input_amplitudes, input_state
 
 BASES = ("H", "V", "D", "R")
 
@@ -193,8 +195,12 @@ def attach_aux_cswap(out3: PureState) -> PureState:
 
 
 def measurement_state(theta: float, delta: float) -> PureState:
-    """Gate-tier four-qubit state entering the detectors."""
-    return attach_aux_cswap(clone(theta, delta).output)
+    """Gate-tier four-qubit state entering the detectors.
+
+    The machine output comes from the compiled network image
+    (`network._clone_outputs`); no replica matrices are formed.
+    """
+    return attach_aux_cswap(PureState((1, 2, 3), _clone_outputs(_input_amplitudes(theta, delta))))
 
 
 def per_path_amplitudes(meas: PureState) -> np.ndarray:
@@ -299,19 +305,13 @@ def _replica_stokes(counts, replicas=(1, 2)) -> np.ndarray:
         if np.any(totals[..., i] <= 0):
             raise ReconstructionError(f"replica {r}: no counts in its path group")
     stokes = np.einsum("...p,...pk->...k", weights / totals[..., None], _path_stokes(groups))
-    if np.any(np.linalg.norm(stokes, axis=-1) > 1.0 - 2.0 * PSD_FLOOR):
-        raise ValueError("replica matrix has an eigenvalue below the positivity floor")
+    _require_physical_stokes(stokes)
     return stokes
-
-
-def _stokes_fidelity(stokes, psi: PureState) -> np.ndarray:
-    """<psi|rho|psi> = (1 + S . n) / 2 for rho = (I + S . sigma) / 2, n the Bloch vector of psi."""
-    return 0.5 * (1.0 + np.asarray(stokes) @ np.array(stokes_decompose(psi.density())))
 
 
 def _replica_fidelities(counts, psi: PureState) -> np.ndarray:
     """(..., 2) fidelities of both replicas with `psi`, from (..., 8, 4) counts."""
-    return _stokes_fidelity(_replica_stokes(counts), psi)
+    return _stokes_fidelity(_replica_stokes(counts), _qubit_stokes(psi.amplitudes))
 
 
 def reconstruct_single_qubit(c_h, c_v, c_d, c_r, label=1) -> DensityMatrix:
@@ -365,8 +365,10 @@ class FidelityReport:
             f = getattr(self, name)
             if not (-1e-12 <= f <= 1.0 + 1e-12):
                 raise ValueError(f"{name}={f!r} outside [0, 1]")
-        if self.stderr1 < 0 or self.stderr2 < 0:
-            raise ValueError("standard errors must be nonnegative")
+        if not all(math.isfinite(e) and e >= 0 for e in (self.stderr1, self.stderr2)):
+            raise ValueError(
+                f"standard errors must be finite and nonnegative, got {self.stderr1!r}, {self.stderr2!r}"
+            )
         if self.mode not in ("exact", "montecarlo", "perturbed"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -387,10 +389,13 @@ def fidelity_report(
     bars are estimated by a parametric bootstrap: all cells are resampled at
     once as Binomial(trials, observed fraction), an (n_bootstrap, 8, 4)
     draw, every draw is refitted in one `_replica_fidelities` call, and the
-    sample standard deviation of the refitted fidelities is reported.
+    sample standard deviation of the refitted fidelities is reported; that
+    needs `n_bootstrap` >= 2.
     """
+    if counts is not None and n_bootstrap < 2:
+        raise ValueError(f"n_bootstrap must be >= 2 to estimate a standard error, got {n_bootstrap!r}")
     psi = input_state(theta, delta)
-    f1, f2 = _stokes_fidelity([stokes_decompose(rho1), stokes_decompose(rho2)], psi)
+    f1, f2 = _stokes_fidelity([stokes_decompose(rho1), stokes_decompose(rho2)], _qubit_stokes(psi.amplitudes))
     err1 = err2 = 0.0
     if counts is not None:
         rng = np.random.Generator(

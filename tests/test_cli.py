@@ -4,22 +4,31 @@ import hashlib
 import io
 import math
 
+import numpy as np
 import pytest
 
+from uqcm import network, optics
 from uqcm.cli import (
     CSV_HEADER,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    EXACT_BLOCK,
     EXIT_VERIFY,
     SweepConfig,
     UsageError,
+    _format_matrix,
     build_sweep_config,
     compute_sweep,
+    format_row,
     load_config_file,
     main,
     run_verify,
 )
+from uqcm.hilbert import DensityMatrix, fidelity
+from uqcm.network import clone, input_state
+from uqcm.optics import optical_measurement_state
+from uqcm.tomography import replicas_from_state
 
 
 class TestConfig:
@@ -107,6 +116,56 @@ class TestSweep:
             f = row.split(",")
             keys.append((float(f[1]), float(f[2]), int(f[3])))
         assert keys == sorted(keys)
+
+    def test_exact_rows_match_per_point_route(self):
+        # The grid pass against one clone + one optical_measurement_state per point.
+        cfg = SweepConfig(theta_start=-1.2, theta_end=math.pi / 2, theta_steps=7, delta_list=(6.2, 0.0, 1.3))
+        rows, summary, code = compute_sweep(cfg)
+        thetas = cfg.theta_grid()
+        assert thetas[-1] == math.pi / 2
+        expect, worst_optics = [], 0.0
+        for delta in (0.0, 1.3, 6.2):
+            for theta in thetas:
+                res = clone(theta, delta)
+                expect += [
+                    format_row("exact", delta, theta, r, f, 0.0, cfg.seed)
+                    for r, f in ((1, res.fidelity1), (2, res.fidelity2))
+                ]
+                psi = input_state(theta, delta)
+                for rho in replicas_from_state(optical_measurement_state(theta, delta)):
+                    worst_optics = max(worst_optics, abs(fidelity(psi, DensityMatrix([1], rho.matrix)) - 5 / 6))
+        assert rows == expect
+        assert worst_optics < 1e-12
+        assert code == EXIT_OK
+        assert summary[0] == "exact sweep: 42 rows over 3 delta x 7 theta"
+        assert summary[-1].startswith("PASS")
+
+    @pytest.mark.parametrize("module", [network, optics])
+    def test_exact_check_fails_with_corrupted_network(self, module, monkeypatch):
+        # Triplicator prep angles compile a different image (gate tier) or
+        # body isometry (optics tier): complex inputs then miss 5/6, by an
+        # amount that depends on the point. 150 points span two array blocks.
+        monkeypatch.setattr(module, "cloner_prep_angles", network.triplicator_prep_angles)
+        cfg = SweepConfig(theta_steps=50, delta_list=(0.0, 1.3, 2.0))
+        assert len(cfg.theta_grid()) * len(cfg.delta_list) > EXACT_BLOCK
+        rows, summary, code = compute_sweep(cfg)
+        assert code == EXIT_VERIFY
+        assert summary[-1].startswith("FAIL")
+        expect, worst_gate, worst_optics = [], 0.0, 0.0
+        for delta in cfg.delta_list:
+            for theta in cfg.theta_grid():
+                res = clone(theta, delta)
+                for r, f in ((1, res.fidelity1), (2, res.fidelity2)):
+                    expect.append(format_row("exact", delta, theta, r, f, 0.0, cfg.seed))
+                    worst_gate = max(worst_gate, abs(f - 5 / 6))
+                psi = input_state(theta, delta)
+                for rho in replicas_from_state(optical_measurement_state(theta, delta)):
+                    worst_optics = max(worst_optics, abs(fidelity(psi, DensityMatrix([1], rho.matrix)) - 5 / 6))
+        assert rows == expect
+        gate, optics_tier = (float(ln.split()[-1]) for ln in summary[1:3])
+        assert gate == pytest.approx(worst_gate, rel=1e-3)
+        assert optics_tier == pytest.approx(worst_optics, rel=1e-3)
+        assert max(gate, optics_tier) > 1e-3
 
     def test_montecarlo_has_stderr_column(self):
         cfg = SweepConfig(mode="montecarlo", theta_steps=2, delta_list=(0.0,), trials=2000)
@@ -267,6 +326,29 @@ class TestTomo:
             ' [0.005835-0.00338j 0.166891+0.j     ]]\n'
         ),
     }
+
+    def test_default_stdout_pinned(self, capsys):
+        # At theta = delta = 0 the off-diagonals are exact zeros up to
+        # rounding; they print as 0., in fixed point.
+        assert main(["tomo"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            'input: theta=0.000000000 delta=0.000000000 mode=exact\n'
+            'replica 1: F = 0.833333333 +/- 0.000000000 (reference 5/6 = 0.833333333)\n'
+            '[[0.833333+0.j 0.      +0.j]\n'
+            ' [0.      +0.j 0.166667+0.j]]\n'
+            'replica 2: F = 0.833333333 +/- 0.000000000 (reference 5/6 = 0.833333333)\n'
+            '[[0.833333+0.j 0.      +0.j]\n'
+            ' [0.      +0.j 0.166667+0.j]]\n'
+        )
+
+    def test_matrix_printout_has_no_negative_zero(self):
+        m = np.array([[0.5, -1e-17 - 3e-9j], [-1e-17 + 3e-9j, 0.5]])
+        text = _format_matrix(m)
+        assert "-0." not in text and "e-" not in text
+        # -0.1j has real part -0.0, which prints as 0.
+        assert _format_matrix(np.array([[0.25, -0.1j], [0.1j, 0.75]])) == (
+            "[[0.25+0.j  0.  -0.1j]\n [0.  +0.1j 0.75+0.j ]]"
+        )
 
     @pytest.mark.parametrize("flags", sorted(PINNED_STDOUT))
     def test_stdout_pinned(self, flags, capsys):

@@ -6,15 +6,30 @@ import numpy as np
 import pytest
 
 from uqcm.gates import apply_circuit, circuit_unitary
-from uqcm.hilbert import AUX, DensityMatrix, PureState, fidelity, partial_trace, random_pure_state, tensor_product
+from uqcm.hilbert import (
+    AUX,
+    DensityMatrix,
+    PureState,
+    _qubit_stokes,
+    _stokes_fidelity,
+    fidelity,
+    partial_trace,
+    random_pure_state,
+    tensor_product,
+)
 from uqcm.network import (
     CLONER_PREP_TARGET,
     TRIPLICATOR_FIDELITY,
+    _clone_outputs,
+    _input_amplitudes,
+    _network_image,
+    _replica_stokes_of_outputs,
     build_cloning_circuit,
     build_cloning_network,
     build_measurement_circuit,
     build_preparation_circuit,
     clone,
+    cloner_prep_angles,
     input_state,
     optimal_fidelity,
     reference_clone_output,
@@ -201,3 +216,66 @@ def test_measurement_circuit_produces_probe_superposition():
         out = apply_circuit(build_measurement_circuit(), start)
         expect = measurement_state(theta, delta)
         assert abs(out.inner(expect)) >= 1 - 1e-10
+
+
+class TestNetworkImage:
+    """The compiled 8 x 2 image and the grid kernels built on it."""
+
+    @staticmethod
+    def random_amplitudes(rng, n):
+        amps = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+        return amps / np.linalg.norm(amps, axis=1, keepdims=True)
+
+    def test_image_is_a_read_only_cached_isometry(self):
+        prep = cloner_prep_angles()
+        image = _network_image(prep)
+        assert image.shape == (8, 2)
+        assert not image.flags.writeable
+        assert _network_image(prep) is image
+        assert np.max(np.abs(image.conj().T @ image - np.eye(2))) < 1e-12
+
+    def test_image_times_amplitudes_equals_apply_circuit(self):
+        rng = np.random.default_rng(81)
+        amps = self.random_amplitudes(rng, 40)
+        network = build_cloning_network()
+        batch = _clone_outputs(amps)
+        assert batch.shape == (40, 8)
+        for a, out in zip(amps, batch):
+            ref = apply_circuit(network, tensor_product(PureState([1], a), BLANK))
+            assert np.max(np.abs(_network_image(cloner_prep_angles()) @ a - ref.amplitudes)) < 1e-12
+            assert np.max(np.abs(out - ref.amplitudes)) < 1e-12
+
+    def test_batched_replica_fidelities_match_partial_traces(self):
+        rng = np.random.default_rng(82)
+        thetas = rng.uniform(-math.pi / 2 + 1e-6, math.pi / 2, size=30)
+        deltas = rng.uniform(0.0, 2 * math.pi, size=30)
+        amps = _input_amplitudes(thetas, deltas)
+        fids = _stokes_fidelity(_replica_stokes_of_outputs(_clone_outputs(amps)), _qubit_stokes(amps))
+        network = build_cloning_network()
+        for theta, delta, f in zip(thetas, deltas, fids):
+            psi = input_state(theta, delta)
+            out = apply_circuit(network, tensor_product(psi, BLANK))
+            ref = [fidelity(psi, DensityMatrix([1], partial_trace(out, [q]).matrix)) for q in (1, 2)]
+            assert np.max(np.abs(f - ref)) < 1e-12
+
+    def test_input_amplitudes_match_input_state(self):
+        thetas = np.array([-1.5, -0.2, 0.0, 0.7, math.pi / 2])
+        deltas = np.array([0.0, 1.3, 6.2, 3.0, 0.5])
+        amps = _input_amplitudes(thetas, deltas)
+        for theta, delta, a in zip(thetas, deltas, amps):
+            assert np.array_equal(a, input_state(theta, delta).amplitudes)
+
+    def test_input_amplitudes_reject_any_value_out_of_range(self):
+        with pytest.raises(ValueError, match="theta=2.0"):
+            _input_amplitudes(np.array([0.1, 2.0]), np.array([0.0, 0.0]))
+        with pytest.raises(ValueError, match="delta"):
+            _input_amplitudes(np.array([0.1, 0.2]), np.array([0.0, 2 * math.pi]))
+
+    def test_clone_is_the_single_point_kernel(self):
+        res = clone(0.6, 2.5)
+        amps = _input_amplitudes(0.6, 2.5)
+        assert np.array_equal(res.output.amplitudes, _clone_outputs(amps))
+        assert res.rho1.labels == (1,) and res.rho2.labels == (2,)
+        shrunk = (2 / 3) * np.outer(amps, amps.conj()) + np.eye(2) / 6
+        assert np.max(np.abs(res.rho1.matrix - shrunk)) < 1e-12
+        assert np.max(np.abs(res.rho2.matrix - shrunk)) < 1e-12

@@ -35,9 +35,12 @@ from uqcm.optics import (
     source_photon,
     verify_equivalence,
     _apply_element,
+    _bench_modes,
+    _bench_path_amplitudes,
     _jones,
+    _unit_norms,
 )
-from uqcm.tomography import measurement_state, path_distribution, replicas_from_state
+from uqcm.tomography import measurement_state, path_distribution, per_path_amplitudes, replicas_from_state
 
 SP2 = ModeSpace(2)
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cloner_train.txt")
@@ -149,6 +152,15 @@ class TestRowUpdateKernel:
             dense = [element_matrix(element, self.SPACE)] * 5
         for b in range(5):
             assert np.max(np.abs(got[b] - dense[b] @ m[b])) < 1e-12
+
+
+def test_ajwp_array_retardance_gives_one_jones_matrix_per_entry():
+    deltas = np.array([0.0, 0.4, 2.5, 6.1])
+    stack = _jones(AJWP(0, deltas))
+    assert stack.shape == (4, 2, 2)
+    for d, j in zip(deltas, stack):
+        assert np.array_equal(j, _jones(AJWP(0, float(d))))
+        assert np.max(np.abs(j - element_matrix(AJWP(0, float(d)), ModeSpace(1)))) < 1e-15
 
 
 class TestTrains:
@@ -321,6 +333,25 @@ class TestClonerTrain:
             state = optical_measurement_state(theta, delta)
             amps = qubits_to_modes(state, ModeSpace(8)).amplitudes
             assert np.max(np.abs(amps - column)) < 1e-12
+
+    def test_batched_amplitudes_match_full_train(self):
+        rng = np.random.default_rng(21)
+        thetas = rng.uniform(-math.pi / 2, math.pi / 2, size=24)
+        deltas = rng.uniform(0.0, 2 * math.pi, size=24)
+        modes = _bench_modes(thetas, deltas)
+        rows = _bench_path_amplitudes(thetas, deltas)
+        assert modes.shape == (24, 16) and rows.shape == (24, 8, 2)
+        for theta, delta, m, r in zip(thetas, deltas, modes, rows):
+            column = build_cloner_train(theta, delta).unitary()[:, 0]
+            assert np.max(np.abs(m - column)) < 1e-12
+            expect = per_path_amplitudes(optical_measurement_state(theta, delta))
+            assert np.max(np.abs(r - expect)) < 1e-12
+
+    def test_batched_lossy_photon_rejected(self):
+        modes = _bench_modes(np.array([0.1, 0.2, 0.3]), np.array([0.0, 1.0, 2.0]))
+        modes[1] *= 0.99
+        with pytest.raises(LossyTrainError, match="photon norm"):
+            _unit_norms(modes)
 
     def test_optics_pipeline_reaches_optimal_fidelity(self):
         thetas = np.linspace(-math.pi / 2 + math.pi / 36, math.pi / 2, 7)

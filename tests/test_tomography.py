@@ -13,13 +13,16 @@ from uqcm.hilbert import (
     partial_trace,
     random_pure_state,
     stokes_compose,
+    tensor_product,
 )
-from uqcm.network import clone, input_state
+from uqcm.gates import apply_circuit
+from uqcm.network import build_cloning_network, clone, input_state
 from uqcm.tomography import (
     _BOOTSTRAP_SALT,
     BASES,
     CountsRecord,
     DetectorModel,
+    FidelityReport,
     ReconstructionError,
     attach_aux_cswap,
     exact_report,
@@ -431,3 +434,23 @@ class TestFidelityReport:
             fidelity_report(
                 stokes_compose(0, 0, 1), stokes_compose(0, 0, 1), 0.0, 0.0, mode="bogus"
             )
+
+    @pytest.mark.parametrize("n_bootstrap", [0, 1])
+    def test_bootstrap_needs_two_draws(self, n_bootstrap):
+        with pytest.raises(ValueError, match="n_bootstrap"):
+            montecarlo_report(0.3, 0.5, 2000, 5, n_bootstrap=n_bootstrap)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-3])
+    def test_non_finite_or_negative_stderr_rejected(self, bad):
+        with pytest.raises(ValueError, match="standard errors"):
+            FidelityReport(F_OPT, F_OPT, 0.0, bad, 0.0, 0.0, "montecarlo")
+
+    def test_measurement_state_matches_gate_network(self):
+        # The machine output now comes from the compiled 8 x 2 network image;
+        # the reference runs the gate network itself.
+        network = build_cloning_network()
+        blank = PureState((2, 3), [1, 0, 0, 0])
+        for theta, delta in ((0.0, 0.0), (0.4, 1.9), (math.pi / 2, 5.0), (-1.2, 3.3)):
+            out = apply_circuit(network, tensor_product(input_state(theta, delta), blank))
+            expect = attach_aux_cswap(out)
+            assert np.max(np.abs(measurement_state(theta, delta).amplitudes - expect.amplitudes)) < 1e-12
