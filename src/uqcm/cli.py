@@ -27,15 +27,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gates import apply_circuit
+from .gates import _apply_gates, apply_circuit
 from .hilbert import (
     PureState,
+    _qubit_density,
     _qubit_stokes,
     _stokes_fidelity,
-    partial_trace,
-    random_pure_state,
     stokes_compose,
-    tensor_product,
 )
 from .angles import SolverError, prep_circuit, solve_prep_angles
 from .errormodel import ErrorBudget, fidelity_error_bound, perturbation_sweep
@@ -44,11 +42,11 @@ from .network import (
     TRIPLICATOR_PREP_TARGET,
     _clone_outputs,
     _input_amplitudes,
+    _reference_outputs,
     _replica_stokes_of_outputs,
     build_cloning_network,
     build_measurement_circuit,
     optimal_fidelity,
-    reference_clone_output,
 )
 from .optics import HWP, OpticalTrain, _bench_path_amplitudes, build_cloner_train, verify_equivalence
 from .tomography import (
@@ -344,18 +342,28 @@ class CheckResult:
         return f"{self.name}\t{status}\tdeviation={self.deviation:.3e}\ttol={self.tol:.1e}"
 
 
+def _random_qubit_amplitudes(n: int, seed: int) -> np.ndarray:
+    """(n, 2) amplitudes of n random input qubits: the PCG64 stream of n
+    looped `random_pure_state([1], rng)` draws, taken in one call."""
+    z = np.random.default_rng(seed).normal(size=(n, 2, 2))
+    amps = z[:, 0] + 1j * z[:, 1]
+    return amps / np.linalg.norm(amps, axis=-1, keepdims=True)
+
+
+def _network_outputs(amps: np.ndarray) -> np.ndarray:
+    """(n, 8) outputs of the gate sequence of `build_cloning_network()` for
+    (n, 2) input amplitudes on qubit 1, qubits 2 and 3 blank, as one batch."""
+    joint = (amps[:, :, None] * np.eye(4)[0]).reshape(len(amps), 8)
+    return _apply_gates(build_cloning_network(), joint)
+
+
 def _check_reference_oracle(n_random: int = 1000, seed: int = 1905) -> CheckResult:
     """Gate network output equals the closed-form oracle up to global phase."""
-    rng = np.random.default_rng(seed)
-    network = build_cloning_network()
-    blank = PureState((2, 3), [1, 0, 0, 0])
-    worst = 0.0
-    for _ in range(n_random):
-        psi = random_pure_state([1], rng)
-        out = apply_circuit(network, tensor_product(psi, blank))
-        ref = reference_clone_output(psi)
-        phase = np.exp(1j * np.angle(out.inner(ref)))
-        worst = max(worst, float(np.max(np.abs(out.amplitudes - phase * ref.amplitudes))))
+    amps = _random_qubit_amplitudes(n_random, seed)
+    out = _network_outputs(amps)
+    ref = _reference_outputs(amps)
+    phase = np.exp(1j * np.angle(np.sum(ref.conj() * out, axis=-1, keepdims=True)))
+    worst = float(np.max(np.abs(out - phase * ref)))
     return CheckResult("reference_oracle", worst <= 1e-10, worst, 1e-10)
 
 
@@ -413,18 +421,11 @@ def _check_pipeline_fidelity() -> CheckResult:
 
 def _check_replica_symmetry(n_random: int = 100, seed: int = 515) -> CheckResult:
     """rho1 = rho2 and both match the shrunk-input form (2/3)|psi><psi| + I/6."""
-    rng = np.random.default_rng(seed)
-    network = build_cloning_network()
-    blank = PureState((2, 3), [1, 0, 0, 0])
-    worst = 0.0
-    for _ in range(n_random):
-        psi = random_pure_state([1], rng)
-        out = apply_circuit(network, tensor_product(psi, blank))
-        rho1 = partial_trace(out, [1]).matrix
-        rho2 = partial_trace(out, [2]).matrix
-        worst = max(worst, float(np.max(np.abs(rho1 - rho2))))
-        shrunk = (2.0 / 3.0) * np.outer(psi.amplitudes, psi.amplitudes.conj()) + np.eye(2) / 6.0
-        worst = max(worst, float(np.max(np.abs(rho1 - shrunk))))
+    amps = _random_qubit_amplitudes(n_random, seed)
+    out = _network_outputs(amps)
+    rho1, rho2 = _qubit_density(out, 0), _qubit_density(out, 1)
+    shrunk = (2.0 / 3.0) * amps[:, :, None] * amps[:, None, :].conj() + np.eye(2) / 6.0
+    worst = max(float(np.max(np.abs(rho1 - rho2))), float(np.max(np.abs(rho1 - shrunk))))
     return CheckResult("replica_symmetry", worst <= 1e-10, worst, 1e-10)
 
 

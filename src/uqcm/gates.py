@@ -189,26 +189,33 @@ def _basis_permutation(gate: Gate, register: tuple) -> np.ndarray:
     return np.where(move, idx ^ abit ^ bbit, idx)
 
 
-def apply_circuit(circuit: Circuit, state: PureState) -> PureState:
-    """Apply the circuit's gates in order to the state's amplitude tensor.
+def _apply_gates(circuit: Circuit, amps: np.ndarray) -> np.ndarray:
+    """(..., 2^n) amplitudes after the circuit's gates, for any leading batch
+    shape; the register is the circuit's, unchecked.
 
     A rotation multiplies the 2x2 rotation matrix into its qubit's axis;
     CNOT, SWAP and CSWAP permute basis states, so they only reindex the
     amplitudes. No dense 2^n x 2^n gate matrix is built (`gate_unitary`
     remains the reference).
     """
+    register = circuit.register
+    amps = np.asarray(amps, dtype=complex)
+    lead = amps.shape[:-1]
+    for g in circuit.gates:
+        if isinstance(g, Rotation):
+            # Canonical order: the qubit at position k has 2^k more significant states.
+            high = 1 << register.index(g.target)
+            amps = (rotation_matrix(g.angle) @ amps.reshape(lead + (high, 2, -1))).reshape(amps.shape)
+        else:
+            amps = amps[..., _basis_permutation(g, register)]
+    return amps
+
+
+def apply_circuit(circuit: Circuit, state: PureState) -> PureState:
+    """Apply the circuit's gates in order to one state on the circuit's register."""
     if state.labels != circuit.register:
         raise LabelError(
             f"state register {state.labels!r} does not match circuit register "
             f"{circuit.register!r}"
         )
-    register = circuit.register
-    amps = state.amplitudes
-    for g in circuit.gates:
-        if isinstance(g, Rotation):
-            # Canonical order: the qubit at position k has 2^k more significant states.
-            high = 1 << register.index(g.target)
-            amps = (rotation_matrix(g.angle) @ amps.reshape(high, 2, -1)).reshape(-1)
-        else:
-            amps = amps[_basis_permutation(g, register)]
-    return PureState(register, amps)
+    return PureState(circuit.register, _apply_gates(circuit, state.amplitudes))

@@ -237,6 +237,18 @@ def _qubit_stokes(amps, position: int = 0) -> np.ndarray:
     return np.einsum("...aib,kij,...ajb->...k", split.conj(), _PAULIS, split).real
 
 
+def _qubit_density(amps, position: int = 0) -> np.ndarray:
+    """(..., 2, 2) reduced matrices of one qubit of (..., 2^n) pure-state
+    amplitudes: `partial_trace` onto that qubit, for a whole batch.
+
+    `position` is the qubit's place in canonical basis order (0 = most
+    significant).
+    """
+    amps = np.asarray(amps)
+    split = amps.reshape(amps.shape[:-1] + (1 << position, 2, -1))
+    return np.einsum("...aib,...ajb->...ij", split, split.conj())
+
+
 def _require_physical_stokes(stokes) -> None:
     """Eigenvalues (1 +- |S|) / 2 of every (..., 3) Stokes vector above PSD_FLOOR."""
     if np.any(np.linalg.norm(stokes, axis=-1) > 1.0 - 2.0 * PSD_FLOOR):

@@ -74,11 +74,13 @@ def input_state(theta: float, delta: float) -> PureState:
     return PureState([1], _input_amplitudes(theta, delta))
 
 
+@lru_cache(maxsize=None)
 def cloner_prep_angles() -> PrepAngles:
     """Solved rotation angles preparing the cloner target on qubits (2, 3)."""
     return solve_prep_angles(CLONER_PREP_TARGET)
 
 
+@lru_cache(maxsize=None)
 def triplicator_prep_angles() -> PrepAngles:
     """Solved rotation angles preparing the triplicator target on qubits (2, 3)."""
     return solve_prep_angles(TRIPLICATOR_PREP_TARGET)
@@ -127,8 +129,14 @@ def reference_clone_output(psi: PureState) -> PureState:
     """
     if psi.n_qubits != 1:
         raise ValueError("input must be a single-qubit state")
-    a0, a1 = psi.amplitudes
-    return PureState((1, 2, 3), a0 * _IMAGE_OF_0 + a1 * _IMAGE_OF_1)
+    return PureState((1, 2, 3), _reference_outputs(psi.amplitudes))
+
+
+def _reference_outputs(amps) -> np.ndarray:
+    """(..., 8) closed-form outputs a0 * image(|0>) + a1 * image(|1>) for
+    (..., 2) input amplitudes."""
+    amps = np.asarray(amps)
+    return amps[..., 0, None] * _IMAGE_OF_0 + amps[..., 1, None] * _IMAGE_OF_1
 
 
 @lru_cache(maxsize=4)

@@ -181,6 +181,9 @@ class CountsRecord:
         )
 
 
+_AUX_CSWAP = Circuit((1, 2, 3, AUX), (CSWAP(AUX, 1, 2),))
+
+
 def attach_aux_cswap(out3: PureState) -> PureState:
     """Attach the probe qubit and apply the probe-controlled replica swap.
 
@@ -191,7 +194,7 @@ def attach_aux_cswap(out3: PureState) -> PureState:
         raise ValueError(f"expected a state on qubits (1, 2, 3), got {out3.labels!r}")
     probe = PureState([AUX], [_SQ2, _SQ2])
     joint = tensor_product(probe, out3)
-    return apply_circuit(Circuit((1, 2, 3, AUX), (CSWAP(AUX, 1, 2),)), joint)
+    return apply_circuit(_AUX_CSWAP, joint)
 
 
 def measurement_state(theta: float, delta: float) -> PureState:

@@ -5,16 +5,24 @@ import math
 import numpy as np
 import pytest
 
+from uqcm import angles
 from uqcm.angles import (
+    GRID_STEP,
     PrepAngles,
     SolverError,
+    _coarse_grid_start,
     prep_circuit,
     sequence_amplitudes,
     solve_prep_angles,
 )
 from uqcm.gates import apply_circuit
 from uqcm.hilbert import PureState
-from uqcm.network import CLONER_PREP_TARGET, TRIPLICATOR_PREP_TARGET
+from uqcm.network import (
+    CLONER_PREP_TARGET,
+    TRIPLICATOR_PREP_TARGET,
+    cloner_prep_angles,
+    triplicator_prep_angles,
+)
 
 BLANK = PureState((2, 3), [1, 0, 0, 0])
 
@@ -117,3 +125,73 @@ def test_random_reachable_targets_are_recovered():
         if found == 5:
             break
     assert found == 5
+
+
+def exhaustive_grid_start(target):
+    """The coarse search as a loop over every t1 plane of the 360^3 grid:
+    the reference the pruned `_coarse_grid_start` must reproduce exactly."""
+    g = -math.pi + GRID_STEP * np.arange(1, 361)
+    c, s = np.cos(g), np.sin(g)
+    o_cc = np.outer(c, c)
+    o_ss = np.outer(s, s)
+    o_cs = np.outer(c, s)
+    o_sc = np.outer(s, c)
+    t0, t1, t2, t3 = target
+    p = t0 * o_cc - t1 * o_ss + t2 * o_cs + t3 * o_sc
+    q = t0 * o_ss + t1 * o_cc - t2 * o_sc + t3 * o_cs
+    best = -1.0
+    best_angles = (g[0], g[0], g[0])
+    for i in range(g.size):
+        plane = np.abs(c[i] * p + s[i] * q)
+        flat = int(np.argmax(plane))
+        val = float(plane.flat[flat])
+        if val > best:
+            j, k = divmod(flat, g.size)
+            best = val
+            best_angles = (float(g[i]), float(g[j]), float(g[k]))
+    return best_angles
+
+
+def _grid_targets():
+    named = [
+        CLONER_PREP_TARGET,
+        TRIPLICATOR_PREP_TARGET,
+        np.array([1.0, 0.0, 0.0, 0.0]),
+        np.full(4, 0.5),  # many tied maximizers
+        np.array([0.0, 0.0, 0.0, 1.0]),
+        np.array([0.0, 1.0, 0.0, 0.0]),
+        np.array([1.0, 0.0, 1.0, 0.0]) / math.sqrt(2.0),
+        np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0),
+        np.array([0.6, 0.0, 0.0, 0.8]),
+    ]
+    rng = np.random.default_rng(2024)
+    raw = np.abs(rng.normal(size=(200, 4)))
+    rows = np.arange(0, len(raw), 7)
+    raw[rows, rng.integers(0, 4, size=rows.size)] = 0.0  # some zero entries
+    return named + list(raw / np.linalg.norm(raw, axis=1, keepdims=True))
+
+
+def test_pruned_grid_search_matches_exhaustive_loop():
+    for target in _grid_targets():
+        assert _coarse_grid_start(target) == exhaustive_grid_start(target), target
+
+
+def test_solved_constant_angles_are_pinned():
+    assert cloner_prep_angles().as_tuple() == (0.5535743588970452, 0.3648638281134833, 0.23182380450040307)
+    assert triplicator_prep_angles().as_tuple() == (1.9634954084936211, 1.400877872067836, 1.9634954084936211)
+
+
+def test_solver_error_is_not_cached():
+    for _ in range(2):
+        with pytest.raises(SolverError):
+            solve_prep_angles(TRIPLICATOR_PREP_TARGET, tol=-1.0)
+    assert solve_prep_angles(TRIPLICATOR_PREP_TARGET) == triplicator_prep_angles()
+
+
+def test_solver_memo_is_bounded():
+    rng = np.random.default_rng(5)
+    for _ in range(12):
+        target = np.abs(rng.normal(size=4))
+        solve_prep_angles(target / np.linalg.norm(target), tol=1.0)
+    info = angles._solve.cache_info()
+    assert info.currsize <= info.maxsize == 8

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from uqcm import network, optics
+from uqcm import cli, network, optics
 from uqcm.cli import (
     CSV_HEADER,
     EXIT_IO,
@@ -17,7 +17,9 @@ from uqcm.cli import (
     EXIT_VERIFY,
     SweepConfig,
     UsageError,
+    _check_reference_oracle,
     _format_matrix,
+    _random_qubit_amplitudes,
     build_sweep_config,
     compute_sweep,
     format_row,
@@ -25,7 +27,7 @@ from uqcm.cli import (
     main,
     run_verify,
 )
-from uqcm.hilbert import DensityMatrix, fidelity
+from uqcm.hilbert import DensityMatrix, fidelity, random_pure_state
 from uqcm.network import clone, input_state
 from uqcm.optics import optical_measurement_state
 from uqcm.tomography import replicas_from_state
@@ -289,6 +291,26 @@ class TestVerify:
         buf = io.StringIO()
         assert run_verify(prep_tol=1e-14, stdout=buf) == EXIT_OK
         assert "prep_solver\tPASS" in buf.getvalue()
+
+    @pytest.mark.parametrize(("seed", "n"), [(1905, 1000), (515, 100)])
+    def test_batched_inputs_match_looped_draws(self, seed, n):
+        rng = np.random.default_rng(seed)
+        looped = np.array([random_pure_state([1], rng).amplitudes for _ in range(n)])
+        assert np.max(np.abs(_random_qubit_amplitudes(n, seed) - looped)) <= 1e-15
+
+    def test_corrupted_network_fails_oracle_and_symmetry(self, monkeypatch, capsys):
+        # The triplicator prep angles change the gate sequence the two
+        # batched checks propagate their inputs through.
+        monkeypatch.setattr(network, "cloner_prep_angles", network.triplicator_prep_angles)
+        assert main(["verify"]) == EXIT_VERIFY
+        out = capsys.readouterr().out
+        assert "reference_oracle\tFAIL" in out
+        assert "replica_symmetry\tFAIL" in out
+
+    def test_oracle_check_ignores_global_phase(self, monkeypatch):
+        outputs = cli._network_outputs
+        monkeypatch.setattr(cli, "_network_outputs", lambda amps: np.exp(0.7j) * outputs(amps))
+        assert _check_reference_oracle().passed
 
 
 class TestTomo:

@@ -9,11 +9,13 @@ from uqcm.gates import (
     SWAP,
     Circuit,
     Rotation,
+    _apply_gates,
     apply_circuit,
     circuit_unitary,
     gate_unitary,
 )
 from uqcm.hilbert import AUX, LabelError, PureState, random_pure_state
+from uqcm.network import build_cloning_network, build_measurement_circuit
 
 
 def test_rotation_zero_is_identity():
@@ -115,3 +117,19 @@ def test_apply_circuit_matches_composite_unitary():
             out = apply_circuit(circ, psi)
             assert np.allclose(out.amplitudes, u @ psi.amplitudes, atol=1e-12)
             assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    ("build", "lead"), [(build_cloning_network, (40,)), (build_measurement_circuit, (3, 7))]
+)
+def test_batched_kernel_matches_per_state_apply(build, lead):
+    circ = build()
+    dim = 1 << len(circ.register)
+    rng = np.random.default_rng(31)
+    amps = rng.normal(size=lead + (dim,)) + 1j * rng.normal(size=lead + (dim,))
+    amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
+    out = _apply_gates(circ, amps)
+    assert out.shape == amps.shape
+    for idx in np.ndindex(lead):
+        ref = apply_circuit(circ, PureState(circ.register, amps[idx])).amplitudes
+        assert np.max(np.abs(out[idx] - ref)) <= 1e-15
