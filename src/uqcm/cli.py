@@ -29,14 +29,16 @@ import numpy as np
 
 from .gates import _apply_gates, apply_circuit
 from .hilbert import (
+    IsometryError,
     PureState,
     _qubit_density,
     _qubit_stokes,
+    _require_physical_stokes,
+    _stokes_density,
     _stokes_fidelity,
-    stokes_compose,
 )
 from .angles import SolverError, prep_circuit, solve_prep_angles
-from .errormodel import ErrorBudget, fidelity_error_bound, perturbation_sweep
+from .errormodel import ErrorBudget, _jittered_fidelities, fidelity_error_bound
 from .network import (
     CLONER_PREP_TARGET,
     TRIPLICATOR_PREP_TARGET,
@@ -50,17 +52,16 @@ from .network import (
 )
 from .optics import HWP, OpticalTrain, _bench_path_amplitudes, build_cloner_train, verify_equivalence
 from .tomography import (
-    BASES,
-    BASIS_VECTORS,
+    _BASIS_MATRIX,
     DetectorModel,
     _click_probabilities,
+    _montecarlo_fidelities,
+    _path_stokes,
     _replica_stokes,
     exact_report,
     fidelity_report,
     measurement_state,
-    montecarlo_report,
     reconstruct_replica,
-    reconstruct_single_qubit,
     signal_probabilities,
     simulate_counts,
 )
@@ -217,30 +218,43 @@ def _exact_fidelities(theta: np.ndarray, delta: np.ndarray) -> tuple:
 
 
 def compute_sweep(config: SweepConfig):
-    """Run the sweep; returns (csv_rows, summary_lines, exit_code)."""
-    rows = []
+    """Run the sweep; returns (csv_rows, summary_lines, exit_code).
+
+    Every mode makes one pass over the delta-major (delta, theta) grid, the
+    order of the CSV rows, as array work in fixed-size blocks that bound its
+    working set: exact mode in blocks of EXACT_BLOCK points, montecarlo in
+    blocks of `tomography.MONTECARLO_BLOCK` points, perturbed in blocks of
+    `errormodel.TRAIN_BLOCK` jittered trains. Montecarlo and perturbed
+    points draw from their own seeds, `_point_seed(seed, i_delta, i_theta)`,
+    so each row equals the single-point `montecarlo_report` or
+    `perturbation_sweep` at that seed.
+    """
     summary = []
     exit_code = EXIT_OK
     thetas = config.theta_grid()
+    grid_delta = np.repeat(config.delta_list, len(thetas))
+    grid_theta = np.tile(thetas, len(config.delta_list))
+    # The seed column: the base seed in exact mode, each point's own stream
+    # seed in the two random modes.
+    if config.mode == "exact":
+        seeds = [config.seed] * grid_theta.size
+    else:
+        seeds = [
+            _point_seed(config.seed, i_d, i_t)
+            for i_d in range(len(config.delta_list))
+            for i_t in range(len(thetas))
+        ]
 
     if config.mode == "exact":
-        # The whole (delta, theta) grid, delta-major, as array arithmetic in
-        # fixed-size blocks of points, which bound the working set.
-        grid_delta = np.repeat(config.delta_list, len(thetas))
-        grid_theta = np.tile(thetas, len(config.delta_list))
         blocks = [
             _exact_fidelities(grid_theta[i:i + EXACT_BLOCK], grid_delta[i:i + EXACT_BLOCK])
             for i in range(0, grid_theta.size, EXACT_BLOCK)
         ]
-        f_gate, f_opt = (np.concatenate(tier) for tier in zip(*blocks))
-        rows = [
-            (delta, theta, replica, fid, 0.0, config.seed)
-            for delta, theta, fids in zip(grid_delta.tolist(), grid_theta.tolist(), f_gate.tolist())
-            for replica, fid in enumerate(fids, start=1)
-        ]
-        max_dev_gate = float(np.max(np.abs(f_gate - TARGET_F)))
+        fids, f_opt = (np.concatenate(tier) for tier in zip(*blocks))
+        errs = np.zeros_like(fids)
+        max_dev_gate = float(np.max(np.abs(fids - TARGET_F)))
         max_dev_optics = float(np.max(np.abs(f_opt - TARGET_F)))
-        summary.append(f"exact sweep: {len(rows)} rows over {len(config.delta_list)} delta x {len(thetas)} theta")
+        summary.append(f"exact sweep: {fids.size} rows over {len(config.delta_list)} delta x {len(thetas)} theta")
         summary.append(f"max |F - 5/6| gate tier:   {max_dev_gate:.3e}")
         summary.append(f"max |F - 5/6| optics tier: {max_dev_optics:.3e}")
         if max_dev_gate > EXACT_TOL or max_dev_optics > EXACT_TOL:
@@ -250,59 +264,50 @@ def compute_sweep(config: SweepConfig):
             summary.append(f"PASS: all fidelities within {EXACT_TOL:.1e} of 5/6")
 
     elif config.mode == "montecarlo":
-        max_dev = 0.0
-        max_err = 0.0
-        for i_d, delta in enumerate(config.delta_list):
-            for i_t, theta in enumerate(thetas):
-                seed = _point_seed(config.seed, i_d, i_t)
-                rep = montecarlo_report(theta, delta, config.trials, seed)
-                for replica, fid, err in (
-                    (1, rep.fidelity1, rep.stderr1),
-                    (2, rep.fidelity2, rep.stderr2),
-                ):
-                    rows.append((delta, theta, replica, fid, err, seed))
-                    max_dev = max(max_dev, abs(fid - TARGET_F))
-                    max_err = max(max_err, err)
+        fids, errs = _montecarlo_fidelities(
+            grid_theta, grid_delta, seeds, config.trials, DetectorModel(), n_bootstrap=50
+        )
         summary.append(
             f"montecarlo sweep: trials={config.trials} per basis setting, base seed={config.seed}"
         )
-        summary.append(f"max |F - 5/6| = {max_dev:.6f}, max bootstrap stderr = {max_err:.6f}")
+        summary.append(
+            f"max |F - 5/6| = {float(np.max(np.abs(fids - TARGET_F))):.6f}, "
+            f"max bootstrap stderr = {float(np.max(errs)):.6f}"
+        )
 
     else:  # perturbed
         jitter = math.radians(config.jitter_deg)
         budget = ErrorBudget(delta_c=(config.delta_c / 4.0,) * 4, delta_theta=jitter)
-        analytic = fidelity_error_bound(budget)
-        max_mean_dev = 0.0
-        n_exceed = 0
-        for i_d, delta in enumerate(config.delta_list):
-            for i_t, theta in enumerate(thetas):
-                seed = _point_seed(config.seed, i_d, i_t)
-                res = perturbation_sweep(
-                    jitter,
-                    config.samples,
-                    seed,
-                    theta=theta,
-                    delta=delta,
-                    delta_c_total=config.delta_c,
-                    bound=PERTURBED_BOUND,
-                )
-                for replica, fs in ((1, res.fidelities1), (2, res.fidelities2)):
-                    rows.append(
-                        (delta, theta, replica, float(np.mean(fs)), float(np.std(fs, ddof=1)) if len(fs) > 1 else 0.0, seed)
-                    )
-                max_mean_dev = max(max_mean_dev, res.mean_deviation)
-                n_exceed += res.n_exceeding_bound
+        samples = _jittered_fidelities(grid_theta, grid_delta, seeds, config.samples, jitter, config.delta_c)
+        # (replica, point, sample): each point's samples contiguous, like the
+        # 1-D arrays of `perturbation_sweep`, so means and spreads are summed
+        # in the same order.
+        per_replica = np.ascontiguousarray(np.moveaxis(samples, -1, 0))
+        fids = per_replica.mean(axis=-1).T
+        if config.samples > 1:
+            errs = per_replica.std(axis=-1, ddof=1).T
+        else:
+            errs = np.zeros_like(fids)
+        devs = np.abs(per_replica[0] - TARGET_F)
         summary.append(
             f"perturbed sweep: jitter={config.jitter_deg} deg, delta_c={config.delta_c}, "
             f"samples={config.samples} per point"
         )
-        summary.append(f"analytic bound sum(dC) + 1.5*dtheta = {analytic:.4f}")
-        summary.append(f"max mean |F - 5/6| over grid = {max_mean_dev:.6f} (reference bound {PERTURBED_BOUND})")
-        summary.append(f"samples exceeding bound: {n_exceed} (flagged, not fatal)")
+        summary.append(f"analytic bound sum(dC) + 1.5*dtheta = {fidelity_error_bound(budget):.4f}")
+        summary.append(
+            f"max mean |F - 5/6| over grid = {float(np.max(devs.mean(axis=-1))):.6f} "
+            f"(reference bound {PERTURBED_BOUND})"
+        )
+        summary.append(f"samples exceeding bound: {int(np.sum(devs > PERTURBED_BOUND))} (flagged, not fatal)")
 
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    csv_rows = [format_row(config.mode, *row) for row in rows]
-    return csv_rows, summary, exit_code
+    rows = [
+        format_row(config.mode, delta, theta, replica, fid, err, seed)
+        for delta, theta, seed, point_fids, point_errs in zip(
+            grid_delta.tolist(), grid_theta.tolist(), seeds, fids.tolist(), errs.tolist()
+        )
+        for replica, (fid, err) in enumerate(zip(point_fids, point_errs), start=1)
+    ]
+    return rows, summary, exit_code
 
 
 def write_csv(path: str, csv_rows) -> None:
@@ -397,16 +402,22 @@ def _check_prep_solver(tol: float = 1e-10) -> CheckResult:
 
 
 def _check_tomography_roundtrip(n_random: int = 100, seed: int = 406) -> CheckResult:
-    """Exact-probability inversion recovers random single-qubit states."""
+    """Exact-probability inversion recovers random single-qubit states.
+
+    The states are drawn one by one (a direction, then a radius), the draws
+    of the stream in their order; the round trips are one batch: matrices,
+    H/V/D/R probabilities, inversion and the positivity floor.
+    """
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_random):
-        s = rng.normal(size=3)
-        s *= rng.uniform(0.0, 1.0) ** (1.0 / 3.0) / np.linalg.norm(s)
-        rho = stokes_compose(*s)
-        probs = [float(np.real(BASIS_VECTORS[b].conj() @ rho.matrix @ BASIS_VECTORS[b])) for b in BASES]
-        rec = reconstruct_single_qubit(*probs)
-        worst = max(worst, float(np.max(np.abs(rec.matrix - rho.matrix))))
+    draws = [(rng.normal(size=3), rng.uniform(0.0, 1.0)) for _ in range(n_random)]
+    stokes = np.array([direction for direction, _ in draws])
+    radii = np.array([radius for _, radius in draws]) ** (1.0 / 3.0)
+    stokes *= (radii / np.linalg.norm(stokes, axis=1))[:, None]
+    rho = _stokes_density(stokes)
+    probs = np.einsum("ib,nij,jb->nb", _BASIS_MATRIX, rho, _BASIS_MATRIX.conj()).real
+    recovered = _path_stokes(probs)
+    _require_physical_stokes(recovered)
+    worst = float(np.max(np.abs(_stokes_density(recovered) - rho)))
     return CheckResult("tomography_roundtrip", worst <= 1e-12, worst, 1e-12)
 
 
@@ -542,6 +553,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except IsometryError as exc:
+        print(f"verification error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -8,10 +8,11 @@ theta). The analytic upper bound combines them as
     Delta F = sum_i Delta C_i + (3/2) Delta theta.
 
 The empirical side perturbs every mounted axis angle of the optical train
-independently and reruns the exact pipeline, propagating all jittered
-copies of the train as one batch and scoring all of them in one
-reconstruction call; samples exceeding a supplied bound are counted rather
-than silently accepted.
+independently and reruns the exact pipeline. Only the source photon's
+column is propagated, for the jittered copies of the bench at any number of
+(theta, delta) points at once, in blocks of TRAIN_BLOCK trains that bound
+the working set; samples exceeding a supplied bound are counted rather than
+silently accepted.
 """
 
 from __future__ import annotations
@@ -20,12 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import _require_isometry
-from .network import cloner_prep_angles, input_state, optimal_fidelity
-from .optics import N_BENCH_PATHS, ORIENTED_ELEMENTS, _cloner_train_elements, _propagate
-from .tomography import _click_probabilities, _replica_fidelities
+from .hilbert import _qubit_stokes, _stokes_fidelity
+from .network import _input_amplitudes, cloner_prep_angles, optimal_fidelity
+from .optics import N_BENCH_PATHS, ORIENTED_ELEMENTS, _body_elements, _input_elements, _propagate
+from .tomography import _click_probabilities, _replica_stokes
 
 _TARGET_F = optimal_fidelity(1, 2)
+# Jittered trains per propagation batch: a block holds TRAIN_BLOCK source
+# photon columns (16 amplitudes each) and their axis offsets, whatever the
+# grid size or the sample count.
+TRAIN_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -87,6 +92,50 @@ class PerturbationResult:
         return int(np.sum(self.deviations > self.bound))
 
 
+def _jittered_fidelities(theta, delta, seeds, n_samples: int, jitter: float, delta_c_total: float) -> np.ndarray:
+    """(N, n_samples, 2) replica fidelities of jittered benches at N input points.
+
+    `theta`, `delta` and `seeds` have one entry per point. Sample i of point
+    k draws from its own stream SeedSequence((seeds[k], i)): first one
+    uniform(-jitter, +jitter) offset per axis-mounted element of the bench,
+    in train order, then, if `delta_c_total` > 0, the four count-oscillation
+    factors u_i in [-1, 1], which scale the replica-1 path weights by
+    1 + u_i delta_c_total / sum |u_i|. The (point, sample) trains are taken
+    point-major in blocks of TRAIN_BLOCK; each block propagates only the
+    source photon's column (mode (path 0, H)) through its input elements and
+    the shared body, checked unitary element by element.
+    """
+    theta, delta = np.asarray(theta, dtype=float), np.asarray(delta, dtype=float)
+    bloch = _qubit_stokes(_input_amplitudes(theta, delta))
+    body = _body_elements(cloner_prep_angles())
+    n_oriented = sum(isinstance(e, ORIENTED_ELEMENTS) for e in _input_elements(0.0, 0.0) + body)
+    n_trains = theta.size * n_samples
+    fids = np.empty((n_trains, 2))
+    for start in range(0, n_trains, TRAIN_BLOCK):
+        train = np.arange(start, min(start + TRAIN_BLOCK, n_trains))
+        point = train // n_samples
+        offsets = np.empty((train.size, n_oriented))
+        u = np.empty((train.size, 4))
+        for row, (p, i) in enumerate(zip(point.tolist(), (train % n_samples).tolist())):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seeds[p], i))))
+            offsets[row] = rng.uniform(-jitter, jitter, size=n_oriented)
+            if delta_c_total > 0.0:
+                u[row] = rng.uniform(-1.0, 1.0, size=4)
+        column = np.zeros((train.size, 2 * N_BENCH_PATHS, 1), dtype=complex)
+        column[:, 0, 0] = 1.0
+        _propagate(_input_elements(theta[point], delta[point]) + body, column, offsets)
+        del offsets  # not needed for scoring, which is the block's memory peak
+        # Mode 2p + pol is path p's polarization: the rows regroup as (8, 2).
+        out = column[:, :, 0]
+        out /= np.linalg.norm(out, axis=1, keepdims=True)
+        probs = _click_probabilities(out.reshape(train.size, N_BENCH_PATHS, 2))
+        if delta_c_total > 0.0:
+            norm = np.abs(u).sum(axis=1, keepdims=True)
+            probs[:, 0:4] *= (1.0 + u * (delta_c_total / np.where(norm > 0.0, norm, 1.0)))[:, :, None]
+        fids[start:start + train.size] = _stokes_fidelity(_replica_stokes(probs), bloch[point])
+    return fids.reshape(theta.size, n_samples, 2)
+
+
 def perturbation_sweep(
     jitter: float,
     n_samples: int,
@@ -103,11 +152,11 @@ def perturbation_sweep(
     the optional count-oscillation injection (the four replica-1 path
     weights are scaled by 1 + u_i with sum |u_i| = delta_c_total), and
     records |F - 5/6| of replica 1. Deterministic given the seed: sample i
-    draws from its own substream (seed, i). The jittered trains of all
-    samples are compiled as one batch, and each is checked unitary. The
-    source photon's output columns, regrouped as (samples, 8 paths, 2
-    polarizations), give every sample's (8, 4) click probabilities in one
-    product, and `_replica_fidelities` scores all samples at once.
+    draws from its own substream (seed, i). The single-point use of
+    `_jittered_fidelities`, the kernel the perturbed sweep runs over its
+    whole grid: the jittered trains propagate the source photon's column in
+    blocks of TRAIN_BLOCK, each element checked unitary, and every sample is
+    scored from its (8, 4) click probabilities.
     """
     if jitter < 0:
         raise ValueError("jitter must be nonnegative")
@@ -115,26 +164,7 @@ def perturbation_sweep(
         raise ValueError("n_samples must be positive")
     if delta_c_total < 0:
         raise ValueError("delta_c_total must be nonnegative")
-    elements = _cloner_train_elements(theta, delta, cloner_prep_angles())
-    n_oriented = sum(isinstance(e, ORIENTED_ELEMENTS) for e in elements)
-    rngs = [
-        np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
-        for i in range(n_samples)
-    ]
-    offsets = np.array([rng.uniform(-jitter, jitter, size=n_oriented) for rng in rngs])
-    dim = 2 * N_BENCH_PATHS
-    trains = _propagate(elements, np.tile(np.eye(dim, dtype=complex), (n_samples, 1, 1)), offsets)
-    _require_isometry(trains, "jittered train composite")
-    # The source photon enters in mode (path 0, H): column 0. Mode 2p + pol
-    # is path p's polarization, so the rows regroup as (samples, 8, 2).
-    out = trains[:, :, 0]
-    out = out / np.linalg.norm(out, axis=1, keepdims=True)
-    probs = _click_probabilities(out.reshape(n_samples, N_BENCH_PATHS, 2))
-    if delta_c_total > 0.0:
-        u = np.array([rng.uniform(-1.0, 1.0, size=4) for rng in rngs])
-        norm = np.abs(u).sum(axis=1, keepdims=True)
-        probs[:, 0:4] *= (1.0 + u * (delta_c_total / np.where(norm > 0.0, norm, 1.0)))[:, :, None]
-    f1s, f2s = _replica_fidelities(probs, input_state(theta, delta)).T
+    f1s, f2s = _jittered_fidelities([theta], [delta], [seed], n_samples, jitter, delta_c_total)[0].T
     devs = np.abs(f1s - _TARGET_F)
     return PerturbationResult(
         jitter=jitter,

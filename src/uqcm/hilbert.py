@@ -29,6 +29,10 @@ class LabelError(ValueError):
     """Unknown, duplicate, or overlapping qubit labels."""
 
 
+class IsometryError(ValueError):
+    """A compiled map or an optical element failed its isometry check."""
+
+
 def label_key(label):
     """Sort key placing "aux" first (most significant), then numbered qubits."""
     if label == AUX:
@@ -266,16 +270,22 @@ def _stokes_fidelity(stokes, bloch) -> np.ndarray:
 
 def _require_isometry(m: np.ndarray, what: str) -> None:
     """Columns of `m` (shape (..., dim, k)) orthonormal within 1e-10, for every batch entry."""
-    gram = np.swapaxes(m, -1, -2).conj() @ m
+    # Summed row by row: a batched matmul is slow on stacks of small matrices.
+    conj = m.conj()
+    gram = sum(conj[..., j, :, None] * m[..., j, None, :] for j in range(m.shape[-2]))
     dev = float(np.max(np.abs(gram - np.eye(m.shape[-1]))))
     if dev > 1e-10:
-        raise ValueError(f"{what} is not an isometry (dev {dev:.3e})")
+        raise IsometryError(f"{what} is not an isometry (dev {dev:.3e})")
+
+
+def _stokes_density(stokes) -> np.ndarray:
+    """(..., 2, 2) matrices (I + S . sigma) / 2 of (..., 3) Stokes vectors."""
+    return 0.5 * (np.eye(2) + np.einsum("...k,kij->...ij", np.asarray(stokes, dtype=float), _PAULIS))
 
 
 def stokes_compose(sx: float, sy: float, sz: float, label=1) -> DensityMatrix:
     """Single-qubit density matrix with the given Stokes components."""
-    m = 0.5 * (np.eye(2, dtype=complex) + sx * PAULI_X + sy * PAULI_Y + sz * PAULI_Z)
-    return DensityMatrix([label], m)
+    return DensityMatrix([label], _stokes_density((sx, sy, sz)))
 
 
 def random_pure_state(labels, rng: np.random.Generator) -> PureState:

@@ -275,13 +275,25 @@ def _propagate(elements, m: np.ndarray, offsets=None) -> np.ndarray:
     With `offsets` of shape (B, n_oriented), `m` has a leading batch axis of
     length B and the j-th oriented element of batch entry b is turned by
     offsets[b, j] (jittered copies of one train, propagated together).
+    Their composite matrices are never formed, so each copy is checked
+    unitary element by element instead: every Jones matrix within 1e-10 (a
+    Polarizer fails), the BS coupling once per call, and a PBS is an exact
+    row swap. A product of unitaries is unitary, so this is at least as
+    strong as checking the composite. A failure raises IsometryError naming
+    the element by its index in the list.
     """
+    if offsets is not None:
+        _require_isometry(_BS_COUPLING, "BS coupling")
     j = 0
-    for e in elements:
+    for k, e in enumerate(elements):
         jones = None
-        if offsets is not None and isinstance(e, ORIENTED_ELEMENTS):
-            jones = _jones(e, e.angle + offsets[:, j])
-            j += 1
+        if offsets is not None and not isinstance(e, (PBS, BS)):
+            if isinstance(e, ORIENTED_ELEMENTS):
+                jones = _jones(e, e.angle + offsets[:, j])
+                j += 1
+            else:
+                jones = _jones(e)
+            _require_isometry(jones, f"Jones matrix of element {k} ({type(e).__name__} on path {e.path})")
         _apply_element(e, m, jones)
     return m
 

@@ -22,6 +22,9 @@ renormalizing (and is idempotent and trace-preserving).
 A replica's Stokes vector S is the H+V-weighted mean of its four paths'
 vectors, and its fidelity with a pure input of Bloch vector n is
 F = (1 + S . n) / 2; `_replica_stokes` evaluates S over whole count arrays.
+The counting pipeline runs over any number of input points at once
+(`_montecarlo_fidelities`, in blocks of MONTECARLO_BLOCK points); only the
+seeded draws are taken point by point.
 """
 
 from __future__ import annotations
@@ -45,6 +48,10 @@ from .hilbert import (
     tensor_product,
 )
 from .network import _clone_outputs, _input_amplitudes, input_state
+
+# Input points per pass of the counting pipeline; its bootstrap refit holds
+# MONTECARLO_BLOCK x n_bootstrap (8, 4) count arrays at once.
+MONTECARLO_BLOCK = 8
 
 BASES = ("H", "V", "D", "R")
 
@@ -197,13 +204,32 @@ def attach_aux_cswap(out3: PureState) -> PureState:
     return apply_circuit(_AUX_CSWAP, joint)
 
 
+def _aux_cswap(out) -> np.ndarray:
+    """(..., 16) amplitudes on (aux, 1, 2, 3) of `attach_aux_cswap` for
+    (..., 8) machine outputs on (1, 2, 3): the probe-1 half is the output
+    with its qubit 1 and qubit 2 axes exchanged."""
+    out = np.asarray(out)
+    qubits = out.reshape(out.shape[:-1] + (2, 2, 2))
+    meas = _SQ2 * np.stack([qubits, np.swapaxes(qubits, -3, -2)], axis=-4)
+    return meas.reshape(out.shape[:-1] + (16,))
+
+
+def _path_rows(meas) -> np.ndarray:
+    """(..., 8, 2) per-path polarization amplitudes of (..., 16) amplitudes on
+    (aux, 1, 2, 3): the canonical index probe*8 + q1*4 + q2*2 + q3 regrouped so
+    that the polarization bit q1 is the trailing axis."""
+    meas = np.asarray(meas)
+    return np.swapaxes(meas.reshape(meas.shape[:-1] + (2, 2, 4)), -1, -2).reshape(meas.shape[:-1] + (8, 2))
+
+
 def measurement_state(theta: float, delta: float) -> PureState:
     """Gate-tier four-qubit state entering the detectors.
 
     The machine output comes from the compiled network image
-    (`network._clone_outputs`); no replica matrices are formed.
+    (`network._clone_outputs`) and the probe-controlled swap is an axis
+    exchange (`_aux_cswap`); no replica matrices are formed.
     """
-    return attach_aux_cswap(PureState((1, 2, 3), _clone_outputs(_input_amplitudes(theta, delta))))
+    return PureState((AUX, 1, 2, 3), _aux_cswap(_clone_outputs(_input_amplitudes(theta, delta))))
 
 
 def per_path_amplitudes(meas: PureState) -> np.ndarray:
@@ -213,9 +239,7 @@ def per_path_amplitudes(meas: PureState) -> np.ndarray:
     """
     if meas.labels != (AUX, 1, 2, 3):
         raise ValueError(f"expected a state on (aux, 1, 2, 3), got {meas.labels!r}")
-    # Canonical amplitude index is probe*8 + q1*4 + q2*2 + q3; regroup so the
-    # polarization bit becomes the trailing axis.
-    return meas.amplitudes.reshape(2, 2, 4).transpose(0, 2, 1).reshape(8, 2)
+    return _path_rows(meas.amplitudes)
 
 
 def path_distribution(meas: PureState, basis: str) -> np.ndarray:
@@ -262,21 +286,40 @@ def simulate_counts(
     probs = np.asarray(signal_probs, dtype=float)
     if probs.shape != (N_PATHS, len(BASES)):
         raise ValueError(f"signal_probs must have shape (8, 4), got {probs.shape}")
+    counts = _draw_counts(probs[None], model, trials, [seed])[0]
+    return CountsRecord(counts=counts, total_trials=trials, seed=seed, model=model)
+
+
+def _draw_counts(probs: np.ndarray, model: DetectorModel, trials: int, seeds) -> np.ndarray:
+    """(N, 8, 4) counts for (N, 8, 4) signal probabilities, drawn as in
+    `simulate_counts`; point k uses the substreams (seeds[k], basis index)."""
     if probs.min() < -1e-12 or probs.max() > 1.0 + 1e-12:
         raise ValueError("signal probabilities must lie in [0, 1]")
     if trials < 1:
         raise ValueError("trials must be positive")
     probs = np.clip(probs, 0.0, 1.0)
     dark_mean = model.dark_mean(trials)
-    counts = np.zeros((N_PATHS, len(BASES)), dtype=np.int64)
-    for b in range(len(BASES)):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, b))))
-        detect = probs[:, b] * model.efficiency
-        pvals = np.append(detect, max(0.0, 1.0 - float(detect.sum())))
-        signal = rng.multinomial(trials, pvals / pvals.sum())[:N_PATHS]
-        dark = rng.poisson(dark_mean, size=N_PATHS)
-        counts[:, b] = np.minimum(signal + dark, trials)
-    return CountsRecord(counts=counts, total_trials=trials, seed=seed, model=model)
+    counts = np.zeros(probs.shape, dtype=np.int64)
+    for point_probs, point_counts, seed in zip(probs, counts, seeds):
+        for b in range(len(BASES)):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, b))))
+            detect = point_probs[:, b] * model.efficiency
+            pvals = np.append(detect, max(0.0, 1.0 - float(detect.sum())))
+            signal = rng.multinomial(trials, pvals / pvals.sum())[:N_PATHS]
+            dark = rng.poisson(dark_mean, size=N_PATHS)
+            point_counts[:, b] = np.minimum(signal + dark, trials)
+    return counts
+
+
+def _bootstrap_draws(counts: np.ndarray, trials: int, seeds, n_bootstrap: int) -> np.ndarray:
+    """(N, n_bootstrap, 8, 4) parametric resamples of (N, 8, 4) counts: every
+    cell Binomial(trials, observed fraction), point k from the substream
+    (seeds[k], bootstrap salt)."""
+    draws = np.empty((len(counts), n_bootstrap) + counts.shape[1:], dtype=np.int64)
+    for point_counts, point_draws, seed in zip(counts, draws, seeds):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, _BOOTSTRAP_SALT))))
+        point_draws[...] = rng.binomial(trials, point_counts / trials, size=point_draws.shape)
+    return draws
 
 
 def _path_stokes(counts: np.ndarray) -> np.ndarray:
@@ -351,6 +394,17 @@ def replicas_from_state(meas: PureState) -> tuple:
     return reconstruct_replica(probs, 1), reconstruct_replica(probs, 2)
 
 
+def _require_report_values(fids, errs) -> None:
+    """Every fidelity in [0, 1] (within 1e-12) and every standard error finite
+    and nonnegative, for arrays of any shape."""
+    fids, errs = np.asarray(fids, dtype=float), np.asarray(errs, dtype=float)
+    in_range = (fids >= -1e-12) & (fids <= 1.0 + 1e-12)
+    if not np.all(in_range):
+        raise ValueError(f"fidelity {float(fids[~in_range][0])!r} outside [0, 1]")
+    if not np.all(np.isfinite(errs) & (errs >= 0)):
+        raise ValueError(f"standard errors must be finite and nonnegative, got {errs.ravel().tolist()!r}")
+
+
 @dataclass(frozen=True)
 class FidelityReport:
     """Replica fidelities against the input state, with count statistics."""
@@ -364,14 +418,7 @@ class FidelityReport:
     mode: str
 
     def __post_init__(self):
-        for name in ("fidelity1", "fidelity2"):
-            f = getattr(self, name)
-            if not (-1e-12 <= f <= 1.0 + 1e-12):
-                raise ValueError(f"{name}={f!r} outside [0, 1]")
-        if not all(math.isfinite(e) and e >= 0 for e in (self.stderr1, self.stderr2)):
-            raise ValueError(
-                f"standard errors must be finite and nonnegative, got {self.stderr1!r}, {self.stderr2!r}"
-            )
+        _require_report_values((self.fidelity1, self.fidelity2), (self.stderr1, self.stderr2))
         if self.mode not in ("exact", "montecarlo", "perturbed"):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -401,11 +448,7 @@ def fidelity_report(
     f1, f2 = _stokes_fidelity([stokes_decompose(rho1), stokes_decompose(rho2)], _qubit_stokes(psi.amplitudes))
     err1 = err2 = 0.0
     if counts is not None:
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((counts.seed, _BOOTSTRAP_SALT)))
-        )
-        fractions = counts.counts / counts.total_trials
-        draws = rng.binomial(counts.total_trials, fractions, size=(n_bootstrap,) + fractions.shape)
+        draws = _bootstrap_draws(counts.counts[None], counts.total_trials, [counts.seed], n_bootstrap)[0]
         err1, err2 = np.std(_replica_fidelities(draws, psi), axis=0, ddof=1)
     return FidelityReport(
         fidelity1=float(f1),
@@ -424,6 +467,38 @@ def exact_report(theta: float, delta: float) -> FidelityReport:
     return fidelity_report(rho1, rho2, theta, delta, mode="exact")
 
 
+def _montecarlo_fidelities(
+    theta, delta, seeds, trials: int, model: DetectorModel, n_bootstrap: int
+) -> tuple:
+    """(N, 2) replica fidelities and (N, 2) bootstrap standard errors of the
+    counting pipeline at N input points, point k seeded by seeds[k].
+
+    Points are taken in blocks of MONTECARLO_BLOCK. A block's (8, 4) click
+    probabilities come from one pass: network image, probe-controlled swap
+    as an axis exchange, `_click_probabilities`. Its counts and bootstrap
+    resamples are drawn point by point from each point's own streams (as
+    `simulate_counts` and `fidelity_report` draw them), and both refits are
+    one `_replica_stokes` call each: F = (1 + S . n) / 2, stderr the sample
+    standard deviation over the resamples.
+    """
+    if n_bootstrap < 2:
+        raise ValueError(f"n_bootstrap must be >= 2 to estimate a standard error, got {n_bootstrap!r}")
+    amps = _input_amplitudes(theta, delta)
+    bloch = _qubit_stokes(amps)
+    fids = np.empty((len(amps), 2))
+    errs = np.empty((len(amps), 2))
+    for start in range(0, len(amps), MONTECARLO_BLOCK):
+        block = slice(start, start + MONTECARLO_BLOCK)
+        probs = _click_probabilities(_path_rows(_aux_cswap(_clone_outputs(amps[block]))))
+        counts = _draw_counts(probs, model, trials, seeds[block])
+        fids[block] = _stokes_fidelity(_replica_stokes(counts), bloch[block])
+        draws = _bootstrap_draws(counts, trials, seeds[block], n_bootstrap)
+        refits = _stokes_fidelity(_replica_stokes(draws), bloch[block, None])
+        errs[block] = np.std(refits, axis=1, ddof=1)
+    _require_report_values(fids, errs)
+    return fids, errs
+
+
 def montecarlo_report(
     theta: float,
     delta: float,
@@ -432,11 +507,12 @@ def montecarlo_report(
     model: DetectorModel = DetectorModel(),
     n_bootstrap: int = 50,
 ) -> FidelityReport:
-    """Counting-statistics pipeline: simulate counts, reconstruct, bootstrap errors."""
-    record = simulate_counts(
-        signal_probabilities(measurement_state(theta, delta)), model, trials, seed
+    """Counting-statistics pipeline: simulate counts, reconstruct, bootstrap errors.
+
+    The single-point use of `_montecarlo_fidelities`, the kernel the
+    montecarlo sweep runs over its whole grid.
+    """
+    (f1, f2), (err1, err2) = (
+        a[0].tolist() for a in _montecarlo_fidelities([theta], [delta], [seed], trials, model, n_bootstrap)
     )
-    rho1, rho2 = reconstruct_replica(record, 1), reconstruct_replica(record, 2)
-    return fidelity_report(
-        rho1, rho2, theta, delta, mode="montecarlo", counts=record, n_bootstrap=n_bootstrap
-    )
+    return FidelityReport(f1, f2, err1, err2, theta, delta, mode="montecarlo")

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from uqcm import cli, network, optics
+from uqcm import cli, errormodel, network, optics, tomography
 from uqcm.cli import (
     CSV_HEADER,
     EXIT_IO,
@@ -15,10 +15,13 @@ from uqcm.cli import (
     EXIT_USAGE,
     EXACT_BLOCK,
     EXIT_VERIFY,
+    PERTURBED_BOUND,
     SweepConfig,
     UsageError,
     _check_reference_oracle,
+    _check_tomography_roundtrip,
     _format_matrix,
+    _point_seed,
     _random_qubit_amplitudes,
     build_sweep_config,
     compute_sweep,
@@ -27,10 +30,11 @@ from uqcm.cli import (
     main,
     run_verify,
 )
+from uqcm.errormodel import TRAIN_BLOCK, perturbation_sweep
 from uqcm.hilbert import DensityMatrix, fidelity, random_pure_state
 from uqcm.network import clone, input_state
 from uqcm.optics import optical_measurement_state
-from uqcm.tomography import replicas_from_state
+from uqcm.tomography import MONTECARLO_BLOCK, montecarlo_report, replicas_from_state
 
 
 class TestConfig:
@@ -169,6 +173,81 @@ class TestSweep:
         assert optics_tier == pytest.approx(worst_optics, rel=1e-3)
         assert max(gate, optics_tier) > 1e-3
 
+    # Grids the default sweeps do not cover: one delta, one theta, one
+    # sample (no spread), no count oscillation, two seeds, and grids whose
+    # trains or points span several blocks.
+    GRID_CASES = [
+        dict(mode="perturbed", theta_steps=1, delta_list=(1.1,), samples=1, seed=3),
+        dict(mode="perturbed", theta_steps=3, delta_list=(0.0, 2.5), samples=4, delta_c=0.0, seed=8),
+        dict(mode="perturbed", theta_steps=2, delta_list=(0.3,), samples=600, jitter_deg=0.5, seed=5),
+        dict(mode="montecarlo", theta_steps=1, delta_list=(2.0,), trials=300, seed=9),
+        dict(mode="montecarlo", theta_steps=5, delta_list=(0.5, 4.0), trials=777, seed=21),
+    ]
+
+    @pytest.mark.parametrize("case", GRID_CASES, ids=lambda c: f"{c['mode']}-seed{c['seed']}")
+    def test_grid_pass_matches_single_point_references(self, case):
+        cfg = SweepConfig(**case)
+        rows, summary, code = compute_sweep(cfg)
+        expect, point_devs, point_errs, n_exceed = [], [], [], 0
+        for i_d, delta in enumerate(cfg.delta_list):
+            for i_t, theta in enumerate(cfg.theta_grid()):
+                seed = _point_seed(cfg.seed, i_d, i_t)
+                if cfg.mode == "montecarlo":
+                    rep = montecarlo_report(theta, delta, cfg.trials, seed)
+                    stats = ((rep.fidelity1, rep.stderr1), (rep.fidelity2, rep.stderr2))
+                    point_devs += [abs(f - 5 / 6) for f, _ in stats]
+                    point_errs += [e for _, e in stats]
+                else:
+                    res = perturbation_sweep(
+                        math.radians(cfg.jitter_deg), cfg.samples, seed, theta=theta, delta=delta,
+                        delta_c_total=cfg.delta_c, bound=PERTURBED_BOUND,
+                    )
+                    stats = [
+                        (float(np.mean(fs)), float(np.std(fs, ddof=1)) if len(fs) > 1 else 0.0)
+                        for fs in (res.fidelities1, res.fidelities2)
+                    ]
+                    point_devs.append(res.mean_deviation)
+                    n_exceed += res.n_exceeding_bound
+                expect += [format_row(cfg.mode, delta, theta, r, f, e, seed) for r, (f, e) in enumerate(stats, 1)]
+        assert code == EXIT_OK
+        assert rows == expect
+        if cfg.mode == "montecarlo":
+            assert summary[1] == f"max |F - 5/6| = {max(point_devs):.6f}, max bootstrap stderr = {max(point_errs):.6f}"
+        else:
+            assert summary[2].startswith(f"max mean |F - 5/6| over grid = {max(point_devs):.6f} ")
+            assert summary[3].startswith(f"samples exceeding bound: {n_exceed} ")
+
+    def test_sweep_batches_stay_within_blocks(self, monkeypatch):
+        # Memory is bounded by the block constants, not by the grid or the
+        # sample count: record every batch reaching the two array kernels.
+        propagated, refitted = [], []
+        propagate, replica_stokes = errormodel._propagate, tomography._replica_stokes
+
+        def spy_propagate(elements, m, offsets=None):
+            propagated.append(m.shape)
+            return propagate(elements, m, offsets)
+
+        def spy_replica_stokes(counts, replicas=(1, 2)):
+            refitted.append(np.shape(counts))
+            return replica_stokes(counts, replicas)
+
+        monkeypatch.setattr(errormodel, "_propagate", spy_propagate)
+        monkeypatch.setattr(errormodel, "_replica_stokes", spy_replica_stokes)
+        monkeypatch.setattr(tomography, "_replica_stokes", spy_replica_stokes)
+
+        compute_sweep(SweepConfig(mode="perturbed", samples=40, seed=2))
+        assert sum(shape[0] for shape in propagated) == 76 * 40 > 5 * TRAIN_BLOCK
+        assert max(shape for shape in propagated) == (TRAIN_BLOCK, 16, 1)
+        assert max(shape[0] for shape in refitted) == TRAIN_BLOCK
+
+        refitted.clear()
+        compute_sweep(SweepConfig(mode="montecarlo", trials=500, seed=2))
+        points = [shape[0] for shape in refitted if len(shape) == 3]
+        draws = [shape for shape in refitted if len(shape) == 4]
+        assert sum(points) == 76 and max(points) == MONTECARLO_BLOCK
+        assert max(draws) == (MONTECARLO_BLOCK, 50, 8, 4)
+        assert len(points) + len(draws) == len(refitted)
+
     def test_montecarlo_has_stderr_column(self):
         cfg = SweepConfig(mode="montecarlo", theta_steps=2, delta_list=(0.0,), trials=2000)
         rows, summary, code = compute_sweep(cfg)
@@ -306,6 +385,14 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "reference_oracle\tFAIL" in out
         assert "replica_symmetry\tFAIL" in out
+
+    def test_roundtrip_check_fails_on_a_wrong_inversion(self, monkeypatch):
+        assert _check_tomography_roundtrip().passed
+        path_stokes = cli._path_stokes
+        monkeypatch.setattr(cli, "_path_stokes", lambda probs: path_stokes(probs) * (1.0 - 1e-9))
+        result = _check_tomography_roundtrip()
+        assert not result.passed
+        assert 1e-12 < result.deviation < 1e-9
 
     def test_oracle_check_ignores_global_phase(self, monkeypatch):
         outputs = cli._network_outputs

@@ -1,14 +1,25 @@
 """Error budget: analytic bound arithmetic and jitter perturbation sweeps."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from uqcm import errormodel, optics
+from uqcm.cli import EXIT_VERIFY, main
 from uqcm.errormodel import ErrorBudget, PerturbationResult, fidelity_error_bound, perturbation_sweep
-from uqcm.hilbert import DensityMatrix, fidelity
-from uqcm.network import input_state
-from uqcm.optics import ORIENTED_ELEMENTS, OpticalTrain, PhotonState, build_cloner_train, modes_to_qubits
+from uqcm.hilbert import DensityMatrix, IsometryError, fidelity
+from uqcm.network import cloner_prep_angles, input_state
+from uqcm.optics import (
+    HWP,
+    ORIENTED_ELEMENTS,
+    OpticalTrain,
+    PhotonState,
+    Polarizer,
+    build_cloner_train,
+    modes_to_qubits,
+)
 from uqcm.tomography import reconstruct_replica, signal_probabilities
 
 
@@ -114,3 +125,52 @@ class TestPerturbationSweep:
             perturbation_sweep(jitter=0.1, n_samples=0, seed=0)
         with pytest.raises(ValueError, match="delta_c_total"):
             perturbation_sweep(jitter=0.1, n_samples=5, seed=0, delta_c_total=-1.0)
+
+
+class TestElementUnitarityCheck:
+    """Jittered trains are checked element by element: a non-unitary element
+    must stop both the single-point sweep and `uqcm sweep --mode perturbed`,
+    although normalizing the output column would hide it."""
+
+    N_INPUT = len(optics._input_elements(0.0, 0.0))
+
+    def _scaled_hwp(self, monkeypatch):
+        # One body HWP's Jones stack scaled by 1 + 1e-8: |J^H J - I| ~ 2e-8.
+        body = optics._body_elements(cloner_prep_angles())
+        monkeypatch.setattr(errormodel, "_body_elements", lambda prep: body)
+        k = next(k for k, e in enumerate(body) if isinstance(e, HWP) and e.path == 5)
+        jones = optics._jones
+
+        def scaled(element, angle=None):
+            j = jones(element, angle)
+            return j * (1.0 + 1e-8) if element is body[k] else j
+
+        monkeypatch.setattr(optics, "_jones", scaled)
+        return f"Jones matrix of element {self.N_INPUT + k} (HWP on path 5)"
+
+    def _polarizer(self, monkeypatch):
+        body = optics._body_elements(cloner_prep_angles())
+        monkeypatch.setattr(errormodel, "_body_elements", lambda prep: body[:40] + [Polarizer(4, 0.3)] + body[40:])
+        return f"Jones matrix of element {self.N_INPUT + 40} (Polarizer on path 4)"
+
+    def _scaled_bs(self, monkeypatch):
+        monkeypatch.setattr(optics, "_BS_COUPLING", optics._BS_COUPLING * (1.0 + 1e-8))
+        return "BS coupling"
+
+    FAULTS = ["_scaled_hwp", "_polarizer", "_scaled_bs"]
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_single_point_sweep_raises_naming_the_element(self, fault, monkeypatch):
+        name = getattr(self, fault)(monkeypatch)
+        with pytest.raises(IsometryError, match=re.escape(f"{name} is not an isometry")):
+            perturbation_sweep(jitter=0.0018, n_samples=3, seed=4, theta=0.3, delta=1.2)
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_cli_sweep_exits_3_naming_the_element(self, fault, monkeypatch, tmp_path, capsys):
+        name = getattr(self, fault)(monkeypatch)
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("mode = perturbed\ntheta_steps = 2\nsamples = 3\n")
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_VERIFY
+        assert name in capsys.readouterr().err
+        assert not out.exists()

@@ -19,6 +19,8 @@ from uqcm.gates import apply_circuit
 from uqcm.network import build_cloning_network, clone, input_state
 from uqcm.tomography import (
     _BOOTSTRAP_SALT,
+    _aux_cswap,
+    _path_rows,
     BASES,
     CountsRecord,
     DetectorModel,
@@ -30,6 +32,7 @@ from uqcm.tomography import (
     measurement_state,
     montecarlo_report,
     path_distribution,
+    per_path_amplitudes,
     reconstruct_replica,
     reconstruct_single_qubit,
     replicas_from_state,
@@ -91,6 +94,19 @@ class TestProbeAttachment:
     def test_rejects_wrong_register(self):
         with pytest.raises(ValueError, match="qubits \\(1, 2, 3\\)"):
             attach_aux_cswap(PureState([1], [1, 0]))
+
+    def test_axis_exchange_matches_gate_circuit(self):
+        # The batched probe swap of the counting kernel against the CSWAP
+        # gate, on (3, 5) random outputs.
+        rng = np.random.default_rng(93)
+        out = rng.normal(size=(3, 5, 8)) + 1j * rng.normal(size=(3, 5, 8))
+        out /= np.linalg.norm(out, axis=-1, keepdims=True)
+        rows = _path_rows(_aux_cswap(out))
+        assert rows.shape == (3, 5, 8, 2)
+        for index in np.ndindex(3, 5):
+            meas = attach_aux_cswap(PureState((1, 2, 3), out[index]))
+            assert np.max(np.abs(_aux_cswap(out[index]) - meas.amplitudes)) < 1e-15
+            assert np.max(np.abs(rows[index] - per_path_amplitudes(meas))) < 1e-15
 
 
 class TestPathDistribution:
@@ -316,6 +332,19 @@ class TestReplicaReconstruction:
             if abs(f1 - F_OPT) < 0.003 and abs(f2 - F_OPT) < 0.003:
                 hits += 1
         assert hits >= 95
+
+    @pytest.mark.parametrize(("theta", "delta", "trials", "seed"), [(0.0, 0.0, 20000, 42), (-0.9, 4.4, 800, 6)])
+    def test_montecarlo_report_matches_public_route(self, theta, delta, trials, seed):
+        # The counting kernel against counts, replica matrices and bootstrap
+        # taken one public call at a time.
+        rec = simulate_counts(signal_probabilities(measurement_state(theta, delta)), DetectorModel(), trials, seed)
+        ref = fidelity_report(
+            reconstruct_replica(rec, 1), reconstruct_replica(rec, 2), theta, delta,
+            mode="montecarlo", counts=rec,
+        )
+        rep = montecarlo_report(theta, delta, trials, seed)
+        for name in ("fidelity1", "fidelity2", "stderr1", "stderr2"):
+            assert getattr(rep, name) == pytest.approx(getattr(ref, name), abs=1e-12)
 
     def test_replicas_agree_within_statistics(self):
         rep = montecarlo_report(0.0, 0.0, trials=20000, seed=42)
