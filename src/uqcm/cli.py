@@ -31,7 +31,6 @@ from .gates import _apply_gates, apply_circuit
 from .hilbert import (
     IsometryError,
     PureState,
-    _qubit_density,
     _qubit_stokes,
     _require_physical_stokes,
     _stokes_density,
@@ -86,14 +85,12 @@ class UsageError(Exception):
     """Invalid configuration or flags."""
 
 
-def _check_theta(theta: float) -> None:
-    if not (-math.pi / 2 < theta <= math.pi / 2):
-        raise UsageError(f"theta value {theta!r} outside (-pi/2, pi/2]")
-
-
-def _check_delta(delta: float) -> None:
-    if not (0.0 <= delta < 2.0 * math.pi):
-        raise UsageError(f"delta value {delta!r} outside [0, 2*pi)")
+def _check_angles(theta, delta) -> None:
+    """The machine's input-angle domain check, as a usage error."""
+    try:
+        _input_amplitudes(theta, delta)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -115,8 +112,7 @@ class SweepConfig:
             raise UsageError(f"unknown mode {self.mode!r}")
         if self.theta_steps < 1:
             raise UsageError("theta_steps must be >= 1")
-        for th in (self.theta_start, self.theta_end):
-            _check_theta(th)
+        _check_angles((self.theta_start, self.theta_end), 0.0)
         if self.theta_end < self.theta_start:
             raise UsageError("theta_end must be >= theta_start")
         if self.trials < 1:
@@ -132,8 +128,7 @@ class SweepConfig:
         deltas = tuple(sorted(float(d) for d in self.delta_list))
         if not deltas:
             raise UsageError("delta_list must not be empty")
-        for d in deltas:
-            _check_delta(d)
+        _check_angles(0.0, deltas)
         object.__setattr__(self, "delta_list", deltas)
 
     def theta_grid(self) -> np.ndarray:
@@ -386,12 +381,12 @@ def _check_optics_equivalence(hwp_offset_rad: float = 0.0) -> CheckResult:
     return CheckResult("optics_equivalence", report.passed, report.max_deviation, report.tol)
 
 
-def _check_prep_solver(tol: float = 1e-10) -> CheckResult:
+def _check_prep_solver() -> CheckResult:
     """Solved angles reproduce both preparation targets through the circuit."""
     worst = 0.0
     for target in (CLONER_PREP_TARGET, TRIPLICATOR_PREP_TARGET):
         try:
-            angles = solve_prep_angles(target, tol=tol)
+            angles = solve_prep_angles(target)
         except SolverError as exc:
             return CheckResult("prep_solver", False, exc.residual, 1e-10)
         blank = PureState((2, 3), [1, 0, 0, 0])
@@ -434,18 +429,18 @@ def _check_replica_symmetry(n_random: int = 100, seed: int = 515) -> CheckResult
     """rho1 = rho2 and both match the shrunk-input form (2/3)|psi><psi| + I/6."""
     amps = _random_qubit_amplitudes(n_random, seed)
     out = _network_outputs(amps)
-    rho1, rho2 = _qubit_density(out, 0), _qubit_density(out, 1)
+    rho1, rho2 = _stokes_density(_qubit_stokes(out, 0)), _stokes_density(_qubit_stokes(out, 1))
     shrunk = (2.0 / 3.0) * amps[:, :, None] * amps[:, None, :].conj() + np.eye(2) / 6.0
     worst = max(float(np.max(np.abs(rho1 - rho2))), float(np.max(np.abs(rho1 - shrunk))))
     return CheckResult("replica_symmetry", worst <= 1e-10, worst, 1e-10)
 
 
-def run_verify(hwp_offset_rad: float = 0.0, prep_tol: float = 1e-10, stdout=None) -> int:
+def run_verify(hwp_offset_rad: float = 0.0, stdout=None) -> int:
     stdout = stdout or sys.stdout
     checks = [
         _check_reference_oracle(),
         _check_optics_equivalence(hwp_offset_rad),
-        _check_prep_solver(prep_tol),
+        _check_prep_solver(),
         _check_tomography_roundtrip(),
         _check_pipeline_fidelity(),
         _check_replica_symmetry(),
@@ -465,8 +460,7 @@ def run_tomo(theta: float, delta: float, mode: str, trials: int, seed: int, stdo
     stdout = stdout or sys.stdout
     if mode not in ("exact", "montecarlo"):
         raise UsageError(f"tomo supports modes 'exact' and 'montecarlo', got {mode!r}")
-    _check_theta(theta)
-    _check_delta(delta)
+    _check_angles(theta, delta)
     if trials < 1:
         raise UsageError("trials must be >= 1")
     if seed < 0:
@@ -522,7 +516,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0.0,
         help="fault-injection hook: offset the first waveplate by this angle",
     )
-    verify.add_argument("--prep-tol", dest="prep_tol", type=float, default=1e-10)
 
     tomo = sub.add_parser("tomo", help="single-state tomography run")
     tomo.add_argument("--theta", type=float, default=0.0, help="input angle in radians")
@@ -545,9 +538,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return run_sweep(build_sweep_config(args))
         if args.command == "verify":
-            return run_verify(
-                hwp_offset_rad=math.radians(args.hwp_offset_deg), prep_tol=args.prep_tol
-            )
+            return run_verify(hwp_offset_rad=math.radians(args.hwp_offset_deg))
         if args.command == "tomo":
             return run_tomo(args.theta, args.delta, args.mode, args.trials, args.seed)
     except UsageError as exc:

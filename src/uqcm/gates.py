@@ -103,9 +103,6 @@ class Circuit:
     def gates(self) -> tuple:
         return self._gates
 
-    def extended(self, more_gates) -> "Circuit":
-        return Circuit(self._register, self._gates + tuple(more_gates))
-
     def __repr__(self):
         return f"Circuit(register={self._register!r}, gates={self._gates!r})"
 

@@ -111,10 +111,6 @@ class PureState:
     def density(self) -> "DensityMatrix":
         return DensityMatrix(self._labels, np.outer(self._amps, self._amps.conj()))
 
-    def equal_up_to_global_phase(self, other: "PureState", tol: float = 1e-10) -> bool:
-        """True when |<self|other>| >= 1 - tol."""
-        return abs(self.inner(other)) >= 1.0 - tol
-
     def __repr__(self):
         return f"PureState(labels={self._labels!r}, amplitudes={self._amps!r})"
 
@@ -145,10 +141,6 @@ class DensityMatrix:
         mat.flags.writeable = False
         self._labels = canon
         self._matrix = mat
-
-    @classmethod
-    def from_pure(cls, psi: PureState) -> "DensityMatrix":
-        return psi.density()
 
     @property
     def labels(self) -> tuple:
@@ -239,18 +231,6 @@ def _qubit_stokes(amps, position: int = 0) -> np.ndarray:
     amps = np.asarray(amps)
     split = amps.reshape(amps.shape[:-1] + (1 << position, 2, -1))
     return np.einsum("...aib,kij,...ajb->...k", split.conj(), _PAULIS, split).real
-
-
-def _qubit_density(amps, position: int = 0) -> np.ndarray:
-    """(..., 2, 2) reduced matrices of one qubit of (..., 2^n) pure-state
-    amplitudes: `partial_trace` onto that qubit, for a whole batch.
-
-    `position` is the qubit's place in canonical basis order (0 = most
-    significant).
-    """
-    amps = np.asarray(amps)
-    split = amps.reshape(amps.shape[:-1] + (1 << position, 2, -1))
-    return np.einsum("...aib,...ajb->...ij", split, split.conj())
 
 
 def _require_physical_stokes(stokes) -> None:

@@ -58,10 +58,10 @@ def _input_amplitudes(theta, delta) -> np.ndarray:
     theta, delta = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(delta, dtype=float))
     bad_theta = ~((-math.pi / 2 < theta) & (theta <= math.pi / 2))
     if np.any(bad_theta):
-        raise ValueError(f"theta={float(theta[bad_theta][0])!r} outside (-pi/2, pi/2]")
+        raise ValueError(f"theta value {float(theta[bad_theta][0])!r} outside (-pi/2, pi/2]")
     bad_delta = ~((0.0 <= delta) & (delta < 2.0 * math.pi))
     if np.any(bad_delta):
-        raise ValueError(f"delta={float(delta[bad_delta][0])!r} outside [0, 2*pi)")
+        raise ValueError(f"delta value {float(delta[bad_delta][0])!r} outside [0, 2*pi)")
     return np.stack([np.cos(theta), np.exp(1j * delta) * np.sin(theta)], axis=-1)
 
 

@@ -9,8 +9,6 @@ Element conventions (fixed once, compensating phase plates absorb the rest):
 * HWP(path, angle): Jones matrix [[cos 2a, sin 2a], [sin 2a, -cos 2a]] in
   the H/V basis, a measured from horizontal. Determinant -1 is fine for a
   passive plate.
-* QWP(path, angle): diag(1, i) in the plate's axis frame, i.e.
-  R(a) diag(1, i) R(-a).
 * AJWP(path, retardance): adjustable waveplate (Pockels cell), diag(1, e^(i d))
   in the H/V frame; the retardance is driven directly.
 * PBS(a, b): H transmits (path kept), V reflects (paths exchanged), no extra
@@ -41,7 +39,7 @@ import numpy as np
 from .angles import PrepAngles
 from .gates import Circuit, circuit_unitary
 from .hilbert import AUX, PureState, _require_isometry
-from .network import cloner_prep_angles
+from .network import _input_amplitudes, cloner_prep_angles
 
 POL_H, POL_V = 0, 1
 _POL_NAMES = ("H", "V")
@@ -66,10 +64,6 @@ class ModeSpace:
     @property
     def dim(self) -> int:
         return 2 * self._n_paths
-
-    @property
-    def modes(self) -> tuple:
-        return tuple((p, s) for p in range(self._n_paths) for s in _POL_NAMES)
 
     def index(self, path: int, pol) -> int:
         if pol in _POL_NAMES:
@@ -131,12 +125,6 @@ class HWP:
 
 
 @dataclass(frozen=True)
-class QWP:
-    path: int
-    angle: float
-
-
-@dataclass(frozen=True)
 class AJWP:
     path: int
     retardance: float
@@ -174,10 +162,10 @@ class PhaseShift:
     phase: float
 
 
-OpticalElement = Union[HWP, QWP, AJWP, PBS, BS, Polarizer, PhaseShift]
+OpticalElement = Union[HWP, AJWP, PBS, BS, Polarizer, PhaseShift]
 
 # Elements owning a mechanical axis-orientation angle (jitter targets).
-ORIENTED_ELEMENTS = (HWP, QWP, Polarizer)
+ORIENTED_ELEMENTS = (HWP, Polarizer)
 
 _BS_COUPLING = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / math.sqrt(2.0)
 
@@ -211,11 +199,7 @@ def _jones(element: OpticalElement, angle=None) -> np.ndarray:
         rows = [[c, s], [s, -c]]
     else:
         c, s = np.cos(a), np.sin(a)
-        if isinstance(element, QWP):
-            # R(a) diag(1, i) R(-a)
-            rows = [[c * c + 1j * s * s, (1 - 1j) * c * s], [(1 - 1j) * c * s, s * s + 1j * c * c]]
-        else:
-            rows = [[c * c, c * s], [c * s, s * s]]
+        rows = [[c * c, c * s], [c * s, s * s]]
     return np.moveaxis(np.array(rows, dtype=complex), (0, 1), (-2, -1))
 
 
@@ -476,36 +460,6 @@ def _swap_pol_with_path(pbs_pairs, flip_paths) -> list:
     return pbs_layer + hwp_layer + pbs_layer
 
 
-def crot_path_controls_polarization(space: ModeSpace, control_path: int, angle: float) -> OpticalTrain:
-    """Waveplate fragment applying a path-controlled polarization flip family.
-
-    The conditional operation is P+ + e^(2 i angle) P- in the diagonal
-    polarization eigenbasis: identity at angle 0 and an exact polarization
-    flip (CNOT, path controls polarization) at angle pi/2.
-    """
-    els = [
-        HWP(control_path, math.pi / 8),
-        AJWP(control_path, 2.0 * angle),
-        HWP(control_path, math.pi / 8),
-    ]
-    return OpticalTrain(space, els)
-
-
-def crot_polarization_controls_path(
-    space: ModeSpace, path_a: int, path_b: int, angle: float
-) -> OpticalTrain:
-    """PBS + HWP fragment: polarization-controlled rotation of a path qubit.
-
-    Conjugates the path-controlled polarization fragment by an exact
-    polarization/path swap, yielding identity at angle 0 and an exact CNOT
-    (polarization controls path) at angle pi/2, so three such fragments in
-    the alternating CNOT pattern compose to a polarization/path SWAP.
-    """
-    swap = _swap_pol_with_path([(path_a, path_b)], [path_b])
-    middle = list(crot_path_controls_polarization(space, path_b, angle).elements)
-    return OpticalTrain(space, swap + middle + swap)
-
-
 # Path pair groups of the 8-path bench; path bits are (probe, q2, q3).
 N_BENCH_PATHS = 8
 _Q3_PAIRS = ((0, 1), (2, 3), (4, 5), (6, 7))
@@ -585,8 +539,10 @@ def build_cloner_train(
     probe splitters, and the probe-controlled replica swap. At the default
     (0, 0) input the preparation elements are neutral and the extracted
     unitary matches the gate-tier measurement circuit up to global phase.
-    Each call compiles a new train.
+    Each call compiles a new train. Rejects theta outside (-pi/2, pi/2] and
+    delta outside [0, 2 pi) with ValueError, as `network.clone` does.
     """
+    _input_amplitudes(theta, delta)
     if prep_angles is None:
         prep_angles = cloner_prep_angles()
     return OpticalTrain(
@@ -627,8 +583,10 @@ def optical_measurement_state(theta: float, delta: float) -> PureState:
     """Send the source photon through the bench and read the result as qubits.
 
     Equals column 0 of `build_cloner_train(theta, delta).unitary()`, read
-    through `modes_to_qubits`; the single-point use of `_bench_modes`.
+    through `modes_to_qubits`; the single-point use of `_bench_modes`, with
+    the same angle-domain check as `build_cloner_train`.
     """
+    _input_amplitudes(theta, delta)
     return modes_to_qubits(PhotonState(ModeSpace(N_BENCH_PATHS), _bench_modes(theta, delta)))
 
 

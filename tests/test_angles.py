@@ -85,8 +85,9 @@ def test_deterministic_resolution():
 
 
 def test_tightened_tolerance_still_converges():
-    angles = solve_prep_angles(CLONER_PREP_TARGET, tol=1e-14)
-    assert abs(prepared_state(angles) @ CLONER_PREP_TARGET) >= 1 - 1e-12
+    for target in (CLONER_PREP_TARGET, TRIPLICATOR_PREP_TARGET):
+        angles = solve_prep_angles(target, tol=1e-14)
+        assert abs(prepared_state(angles) @ target) >= 1 - 1e-12
 
 
 def test_solver_error_carries_best_residual():

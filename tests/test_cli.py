@@ -333,6 +333,12 @@ class TestExitCodes:
         assert main(["tomo", "--mode", "montecarlo", *flags]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_verify_has_no_prep_tol_flag(self, capsys):
+        assert main(["verify", "--prep-tol", "1e-12"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --prep-tol 1e-12" in err
+        assert "Traceback" not in err
+
     def test_io_error_on_unwritable_output(self, capsys):
         assert main(["sweep", "--out", "/nonexistent-dir/x.csv"]) == EXIT_IO
         capsys.readouterr()
@@ -365,11 +371,6 @@ class TestVerify:
             assert status in ("PASS", "FAIL")
             assert dev.startswith("deviation=")
             assert tol.startswith("tol=")
-
-    def test_tightened_solver_tolerance_still_passes(self):
-        buf = io.StringIO()
-        assert run_verify(prep_tol=1e-14, stdout=buf) == EXIT_OK
-        assert "prep_solver\tPASS" in buf.getvalue()
 
     @pytest.mark.parametrize(("seed", "n"), [(1905, 1000), (515, 100)])
     def test_batched_inputs_match_looped_draws(self, seed, n):

@@ -266,7 +266,7 @@ class TestNetworkImage:
             assert np.array_equal(a, input_state(theta, delta).amplitudes)
 
     def test_input_amplitudes_reject_any_value_out_of_range(self):
-        with pytest.raises(ValueError, match="theta=2.0"):
+        with pytest.raises(ValueError, match="theta value 2.0 outside"):
             _input_amplitudes(np.array([0.1, 2.0]), np.array([0.0, 0.0]))
         with pytest.raises(ValueError, match="delta"):
             _input_amplitudes(np.array([0.1, 0.2]), np.array([0.0, 2 * math.pi]))

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from uqcm.gates import CNOT, SWAP, Circuit, circuit_unitary
+from uqcm.gates import Circuit
 from uqcm.hilbert import fidelity, DensityMatrix
 from uqcm.network import build_measurement_circuit, input_state
 from uqcm.optics import (
@@ -16,7 +16,6 @@ from uqcm.optics import (
     HWP,
     ORIENTED_ELEMENTS,
     PBS,
-    QWP,
     LossyTrainError,
     ModeSpace,
     OpticalTrain,
@@ -25,8 +24,6 @@ from uqcm.optics import (
     Polarizer,
     apply_train,
     build_cloner_train,
-    crot_path_controls_polarization,
-    crot_polarization_controls_path,
     element_matrix,
     mode_qubit_labels,
     modes_to_qubits,
@@ -44,16 +41,6 @@ from uqcm.tomography import measurement_state, path_distribution, per_path_ampli
 
 SP2 = ModeSpace(2)
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cloner_train.txt")
-
-
-def two_qubit_unitary(train):
-    """Extract a 2-path train's matrix in the (pol, path) qubit basis."""
-    from uqcm.optics import _mode_to_qubit_permutation
-
-    perm = _mode_to_qubit_permutation(2)
-    u = np.zeros((4, 4), dtype=complex)
-    u[np.ix_(perm, perm)] = train.unitary()
-    return u
 
 
 class TestElements:
@@ -84,7 +71,6 @@ class TestElements:
     def test_all_non_polarizer_elements_are_unitary(self):
         els = [
             HWP(0, 0.3),
-            QWP(1, 1.1),
             AJWP(0, 2.2),
             PBS(0, 1),
             BS(0, 1),
@@ -112,7 +98,6 @@ class TestElements:
 # One element of every kind on a 4-path space, mostly off path 0 so row offsets matter.
 ALL_KINDS = (
     HWP(1, 0.3),
-    QWP(2, 1.1),
     AJWP(3, 2.2),
     PBS(0, 3),
     BS(3, 1),
@@ -197,8 +182,7 @@ class TestTrains:
 
     def test_lossless_composites_are_unitary(self):
         trains = [
-            OpticalTrain(SP2, [HWP(0, 0.3), PBS(0, 1), BS(0, 1), QWP(1, 0.2)]),
-            crot_polarization_controls_path(SP2, 0, 1, 1.234),
+            OpticalTrain(SP2, [HWP(0, 0.3), PBS(0, 1), BS(0, 1)]),
             build_cloner_train(0.5, 2.5),
         ]
         for train in trains:
@@ -247,34 +231,6 @@ class TestModeQubitMapping:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError, match="power of two"):
             modes_to_qubits(source_photon(ModeSpace(3), 0, "H"))
-
-
-class TestControlledRotationFragments:
-    def test_angle_zero_is_identity(self):
-        frag = crot_polarization_controls_path(SP2, 0, 1, 0.0)
-        assert np.max(np.abs(frag.unitary() - np.eye(4))) < 1e-10
-
-    def test_angle_half_pi_is_cnot(self):
-        frag = crot_polarization_controls_path(SP2, 0, 1, math.pi / 2)
-        expect = circuit_unitary(Circuit((1, 2), [CNOT(1, 2)]))
-        assert np.max(np.abs(two_qubit_unitary(frag) - expect)) < 1e-10
-
-    def test_generic_angle_is_block_controlled_unitary(self):
-        angle = 0.77
-        frag = crot_polarization_controls_path(SP2, 0, 1, angle)
-        u = two_qubit_unitary(frag)
-        # H block untouched, V block is P+ + e^(2 i angle) P- in the path flip basis
-        assert np.max(np.abs(u[:2, :2] - np.eye(2))) < 1e-10
-        x = np.array([[0, 1], [1, 0]])
-        expect = (np.eye(2) + x) / 2 + np.exp(2j * angle) * (np.eye(2) - x) / 2
-        assert np.max(np.abs(u[2:, 2:] - expect)) < 1e-10
-
-    def test_three_fragments_compose_to_swap(self):
-        outer = crot_polarization_controls_path(SP2, 0, 1, math.pi / 2)
-        middle = crot_path_controls_polarization(SP2, 1, math.pi / 2)
-        composite = OpticalTrain(SP2, outer.elements + middle.elements + outer.elements)
-        expect = circuit_unitary(Circuit((1, 2), [SWAP(1, 2)]))
-        assert np.max(np.abs(two_qubit_unitary(composite) - expect)) < 1e-10
 
 
 class TestClonerTrain:
@@ -352,6 +308,13 @@ class TestClonerTrain:
         modes[1] *= 0.99
         with pytest.raises(LossyTrainError, match="photon norm"):
             _unit_norms(modes)
+
+    @pytest.mark.parametrize(("theta", "delta"), [(3.0, 0.5), (0.3, 9.0), (-math.pi / 2, 0.0), (0.3, -0.1)])
+    def test_entry_points_reject_angles_out_of_range(self, theta, delta):
+        # The same domain check as the gate tier's `clone`.
+        for entry in (optical_measurement_state, build_cloner_train):
+            with pytest.raises(ValueError, match="theta value|delta value"):
+                entry(theta, delta)
 
     def test_optics_pipeline_reaches_optimal_fidelity(self):
         thetas = np.linspace(-math.pi / 2 + math.pi / 36, math.pi / 2, 7)

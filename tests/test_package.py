@@ -1,5 +1,10 @@
-"""Package surface: the explicit public name list."""
+"""Package surface: the explicit public name list and the names the
+benchmark tracer patches."""
 
+import ast
+import importlib
+import inspect
+import pathlib
 import types
 
 import uqcm
@@ -10,3 +15,33 @@ def test_all_lists_public_objects_not_submodules():
     for name in uqcm.__all__:
         assert not isinstance(getattr(uqcm, name), types.ModuleType), name
     assert "optics" not in uqcm.__all__
+
+
+TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracer_targets():
+    """The tracer's (span, module, attribute) table, read from its source
+    without importing it."""
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("no TARGETS table in perfbench/tracing.py")
+
+
+def test_benchmark_tracer_targets_resolve():
+    targets = _tracer_targets()
+    assert targets
+    for span, module_name, attr in targets:
+        obj = importlib.import_module(module_name)
+        for part in attr.split("."):
+            assert hasattr(obj, part), f"{span}: {module_name}.{attr} is gone"
+            obj = getattr(obj, part)
+        assert callable(obj), span
+
+
+def test_fidelity_report_takes_counts_sixth():
+    # The tracer tells bootstrap calls apart by reading positional args[5].
+    params = list(inspect.signature(uqcm.tomography.fidelity_report).parameters)
+    assert params[5] == "counts"
