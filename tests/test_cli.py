@@ -372,6 +372,15 @@ class TestVerify:
             assert dev.startswith("deviation=")
             assert tol.startswith("tol=")
 
+    def test_tightened_solver_tolerance_still_passes(self, monkeypatch):
+        # The prep_solver check still passes when the solver it calls is held
+        # to a tighter tolerance than its default.
+        solve = cli.solve_prep_angles
+        monkeypatch.setattr(cli, "solve_prep_angles", lambda target: solve(target, tol=1e-14))
+        buf = io.StringIO()
+        assert run_verify(stdout=buf) == EXIT_OK
+        assert "prep_solver\tPASS" in buf.getvalue()
+
     @pytest.mark.parametrize(("seed", "n"), [(1905, 1000), (515, 100)])
     def test_batched_inputs_match_looped_draws(self, seed, n):
         rng = np.random.default_rng(seed)
