@@ -50,6 +50,7 @@ from .network import (
     optimal_fidelity,
 )
 from .optics import HWP, OpticalTrain, _bench_path_amplitudes, build_cloner_train, verify_equivalence
+from .streams import seed_words
 from .tomography import (
     _BASIS_MATRIX,
     DetectorModel,
@@ -158,7 +159,7 @@ def load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path!r}: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -193,8 +194,11 @@ def build_sweep_config(args: argparse.Namespace) -> SweepConfig:
 
 
 def _point_seed(seed: int, i_delta: int, i_theta: int) -> int:
-    """Stable per-grid-point seed; points are independent and order-free."""
-    return int(np.random.SeedSequence((seed, i_delta, i_theta)).generate_state(1)[0])
+    """Stable per-grid-point seed, SeedSequence((seed, i_delta, i_theta))'s
+    first state word; points are independent and order-free. The
+    single-point use of the grid's one `streams.seed_words` call in
+    `compute_sweep`."""
+    return int(seed_words([(seed, i_delta, i_theta)], 1)[0, 0])
 
 
 def format_row(mode, delta, theta, replica, fid, stderr, seed) -> str:
@@ -222,7 +226,10 @@ def compute_sweep(config: SweepConfig):
     `errormodel.TRAIN_BLOCK` jittered trains. Montecarlo and perturbed
     points draw from their own seeds, `_point_seed(seed, i_delta, i_theta)`,
     so each row equals the single-point `montecarlo_report` or
-    `perturbation_sweep` at that seed.
+    `perturbation_sweep` at that seed. The grid's point seeds are one
+    `streams.seed_words` call, and every per-point and per-sample stream is
+    numpy's `PCG64(SeedSequence(entropy))`, set up by `streams.streams` in
+    batches rather than constructed one by one.
     """
     summary = []
     exit_code = EXIT_OK
@@ -234,11 +241,8 @@ def compute_sweep(config: SweepConfig):
     if config.mode == "exact":
         seeds = [config.seed] * grid_theta.size
     else:
-        seeds = [
-            _point_seed(config.seed, i_d, i_t)
-            for i_d in range(len(config.delta_list))
-            for i_t in range(len(thetas))
-        ]
+        entropy = [(config.seed, i_d, i_t) for i_d in range(len(config.delta_list)) for i_t in range(len(thetas))]
+        seeds = seed_words(entropy, 1)[:, 0].tolist()
 
     if config.mode == "exact":
         blocks = [

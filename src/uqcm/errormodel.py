@@ -24,6 +24,7 @@ import numpy as np
 from .hilbert import _qubit_stokes, _stokes_fidelity
 from .network import _input_amplitudes, cloner_prep_angles, optimal_fidelity
 from .optics import N_BENCH_PATHS, ORIENTED_ELEMENTS, _body_elements, _input_elements, _propagate
+from .streams import streams
 from .tomography import _click_probabilities, _replica_stokes
 
 _TARGET_F = optimal_fidelity(1, 2)
@@ -96,35 +97,46 @@ def _jittered_fidelities(theta, delta, seeds, n_samples: int, jitter: float, del
     """(N, n_samples, 2) replica fidelities of jittered benches at N input points.
 
     `theta`, `delta` and `seeds` have one entry per point. Sample i of point
-    k draws from its own stream SeedSequence((seeds[k], i)): first one
+    k draws from its own stream PCG64(SeedSequence((seeds[k], i))): first one
     uniform(-jitter, +jitter) offset per axis-mounted element of the bench,
     in train order, then, if `delta_c_total` > 0, the four count-oscillation
     factors u_i in [-1, 1], which scale the replica-1 path weights by
     1 + u_i delta_c_total / sum |u_i|. The (point, sample) trains are taken
-    point-major in blocks of TRAIN_BLOCK; each block propagates only the
-    source photon's column (mode (path 0, H)) through its input elements and
-    the shared body, checked unitary element by element.
+    point-major in blocks of TRAIN_BLOCK. A block's streams are seeded
+    together by `streams.streams`; each fills its row of one buffer with
+    random(), which is scaled in place as Generator.uniform would scale it.
+    Each block then propagates only the source photon's column (mode
+    (path 0, H)) through its input elements and the shared body, checked
+    unitary element by element.
     """
     theta, delta = np.asarray(theta, dtype=float), np.asarray(delta, dtype=float)
     bloch = _qubit_stokes(_input_amplitudes(theta, delta))
     body = _body_elements(cloner_prep_angles())
     n_oriented = sum(isinstance(e, ORIENTED_ELEMENTS) for e in _input_elements(0.0, 0.0) + body)
     n_trains = theta.size * n_samples
+    n_draws = n_oriented + (4 if delta_c_total > 0.0 else 0)
+    # Generator.uniform(low, high) is low + (high - low) * random(): each
+    # block's draws are taken raw and scaled in place, column by column.
+    low = np.repeat([-jitter, -1.0], [n_oriented, n_draws - n_oriented])
+    span = np.repeat([2.0 * jitter, 2.0], [n_oriented, n_draws - n_oriented])
+    seeds = np.asarray(seeds)
     fids = np.empty((n_trains, 2))
     for start in range(0, n_trains, TRAIN_BLOCK):
         train = np.arange(start, min(start + TRAIN_BLOCK, n_trains))
         point = train // n_samples
-        offsets = np.empty((train.size, n_oriented))
-        u = np.empty((train.size, 4))
-        for row, (p, i) in enumerate(zip(point.tolist(), (train % n_samples).tolist())):
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seeds[p], i))))
-            offsets[row] = rng.uniform(-jitter, jitter, size=n_oriented)
-            if delta_c_total > 0.0:
-                u[row] = rng.uniform(-1.0, 1.0, size=4)
+        # Seeded before the buffer exists: the first block's call also loads
+        # numpy.random, whose memory then stays below the block's peak.
+        rngs = streams(np.column_stack((seeds[point], train % n_samples)))
+        draws = np.empty((train.size, n_draws))
+        for k, rng in enumerate(rngs):
+            rng.random(out=draws[k])
+        draws *= span
+        draws += low
+        u = draws[:, n_oriented:].copy()
         column = np.zeros((train.size, 2 * N_BENCH_PATHS, 1), dtype=complex)
         column[:, 0, 0] = 1.0
-        _propagate(_input_elements(theta[point], delta[point]) + body, column, offsets)
-        del offsets  # not needed for scoring, which is the block's memory peak
+        _propagate(_input_elements(theta[point], delta[point]) + body, column, draws[:, :n_oriented])
+        del draws  # not needed for scoring, which is the block's memory peak
         # Mode 2p + pol is path p's polarization: the rows regroup as (8, 2).
         out = column[:, :, 0]
         out /= np.linalg.norm(out, axis=1, keepdims=True)

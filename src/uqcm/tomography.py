@@ -48,6 +48,7 @@ from .hilbert import (
     tensor_product,
 )
 from .network import _clone_outputs, _input_amplitudes, input_state
+from .streams import streams
 
 # Input points per pass of the counting pipeline; its bootstrap refit holds
 # MONTECARLO_BLOCK x n_bootstrap (8, 4) count arrays at once.
@@ -292,7 +293,8 @@ def simulate_counts(
 
 def _draw_counts(probs: np.ndarray, model: DetectorModel, trials: int, seeds) -> np.ndarray:
     """(N, 8, 4) counts for (N, 8, 4) signal probabilities, drawn as in
-    `simulate_counts`; point k uses the substreams (seeds[k], basis index)."""
+    `simulate_counts`: basis b of point k draws from the stream
+    SeedSequence((seeds[k], b)), seeded by `streams.streams`."""
     if probs.min() < -1e-12 or probs.max() > 1.0 + 1e-12:
         raise ValueError("signal probabilities must lie in [0, 1]")
     if trials < 1:
@@ -300,25 +302,23 @@ def _draw_counts(probs: np.ndarray, model: DetectorModel, trials: int, seeds) ->
     probs = np.clip(probs, 0.0, 1.0)
     dark_mean = model.dark_mean(trials)
     counts = np.zeros(probs.shape, dtype=np.int64)
-    for point_probs, point_counts, seed in zip(probs, counts, seeds):
-        for b in range(len(BASES)):
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, b))))
-            detect = point_probs[:, b] * model.efficiency
-            pvals = np.append(detect, max(0.0, 1.0 - float(detect.sum())))
-            signal = rng.multinomial(trials, pvals / pvals.sum())[:N_PATHS]
-            dark = rng.poisson(dark_mean, size=N_PATHS)
-            point_counts[:, b] = np.minimum(signal + dark, trials)
+    for k, rng in enumerate(streams([(seed, b) for seed in seeds for b in range(len(BASES))])):
+        point, b = divmod(k, len(BASES))
+        detect = probs[point, :, b] * model.efficiency
+        pvals = np.append(detect, max(0.0, 1.0 - float(detect.sum())))
+        signal = rng.multinomial(trials, pvals / pvals.sum())[:N_PATHS]
+        dark = rng.poisson(dark_mean, size=N_PATHS)
+        counts[point, :, b] = np.minimum(signal + dark, trials)
     return counts
 
 
 def _bootstrap_draws(counts: np.ndarray, trials: int, seeds, n_bootstrap: int) -> np.ndarray:
     """(N, n_bootstrap, 8, 4) parametric resamples of (N, 8, 4) counts: every
-    cell Binomial(trials, observed fraction), point k from the substream
-    (seeds[k], bootstrap salt)."""
+    cell Binomial(trials, observed fraction), point k from the stream
+    SeedSequence((seeds[k], bootstrap salt)), seeded by `streams.streams`."""
     draws = np.empty((len(counts), n_bootstrap) + counts.shape[1:], dtype=np.int64)
-    for point_counts, point_draws, seed in zip(counts, draws, seeds):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, _BOOTSTRAP_SALT))))
-        point_draws[...] = rng.binomial(trials, point_counts / trials, size=point_draws.shape)
+    for k, rng in enumerate(streams([(seed, _BOOTSTRAP_SALT) for seed in seeds])):
+        draws[k] = rng.binomial(trials, counts[k] / trials, size=draws.shape[1:])
     return draws
 
 

@@ -182,6 +182,12 @@ class TestSweep:
         dict(mode="perturbed", theta_steps=2, delta_list=(0.3,), samples=600, jitter_deg=0.5, seed=5),
         dict(mode="montecarlo", theta_steps=1, delta_list=(2.0,), trials=300, seed=9),
         dict(mode="montecarlo", theta_steps=5, delta_list=(0.5, 4.0), trials=777, seed=21),
+        # A base seed of three 32-bit words; one case without any jitter or
+        # count oscillation at all.
+        dict(mode="perturbed", theta_steps=3, delta_list=(0.4, 1.9), samples=6, jitter_deg=0.3, seed=2**64 + 5),
+        dict(mode="perturbed", theta_steps=2, delta_list=(2.2,), samples=3, jitter_deg=0.0, delta_c=0.0,
+             seed=2**64 + 5),
+        dict(mode="montecarlo", theta_steps=2, delta_list=(0.4, 5.1), trials=900, seed=2**64 + 5),
     ]
 
     @pytest.mark.parametrize("case", GRID_CASES, ids=lambda c: f"{c['mode']}-seed{c['seed']}")
@@ -216,6 +222,17 @@ class TestSweep:
         else:
             assert summary[2].startswith(f"max mean |F - 5/6| over grid = {max(point_devs):.6f} ")
             assert summary[3].startswith(f"samples exceeding bound: {n_exceed} ")
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 3])
+    def test_point_seeds_are_seed_sequence_words(self, seed):
+        for i_delta, i_theta in ((0, 0), (3, 18), (1, 7)):
+            expect = int(np.random.SeedSequence((seed, i_delta, i_theta)).generate_state(1)[0])
+            assert _point_seed(seed, i_delta, i_theta) == expect
+        cfg = SweepConfig(mode="montecarlo", theta_steps=3, delta_list=(0.0, 1.0), trials=50, seed=seed)
+        rows, _, _ = compute_sweep(cfg)
+        assert [int(r.split(",")[-1]) for r in rows[::2]] == [
+            int(np.random.SeedSequence((seed, i_d, i_t)).generate_state(1)[0]) for i_d in range(2) for i_t in range(3)
+        ]
 
     def test_sweep_batches_stay_within_blocks(self, monkeypatch):
         # Memory is bounded by the block constants, not by the grid or the
@@ -297,6 +314,22 @@ class TestGoldenCsv:
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN_SHA256[mode]
 
+    # Base seeds of two and three 32-bit words, recorded while every stream
+    # was still built as Generator(PCG64(SeedSequence(...))) one by one.
+    MULTIWORD_SHA256 = {
+        ("montecarlo", 2**32): "dd9a26053561a1034830e86974aeda60eb6f00a211b9ba6f08ec3988798c0669",
+        ("montecarlo", 2**64 + 5): "cc19e06061955aa9eeb5a2efb5f1f438a82c5c95893b0f1b7d19b08294b70f09",
+        ("perturbed", 2**32): "bef2eda2c13cbbd9f150267bd1d998d5f541290686c7e02560e45e6caf57c78c",
+        ("perturbed", 2**64 + 5): "525761003fcccdeb7ac054de6ec4f4d714c3d2a29cd393231db139e9b016b469",
+    }
+
+    @pytest.mark.parametrize("mode, seed", sorted(MULTIWORD_SHA256))
+    def test_multiword_seed_sweep_csv_hash(self, mode, seed, tmp_path, capsys):
+        out = tmp_path / f"{mode}.csv"
+        assert main(["sweep", "--mode", mode, "--seed", str(seed), "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.MULTIWORD_SHA256[mode, seed]
+
 
 class TestExitCodes:
     def test_usage_error_from_bad_flag_value(self, capsys):
@@ -308,6 +341,14 @@ class TestExitCodes:
         path.write_text("trials = -5\n")
         assert main(["sweep", "--config", str(path)]) == EXIT_USAGE
         capsys.readouterr()
+
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"seed = \xff\n")
+        assert main(["sweep", "--config", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {str(path)!r}: ")
+        assert "Traceback" not in err
 
     def test_delta_outside_range_in_config(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -458,6 +499,19 @@ class TestTomo:
             'replica 2: F = 0.833333333 +/- 0.000000000 (reference 5/6 = 0.833333333)\n'
             '[[0.833333+0.j 0.      +0.j]\n'
             ' [0.      +0.j 0.166667+0.j]]\n'
+        )
+
+    def test_montecarlo_stdout_pinned_at_a_two_word_seed(self, capsys):
+        # Seed 2**40: the count and bootstrap streams are three words wide.
+        assert main(["tomo", "--mode", "montecarlo", "--seed", "1099511627776"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            'input: theta=0.000000000 delta=0.000000000 mode=montecarlo\n'
+            'replica 1: F = 0.832187458 +/- 0.003672661 (reference 5/6 = 0.833333333)\n'
+            '[[0.832187+0.j       0.000502+0.000498j]\n'
+            ' [0.000502-0.000498j 0.167813+0.j      ]]\n'
+            'replica 2: F = 0.834548386 +/- 0.004096120 (reference 5/6 = 0.833333333)\n'
+            '[[0.834548+0.j       0.021997-0.001013j]\n'
+            ' [0.021997+0.001013j 0.165452+0.j      ]]\n'
         )
 
     def test_matrix_printout_has_no_negative_zero(self):

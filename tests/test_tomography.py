@@ -183,6 +183,20 @@ class TestSimulateCounts:
         )
         assert reduced / full == pytest.approx(0.7, abs=0.01)
 
+    @pytest.mark.parametrize("seed", [5, 2**32, 2**64 + 5])
+    def test_each_basis_draws_from_its_seed_sequence_stream(self, seed):
+        probs = signal_probabilities(measurement_state(0.3, 2.0))
+        model = DetectorModel(dark_rate=5e4, gate_window=1e-3)
+        trials = 3000
+        expect = np.empty((8, 4), dtype=np.int64)
+        for b in range(4):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, b))))
+            detect = probs[:, b] * model.efficiency
+            pvals = np.append(detect, max(0.0, 1.0 - float(detect.sum())))
+            signal = rng.multinomial(trials, pvals / pvals.sum())[:8]
+            expect[:, b] = np.minimum(signal + rng.poisson(model.dark_mean(trials), size=8), trials)
+        assert np.array_equal(simulate_counts(probs, model, trials, seed).counts, expect)
+
     def test_dark_counts_appear_at_large_gate_window(self):
         probs = np.zeros((8, 4))
         model = DetectorModel(efficiency=0.0, dark_rate=50.0, gate_window=1.0)
