@@ -17,6 +17,7 @@ silently accepted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,8 @@ class ErrorBudget:
         dc = tuple(float(x) for x in self.delta_c)
         if len(dc) != 4:
             raise ValueError(f"delta_c needs 4 entries, got {len(dc)}")
-        if any(x < 0 for x in dc) or self.delta_theta < 0:
-            raise ValueError("error budget entries must be nonnegative")
+        if not all(math.isfinite(x) and x >= 0 for x in dc + (float(self.delta_theta),)):
+            raise ValueError("error budget entries must be finite and nonnegative")
         object.__setattr__(self, "delta_c", dc)
 
 
@@ -106,8 +107,10 @@ def _jittered_fidelities(theta, delta, seeds, n_samples: int, jitter: float, del
     together by `streams.streams`; each fills its row of one buffer with
     random(), which is scaled in place as Generator.uniform would scale it.
     Each block then propagates only the source photon's column (mode
-    (path 0, H)) through its input elements and the shared body, checked
-    unitary element by element.
+    (path 0, H)), a (TRAIN_BLOCK, 16, 1) batch, through its input elements
+    and the shared body in one `optics._propagate` call: row arithmetic,
+    each half-wave plate as two (trains,) coefficient rows cos 2(a + d) and
+    sin 2(a + d), and every element checked unitary as it is applied.
     """
     theta, delta = np.asarray(theta, dtype=float), np.asarray(delta, dtype=float)
     bloch = _qubit_stokes(_input_amplitudes(theta, delta))
@@ -170,12 +173,12 @@ def perturbation_sweep(
     blocks of TRAIN_BLOCK, each element checked unitary, and every sample is
     scored from its (8, 4) click probabilities.
     """
-    if jitter < 0:
-        raise ValueError("jitter must be nonnegative")
+    if not (math.isfinite(jitter) and jitter >= 0):
+        raise ValueError(f"jitter must be finite and nonnegative, got {jitter!r}")
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    if delta_c_total < 0:
-        raise ValueError("delta_c_total must be nonnegative")
+    if not (math.isfinite(delta_c_total) and delta_c_total >= 0):
+        raise ValueError(f"delta_c_total must be finite and nonnegative, got {delta_c_total!r}")
     f1s, f2s = _jittered_fidelities([theta], [delta], [seed], n_samples, jitter, delta_c_total)[0].T
     devs = np.abs(f1s - _TARGET_F)
     return PerturbationResult(

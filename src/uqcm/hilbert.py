@@ -234,8 +234,8 @@ def _qubit_stokes(amps, position: int = 0) -> np.ndarray:
 
 
 def _require_physical_stokes(stokes) -> None:
-    """Eigenvalues (1 +- |S|) / 2 of every (..., 3) Stokes vector above PSD_FLOOR."""
-    if np.any(np.linalg.norm(stokes, axis=-1) > 1.0 - 2.0 * PSD_FLOOR):
+    """Eigenvalues (1 +- |S|) / 2 of every (..., 3) Stokes vector above PSD_FLOOR (NaN fails)."""
+    if not np.all(np.linalg.norm(stokes, axis=-1) <= 1.0 - 2.0 * PSD_FLOOR):
         raise ValueError("replica matrix has an eigenvalue below the positivity floor")
 
 
@@ -253,8 +253,13 @@ def _require_isometry(m: np.ndarray, what: str) -> None:
     # Summed row by row: a batched matmul is slow on stacks of small matrices.
     conj = m.conj()
     gram = sum(conj[..., j, :, None] * m[..., j, None, :] for j in range(m.shape[-2]))
-    dev = float(np.max(np.abs(gram - np.eye(m.shape[-1]))))
-    if dev > 1e-10:
+    _require_isometry_dev(np.max(np.abs(gram - np.eye(m.shape[-1]))), what)
+
+
+def _require_isometry_dev(dev, what: str) -> None:
+    """IsometryError unless dev = max |M^H M - I| is at most 1e-10 (NaN fails)."""
+    dev = float(dev)
+    if not dev <= 1e-10:
         raise IsometryError(f"{what} is not an isometry (dev {dev:.3e})")
 
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from .angles import PrepAngles
 from .gates import Circuit, circuit_unitary
-from .hilbert import AUX, PureState, _require_isometry
+from .hilbert import AUX, PureState, _require_isometry, _require_isometry_dev
 from .network import _input_amplitudes, cloner_prep_angles
 
 POL_H, POL_V = 0, 1
@@ -176,12 +176,20 @@ def element_paths(element: OpticalElement) -> tuple:
     return (element.path,)
 
 
+def _hwp_cs(element: HWP, angle=None) -> tuple:
+    """(c, s) = (cos 2a, sin 2a): the HWP Jones matrix is [[c, s], [s, -c]].
+    `angle`, a scalar or an array, replaces the plate's axis angle a."""
+    a2 = 2 * np.asarray(element.angle if angle is None else angle, dtype=float)
+    return np.cos(a2), np.sin(a2)
+
+
 def _jones(element: OpticalElement, angle=None) -> np.ndarray:
     """2x2 polarization action of a single-path element.
 
     An array-valued parameter gives a (..., 2, 2) stack, one Jones matrix
     per entry: `angle` of shape (B,) replaces an oriented element's axis
-    angle, and an AJWP may carry an array retardance.
+    angle, and an AJWP may carry an array retardance. HWP entries come from
+    `_hwp_cs`, as in `_propagate`.
     """
     if isinstance(element, AJWP):
         phase = np.exp(1j * np.asarray(element.retardance, dtype=float))
@@ -193,11 +201,11 @@ def _jones(element: OpticalElement, angle=None) -> np.ndarray:
         return np.exp(1j * element.phase) * np.eye(2, dtype=complex)
     if not isinstance(element, ORIENTED_ELEMENTS):
         raise TypeError(f"{element!r} has no single-path Jones matrix")
-    a = np.asarray(element.angle if angle is None else angle, dtype=float)
     if isinstance(element, HWP):
-        c, s = np.cos(2 * a), np.sin(2 * a)
+        c, s = _hwp_cs(element, angle)
         rows = [[c, s], [s, -c]]
     else:
+        a = np.asarray(element.angle if angle is None else angle, dtype=float)
         c, s = np.cos(a), np.sin(a)
         rows = [[c * c, c * s], [c * s, s * s]]
     return np.moveaxis(np.array(rows, dtype=complex), (0, 1), (-2, -1))
@@ -232,53 +240,73 @@ def element_matrix(element: OpticalElement, space: ModeSpace) -> np.ndarray:
     return mat
 
 
-def _apply_element(element: OpticalElement, m: np.ndarray, jones=None) -> None:
-    """Apply one element in place to the mode rows of `m`, shape (..., dim, k).
+def _mix_rows(rows: np.ndarray, i: int, j: int, a, b, c, d) -> None:
+    """Rows x = rows[i], y = rows[j] become a x + b y, c x + d y in place; the
+    coefficients are scalars or arrays of the batch shape of rows (dim, k, ...)."""
+    x, y = rows[i], rows[j]
+    rows[i], rows[j] = a * x + b * y, c * x + d * y
 
-    Only the element's rows change: the two polarization rows of its path
-    (Jones matrix), the two pairs of same-polarization rows of a BS, or the
-    two V rows a PBS exchanges. `jones` replaces a single-path element's
-    Jones matrix; with a leading batch axis ((B, 2, 2) for `m` of shape
-    (B, dim, k)) each batch entry gets its own matrix.
+
+def _apply_element(element: OpticalElement, rows: np.ndarray, angle=None, what=None) -> None:
+    """Apply one element in place to mode rows `rows`, shape (dim, k, ...).
+
+    Only the element's rows change: the two polarization rows of its path,
+    the two pairs of same-polarization rows of a BS, or the two V rows a PBS
+    exchanges. `angle` (a scalar or an array of the batch shape) replaces an
+    oriented element's axis angle. With `what` given, a single-path
+    element's Jones matrix is first checked unitary within 1e-10, and
+    IsometryError names it `what`: an HWP's max |c^2 + s^2 - 1| over the
+    rows it applies (equal to max |J^H J - I|), other kinds' `_jones` stacks.
     """
     if isinstance(element, PBS):
         av, bv = 2 * element.path_a + POL_V, 2 * element.path_b + POL_V
-        m[..., [av, bv], :] = m[..., [bv, av], :]
+        rows[[av, bv]] = rows[[bv, av]]
     elif isinstance(element, BS):
         for pol in (POL_H, POL_V):
-            rows = [2 * element.path_a + pol, 2 * element.path_b + pol]
-            m[..., rows, :] = _BS_COUPLING @ m[..., rows, :]
+            _mix_rows(rows, 2 * element.path_a + pol, 2 * element.path_b + pol, *_BS_COUPLING.ravel())
+    elif isinstance(element, HWP):
+        c, s = _hwp_cs(element, angle)
+        if what is not None:
+            _require_isometry_dev(np.max(np.abs(c * c + s * s - 1.0)), what)
+        _mix_rows(rows, 2 * element.path, 2 * element.path + 1, c, s, s, -c)
     else:
-        rows = slice(2 * element.path, 2 * element.path + 2)
-        m[..., rows, :] = (_jones(element) if jones is None else jones) @ m[..., rows, :]
+        jones = _jones(element, angle)
+        if what is not None:
+            _require_isometry(jones, what)
+        (a, b), (c, d) = np.moveaxis(jones, (-2, -1), (0, 1))
+        _mix_rows(rows, 2 * element.path, 2 * element.path + 1, a, b, c, d)
 
 
 def _propagate(elements, m: np.ndarray, offsets=None) -> np.ndarray:
     """Apply `elements` in order to `m` (shape (..., dim, k)) in place; returns `m`.
 
-    With `offsets` of shape (B, n_oriented), `m` has a leading batch axis of
-    length B and the j-th oriented element of batch entry b is turned by
-    offsets[b, j] (jittered copies of one train, propagated together).
-    Their composite matrices are never formed, so each copy is checked
-    unitary element by element instead: every Jones matrix within 1e-10 (a
-    Polarizer fails), the BS coupling once per call, and a PBS is an exact
-    row swap. A product of unitaries is unitary, so this is at least as
-    strong as checking the composite. A failure raises IsometryError naming
-    the element by its index in the list.
+    The one propagation kernel: `_apply_element` on a copy laid out as
+    (dim, k, ...), so that each mode row is contiguous and broadcasts
+    against coefficients of the batch shape (...). With `offsets` of shape
+    (B, n_oriented), `m` has a leading batch axis of length B and the j-th
+    oriented element of batch entry b is turned by offsets[b, j] (jittered
+    copies of one train): an HWP then applies the (B,) rows
+    c = cos 2(a + offsets[:, j]), s = sin 2(a + offsets[:, j]). The copies'
+    composite matrices are never formed, so each is checked unitary element
+    by element: every Jones matrix within 1e-10 (a Polarizer fails), the BS
+    coupling once per call, and a PBS is an exact row swap. A product of
+    unitaries is unitary, so this is at least as strong as checking the
+    composite. A failure raises IsometryError naming the element by its
+    index in the list.
     """
     if offsets is not None:
         _require_isometry(_BS_COUPLING, "BS coupling")
+    rows = np.moveaxis(m, (-2, -1), (0, 1)).copy()
     j = 0
     for k, e in enumerate(elements):
-        jones = None
+        angle = what = None
         if offsets is not None and not isinstance(e, (PBS, BS)):
+            what = f"Jones matrix of element {k} ({type(e).__name__} on path {e.path})"
             if isinstance(e, ORIENTED_ELEMENTS):
-                jones = _jones(e, e.angle + offsets[:, j])
+                angle = e.angle + offsets[:, j]
                 j += 1
-            else:
-                jones = _jones(e)
-            _require_isometry(jones, f"Jones matrix of element {k} ({type(e).__name__} on path {e.path})")
-        _apply_element(e, m, jones)
+        _apply_element(e, rows, angle, what)
+    m[...] = np.moveaxis(rows, (0, 1), (-2, -1))
     return m
 
 

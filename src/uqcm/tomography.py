@@ -287,14 +287,22 @@ def simulate_counts(
     probs = np.asarray(signal_probs, dtype=float)
     if probs.shape != (N_PATHS, len(BASES)):
         raise ValueError(f"signal_probs must have shape (8, 4), got {probs.shape}")
-    counts = _draw_counts(probs[None], model, trials, [seed])[0]
+    counts = _draw_counts(probs[None], model, trials, streams(_count_entropy([seed])))[0]
     return CountsRecord(counts=counts, total_trials=trials, seed=seed, model=model)
 
 
-def _draw_counts(probs: np.ndarray, model: DetectorModel, trials: int, seeds) -> np.ndarray:
+def _count_entropy(seeds) -> list:
+    return [(seed, b) for seed in seeds for b in range(len(BASES))]
+
+
+def _bootstrap_entropy(seeds) -> list:
+    return [(seed, _BOOTSTRAP_SALT) for seed in seeds]
+
+
+def _draw_counts(probs: np.ndarray, model: DetectorModel, trials: int, rngs) -> np.ndarray:
     """(N, 8, 4) counts for (N, 8, 4) signal probabilities, drawn as in
-    `simulate_counts`: basis b of point k draws from the stream
-    SeedSequence((seeds[k], b)), seeded by `streams.streams`."""
+    `simulate_counts`: basis b of point k takes generator 4 k + b of `rngs`,
+    the streams of `_count_entropy(seeds)`; exactly 4 N are taken."""
     if probs.min() < -1e-12 or probs.max() > 1.0 + 1e-12:
         raise ValueError("signal probabilities must lie in [0, 1]")
     if trials < 1:
@@ -302,7 +310,7 @@ def _draw_counts(probs: np.ndarray, model: DetectorModel, trials: int, seeds) ->
     probs = np.clip(probs, 0.0, 1.0)
     dark_mean = model.dark_mean(trials)
     counts = np.zeros(probs.shape, dtype=np.int64)
-    for k, rng in enumerate(streams([(seed, b) for seed in seeds for b in range(len(BASES))])):
+    for k, rng in zip(range(len(probs) * len(BASES)), rngs):
         point, b = divmod(k, len(BASES))
         detect = probs[point, :, b] * model.efficiency
         pvals = np.append(detect, max(0.0, 1.0 - float(detect.sum())))
@@ -312,12 +320,12 @@ def _draw_counts(probs: np.ndarray, model: DetectorModel, trials: int, seeds) ->
     return counts
 
 
-def _bootstrap_draws(counts: np.ndarray, trials: int, seeds, n_bootstrap: int) -> np.ndarray:
+def _bootstrap_draws(counts: np.ndarray, trials: int, rngs, n_bootstrap: int) -> np.ndarray:
     """(N, n_bootstrap, 8, 4) parametric resamples of (N, 8, 4) counts: every
-    cell Binomial(trials, observed fraction), point k from the stream
-    SeedSequence((seeds[k], bootstrap salt)), seeded by `streams.streams`."""
+    cell Binomial(trials, observed fraction), point k from generator k of
+    `rngs`, the streams of `_bootstrap_entropy(seeds)`; exactly N are taken."""
     draws = np.empty((len(counts), n_bootstrap) + counts.shape[1:], dtype=np.int64)
-    for k, rng in enumerate(streams([(seed, _BOOTSTRAP_SALT) for seed in seeds])):
+    for k, rng in zip(range(len(counts)), rngs):
         draws[k] = rng.binomial(trials, counts[k] / trials, size=draws.shape[1:])
     return draws
 
@@ -448,7 +456,8 @@ def fidelity_report(
     f1, f2 = _stokes_fidelity([stokes_decompose(rho1), stokes_decompose(rho2)], _qubit_stokes(psi.amplitudes))
     err1 = err2 = 0.0
     if counts is not None:
-        draws = _bootstrap_draws(counts.counts[None], counts.total_trials, [counts.seed], n_bootstrap)[0]
+        rngs = streams(_bootstrap_entropy([counts.seed]))
+        draws = _bootstrap_draws(counts.counts[None], counts.total_trials, rngs, n_bootstrap)[0]
         err1, err2 = np.std(_replica_fidelities(draws, psi), axis=0, ddof=1)
     return FidelityReport(
         fidelity1=float(f1),
@@ -477,7 +486,8 @@ def _montecarlo_fidelities(
     probabilities come from one pass: network image, probe-controlled swap
     as an axis exchange, `_click_probabilities`. Its counts and bootstrap
     resamples are drawn point by point from each point's own streams (as
-    `simulate_counts` and `fidelity_report` draw them), and both refits are
+    `simulate_counts` and `fidelity_report` draw them), all seeded by one
+    `streams.streams` call per block, and both refits are
     one `_replica_stokes` call each: F = (1 + S . n) / 2, stderr the sample
     standard deviation over the resamples.
     """
@@ -490,9 +500,11 @@ def _montecarlo_fidelities(
     for start in range(0, len(amps), MONTECARLO_BLOCK):
         block = slice(start, start + MONTECARLO_BLOCK)
         probs = _click_probabilities(_path_rows(_aux_cswap(_clone_outputs(amps[block]))))
-        counts = _draw_counts(probs, model, trials, seeds[block])
+        # The block's counting streams, then its bootstrap streams.
+        rngs = streams(_count_entropy(seeds[block]) + _bootstrap_entropy(seeds[block]))
+        counts = _draw_counts(probs, model, trials, rngs)
         fids[block] = _stokes_fidelity(_replica_stokes(counts), bloch[block])
-        draws = _bootstrap_draws(counts, trials, seeds[block], n_bootstrap)
+        draws = _bootstrap_draws(counts, trials, rngs, n_bootstrap)
         refits = _stokes_fidelity(_replica_stokes(draws), bloch[block, None])
         errs[block] = np.std(refits, axis=1, ddof=1)
     _require_report_values(fids, errs)

@@ -1,5 +1,6 @@
 """Error budget: analytic bound arithmetic and jitter perturbation sweeps."""
 
+import math
 import re
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from uqcm import errormodel, optics
-from uqcm.cli import EXIT_VERIFY, main
+from uqcm.cli import EXIT_VERIFY, _exact_fidelities, main
 from uqcm.errormodel import ErrorBudget, PerturbationResult, fidelity_error_bound, perturbation_sweep
 from uqcm.hilbert import DensityMatrix, IsometryError, fidelity
 from uqcm.network import cloner_prep_angles, input_state
@@ -73,6 +74,13 @@ class TestAnalyticBound:
         with pytest.raises(ValueError, match="4 entries"):
             ErrorBudget((0.1, 0.1), 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ErrorBudget((0.001, bad, 0.0, 0.0), 0.001)
+        with pytest.raises(ValueError, match="finite"):
+            ErrorBudget((0.001, 0.0, 0.0, 0.0), bad)
+
 
 class TestPerturbationSweep:
     def test_zero_jitter_gives_zero_deviation(self):
@@ -126,6 +134,23 @@ class TestPerturbationSweep:
         with pytest.raises(ValueError, match="delta_c_total"):
             perturbation_sweep(jitter=0.1, n_samples=5, seed=0, delta_c_total=-1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, bad):
+        with pytest.raises(ValueError, match="jitter must be finite"):
+            perturbation_sweep(jitter=bad, n_samples=5, seed=0)
+        with pytest.raises(ValueError, match="delta_c_total must be finite"):
+            perturbation_sweep(jitter=0.001, n_samples=5, seed=0, delta_c_total=bad)
+
+    def test_unjittered_grid_equals_exact_optics_tier(self):
+        # jitter 0 and delta_c 0: every sample is the pristine bench, which
+        # the exact sweep's optics tier evaluates through the body isometry.
+        theta = np.tile(np.linspace(-1.5, math.pi / 2, 7), 3)
+        delta = np.repeat([0.0, 1.3, 5.9], 7)
+        fids = errormodel._jittered_fidelities(theta, delta, np.arange(21) + 5, 3, 0.0, 0.0)
+        _, f_optics = _exact_fidelities(theta, delta)
+        assert fids.shape == (21, 3, 2)
+        assert np.max(np.abs(fids - f_optics[:, None, :])) < 1e-12
+
 
 class TestElementUnitarityCheck:
     """Jittered trains are checked element by element: a non-unitary element
@@ -135,17 +160,18 @@ class TestElementUnitarityCheck:
     N_INPUT = len(optics._input_elements(0.0, 0.0))
 
     def _scaled_hwp(self, monkeypatch):
-        # One body HWP's Jones stack scaled by 1 + 1e-8: |J^H J - I| ~ 2e-8.
+        # One body HWP's Jones entries (c, s) scaled by 1 + 1e-8:
+        # |J^H J - I| ~ 2e-8. Every HWP's entries come from `_hwp_cs`.
         body = optics._body_elements(cloner_prep_angles())
         monkeypatch.setattr(errormodel, "_body_elements", lambda prep: body)
         k = next(k for k, e in enumerate(body) if isinstance(e, HWP) and e.path == 5)
-        jones = optics._jones
+        hwp_cs = optics._hwp_cs
 
         def scaled(element, angle=None):
-            j = jones(element, angle)
-            return j * (1.0 + 1e-8) if element is body[k] else j
+            c, s = hwp_cs(element, angle)
+            return (c * (1.0 + 1e-8), s * (1.0 + 1e-8)) if element is body[k] else (c, s)
 
-        monkeypatch.setattr(optics, "_jones", scaled)
+        monkeypatch.setattr(optics, "_hwp_cs", scaled)
         return f"Jones matrix of element {self.N_INPUT + k} (HWP on path 5)"
 
     def _polarizer(self, monkeypatch):

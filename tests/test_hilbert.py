@@ -8,6 +8,7 @@ import pytest
 from uqcm.hilbert import (
     AUX,
     DensityMatrix,
+    IsometryError,
     LabelError,
     PureState,
     fidelity,
@@ -16,6 +17,9 @@ from uqcm.hilbert import (
     stokes_compose,
     stokes_decompose,
     tensor_product,
+    _require_isometry,
+    _require_isometry_dev,
+    _require_physical_stokes,
 )
 
 
@@ -199,3 +203,33 @@ class TestStokes:
         rho = PureState((1, 2), [1, 0, 0, 0]).density()
         with pytest.raises(ValueError, match="single-qubit"):
             stokes_decompose(rho)
+
+
+class TestInvariantChecks:
+    """The checks compare as `not dev <= tol`, so NaN fails them."""
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 4, 2)])
+    def test_all_nan_matrix_is_not_an_isometry(self, shape):
+        with pytest.raises(IsometryError, match="nan is not an isometry"):
+            _require_isometry(np.full(shape, np.nan), "nan")
+
+    def test_one_nan_entry_in_a_stack_is_not_an_isometry(self):
+        stack = np.tile(np.eye(2, dtype=complex), (5, 1, 1))
+        stack[3, 1, 0] = complex(np.nan, 0.0)
+        with pytest.raises(IsometryError):
+            _require_isometry(stack, "stack")
+
+    @pytest.mark.parametrize("dev", [math.nan, math.inf, 2e-10])
+    def test_deviation_check_rejects_nan_inf_and_excess(self, dev):
+        with pytest.raises(IsometryError, match="plate is not an isometry"):
+            _require_isometry_dev(dev, "plate")
+        _require_isometry_dev(1e-10, "plate")
+
+    @pytest.mark.parametrize(
+        "stokes",
+        [np.full(3, np.nan), [[0.0, 0.0, 0.5], [0.1, np.nan, 0.0]], [[0.0, 0.0, 0.5], [0.1, np.inf, 0.0]]],
+        ids=["all-nan", "one-nan", "one-inf"],
+    )
+    def test_non_finite_stokes_vector_is_rejected(self, stokes):
+        with pytest.raises(ValueError, match="positivity floor"):
+            _require_physical_stokes(np.array(stokes))

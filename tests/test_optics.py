@@ -2,13 +2,14 @@
 
 import math
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from uqcm.gates import Circuit
-from uqcm.hilbert import fidelity, DensityMatrix
+from uqcm.hilbert import IsometryError, fidelity, DensityMatrix
 from uqcm.network import build_measurement_circuit, input_state
 from uqcm.optics import (
     AJWP,
@@ -35,6 +36,7 @@ from uqcm.optics import (
     _bench_modes,
     _bench_path_amplitudes,
     _jones,
+    _propagate,
     _unit_norms,
 )
 from uqcm.tomography import measurement_state, path_distribution, per_path_amplitudes, replicas_from_state
@@ -125,18 +127,79 @@ class TestRowUpdateKernel:
 
     @pytest.mark.parametrize("element", ALL_KINDS, ids=lambda e: type(e).__name__)
     def test_batched_matches_dense(self, element):
+        # Batch axis last: entry b of `got` (5, dim, 3) is updated through
+        # the (dim, 3, 5) view, with its own axis angle.
         rng = np.random.default_rng(12)
         m = _random_modes(rng, (5, self.SPACE.dim, 3))
         got = m.copy()
         if isinstance(element, ORIENTED_ELEMENTS):
             angles = rng.uniform(-math.pi, math.pi, size=5)
-            _apply_element(element, got, _jones(element, angles))
+            _apply_element(element, np.moveaxis(got, 0, -1), angles)
             dense = [element_matrix(replace(element, angle=a), self.SPACE) for a in angles]
         else:
-            _apply_element(element, got)
+            _apply_element(element, np.moveaxis(got, 0, -1))
             dense = [element_matrix(element, self.SPACE)] * 5
         for b in range(5):
             assert np.max(np.abs(got[b] - dense[b] @ m[b])) < 1e-12
+
+
+class TestJitteredPropagation:
+    """`_propagate` with per-entry axis offsets: every copy equals the dense
+    product of its own element matrices, and each element is checked."""
+
+    SPACE = ModeSpace(4)
+    B = 6
+
+    def _train(self, rng):
+        retardance = rng.uniform(0.0, 2 * math.pi, size=self.B)
+        return [
+            HWP(0, 0.4), AJWP(1, retardance), BS(0, 2), HWP(2, -1.1), PBS(3, 0),
+            PhaseShift(2, 0.9), HWP(3, 2.0), BS(1, 3), PBS(1, 2), AJWP(0, 0.7), HWP(1, 0.05),
+        ]
+
+    def test_matches_dense_products(self):
+        rng = np.random.default_rng(21)
+        elements = self._train(rng)
+        n_oriented = sum(isinstance(e, ORIENTED_ELEMENTS) for e in elements)
+        offsets = rng.uniform(-0.3, 0.3, size=(self.B, n_oriented))
+        m = _random_modes(rng, (self.B, self.SPACE.dim, 2))
+        got = _propagate(elements, m.copy(), offsets)
+        for b in range(self.B):
+            dense, j = np.eye(self.SPACE.dim), 0
+            for e in elements:
+                if isinstance(e, ORIENTED_ELEMENTS):
+                    e, j = replace(e, angle=e.angle + offsets[b, j]), j + 1
+                elif isinstance(e, AJWP) and np.ndim(e.retardance):
+                    e = replace(e, retardance=float(e.retardance[b]))
+                dense = element_matrix(e, self.SPACE) @ dense
+            assert np.max(np.abs(got[b] - dense @ m[b])) < 1e-12
+
+    def test_polarizer_raises_naming_the_element(self):
+        rng = np.random.default_rng(22)
+        elements = self._train(rng)
+        elements.insert(4, Polarizer(2, 0.3))
+        n_oriented = sum(isinstance(e, ORIENTED_ELEMENTS) for e in elements)
+        m = _random_modes(rng, (self.B, self.SPACE.dim, 1))
+        with pytest.raises(IsometryError, match=re.escape("Jones matrix of element 4 (Polarizer on path 2)")):
+            _propagate(elements, m, np.zeros((self.B, n_oriented)))
+
+    def test_nan_offset_fails_the_waveplate_check(self):
+        rng = np.random.default_rng(23)
+        elements = self._train(rng)
+        offsets = np.zeros((self.B, 4))
+        offsets[2, 1] = np.nan  # oriented element 1 is element 3, HWP(2, -1.1)
+        m = _random_modes(rng, (self.B, self.SPACE.dim, 1))
+        with pytest.raises(IsometryError, match=re.escape("Jones matrix of element 3 (HWP on path 2)")):
+            _propagate(elements, m, offsets)
+
+    def test_unbatched_call_is_unchecked(self):
+        # Without offsets the caller checks the composite (OpticalTrain),
+        # so a Polarizer propagates and absorbs amplitude.
+        m = np.eye(self.SPACE.dim, dtype=complex)
+        out = _propagate([HWP(0, 0.2), Polarizer(0, 0.3)], m)
+        dense = element_matrix(Polarizer(0, 0.3), self.SPACE) @ element_matrix(HWP(0, 0.2), self.SPACE)
+        assert out is m
+        assert np.max(np.abs(out - dense)) < 1e-15
 
 
 def test_ajwp_array_retardance_gives_one_jones_matrix_per_entry():

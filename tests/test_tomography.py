@@ -16,9 +16,11 @@ from uqcm.hilbert import (
     tensor_product,
 )
 from uqcm.gates import apply_circuit
+from uqcm import tomography
 from uqcm.network import build_cloning_network, clone, input_state
 from uqcm.tomography import (
     _BOOTSTRAP_SALT,
+    MONTECARLO_BLOCK,
     _aux_cswap,
     _path_rows,
     BASES,
@@ -359,6 +361,21 @@ class TestReplicaReconstruction:
         rep = montecarlo_report(theta, delta, trials, seed)
         for name in ("fidelity1", "fidelity2", "stderr1", "stderr2"):
             assert getattr(rep, name) == pytest.approx(getattr(ref, name), abs=1e-12)
+
+    def test_montecarlo_blocks_seed_once_and_match_single_points(self, monkeypatch):
+        # 10 points: a full block and a block of 2. Each block seeds its
+        # counting streams (4 per point) and bootstrap streams (1 per point)
+        # in one call, and every point equals its single-point report.
+        theta, delta = np.linspace(-1.2, 1.4, 10), np.linspace(0.1, 6.0, 10)
+        seeds = np.arange(10) * 7919 + 3
+        calls, seeded = [], tomography.streams
+        monkeypatch.setattr(tomography, "streams", lambda rows: calls.append(len(rows)) or seeded(rows))
+        fids, errs = tomography._montecarlo_fidelities(theta, delta, seeds, 500, DetectorModel(), 6)
+        assert calls == [5 * MONTECARLO_BLOCK, 5 * 2]
+        for k in range(10):
+            rep = montecarlo_report(theta[k], delta[k], 500, int(seeds[k]), n_bootstrap=6)
+            assert [rep.fidelity1, rep.fidelity2] == pytest.approx(fids[k], abs=1e-12)
+            assert [rep.stderr1, rep.stderr2] == pytest.approx(errs[k], abs=1e-12)
 
     def test_replicas_agree_within_statistics(self):
         rep = montecarlo_report(0.0, 0.0, trials=20000, seed=42)
