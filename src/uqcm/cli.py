@@ -76,6 +76,9 @@ EXACT_TOL = 1e-9
 # Grid points per array pass of the exact sweep.
 EXACT_BLOCK = 128
 PERTURBED_BOUND = 0.005
+# Photons per basis setting: the counts are int64, and numpy's multinomial
+# draw takes no larger trial number.
+MAX_TRIALS = 2**63 - 1
 
 CSV_HEADER = "mode,delta_rad,theta_rad,replica,fidelity,stderr,seed"
 
@@ -84,6 +87,11 @@ _DEFAULT_DELTAS = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
 
 class UsageError(Exception):
     """Invalid configuration or flags."""
+
+
+def _check_trials(trials: int) -> None:
+    if not 1 <= trials <= MAX_TRIALS:
+        raise UsageError(f"trials must be >= 1 and <= {MAX_TRIALS}")
 
 
 def _check_angles(theta, delta) -> None:
@@ -116,8 +124,7 @@ class SweepConfig:
         _check_angles((self.theta_start, self.theta_end), 0.0)
         if self.theta_end < self.theta_start:
             raise UsageError("theta_end must be >= theta_start")
-        if self.trials < 1:
-            raise UsageError("trials must be >= 1")
+        _check_trials(self.trials)
         if self.samples < 1:
             raise UsageError("samples must be >= 1")
         if self.seed < 0:
@@ -465,8 +472,7 @@ def run_tomo(theta: float, delta: float, mode: str, trials: int, seed: int, stdo
     if mode not in ("exact", "montecarlo"):
         raise UsageError(f"tomo supports modes 'exact' and 'montecarlo', got {mode!r}")
     _check_angles(theta, delta)
-    if trials < 1:
-        raise UsageError("trials must be >= 1")
+    _check_trials(trials)
     if seed < 0:
         raise UsageError("seed must be >= 0")
     probs = signal_probabilities(measurement_state(theta, delta))

@@ -2,17 +2,17 @@
 
 The bench's fidelity error has two dominant sources: oscillation of the
 per-path relative counts (Delta C_i, four paths of the first replica group)
-and the orientation precision of the waveplates and polarizers (Delta
-theta). The analytic upper bound combines them as
+and the orientation precision of the waveplates (Delta theta). The
+analytic upper bound combines them as
 
     Delta F = sum_i Delta C_i + (3/2) Delta theta.
 
-The empirical side perturbs every mounted axis angle of the optical train
-independently and reruns the exact pipeline. Only the source photon's
-column is propagated, for the jittered copies of the bench at any number of
-(theta, delta) points at once, in blocks of TRAIN_BLOCK trains that bound
-the working set; samples exceeding a supplied bound are counted rather than
-silently accepted.
+The empirical side perturbs the axis angle of every half-wave plate, the
+bench's only mounted axes, independently and reruns the exact pipeline.
+Only the source photon's column is propagated, for the jittered copies of
+the bench at any number of (theta, delta) points at once, in blocks of
+TRAIN_BLOCK trains that bound the working set; samples exceeding a
+supplied bound are counted rather than silently accepted.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .hilbert import _qubit_stokes, _stokes_fidelity
 from .network import _input_amplitudes, cloner_prep_angles, optimal_fidelity
-from .optics import N_BENCH_PATHS, ORIENTED_ELEMENTS, _body_elements, _input_elements, _propagate
+from .optics import HWP, N_BENCH_PATHS, _body_elements, _input_elements, _propagate
 from .streams import streams
 from .tomography import _click_probabilities, _replica_stokes
 
@@ -99,8 +99,8 @@ def _jittered_fidelities(theta, delta, seeds, n_samples: int, jitter: float, del
 
     `theta`, `delta` and `seeds` have one entry per point. Sample i of point
     k draws from its own stream PCG64(SeedSequence((seeds[k], i))): first one
-    uniform(-jitter, +jitter) offset per axis-mounted element of the bench,
-    in train order, then, if `delta_c_total` > 0, the four count-oscillation
+    uniform(-jitter, +jitter) offset per half-wave plate of the bench, in
+    train order, then, if `delta_c_total` > 0, the four count-oscillation
     factors u_i in [-1, 1], which scale the replica-1 path weights by
     1 + u_i delta_c_total / sum |u_i|. The (point, sample) trains are taken
     point-major in blocks of TRAIN_BLOCK. A block's streams are seeded
@@ -115,7 +115,7 @@ def _jittered_fidelities(theta, delta, seeds, n_samples: int, jitter: float, del
     theta, delta = np.asarray(theta, dtype=float), np.asarray(delta, dtype=float)
     bloch = _qubit_stokes(_input_amplitudes(theta, delta))
     body = _body_elements(cloner_prep_angles())
-    n_oriented = sum(isinstance(e, ORIENTED_ELEMENTS) for e in _input_elements(0.0, 0.0) + body)
+    n_oriented = sum(isinstance(e, HWP) for e in _input_elements(0.0, 0.0) + body)
     n_trains = theta.size * n_samples
     n_draws = n_oriented + (4 if delta_c_total > 0.0 else 0)
     # Generator.uniform(low, high) is low + (high - low) * random(): each
@@ -160,10 +160,10 @@ def perturbation_sweep(
     delta_c_total: float = 0.0,
     bound: float | None = None,
 ) -> PerturbationResult:
-    """Rerun the exact optical pipeline under waveplate/polarizer angle jitter.
+    """Rerun the exact optical pipeline under waveplate angle jitter.
 
     Each sample draws an independent uniform(-jitter, +jitter) offset for
-    every axis-mounted element of the bench for input (theta, delta), adds
+    every half-wave plate of the bench for input (theta, delta), adds
     the optional count-oscillation injection (the four replica-1 path
     weights are scaled by 1 + u_i with sum |u_i| = delta_c_total), and
     records |F - 5/6| of replica 1. Deterministic given the seed: sample i

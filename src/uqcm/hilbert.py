@@ -77,7 +77,7 @@ class PureState:
         if given != canon:
             amps = _permute_to_canonical(amps, given, canon)
         nrm2 = float(np.sum(np.abs(amps) ** 2))
-        if abs(nrm2 - 1.0) > ATOL:
+        if not abs(nrm2 - 1.0) <= ATOL:
             raise ValueError(f"state is not normalized: sum |a|^2 = {nrm2!r}")
         amps = amps.copy()
         amps.flags.writeable = False
@@ -130,12 +130,13 @@ class DensityMatrix:
             perm = [given.index(lab) for lab in canon]
             full = perm + [p + n for p in perm]
             mat = mat.reshape((2,) * (2 * n)).transpose(full).reshape(d, d)
-        if np.max(np.abs(mat - mat.conj().T)) > ATOL:
+        # Every check is "not within": NaN fails each of them.
+        if not np.max(np.abs(mat - mat.conj().T)) <= ATOL:
             raise ValueError("matrix is not Hermitian within tolerance")
         tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > ATOL:
+        if not abs(tr - 1.0) <= ATOL:
             raise ValueError(f"matrix trace is {tr!r}, expected 1")
-        if float(np.min(np.linalg.eigvalsh(mat))) < PSD_FLOOR:
+        if not float(np.min(np.linalg.eigvalsh(mat))) >= PSD_FLOOR:
             raise ValueError("matrix has an eigenvalue below the positivity floor")
         mat = mat.copy()
         mat.flags.writeable = False

@@ -168,7 +168,7 @@ def _clone_outputs(amps) -> np.ndarray:
     """
     out = np.asarray(amps) @ _network_image(cloner_prep_angles()).T
     norm2 = np.sum(np.abs(out) ** 2, axis=-1)
-    off = np.abs(norm2 - 1.0) > ATOL
+    off = ~(np.abs(norm2 - 1.0) <= ATOL)
     if np.any(off):
         raise ValueError(f"machine output is not normalized: sum |a|^2 = {float(norm2[off][0])!r}")
     return out

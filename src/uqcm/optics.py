@@ -4,7 +4,8 @@ A single photon carries one polarization qubit and up to three path qubits;
 the mode space is (path index) x (polarization in {H, V}) and a mode's
 amplitude index is 2 * path + pol with H = 0, V = 1.
 
-Element conventions (fixed once, compensating phase plates absorb the rest):
+Every element is lossless. Element conventions (fixed once, compensating
+phase plates absorb the rest):
 
 * HWP(path, angle): Jones matrix [[cos 2a, sin 2a], [sin 2a, -cos 2a]] in
   the H/V basis, a measured from horizontal. Determinant -1 is fine for a
@@ -15,10 +16,12 @@ Element conventions (fixed once, compensating phase plates absorb the rest):
   phase. Equivalently an exact CNOT with polarization control and path target.
 * BS(a, b): symmetric 50-50 splitter, (1/sqrt 2) [[1, i], [i, 1]] on the two
   path amplitudes of each polarization.
-* Polarizer(path, angle): projector onto the axis; the only lossy element.
-  Loss shows up as norm deficit and the measurement tier renormalizes by
-  relative counts (post-selection).
 * PhaseShift(path, phase): e^(i phase) on both polarizations of one path.
+
+Apart from the PBS, an exact row swap, each element is four coefficients
+(a, b, c, d) from `_coefficients` that turn each of its row pairs x, y into
+a x + b y, c x + d y; propagation, `element_matrix` and the one unitarity
+check, `_coefficient_dev`, all read them.
 
 The compiled cloner train lives on 8 paths: path bits are (probe, q2, q3)
 with the probe ("aux") as the most significant bit. Fragments placed before
@@ -85,7 +88,8 @@ class ModeSpace:
 class PhotonState:
     """Photon amplitude vector over the modes of a ModeSpace.
 
-    The norm may be below one after lossy elements; it never exceeds one.
+    The norm never exceeds one; a norm below one is a photon lost on the
+    way, which `modes_to_qubits` rejects.
     """
 
     def __init__(self, space: ModeSpace, amplitudes):
@@ -93,8 +97,8 @@ class PhotonState:
         if amps.size != space.dim:
             raise ValueError(f"expected {space.dim} amplitudes, got {amps.size}")
         nrm = float(np.linalg.norm(amps))
-        if nrm > 1.0 + 1e-12:
-            raise ValueError(f"photon norm {nrm!r} exceeds one")
+        if not nrm <= 1.0 + 1e-12:
+            raise ValueError(f"photon norm {nrm!r} is not at most one")
         amps = amps.copy()
         amps.flags.writeable = False
         self.space = space
@@ -151,21 +155,12 @@ class BS:
 
 
 @dataclass(frozen=True)
-class Polarizer:
-    path: int
-    angle: float
-
-
-@dataclass(frozen=True)
 class PhaseShift:
     path: int
     phase: float
 
 
-OpticalElement = Union[HWP, AJWP, PBS, BS, Polarizer, PhaseShift]
-
-# Elements owning a mechanical axis-orientation angle (jitter targets).
-ORIENTED_ELEMENTS = (HWP, Polarizer)
+OpticalElement = Union[HWP, AJWP, PBS, BS, PhaseShift]
 
 _BS_COUPLING = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / math.sqrt(2.0)
 
@@ -176,39 +171,41 @@ def element_paths(element: OpticalElement) -> tuple:
     return (element.path,)
 
 
-def _hwp_cs(element: HWP, angle=None) -> tuple:
-    """(c, s) = (cos 2a, sin 2a): the HWP Jones matrix is [[c, s], [s, -c]].
-    `angle`, a scalar or an array, replaces the plate's axis angle a."""
-    a2 = 2 * np.asarray(element.angle if angle is None else angle, dtype=float)
-    return np.cos(a2), np.sin(a2)
+def _coefficients(element: OpticalElement, angle=None) -> tuple:
+    """(a, b, c, d): the element turns each of its row pairs x, y into
+    a x + b y, c x + d y, i.e. applies J = [[a, b], [c, d]].
 
-
-def _jones(element: OpticalElement, angle=None) -> np.ndarray:
-    """2x2 polarization action of a single-path element.
-
-    An array-valued parameter gives a (..., 2, 2) stack, one Jones matrix
-    per entry: `angle` of shape (B,) replaces an oriented element's axis
-    angle, and an AJWP may carry an array retardance. HWP entries come from
-    `_hwp_cs`, as in `_propagate`.
+    `angle`, a scalar or an array, replaces an HWP's axis angle; an array
+    angle, or an AJWP's array retardance, gives coefficients of its shape,
+    one J per entry. The BS entries are read from `_BS_COUPLING` at call
+    time. A PBS has none: it is an exact row swap.
     """
-    if isinstance(element, AJWP):
-        phase = np.exp(1j * np.asarray(element.retardance, dtype=float))
-        jones = np.zeros(phase.shape + (2, 2), dtype=complex)
-        jones[..., 0, 0] = 1.0
-        jones[..., 1, 1] = phase
-        return jones
-    if isinstance(element, PhaseShift):
-        return np.exp(1j * element.phase) * np.eye(2, dtype=complex)
-    if not isinstance(element, ORIENTED_ELEMENTS):
-        raise TypeError(f"{element!r} has no single-path Jones matrix")
     if isinstance(element, HWP):
-        c, s = _hwp_cs(element, angle)
-        rows = [[c, s], [s, -c]]
-    else:
-        a = np.asarray(element.angle if angle is None else angle, dtype=float)
-        c, s = np.cos(a), np.sin(a)
-        rows = [[c * c, c * s], [c * s, s * s]]
-    return np.moveaxis(np.array(rows, dtype=complex), (0, 1), (-2, -1))
+        a2 = 2 * np.asarray(element.angle if angle is None else angle, dtype=float)
+        c, s = np.cos(a2), np.sin(a2)
+        return c, s, s, -c
+    if isinstance(element, AJWP):
+        return 1.0, 0.0, 0.0, np.exp(1j * np.asarray(element.retardance, dtype=float))
+    if isinstance(element, PhaseShift):
+        phase = np.exp(1j * element.phase)
+        return phase, 0.0, 0.0, phase
+    if isinstance(element, BS):
+        return tuple(_BS_COUPLING.ravel())
+    raise TypeError(f"{element!r} has no row coefficients")
+
+
+def _coefficient_dev(a, b, c, d) -> float:
+    """max |J^H J - I| for J = [[a, b], [c, d]], the maximum over all entries.
+
+    Exact for the coefficients of every element kind: conj(a) b + conj(c) d
+    is identically 0, so J^H J is diagonal and only the squared column
+    norms |a|^2 + |c|^2 and |b|^2 + |d|^2 can deviate from 1. NaN stays NaN.
+    """
+    # |z|^2 as (z conj z).real, the Gram product itself; one multiply on a real array.
+    col1 = abs((a * a.conjugate()).real + (c * c.conjugate()).real - 1.0)
+    col2 = abs((b * b.conjugate()).real + (d * d.conjugate()).real - 1.0)
+    # np.maximum, not max(): NaN must win. Its result is always a numpy value.
+    return float(np.maximum(col1, col2).max())
 
 
 def _check_paths(element: OpticalElement, space: ModeSpace) -> None:
@@ -221,7 +218,8 @@ def element_matrix(element: OpticalElement, space: ModeSpace) -> np.ndarray:
     """Full mode-space matrix of one element (identity outside its modes).
 
     Propagation never builds these; they are the dense reference for the
-    row-update kernel.
+    row-update kernel, with rows placed by `ModeSpace.index` and blocks
+    filled from `_coefficients`.
     """
     _check_paths(element, space)
     mat = np.eye(space.dim, dtype=complex)
@@ -230,13 +228,14 @@ def element_matrix(element: OpticalElement, space: ModeSpace) -> np.ndarray:
         bv = space.index(element.path_b, POL_V)
         mat[av, av] = mat[bv, bv] = 0.0
         mat[av, bv] = mat[bv, av] = 1.0
-    elif isinstance(element, BS):
-        for pol in (POL_H, POL_V):
-            idx = [space.index(element.path_a, pol), space.index(element.path_b, pol)]
-            mat[np.ix_(idx, idx)] = _BS_COUPLING
+        return mat
+    if isinstance(element, BS):
+        pairs = [(space.index(element.path_a, pol), space.index(element.path_b, pol)) for pol in (POL_H, POL_V)]
     else:
-        idx = [space.index(element.path, POL_H), space.index(element.path, POL_V)]
-        mat[np.ix_(idx, idx)] = _jones(element)
+        pairs = [(space.index(element.path, POL_H), space.index(element.path, POL_V))]
+    a, b, c, d = _coefficients(element)
+    for idx in pairs:
+        mat[np.ix_(idx, idx)] = [[a, b], [c, d]]
     return mat
 
 
@@ -250,31 +249,26 @@ def _mix_rows(rows: np.ndarray, i: int, j: int, a, b, c, d) -> None:
 def _apply_element(element: OpticalElement, rows: np.ndarray, angle=None, what=None) -> None:
     """Apply one element in place to mode rows `rows`, shape (dim, k, ...).
 
-    Only the element's rows change: the two polarization rows of its path,
-    the two pairs of same-polarization rows of a BS, or the two V rows a PBS
-    exchanges. `angle` (a scalar or an array of the batch shape) replaces an
-    oriented element's axis angle. With `what` given, a single-path
-    element's Jones matrix is first checked unitary within 1e-10, and
-    IsometryError names it `what`: an HWP's max |c^2 + s^2 - 1| over the
-    rows it applies (equal to max |J^H J - I|), other kinds' `_jones` stacks.
+    Only the element's rows change. A PBS exchanges its two V rows; every
+    other element mixes its row pairs (its path's H and V rows, or a BS's
+    two pairs of same-polarization rows) by its `_coefficients`. `angle` (a
+    scalar or an array of the batch shape) replaces an HWP's axis angle.
+    With `what` given, the coefficients are first checked unitary within
+    1e-10 by `_coefficient_dev`, over every batch entry, and IsometryError
+    names the element `what`.
     """
     if isinstance(element, PBS):
         av, bv = 2 * element.path_a + POL_V, 2 * element.path_b + POL_V
         rows[[av, bv]] = rows[[bv, av]]
-    elif isinstance(element, BS):
+        return
+    coeffs = _coefficients(element, angle)
+    if what is not None:
+        _require_isometry_dev(_coefficient_dev(*coeffs), what)
+    if isinstance(element, BS):
         for pol in (POL_H, POL_V):
-            _mix_rows(rows, 2 * element.path_a + pol, 2 * element.path_b + pol, *_BS_COUPLING.ravel())
-    elif isinstance(element, HWP):
-        c, s = _hwp_cs(element, angle)
-        if what is not None:
-            _require_isometry_dev(np.max(np.abs(c * c + s * s - 1.0)), what)
-        _mix_rows(rows, 2 * element.path, 2 * element.path + 1, c, s, s, -c)
+            _mix_rows(rows, 2 * element.path_a + pol, 2 * element.path_b + pol, *coeffs)
     else:
-        jones = _jones(element, angle)
-        if what is not None:
-            _require_isometry(jones, what)
-        (a, b), (c, d) = np.moveaxis(jones, (-2, -1), (0, 1))
-        _mix_rows(rows, 2 * element.path, 2 * element.path + 1, a, b, c, d)
+        _mix_rows(rows, 2 * element.path + POL_H, 2 * element.path + POL_V, *coeffs)
 
 
 def _propagate(elements, m: np.ndarray, offsets=None) -> np.ndarray:
@@ -283,26 +277,27 @@ def _propagate(elements, m: np.ndarray, offsets=None) -> np.ndarray:
     The one propagation kernel: `_apply_element` on a copy laid out as
     (dim, k, ...), so that each mode row is contiguous and broadcasts
     against coefficients of the batch shape (...). With `offsets` of shape
-    (B, n_oriented), `m` has a leading batch axis of length B and the j-th
-    oriented element of batch entry b is turned by offsets[b, j] (jittered
-    copies of one train): an HWP then applies the (B,) rows
-    c = cos 2(a + offsets[:, j]), s = sin 2(a + offsets[:, j]). The copies'
-    composite matrices are never formed, so each is checked unitary element
-    by element: every Jones matrix within 1e-10 (a Polarizer fails), the BS
-    coupling once per call, and a PBS is an exact row swap. A product of
-    unitaries is unitary, so this is at least as strong as checking the
+    (B, n_hwp), `m` has a leading batch axis of length B and the j-th HWP
+    of batch entry b is turned by offsets[b, j] (jittered copies of one
+    train): it applies the (B,) coefficient rows c = cos 2(a + offsets[:, j])
+    and s = sin 2(a + offsets[:, j]). The copies' composite matrices are
+    never formed, so each is checked unitary element by element by the one
+    closed form `_coefficient_dev`, within 1e-10: every single-path element,
+    the BS coupling once per call, and a PBS is an exact row swap. A product
+    of unitaries is unitary, so this is at least as strong as checking the
     composite. A failure raises IsometryError naming the element by its
-    index in the list.
+    index in the list. Without offsets nothing is checked here: the caller
+    checks the composite.
     """
     if offsets is not None:
-        _require_isometry(_BS_COUPLING, "BS coupling")
+        _require_isometry_dev(_coefficient_dev(*_BS_COUPLING.ravel()), "BS coupling")
     rows = np.moveaxis(m, (-2, -1), (0, 1)).copy()
     j = 0
     for k, e in enumerate(elements):
         angle = what = None
         if offsets is not None and not isinstance(e, (PBS, BS)):
             what = f"Jones matrix of element {k} ({type(e).__name__} on path {e.path})"
-            if isinstance(e, ORIENTED_ELEMENTS):
+            if isinstance(e, HWP):
                 angle = e.angle + offsets[:, j]
                 j += 1
         _apply_element(e, rows, angle, what)
@@ -315,10 +310,9 @@ class OpticalTrain:
 
     The composite matrix is compiled at construction by propagating the
     identity through the elements (each touches only its own rows); it must
-    be unitary (within 1e-10) whenever no Polarizer is present. The
-    measurement pipeline does not build trains: it uses the compiled body
-    isometry (`optical_measurement_state`) or a batch of jittered copies
-    (`errormodel.perturbation_sweep`).
+    be unitary within 1e-10. The measurement pipeline does not build trains:
+    it uses the compiled body isometry (`optical_measurement_state`) or a
+    batch of jittered copies (`errormodel.perturbation_sweep`).
     """
 
     def __init__(self, space: ModeSpace, elements):
@@ -326,25 +320,18 @@ class OpticalTrain:
         for e in elements:
             _check_paths(e, space)
         composite = _propagate(elements, np.eye(space.dim, dtype=complex))
-        lossy = any(isinstance(e, Polarizer) for e in elements)
-        if not lossy:
-            _require_isometry(composite, "lossless train composite")
+        _require_isometry(composite, "lossless train composite")
         composite.flags.writeable = False
         self.space = space
         self._elements = elements
         self._composite = composite
-        self._lossy = lossy
 
     @property
     def elements(self) -> tuple:
         return self._elements
 
-    @property
-    def has_loss(self) -> bool:
-        return self._lossy
-
     def unitary(self) -> np.ndarray:
-        """Composite mode-space matrix (non-unitary only for lossy trains)."""
+        """Composite mode-space matrix."""
         return self._composite
 
     def describe(self) -> str:
@@ -358,7 +345,7 @@ class OpticalTrain:
             elif isinstance(e, PhaseShift):
                 lines.append(f"PhaseShift {e.path} {e.phase:.6f}")
             else:
-                lines.append(f"{type(e).__name__} {e.path} {e.angle:.6f}")
+                lines.append(f"HWP {e.path} {e.angle:.6f}")
         return "\n".join(lines) + "\n"
 
     def __repr__(self):
@@ -366,7 +353,7 @@ class OpticalTrain:
 
 
 def apply_train(train: OpticalTrain, state: PhotonState) -> PhotonState:
-    """Apply the elements one by one; norm is non-increasing."""
+    """Apply the elements one by one; the norm is preserved."""
     if state.space != train.space:
         raise ValueError(f"state lives on {state.space!r}, train on {train.space!r}")
     amps = _propagate(train.elements, state.amplitudes.reshape(-1, 1).copy())
@@ -407,7 +394,7 @@ def _unit_norms(amps: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Norms of (..., dim) photon amplitude vectors; LossyTrainError unless
     every one is 1 within `tol` (post-selection on no loss)."""
     nrm = np.linalg.norm(amps, axis=-1)
-    lossy = np.abs(nrm - 1.0) > tol
+    lossy = ~(np.abs(nrm - 1.0) <= tol)
     if np.any(lossy):
         raise LossyTrainError(f"photon norm {float(nrm[lossy][0])!r} is not 1 within {tol:g}")
     return nrm
@@ -501,8 +488,8 @@ def _input_elements(theta, delta) -> list:
     """Input preparation on the source path: polarization rotation by theta
     (HWP pair) and the adjustable plate driving the relative phase delta.
 
-    Array-valued theta and delta (one shape) give elements whose Jones
-    matrices are stacks, one per (theta, delta) entry.
+    Array-valued theta and delta (one shape) give elements whose
+    coefficients are arrays, one per (theta, delta) entry.
     """
     return _pol_rotation([0], theta) + [AJWP(0, delta)]
 

@@ -99,8 +99,9 @@ class DetectorModel:
     def __post_init__(self):
         if not (0.0 <= self.efficiency <= 1.0):
             raise ValueError(f"efficiency {self.efficiency!r} outside [0, 1]")
-        if self.dark_rate < 0 or self.max_rate <= 0 or self.gate_window < 0:
-            raise ValueError("rates and gate window must be nonnegative (max_rate positive)")
+        finite = (0 <= self.dark_rate < math.inf, 0 < self.max_rate < math.inf, 0 <= self.gate_window < math.inf)
+        if not all(finite):
+            raise ValueError("rates and gate window must be finite and nonnegative (max_rate positive)")
 
     def dark_mean(self, trials: int) -> float:
         """Expected dark counts per (path, basis) cell for a `trials` run."""
@@ -143,8 +144,10 @@ class CountsRecord:
     def from_text(cls, text: str) -> "CountsRecord":
         """Parse the `to_text` format.
 
-        Raises ValueError unless the header carries every field and each of
-        the 32 (path, basis) cells appears exactly once.
+        Raises ValueError, and no other error, for any other text: the header
+        must carry every field, each of the 32 (path, basis) cells must
+        appear exactly once with a count in the int64 range, and the values
+        must make a valid DetectorModel and CountsRecord.
         """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or not lines[0].startswith("#"):
@@ -172,7 +175,10 @@ class CountsRecord:
             if cell in seen:
                 raise ValueError(f"duplicate counts cell {ln!r}")
             seen.add(cell)
-            counts[cell] = count
+            try:
+                counts[cell] = count
+            except OverflowError:
+                raise ValueError(f"malformed counts line {ln!r}: count outside the int64 range") from None
         if len(seen) != counts.size:
             raise ValueError(f"counts record has {len(seen)} of {counts.size} (path, basis) cells")
         model = DetectorModel(
@@ -374,7 +380,7 @@ def reconstruct_single_qubit(c_h, c_v, c_d, c_r, label=1) -> DensityMatrix:
     Accepts integer counts or exact (float) probabilities; the formulas are
     scale-invariant as long as all four share one scale.
     """
-    if c_h + c_v <= 0:
+    if not c_h + c_v > 0:
         raise ReconstructionError("no H/V counts: cannot normalize the inversion")
     return stokes_compose(*_path_stokes(np.array([c_h, c_v, c_d, c_r], dtype=float)), label=label)
 

@@ -1,5 +1,26 @@
 import os
 import sys
 
+import pytest
+
 # Allow running pytest from a fresh checkout without installing the package.
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+
+@pytest.fixture
+def scale_coefficients(monkeypatch):
+    """scale(element, factor): from then on `optics._coefficients` returns the
+    coefficients of that very element object (other equal elements are left
+    alone) times `factor`, so J^H J = |factor|^2 J^H J of the true element."""
+    from uqcm import optics
+
+    coefficients = optics._coefficients
+
+    def scale(element, factor):
+        def scaled(e, angle=None):
+            coeffs = coefficients(e, angle)
+            return tuple(factor * x for x in coeffs) if e is element else coeffs
+
+        monkeypatch.setattr(optics, "_coefficients", scaled)
+
+    return scale

@@ -363,6 +363,24 @@ class TestExitCodes:
         assert main(["sweep", "--config", str(path)]) == EXIT_USAGE
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sweep", "tomo"])
+    def test_trials_beyond_int64_range(self, command, tmp_path, capsys):
+        # numpy's multinomial draw would raise OverflowError on these.
+        argv = [command, "--mode", "montecarlo", "--trials", str(10**20)]
+        if command == "sweep":
+            argv += ["--out", str(tmp_path / "x.csv")]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: trials must be >= 1 and <= 9223372036854775807")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_trials_beyond_int64_range_in_config(self, tmp_path, capsys):
+        path = tmp_path / "big.cfg"
+        path.write_text(f"mode = montecarlo\ntrials = {2**63}\n")
+        assert main(["sweep", "--config", str(path)]) == EXIT_USAGE
+        assert "trials must be" in capsys.readouterr().err
+        assert SweepConfig(mode="montecarlo", trials=2**63 - 1).trials == 2**63 - 1
+
     def test_negative_seed(self, capsys):
         assert main(["sweep", "--mode", "montecarlo", "--seed", "-1"]) == EXIT_USAGE
         assert "seed must be >= 0" in capsys.readouterr().err

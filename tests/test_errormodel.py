@@ -12,15 +12,7 @@ from uqcm.cli import EXIT_VERIFY, _exact_fidelities, main
 from uqcm.errormodel import ErrorBudget, PerturbationResult, fidelity_error_bound, perturbation_sweep
 from uqcm.hilbert import DensityMatrix, IsometryError, fidelity
 from uqcm.network import cloner_prep_angles, input_state
-from uqcm.optics import (
-    HWP,
-    ORIENTED_ELEMENTS,
-    OpticalTrain,
-    PhotonState,
-    Polarizer,
-    build_cloner_train,
-    modes_to_qubits,
-)
+from uqcm.optics import HWP, OpticalTrain, PhaseShift, PhotonState, build_cloner_train, modes_to_qubits
 from uqcm.tomography import reconstruct_replica, signal_probabilities
 
 
@@ -33,7 +25,7 @@ def reference_sweep(jitter, n_samples, seed, theta, delta, delta_c_total):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
         elements = [
             replace(e, angle=e.angle + rng.uniform(-jitter, jitter))
-            if isinstance(e, ORIENTED_ELEMENTS) else e
+            if isinstance(e, HWP) else e
             for e in base.elements
         ]
         train = OpticalTrain(base.space, elements)
@@ -159,41 +151,37 @@ class TestElementUnitarityCheck:
 
     N_INPUT = len(optics._input_elements(0.0, 0.0))
 
-    def _scaled_hwp(self, monkeypatch):
-        # One body HWP's Jones entries (c, s) scaled by 1 + 1e-8:
-        # |J^H J - I| ~ 2e-8. Every HWP's entries come from `_hwp_cs`.
+    def _scaled_body_element(self, monkeypatch, scale_coefficients, kind, path):
+        # One body element's coefficients scaled by 1 + 1e-8:
+        # |J^H J - I| ~ 2e-8. Every element's coefficients come from
+        # `optics._coefficients`; equal elements elsewhere stay exact.
         body = optics._body_elements(cloner_prep_angles())
         monkeypatch.setattr(errormodel, "_body_elements", lambda prep: body)
-        k = next(k for k, e in enumerate(body) if isinstance(e, HWP) and e.path == 5)
-        hwp_cs = optics._hwp_cs
+        k = next(k for k, e in enumerate(body) if isinstance(e, kind) and e.path == path)
+        scale_coefficients(body[k], 1.0 + 1e-8)
+        return f"Jones matrix of element {self.N_INPUT + k} ({kind.__name__} on path {path})"
 
-        def scaled(element, angle=None):
-            c, s = hwp_cs(element, angle)
-            return (c * (1.0 + 1e-8), s * (1.0 + 1e-8)) if element is body[k] else (c, s)
+    def _scaled_hwp(self, monkeypatch, scale_coefficients):
+        return self._scaled_body_element(monkeypatch, scale_coefficients, HWP, 5)
 
-        monkeypatch.setattr(optics, "_hwp_cs", scaled)
-        return f"Jones matrix of element {self.N_INPUT + k} (HWP on path 5)"
+    def _scaled_phase_shift(self, monkeypatch, scale_coefficients):
+        return self._scaled_body_element(monkeypatch, scale_coefficients, PhaseShift, 4)
 
-    def _polarizer(self, monkeypatch):
-        body = optics._body_elements(cloner_prep_angles())
-        monkeypatch.setattr(errormodel, "_body_elements", lambda prep: body[:40] + [Polarizer(4, 0.3)] + body[40:])
-        return f"Jones matrix of element {self.N_INPUT + 40} (Polarizer on path 4)"
-
-    def _scaled_bs(self, monkeypatch):
+    def _scaled_bs(self, monkeypatch, scale_coefficients):
         monkeypatch.setattr(optics, "_BS_COUPLING", optics._BS_COUPLING * (1.0 + 1e-8))
         return "BS coupling"
 
-    FAULTS = ["_scaled_hwp", "_polarizer", "_scaled_bs"]
+    FAULTS = ["_scaled_hwp", "_scaled_phase_shift", "_scaled_bs"]
 
     @pytest.mark.parametrize("fault", FAULTS)
-    def test_single_point_sweep_raises_naming_the_element(self, fault, monkeypatch):
-        name = getattr(self, fault)(monkeypatch)
+    def test_single_point_sweep_raises_naming_the_element(self, fault, monkeypatch, scale_coefficients):
+        name = getattr(self, fault)(monkeypatch, scale_coefficients)
         with pytest.raises(IsometryError, match=re.escape(f"{name} is not an isometry")):
             perturbation_sweep(jitter=0.0018, n_samples=3, seed=4, theta=0.3, delta=1.2)
 
     @pytest.mark.parametrize("fault", FAULTS)
-    def test_cli_sweep_exits_3_naming_the_element(self, fault, monkeypatch, tmp_path, capsys):
-        name = getattr(self, fault)(monkeypatch)
+    def test_cli_sweep_exits_3_naming_the_element(self, fault, monkeypatch, scale_coefficients, tmp_path, capsys):
+        name = getattr(self, fault)(monkeypatch, scale_coefficients)
         cfg = tmp_path / "small.cfg"
         cfg.write_text("mode = perturbed\ntheta_steps = 2\nsamples = 3\n")
         out = tmp_path / "x.csv"

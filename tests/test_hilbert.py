@@ -47,6 +47,10 @@ class TestPureState:
         with pytest.raises(ValueError, match="not normalized"):
             PureState([1], [1.0, 1.0])
 
+    def test_rejects_nan_amplitude(self):
+        with pytest.raises(ValueError, match="not normalized: sum \\|a\\|\\^2 = nan"):
+            PureState([1], [math.nan, 0.0])
+
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="length"):
             PureState([1, 2], [1.0, 0.0])
@@ -77,6 +81,11 @@ class TestDensityMatrix:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityMatrix([1], [[1.5, 0.0], [0.0, -0.5]])
+
+    def test_rejects_nan_matrix(self):
+        # Rejected before eigvalsh, which would otherwise see the NaN.
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix([1], np.full((2, 2), np.nan))
 
 
 class TestTensorProduct:

@@ -271,6 +271,10 @@ class TestNetworkImage:
         with pytest.raises(ValueError, match="delta"):
             _input_amplitudes(np.array([0.1, 0.2]), np.array([0.0, 2 * math.pi]))
 
+    def test_nan_input_amplitude_is_not_normalized(self):
+        with pytest.raises(ValueError, match="machine output is not normalized: sum \\|a\\|\\^2 = nan"):
+            _clone_outputs(np.array([np.nan, 0.0]))
+
     def test_clone_is_the_single_point_kernel(self):
         res = clone(0.6, 2.5)
         amps = _input_amplitudes(0.6, 2.5)

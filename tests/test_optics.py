@@ -15,14 +15,12 @@ from uqcm.optics import (
     AJWP,
     BS,
     HWP,
-    ORIENTED_ELEMENTS,
     PBS,
     LossyTrainError,
     ModeSpace,
     OpticalTrain,
     PhaseShift,
     PhotonState,
-    Polarizer,
     apply_train,
     build_cloner_train,
     element_matrix,
@@ -35,7 +33,8 @@ from uqcm.optics import (
     _apply_element,
     _bench_modes,
     _bench_path_amplitudes,
-    _jones,
+    _coefficient_dev,
+    _coefficients,
     _propagate,
     _unit_norms,
 )
@@ -82,16 +81,6 @@ class TestElements:
             u = element_matrix(e, SP2)
             assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
 
-    def test_aligned_polarizer_is_transparent(self):
-        train = OpticalTrain(SP2, [Polarizer(0, 0.0)])
-        out = apply_train(train, source_photon(SP2, 0, "H"))
-        assert out.norm() == pytest.approx(1.0, abs=1e-12)
-
-    def test_crossed_polarizer_absorbs(self):
-        train = OpticalTrain(SP2, [Polarizer(0, math.pi / 2)])
-        out = apply_train(train, source_photon(SP2, 0, "H"))
-        assert out.norm() == pytest.approx(0.0, abs=1e-12)
-
     def test_invalid_path_reference(self):
         with pytest.raises(ValueError, match="outside"):
             element_matrix(HWP(5, 0.0), SP2)
@@ -103,7 +92,6 @@ ALL_KINDS = (
     AJWP(3, 2.2),
     PBS(0, 3),
     BS(3, 1),
-    Polarizer(2, 0.7),
     PhaseShift(1, -0.4),
 )
 
@@ -132,7 +120,7 @@ class TestRowUpdateKernel:
         rng = np.random.default_rng(12)
         m = _random_modes(rng, (5, self.SPACE.dim, 3))
         got = m.copy()
-        if isinstance(element, ORIENTED_ELEMENTS):
+        if isinstance(element, HWP):
             angles = rng.uniform(-math.pi, math.pi, size=5)
             _apply_element(element, np.moveaxis(got, 0, -1), angles)
             dense = [element_matrix(replace(element, angle=a), self.SPACE) for a in angles]
@@ -160,28 +148,28 @@ class TestJitteredPropagation:
     def test_matches_dense_products(self):
         rng = np.random.default_rng(21)
         elements = self._train(rng)
-        n_oriented = sum(isinstance(e, ORIENTED_ELEMENTS) for e in elements)
-        offsets = rng.uniform(-0.3, 0.3, size=(self.B, n_oriented))
+        n_hwp = sum(isinstance(e, HWP) for e in elements)
+        offsets = rng.uniform(-0.3, 0.3, size=(self.B, n_hwp))
         m = _random_modes(rng, (self.B, self.SPACE.dim, 2))
         got = _propagate(elements, m.copy(), offsets)
         for b in range(self.B):
             dense, j = np.eye(self.SPACE.dim), 0
             for e in elements:
-                if isinstance(e, ORIENTED_ELEMENTS):
+                if isinstance(e, HWP):
                     e, j = replace(e, angle=e.angle + offsets[b, j]), j + 1
                 elif isinstance(e, AJWP) and np.ndim(e.retardance):
                     e = replace(e, retardance=float(e.retardance[b]))
                 dense = element_matrix(e, self.SPACE) @ dense
             assert np.max(np.abs(got[b] - dense @ m[b])) < 1e-12
 
-    def test_polarizer_raises_naming_the_element(self):
+    def test_scaled_phase_shift_raises_naming_the_element(self, scale_coefficients):
         rng = np.random.default_rng(22)
         elements = self._train(rng)
-        elements.insert(4, Polarizer(2, 0.3))
-        n_oriented = sum(isinstance(e, ORIENTED_ELEMENTS) for e in elements)
+        elements.insert(4, PhaseShift(2, 0.3))
+        scale_coefficients(elements[4], 1.0 + 1e-8)
         m = _random_modes(rng, (self.B, self.SPACE.dim, 1))
-        with pytest.raises(IsometryError, match=re.escape("Jones matrix of element 4 (Polarizer on path 2)")):
-            _propagate(elements, m, np.zeros((self.B, n_oriented)))
+        with pytest.raises(IsometryError, match=re.escape("Jones matrix of element 4 (PhaseShift on path 2)")):
+            _propagate(elements, m, np.zeros((self.B, 4)))
 
     def test_nan_offset_fails_the_waveplate_check(self):
         rng = np.random.default_rng(23)
@@ -192,23 +180,101 @@ class TestJitteredPropagation:
         with pytest.raises(IsometryError, match=re.escape("Jones matrix of element 3 (HWP on path 2)")):
             _propagate(elements, m, offsets)
 
-    def test_unbatched_call_is_unchecked(self):
+    def test_unbatched_call_is_unchecked(self, scale_coefficients):
         # Without offsets the caller checks the composite (OpticalTrain),
-        # so a Polarizer propagates and absorbs amplitude.
+        # so a scaled element propagates and the composite is not unitary.
+        shift = PhaseShift(0, 0.3)
+        scale_coefficients(shift, 0.9)
         m = np.eye(self.SPACE.dim, dtype=complex)
-        out = _propagate([HWP(0, 0.2), Polarizer(0, 0.3)], m)
-        dense = element_matrix(Polarizer(0, 0.3), self.SPACE) @ element_matrix(HWP(0, 0.2), self.SPACE)
+        out = _propagate([HWP(0, 0.2), shift], m)
+        dense = element_matrix(shift, self.SPACE) @ element_matrix(HWP(0, 0.2), self.SPACE)
         assert out is m
         assert np.max(np.abs(out - dense)) < 1e-15
+        assert np.max(np.abs(out.conj().T @ out - np.eye(self.SPACE.dim))) > 0.1
+        with pytest.raises(IsometryError, match="lossless train composite is not an isometry"):
+            OpticalTrain(self.SPACE, [HWP(0, 0.2), shift])
 
 
 def test_ajwp_array_retardance_gives_one_jones_matrix_per_entry():
     deltas = np.array([0.0, 0.4, 2.5, 6.1])
-    stack = _jones(AJWP(0, deltas))
-    assert stack.shape == (4, 2, 2)
-    for d, j in zip(deltas, stack):
-        assert np.array_equal(j, _jones(AJWP(0, float(d))))
-        assert np.max(np.abs(j - element_matrix(AJWP(0, float(d)), ModeSpace(1)))) < 1e-15
+    a, b, c, d = _coefficients(AJWP(0, deltas))
+    assert np.shape(d) == (4,)
+    for delta, entry in zip(deltas, d):
+        assert entry == _coefficients(AJWP(0, float(delta)))[3]
+        jones = np.array([[a, b], [c, entry]])
+        assert np.max(np.abs(jones - element_matrix(AJWP(0, float(delta)), ModeSpace(1)))) < 1e-15
+
+
+def _random_element(kind, rng, size=None):
+    """One element of `kind` on path 1 (a BS on paths 0 and 1) with a random
+    parameter; `size` makes it an array, one Jones matrix per entry."""
+    value = rng.uniform(-2 * math.pi, 2 * math.pi, size=size)
+    if kind is BS:
+        return BS(0, 1)
+    return kind(1, value)
+
+
+def _blocks(element, space):
+    """The element's 2 x 2 blocks of `element_matrix`, one per row pair."""
+    mat = element_matrix(element, space)
+    if isinstance(element, BS):
+        pairs = [(space.index(0, pol), space.index(1, pol)) for pol in ("H", "V")]
+    else:
+        pairs = [(space.index(element.path, "H"), space.index(element.path, "V"))]
+    return [mat[np.ix_(idx, idx)] for idx in pairs]
+
+
+class TestCoefficientCheck:
+    """One closed form checks every kind: max(| |a|^2 + |c|^2 - 1 |,
+    | |b|^2 + |d|^2 - 1 |) is max |J^H J - I|, because conj(a) b + conj(c) d
+    is identically 0."""
+
+    KINDS = (HWP, AJWP, PhaseShift, BS)
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.__name__)
+    def test_columns_are_orthogonal_exactly(self, kind):
+        rng = np.random.default_rng(31)
+        for size in (None, 7):
+            a, b, c, d = _coefficients(_random_element(kind, rng, size))
+            assert np.all(np.conj(a) * b + np.conj(c) * d == 0)
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.__name__)
+    @pytest.mark.parametrize("factor", [1.0, 1.0 + 1e-8, 0.9, 1.2 - 0.3j])
+    def test_closed_form_equals_gram_deviation(self, kind, factor):
+        # Scaling J by a factor keeps its columns orthogonal and moves
+        # J^H J to |factor|^2 J^H J, so the closed form must follow.
+        rng = np.random.default_rng(32)
+        space = ModeSpace(2)
+        for _ in range(10):
+            element = _random_element(kind, rng)
+            coeffs = [factor * x for x in _coefficients(element)]
+            gram = max(
+                np.max(np.abs((factor * j).conj().T @ (factor * j) - np.eye(2))) for j in _blocks(element, space)
+            )
+            assert _coefficient_dev(*coeffs) == pytest.approx(gram, rel=1e-9, abs=1e-15)
+
+    def test_array_coefficients_take_the_worst_entry(self):
+        rng = np.random.default_rng(33)
+        angles = rng.uniform(-math.pi, math.pi, size=6)
+        factors = np.ones(6)
+        factors[4] = 1.0 + 3e-6
+        coeffs = [factors * x for x in _coefficients(HWP(0, angles))]
+        assert _coefficient_dev(*coeffs) == pytest.approx((1.0 + 3e-6) ** 2 - 1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("where", [0, 3])
+    def test_either_column_can_fail(self, where):
+        # J is diagonal, so scaling one entry keeps its columns orthogonal.
+        coeffs = list(_coefficients(PhaseShift(0, 0.4)))
+        coeffs[where] *= 1.0 + 1e-6
+        jones = np.array(coeffs).reshape(2, 2)
+        gram = np.max(np.abs(jones.conj().T @ jones - np.eye(2)))
+        assert _coefficient_dev(*coeffs) == pytest.approx(gram, rel=1e-9)
+
+    @pytest.mark.parametrize("where", [0, 1, 2, 3])
+    def test_nan_coefficient_fails(self, where):
+        coeffs = list(_coefficients(PhaseShift(0, 0.4)))
+        coeffs[where] = complex(np.nan, 0.0)
+        assert math.isnan(_coefficient_dev(*coeffs))
 
 
 class TestTrains:
@@ -249,7 +315,6 @@ class TestTrains:
             build_cloner_train(0.5, 2.5),
         ]
         for train in trains:
-            assert not train.has_loss
             u = train.unitary()
             assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < 1e-10
 
@@ -285,9 +350,7 @@ class TestModeQubitMapping:
         assert np.max(np.abs(back.amplitudes - photon.amplitudes)) < 1e-12
 
     def test_lossy_state_rejected(self):
-        space = ModeSpace(2)
-        train = OpticalTrain(space, [Polarizer(0, math.pi / 4)])
-        out = apply_train(train, source_photon(space, 0, "H"))
+        out = PhotonState(ModeSpace(2), [0.9, 0.0, 0.0, 0.0])
         with pytest.raises(LossyTrainError, match="norm"):
             modes_to_qubits(out)
 
@@ -370,6 +433,16 @@ class TestClonerTrain:
         modes = _bench_modes(np.array([0.1, 0.2, 0.3]), np.array([0.0, 1.0, 2.0]))
         modes[1] *= 0.99
         with pytest.raises(LossyTrainError, match="photon norm"):
+            _unit_norms(modes)
+
+    def test_nan_photon_rejected(self):
+        # NaN is not "within tolerance": the norm checks compare as
+        # `not dev <= tol`, and raise before numpy can warn.
+        with pytest.raises(ValueError, match="photon norm nan is not at most one"):
+            PhotonState(ModeSpace(1), [np.nan, 0.0])
+        modes = _bench_modes(np.array([0.1, 0.2]), np.array([0.0, 1.0]))
+        modes[1, 3] = np.nan
+        with pytest.raises(LossyTrainError, match="photon norm nan"):
             _unit_norms(modes)
 
     @pytest.mark.parametrize(("theta", "delta"), [(3.0, 0.5), (0.3, 9.0), (-math.pi / 2, 0.0), (0.3, -0.1)])

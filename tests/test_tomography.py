@@ -211,6 +211,12 @@ class TestSimulateCounts:
         with pytest.raises(ValueError, match="0, total_trials"):
             CountsRecord(counts=np.full((8, 4), 11, dtype=int), total_trials=10, seed=0)
 
+    @pytest.mark.parametrize("field", ["dark_rate", "max_rate", "gate_window"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_detector_model_requires_finite_values(self, field, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            DetectorModel(**{field: value})
+
     def test_text_round_trip(self):
         probs = signal_probabilities(measurement_state(0.1, 0.2))
         rec = simulate_counts(probs, DetectorModel(), 12345, 99)
@@ -258,6 +264,23 @@ class TestCountsText:
         lines = self.text().splitlines()
         lines[0] = " ".join(item for item in lines[0].split() if not item.startswith(field + "="))
         with pytest.raises(ValueError, match=f"lacks fields: {field}"):
+            CountsRecord.from_text("\n".join(lines))
+
+    @pytest.mark.parametrize(
+        "item", ["dark_rate=nan", "max_rate=inf", "gate_window=inf", "dark_rate=-1.0", "max_rate=0.0"]
+    )
+    def test_header_detector_value_out_of_range_rejected(self, item):
+        lines = self.text().splitlines()
+        key = item.split("=")[0]
+        lines[0] = " ".join(item if old.startswith(key + "=") else old for old in lines[0].split())
+        with pytest.raises(ValueError, match="rates and gate window must be finite"):
+            CountsRecord.from_text("\n".join(lines))
+
+    @pytest.mark.parametrize("count", [2**63, 10**30, -(2**63) - 1])
+    def test_count_outside_int64_rejected(self, count):
+        lines = self.text().splitlines()
+        lines[1] = f"0 H {count}"
+        with pytest.raises(ValueError, match="outside the int64 range"):
             CountsRecord.from_text("\n".join(lines))
 
     def test_header_item_without_value_rejected(self):
@@ -316,6 +339,10 @@ class TestSingleQubitInversion:
     def test_zero_counts_rejected(self):
         with pytest.raises(ReconstructionError, match="H/V"):
             reconstruct_single_qubit(0, 0, 10, 10)
+
+    def test_nan_count_rejected(self):
+        with pytest.raises(ReconstructionError, match="H/V"):
+            reconstruct_single_qubit(math.nan, 1, 1, 1)
 
 
 class TestReplicaReconstruction:
