@@ -10,18 +10,35 @@ grid with step pi/180 over each angle, taking the first maximizer in
 lexicographic (t1, t2, t3) order, followed by Gauss-Newton refinement of
 the amplitude residual.
 
-The coarse search does not visit all 360^3 grid points. The overlap at
-(t1, t2, t3) = (g_i, g_j, g_k) is cos(g_i) P[j, k] + sin(g_i) Q[j, k], so by
-Cauchy-Schwarz every value in the (j, k) column over all t1 is at most
-hypot(P[j, k], Q[j, k]). The exact maximum of the column with the largest
-bound is a lower bound L on the grid maximum, and a column whose bound stays
-below L (with a 1e-12 relative slack for rounding) holds no maximizer. Every
-column that holds one, so every tied maximizer, is evaluated with the same
-elementwise expression as the full grid, and the first of them in (i, j, k)
+The coarse search visits neither all 360^3 grid points nor all 360^2
+(t2, t3) columns. The overlap at (t1, t2, t3) = (g_i, g_j, g_k) is
+c_i P + s_i Q (c = cos g, s = sin g), and the column (P, Q) = M_k^T (c_j, s_j)
+with M_k = [[a, b], [e, f]], where
+
+    a = t0 c_k + t2 s_k,   b = t1 c_k + t3 s_k,
+    e = t3 c_k - t1 s_k,   f = t0 s_k - t2 c_k
+
+for target amplitudes (t0, t1, t2, t3). By Cauchy-Schwarz every overlap in
+column (j, k) is at most hypot(P, Q), and every column of the t3 row k has
+hypot(P, Q) <= sigma_k, the larger singular value of M_k. It is computed as
+(hypot(a + f, b - e) + hypot(a - f, b + e)) / 2, which equals
+sqrt((F + sqrt(F^2 - 4 det^2)) / 2) (F the squared Frobenius norm, det the
+determinant) without its cancellation where the two singular values meet.
+
+The exact maximum over t1 of one column (the column with the largest
+hypot(P, Q) in the row with the largest sigma) is a lower bound L on the
+grid maximum. A row whose sigma, or a column whose hypot(P, Q), stays below
+L holds no maximizer; both tests allow a 1e-12 relative slack, far above the
+few-ulp rounding of the bounds and of the overlaps they cover. Every column
+that holds a maximizer therefore survives both tests, and its overlaps are
+evaluated with the elementwise expression of the full grid. The survivors
+are kept in ascending flat (j, k) order, so the first maximizer in (i, j, k)
 order is the first lexicographic maximizer of the full grid, bit for bit.
-Of the 129,600 columns, 8 survive for the cloner target and 16 for the
-triplicator; targets reached by a one-parameter family of angles, such as
-(|01> + |10>)/sqrt(2), keep 720.
+For the cloner target 4 of the 360 rows and 8 of the 129,600 columns
+survive, for the triplicator 8 rows and 16 columns. Targets reached by a
+one-parameter family of angles, such as (|01> + |10>)/sqrt(2), have
+det = 0 and sigma = 1 in every row, so all 360 rows and 720 columns
+survive through the same code.
 """
 
 from __future__ import annotations
@@ -36,8 +53,8 @@ from .gates import CNOT, Circuit, Rotation
 from .hilbert import PureState
 
 GRID_STEP = math.pi / 180.0
-# Relative slack on the per-column bound, far above the few-ulp rounding of
-# both the bound and the overlaps it must cover.
+# Relative slack on the per-row and per-column bounds, far above the few-ulp
+# rounding of both the bounds and the overlaps they must cover.
 _BOUND_MARGIN = 1e-12
 
 _TWO_PI = 2.0 * math.pi
@@ -113,29 +130,39 @@ def sequence_amplitudes(t1: float, t2: float, t3: float) -> np.ndarray:
 def _coarse_grid_start(target: np.ndarray) -> tuple:
     """First lexicographic maximizer of |<target|sequence>| on the coarse grid.
 
-    Evaluates only the (t2, t3) columns whose bound hypot(P, Q) can reach the
-    exact maximum of one column (see the module docstring).
+    Evaluates only the (t2, t3) columns of the t3 rows whose bounds can reach
+    the exact maximum of one column (see the module docstring).
     """
     g = -math.pi + GRID_STEP * np.arange(1, 361)
     c, s = np.cos(g), np.sin(g)
-    o_cc = np.outer(c, c)
-    o_ss = np.outer(s, s)
-    o_cs = np.outer(c, s)
-    o_sc = np.outer(s, c)
     t0, t1, t2, t3 = target
-    # Overlap at (i, j, k) factors as cos(g_i) * P[j, k] + sin(g_i) * Q[j, k].
-    p = (t0 * o_cc - t1 * o_ss + t2 * o_cs + t3 * o_sc).reshape(-1)
-    q = (t0 * o_ss + t1 * o_cc - t2 * o_sc + t3 * o_cs).reshape(-1)
-    bound = np.hypot(p, q)
-    top = int(np.argmax(bound))
-    lower = float(np.max(np.abs(c * p[top] + s * q[top])))
-    # Flat (j, k) indices in ascending order, so a row-major argmax over
-    # (i, column) is the first maximizer in (i, j, k) order.
-    cols = np.flatnonzero(bound * (1.0 + _BOUND_MARGIN) >= lower)
-    vals = np.abs(c[:, None] * p[cols] + s[:, None] * q[cols])
-    i, m = divmod(int(np.argmax(vals)), cols.size)
-    j, k = divmod(int(cols[m]), g.size)
-    return (float(g[i]), float(g[j]), float(g[k]))
+    # M_k = [[a, b], [e, f]] for every t3 row k, and its larger singular value.
+    a, b = t0 * c + t2 * s, t1 * c + t3 * s
+    e, f = t3 * c - t1 * s, t0 * s - t2 * c
+    sigma = 0.5 * (np.hypot(a + f, b - e) + np.hypot(a - f, b + e))
+
+    def columns(rows):
+        # (360, rows.size) P and Q in the full grid's elementwise expression.
+        ck, sk = c[rows], s[rows]
+        o_cc, o_ss = c[:, None] * ck, s[:, None] * sk
+        o_cs, o_sc = c[:, None] * sk, s[:, None] * ck
+        p = t0 * o_cc - t1 * o_ss + t2 * o_cs + t3 * o_sc
+        q = t0 * o_ss + t1 * o_cc - t2 * o_sc + t3 * o_cs
+        return p, q
+
+    p, q = columns(np.array([int(np.argmax(sigma))]))
+    top = int(np.argmax(np.hypot(p, q)))
+    lower = float(np.max(np.abs(c * p[top, 0] + s * q[top, 0])))
+    rows = np.flatnonzero(sigma * (1.0 + _BOUND_MARGIN) >= lower)
+    p, q = columns(rows)
+    # Boolean indexing is row-major, so the kept columns stay in ascending
+    # flat (j, k) order and a row-major argmax over (i, column) is the first
+    # maximizer in (i, j, k) order.
+    keep = np.hypot(p, q) * (1.0 + _BOUND_MARGIN) >= lower
+    j_idx, r_idx = np.nonzero(keep)
+    vals = np.abs(c[:, None] * p[keep] + s[:, None] * q[keep])
+    i, m = divmod(int(np.argmax(vals)), j_idx.size)
+    return (float(g[i]), float(g[j_idx[m]]), float(g[rows[r_idx[m]]]))
 
 
 def _refine(target: np.ndarray, start: tuple, max_iter: int = 60) -> np.ndarray:

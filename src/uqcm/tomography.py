@@ -123,6 +123,8 @@ class CountsRecord:
             raise ValueError(f"counts must have shape (8, 4), got {counts.shape}")
         if counts.min() < 0 or counts.max() > self.total_trials:
             raise ValueError("counts must lie in [0, total_trials]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         counts = counts.copy()
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
@@ -380,6 +382,8 @@ def reconstruct_single_qubit(c_h, c_v, c_d, c_r, label=1) -> DensityMatrix:
     Accepts integer counts or exact (float) probabilities; the formulas are
     scale-invariant as long as all four share one scale.
     """
+    if min(c_h, c_v, c_d, c_r) < 0:
+        raise ValueError("counts must be nonnegative")
     if not c_h + c_v > 0:
         raise ReconstructionError("no H/V counts: cannot normalize the inversion")
     return stokes_compose(*_path_stokes(np.array([c_h, c_v, c_d, c_r], dtype=float)), label=label)

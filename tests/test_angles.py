@@ -1,6 +1,7 @@
 """Preparation-angle solver: grid search plus refinement."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +176,62 @@ def _grid_targets():
 def test_pruned_grid_search_matches_exhaustive_loop():
     for target in _grid_targets():
         assert _coarse_grid_start(target) == exhaustive_grid_start(target), target
+
+
+def column_pruned_grid_start(target):
+    """The coarse search over the full 360 x 360 (t2, t3) grid, pruned by
+    column only: the second reference for the row-pruned `_coarse_grid_start`."""
+    g = -math.pi + GRID_STEP * np.arange(1, 361)
+    c, s = np.cos(g), np.sin(g)
+    o_cc = np.outer(c, c)
+    o_ss = np.outer(s, s)
+    o_cs = np.outer(c, s)
+    o_sc = np.outer(s, c)
+    t0, t1, t2, t3 = target
+    p = (t0 * o_cc - t1 * o_ss + t2 * o_cs + t3 * o_sc).reshape(-1)
+    q = (t0 * o_ss + t1 * o_cc - t2 * o_sc + t3 * o_cs).reshape(-1)
+    bound = np.hypot(p, q)
+    top = int(np.argmax(bound))
+    lower = float(np.max(np.abs(c * p[top] + s * q[top])))
+    cols = np.flatnonzero(bound * (1.0 + angles._BOUND_MARGIN) >= lower)
+    vals = np.abs(c[:, None] * p[cols] + s[:, None] * q[cols])
+    i, m = divmod(int(np.argmax(vals)), cols.size)
+    j, k = divmod(int(cols[m]), g.size)
+    return (float(g[i]), float(g[j]), float(g[k]))
+
+
+def test_row_pruned_search_matches_column_pruned_reference():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    entry = st.just(0.0) | st.floats(min_value=0.0, max_value=1.0, allow_subnormal=False)
+    entries = st.tuples(entry, entry, entry, entry).map(np.array)
+    # (|00> + |11>) and (|01> + |10>) are reached by a one-parameter family of
+    # angles: every row has det 0, so a tiny perturbation puts the row bounds
+    # closest to the lower bound.
+    family = st.sampled_from([np.array([1.0, 0.0, 0.0, 1.0]), np.array([0.0, 1.0, 1.0, 0.0])])
+    tiny = st.just(0.0) | st.floats(min_value=1e-15, max_value=1e-3)
+    near_family = st.builds(lambda base, eps, d: base + eps * d, family, tiny, entries)
+    targets = (entries.filter(lambda v: v.max() > 1e-6) | near_family).map(lambda v: v / np.linalg.norm(v))
+
+    @settings(max_examples=200, deadline=None)
+    @given(targets)
+    def check(target):
+        assert _coarse_grid_start(target) == column_pruned_grid_start(target)
+
+    check()
+
+
+@pytest.mark.parametrize("target", [CLONER_PREP_TARGET, TRIPLICATOR_PREP_TARGET], ids=["cloner", "triplicator"])
+def test_coarse_search_peak_memory_stays_below_1_mb(target):
+    tracemalloc.start()
+    try:
+        _coarse_grid_start(target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_solved_constant_angles_are_pinned():

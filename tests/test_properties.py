@@ -84,7 +84,7 @@ def _finite(min_value, max_value=1e300, exclude_min=False):
 @st.composite
 def counts_records(draw):
     """Valid records: counts in [0, trials] up to the int64 limit, any
-    integer seed, and finite detector values in their ranges."""
+    nonnegative seed, and finite detector values in their ranges."""
     trials = draw(st.integers(min_value=0, max_value=2**63 - 1))
     counts = draw(st.lists(st.integers(min_value=0, max_value=trials), min_size=32, max_size=32))
     model = DetectorModel(
@@ -93,7 +93,7 @@ def counts_records(draw):
         max_rate=draw(_finite(0.0, exclude_min=True)),
         gate_window=draw(_finite(0.0)),
     )
-    seed = draw(st.integers(min_value=-(2**80), max_value=2**80))
+    seed = draw(st.integers(min_value=0, max_value=2**80))
     return CountsRecord(counts=np.array(counts).reshape(8, 4), total_trials=trials, seed=seed, model=model)
 
 

@@ -210,6 +210,9 @@ class TestSimulateCounts:
             CountsRecord(counts=np.zeros((4, 4), dtype=int), total_trials=10, seed=0)
         with pytest.raises(ValueError, match="0, total_trials"):
             CountsRecord(counts=np.full((8, 4), 11, dtype=int), total_trials=10, seed=0)
+        # The seed drives the bootstrap streams, which take nonnegative entropy only.
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            CountsRecord(counts=np.zeros((8, 4), dtype=int), total_trials=10, seed=-5)
 
     @pytest.mark.parametrize("field", ["dark_rate", "max_rate", "gate_window"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -339,6 +342,11 @@ class TestSingleQubitInversion:
     def test_zero_counts_rejected(self):
         with pytest.raises(ReconstructionError, match="H/V"):
             reconstruct_single_qubit(0, 0, 10, 10)
+
+    @pytest.mark.parametrize("counts", [(-5, 10, 1, 1), (10, -1, 1, 1), (10, 10, -0.5, 1), (10, 10, 1, -1)])
+    def test_negative_count_rejected(self, counts):
+        with pytest.raises(ValueError, match="nonnegative"):
+            reconstruct_single_qubit(*counts)
 
     def test_nan_count_rejected(self):
         with pytest.raises(ReconstructionError, match="H/V"):
