@@ -12,10 +12,11 @@ Subcommands:
 * ``tomo``   - single-state tomography run printing the reconstructed
   replica density matrices.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 verification failure,
-4 I/O failure. CSV output is byte-identical for identical (config, seed):
-all randomness comes from explicitly seeded PCG64 streams and all numbers
-are printed with fixed 9-decimal formatting.
+Exit codes: 0 success, 2 configuration/usage error (counts too sparse to
+reconstruct included), 3 verification failure, 4 I/O failure. CSV output is
+byte-identical for identical (config, seed): all randomness comes from
+explicitly seeded PCG64 streams and all numbers are printed with fixed
+9-decimal formatting.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .streams import seed_words
 from .tomography import (
     _BASIS_MATRIX,
     DetectorModel,
+    ReconstructionError,
     _click_probabilities,
     _montecarlo_fidelities,
     _path_stokes,
@@ -129,10 +131,11 @@ class SweepConfig:
             raise UsageError("samples must be >= 1")
         if self.seed < 0:
             raise UsageError("seed must be >= 0")
-        if not (math.isfinite(self.jitter_deg) and math.isfinite(self.delta_c)):
-            raise UsageError("jitter_deg and delta_c must be finite")
-        if self.jitter_deg < 0 or self.delta_c < 0:
-            raise UsageError("jitter_deg and delta_c must be nonnegative")
+        if not (math.isfinite(self.jitter_deg) and self.jitter_deg >= 0):
+            raise UsageError("jitter_deg must be finite and nonnegative")
+        # A path weight is scaled by at least 1 - delta_c, so more would make counts negative.
+        if not 0 <= self.delta_c <= 1:
+            raise UsageError("delta_c must be finite and in [0, 1]")
         deltas = tuple(sorted(float(d) for d in self.delta_list))
         if not deltas:
             raise UsageError("delta_list must not be empty")
@@ -200,14 +203,6 @@ def build_sweep_config(args: argparse.Namespace) -> SweepConfig:
         raise UsageError(str(exc)) from exc
 
 
-def _point_seed(seed: int, i_delta: int, i_theta: int) -> int:
-    """Stable per-grid-point seed, SeedSequence((seed, i_delta, i_theta))'s
-    first state word; points are independent and order-free. The
-    single-point use of the grid's one `streams.seed_words` call in
-    `compute_sweep`."""
-    return int(seed_words([(seed, i_delta, i_theta)], 1)[0, 0])
-
-
 def format_row(mode, delta, theta, replica, fid, stderr, seed) -> str:
     return f"{mode},{delta:.9f},{theta:.9f},{replica},{fid:.9f},{stderr:.9f},{seed}"
 
@@ -231,12 +226,12 @@ def compute_sweep(config: SweepConfig):
     working set: exact mode in blocks of EXACT_BLOCK points, montecarlo in
     blocks of `tomography.MONTECARLO_BLOCK` points, perturbed in blocks of
     `errormodel.TRAIN_BLOCK` jittered trains. Montecarlo and perturbed
-    points draw from their own seeds, `_point_seed(seed, i_delta, i_theta)`,
-    so each row equals the single-point `montecarlo_report` or
-    `perturbation_sweep` at that seed. The grid's point seeds are one
-    `streams.seed_words` call, and every per-point and per-sample stream is
-    numpy's `PCG64(SeedSequence(entropy))`, set up by `streams.streams` in
-    batches rather than constructed one by one.
+    points draw from their own seeds, word 0 of
+    SeedSequence((seed, i_delta, i_theta)), so each row equals the
+    single-point `montecarlo_report` or `perturbation_sweep` at that seed.
+    The grid's point seeds are one `streams.seed_words` call, and every
+    per-point and per-sample stream is numpy's `PCG64(SeedSequence(entropy))`,
+    set up by `streams.streams` in batches rather than constructed one by one.
     """
     summary = []
     exit_code = EXIT_OK
@@ -548,10 +543,12 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return run_sweep(build_sweep_config(args))
         if args.command == "verify":
+            if not math.isfinite(args.hwp_offset_deg):
+                raise UsageError("--inject-hwp-offset-deg must be finite")
             return run_verify(hwp_offset_rad=math.radians(args.hwp_offset_deg))
         if args.command == "tomo":
             return run_tomo(args.theta, args.delta, args.mode, args.trials, args.seed)
-    except UsageError as exc:
+    except (UsageError, ReconstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except IsometryError as exc:

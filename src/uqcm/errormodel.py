@@ -165,20 +165,20 @@ def perturbation_sweep(
     Each sample draws an independent uniform(-jitter, +jitter) offset for
     every half-wave plate of the bench for input (theta, delta), adds
     the optional count-oscillation injection (the four replica-1 path
-    weights are scaled by 1 + u_i with sum |u_i| = delta_c_total), and
-    records |F - 5/6| of replica 1. Deterministic given the seed: sample i
-    draws from its own substream (seed, i). The single-point use of
-    `_jittered_fidelities`, the kernel the perturbed sweep runs over its
-    whole grid: the jittered trains propagate the source photon's column in
-    blocks of TRAIN_BLOCK, each element checked unitary, and every sample is
-    scored from its (8, 4) click probabilities.
+    weights are scaled by 1 + u_i with sum |u_i| = delta_c_total, at most 1
+    so that no weight turns negative), and records |F - 5/6| of replica 1.
+    Deterministic given the seed: sample i draws from its own substream
+    (seed, i). The single-point use of `_jittered_fidelities`, the kernel the
+    perturbed sweep runs over its whole grid: the jittered trains propagate
+    the source photon's column in blocks of TRAIN_BLOCK, each element checked
+    unitary, and every sample is scored from its (8, 4) click probabilities.
     """
     if not (math.isfinite(jitter) and jitter >= 0):
         raise ValueError(f"jitter must be finite and nonnegative, got {jitter!r}")
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    if not (math.isfinite(delta_c_total) and delta_c_total >= 0):
-        raise ValueError(f"delta_c_total must be finite and nonnegative, got {delta_c_total!r}")
+    if not 0 <= delta_c_total <= 1:
+        raise ValueError(f"delta_c_total must be finite and in [0, 1], got {delta_c_total!r}")
     f1s, f2s = _jittered_fidelities([theta], [delta], [seed], n_samples, jitter, delta_c_total)[0].T
     devs = np.abs(f1s - _TARGET_F)
     return PerturbationResult(

@@ -73,9 +73,6 @@ N_PATHS = 8
 # Salt for deriving the bootstrap stream from a record's seed.
 _BOOTSTRAP_SALT = 0x626F6F74
 
-# Header fields of the CountsRecord text format.
-_HEADER_FIELDS = ("trials", "seed", "efficiency", "dark_rate", "max_rate", "gate_window")
-
 
 class ReconstructionError(ValueError):
     """Counts are insufficient to invert a density matrix."""
@@ -110,17 +107,19 @@ class DetectorModel:
 
 @dataclass(frozen=True)
 class CountsRecord:
-    """Simulated detector counts, indexed [path 0..7][basis H, V, D, R]."""
+    """Simulated detector counts, indexed [path 0..7][basis H, V, D, R], as
+    `simulate_counts` returns them; `seed` drives the bootstrap streams."""
 
     counts: np.ndarray
     total_trials: int
     seed: int
-    model: DetectorModel = DetectorModel()
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)
         if counts.shape != (N_PATHS, len(BASES)):
             raise ValueError(f"counts must have shape (8, 4), got {counts.shape}")
+        if self.total_trials < 1:
+            raise ValueError(f"total_trials must be positive, got {self.total_trials}")
         if counts.min() < 0 or counts.max() > self.total_trials:
             raise ValueError("counts must lie in [0, total_trials]")
         if self.seed < 0:
@@ -128,73 +127,6 @@ class CountsRecord:
         counts = counts.copy()
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
-
-    def to_text(self) -> str:
-        m = self.model
-        header = (
-            f"# trials={self.total_trials} seed={self.seed} "
-            f"efficiency={m.efficiency!r} dark_rate={m.dark_rate!r} "
-            f"max_rate={m.max_rate!r} gate_window={m.gate_window!r}"
-        )
-        lines = [header]
-        for path in range(N_PATHS):
-            for b, basis in enumerate(BASES):
-                lines.append(f"{path} {basis} {int(self.counts[path, b])}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "CountsRecord":
-        """Parse the `to_text` format.
-
-        Raises ValueError, and no other error, for any other text: the header
-        must carry every field, each of the 32 (path, basis) cells must
-        appear exactly once with a count in the int64 range, and the values
-        must make a valid DetectorModel and CountsRecord.
-        """
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("#"):
-            raise ValueError("missing counts header line")
-        fields = {}
-        for item in lines[0][1:].split():
-            key, sep, value = item.partition("=")
-            if not sep:
-                raise ValueError(f"malformed counts header item {item!r}")
-            fields[key] = value
-        missing = [name for name in _HEADER_FIELDS if name not in fields]
-        if missing:
-            raise ValueError(f"counts header lacks fields: {', '.join(missing)}")
-        counts = np.zeros((N_PATHS, len(BASES)), dtype=np.int64)
-        seen = set()
-        for ln in lines[1:]:
-            try:
-                path, basis, value = ln.split()
-                cell = (int(path), BASES.index(basis))
-                count = int(value)
-            except ValueError:
-                raise ValueError(f"malformed counts line {ln!r}") from None
-            if not (0 <= cell[0] < N_PATHS):
-                raise ValueError(f"malformed counts line {ln!r}: no path {cell[0]}")
-            if cell in seen:
-                raise ValueError(f"duplicate counts cell {ln!r}")
-            seen.add(cell)
-            try:
-                counts[cell] = count
-            except OverflowError:
-                raise ValueError(f"malformed counts line {ln!r}: count outside the int64 range") from None
-        if len(seen) != counts.size:
-            raise ValueError(f"counts record has {len(seen)} of {counts.size} (path, basis) cells")
-        model = DetectorModel(
-            efficiency=float(fields["efficiency"]),
-            dark_rate=float(fields["dark_rate"]),
-            max_rate=float(fields["max_rate"]),
-            gate_window=float(fields["gate_window"]),
-        )
-        return cls(
-            counts=counts,
-            total_trials=int(fields["trials"]),
-            seed=int(fields["seed"]),
-            model=model,
-        )
 
 
 _AUX_CSWAP = Circuit((1, 2, 3, AUX), (CSWAP(AUX, 1, 2),))
@@ -296,7 +228,7 @@ def simulate_counts(
     if probs.shape != (N_PATHS, len(BASES)):
         raise ValueError(f"signal_probs must have shape (8, 4), got {probs.shape}")
     counts = _draw_counts(probs[None], model, trials, streams(_count_entropy([seed])))[0]
-    return CountsRecord(counts=counts, total_trials=trials, seed=seed, model=model)
+    return CountsRecord(counts=counts, total_trials=trials, seed=seed)
 
 
 def _count_entropy(seeds) -> list:

@@ -21,7 +21,6 @@ from uqcm.cli import (
     _check_reference_oracle,
     _check_tomography_roundtrip,
     _format_matrix,
-    _point_seed,
     _random_qubit_amplitudes,
     build_sweep_config,
     compute_sweep,
@@ -58,6 +57,11 @@ class TestConfig:
             SweepConfig(trials=0)
         with pytest.raises(UsageError, match="delta_list"):
             SweepConfig(delta_list=())
+        # Count-oscillation factors 1 + u_i delta_c / sum |u_j| stay >= 0 only for delta_c <= 1.
+        for bad in (-0.1, 1.0 + 1e-12, 1.5, 3.0, 10.0, math.inf, math.nan):
+            with pytest.raises(UsageError, match=r"delta_c must be finite and in \[0, 1\]"):
+                SweepConfig(mode="perturbed", delta_c=bad)
+        assert SweepConfig(mode="perturbed", delta_c=1.0).delta_c == 1.0
 
     def test_config_file_parsing(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -197,7 +201,7 @@ class TestSweep:
         expect, point_devs, point_errs, n_exceed = [], [], [], 0
         for i_d, delta in enumerate(cfg.delta_list):
             for i_t, theta in enumerate(cfg.theta_grid()):
-                seed = _point_seed(cfg.seed, i_d, i_t)
+                seed = int(np.random.SeedSequence((cfg.seed, i_d, i_t)).generate_state(1)[0])
                 if cfg.mode == "montecarlo":
                     rep = montecarlo_report(theta, delta, cfg.trials, seed)
                     stats = ((rep.fidelity1, rep.stderr1), (rep.fidelity2, rep.stderr2))
@@ -225,9 +229,6 @@ class TestSweep:
 
     @pytest.mark.parametrize("seed", [0, 42, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 3])
     def test_point_seeds_are_seed_sequence_words(self, seed):
-        for i_delta, i_theta in ((0, 0), (3, 18), (1, 7)):
-            expect = int(np.random.SeedSequence((seed, i_delta, i_theta)).generate_state(1)[0])
-            assert _point_seed(seed, i_delta, i_theta) == expect
         cfg = SweepConfig(mode="montecarlo", theta_steps=3, delta_list=(0.0, 1.0), trials=50, seed=seed)
         rows, _, _ = compute_sweep(cfg)
         assert [int(r.split(",")[-1]) for r in rows[::2]] == [
@@ -356,12 +357,20 @@ class TestExitCodes:
         assert main(["sweep", "--config", str(path)]) == EXIT_USAGE
         assert "delta value 7.0 outside" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["jitter_deg = inf", "delta_c = nan"])
+    # delta_c above 1 could make a path weight negative: the same usage error.
+    @pytest.mark.parametrize("line", ["jitter_deg = inf", "delta_c = nan", "delta_c = 1.5", "delta_c = 3", "delta_c = 10"])
     def test_nonfinite_jitter_or_delta_c_in_config(self, line, tmp_path, capsys):
-        path = tmp_path / "bad.cfg"
+        path, out = tmp_path / "bad.cfg", tmp_path / "x.csv"
         path.write_text(f"mode = perturbed\n{line}\n")
-        assert main(["sweep", "--config", str(path)]) == EXIT_USAGE
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
         assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_delta_c_of_one_runs(self, tmp_path, capsys):
+        path, out = tmp_path / "edge.cfg", tmp_path / "x.csv"
+        path.write_text("mode = perturbed\ntheta_steps = 3\ndelta_list = 0\nsamples = 3\ndelta_c = 1.0\n")
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == "" and out.exists()
 
     @pytest.mark.parametrize("command", ["sweep", "tomo"])
     def test_trials_beyond_int64_range(self, command, tmp_path, capsys):
@@ -391,6 +400,25 @@ class TestExitCodes:
     def test_tomo_out_of_range_input(self, flags, capsys):
         assert main(["tomo", "--mode", "montecarlo", *flags]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_tomo_counts_too_sparse_to_reconstruct(self, seed, capsys):
+        # One photon per setting leaves a replica's path group without H/V counts.
+        assert main(["tomo", "--mode", "montecarlo", "--trials", "1", "--seed", str(seed)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: replica ") and err.rstrip().endswith("no counts in its path group")
+
+    def test_sweep_counts_too_sparse_to_reconstruct_writes_no_csv(self, tmp_path, capsys):
+        out = tmp_path / "sparse.csv"
+        assert main(["sweep", "--mode", "montecarlo", "--trials", "1", "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: replica ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("offset", ["inf", "-inf", "nan"])
+    def test_verify_nonfinite_hwp_offset(self, offset, capsys):
+        assert main(["verify", f"--inject-hwp-offset-deg={offset}"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: --inject-hwp-offset-deg must be finite\n")
 
     def test_verify_has_no_prep_tol_flag(self, capsys):
         assert main(["verify", "--prep-tol", "1e-12"]) == EXIT_USAGE

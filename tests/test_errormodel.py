@@ -126,6 +126,15 @@ class TestPerturbationSweep:
         with pytest.raises(ValueError, match="delta_c_total"):
             perturbation_sweep(jitter=0.1, n_samples=5, seed=0, delta_c_total=-1.0)
 
+    def test_delta_c_total_above_one_rejected(self):
+        # A path weight is scaled by 1 + u_i delta_c / sum |u_j| >= 1 - delta_c, which
+        # turns negative above 1.
+        for bad in (1.0 + 1e-12, 1.5, 3.0, 10.0):
+            with pytest.raises(ValueError, match=r"delta_c_total must be finite and in \[0, 1\]"):
+                perturbation_sweep(jitter=0.001, n_samples=3, seed=0, delta_c_total=bad)
+        res = perturbation_sweep(jitter=0.001, n_samples=20, seed=4, delta_c_total=1.0)
+        assert np.all((res.fidelities1 >= 0.0) & (res.fidelities1 <= 1.0))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_parameters_rejected(self, bad):
         with pytest.raises(ValueError, match="jitter must be finite"):

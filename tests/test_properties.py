@@ -1,8 +1,11 @@
-"""Property tests: batched seeding against numpy, config parsing and the
-counts text format against any input."""
+"""Property tests: batched seeding against numpy, config parsing against any
+input, and the CLI's exit codes against any flags and small configs."""
 
+import math
 import os
 import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +14,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from uqcm.cli import SweepConfig, UsageError, load_config_file  # noqa: E402
+from uqcm.cli import EXIT_USAGE, SweepConfig, UsageError, load_config_file, main  # noqa: E402
 from uqcm.streams import seed_words, streams  # noqa: E402
-from uqcm.tomography import CountsRecord, DetectorModel  # noqa: E402
 
 entropy_ints = st.integers(min_value=0, max_value=2**128 - 1)
 
@@ -77,64 +79,103 @@ def test_any_config_bytes_are_a_config_or_a_usage_error(content):
         pass
 
 
-def _finite(min_value, max_value=1e300, exclude_min=False):
-    return st.floats(min_value=min_value, max_value=max_value, exclude_min=exclude_min, allow_nan=False)
+# Each value has an (in range, anything) pair of strategies. A run draws
+# every value in range, except that about half of the runs draw one value
+# from its second strategy instead.
+ANY_FLOAT = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, -1.0, 1e300]) | st.floats()
+# One to three photons per setting often leave a replica without counts;
+# 2**63 - 1 is the largest trial number.
+TRIALS = (
+    st.integers(1, 3) | st.integers(4, 2000) | st.integers(2**63 - 3, 2**63 - 1),
+    st.integers(-1, 0) | st.integers(2**63, 2**63 + 3),
+)
+SEED = (st.integers(0, 2**70), st.integers(-3, -1))
+SWEEP_VALUES = {
+    "theta_steps": (st.integers(1, 3), st.integers(-1, 0)),
+    "delta_list": (st.lists(st.floats(0.0, 6.2), min_size=1, max_size=2), st.lists(ANY_FLOAT, max_size=2)),
+    "samples": (st.integers(1, 3), st.integers(-1, 0)),
+    "theta_start": (st.floats(-1.5, 0.0), ANY_FLOAT),
+    "theta_end": (st.floats(0.0, 1.5), ANY_FLOAT),
+    # Hypothesis draws the first entry most often: the random modes first.
+    "mode": (st.sampled_from(["perturbed", "montecarlo", "exact"]), st.just("bogus")),
+    "trials": TRIALS,
+    "seed": SEED,
+    "jitter_deg": (st.floats(0.0, 2.0), ANY_FLOAT),
+    # Above 1 the injection can make a path weight, or a group's total,
+    # negative: drawn up to 6 in every run.
+    "delta_c": (st.floats(0.0, 6.0), ANY_FLOAT),
+}
+# Always set: the grid stays at most 3 x 2 points, 3 samples each.
+SWEEP_ALWAYS = ("theta_steps", "delta_list", "samples", "mode", "delta_c")
+SWEEP_FLAGS = ("mode", "trials", "seed", "jitter_deg")
+TOMO_VALUES = {
+    "theta": (st.floats(-1.5, 1.5), ANY_FLOAT),
+    "delta": (st.floats(0.0, 6.2), ANY_FLOAT),
+    "mode": (st.sampled_from(["montecarlo", "exact"]), st.just("perturbed")),
+    "trials": TRIALS,
+    "seed": SEED,
+}
+
+
+def _draw_values(draw, table):
+    values = {key: draw(valid) for key, (valid, _) in table.items()}
+    bad = draw(st.none() | st.sampled_from(sorted(table)))
+    if bad is not None:
+        values[bad] = draw(table[bad][1])
+    return values
+
+
+def _text(value):
+    if isinstance(value, list):
+        return ", ".join(map(repr, value))
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 @st.composite
-def counts_records(draw):
-    """Valid records: counts in [0, trials] up to the int64 limit, any
-    nonnegative seed, and finite detector values in their ranges."""
-    trials = draw(st.integers(min_value=0, max_value=2**63 - 1))
-    counts = draw(st.lists(st.integers(min_value=0, max_value=trials), min_size=32, max_size=32))
-    model = DetectorModel(
-        efficiency=draw(_finite(0.0, 1.0)),
-        dark_rate=draw(_finite(0.0)),
-        max_rate=draw(_finite(0.0, exclude_min=True)),
-        gate_window=draw(_finite(0.0)),
-    )
-    seed = draw(st.integers(min_value=0, max_value=2**80))
-    return CountsRecord(counts=np.array(counts).reshape(8, 4), total_trials=trials, seed=seed, model=model)
+def sweep_runs(draw):
+    """(flags, config text) for `uqcm sweep`: a value goes to its flag, if it
+    has one, or to the file; some keys may be left at their defaults."""
+    flags, lines = [], []
+    for key, value in _draw_values(draw, SWEEP_VALUES).items():
+        if key in SWEEP_FLAGS and draw(st.booleans()):
+            flags.append(f"--{key.replace('_', '-')}={_text(value)}")
+        elif key in SWEEP_ALWAYS or draw(st.booleans()):
+            lines.append(f"{key} = {_text(value)}\n")
+    return flags, "".join(lines)
+
+
+@st.composite
+def tomo_argvs(draw):
+    values = _draw_values(draw, TOMO_VALUES)
+    return ["tomo"] + [f"--{key}={_text(value)}" for key, value in values.items() if draw(st.booleans())]
+
+
+VERIFY_ARGVS = st.just(["verify"]) | ANY_FLOAT.map(lambda offset: ["verify", f"--inject-hwp-offset-deg={offset!r}"])
+
+
+def _check_exit_code(argv, out):
+    """`main(argv)` returns 0, 2, 3 or 4 and neither raises nor warns; a
+    usage error (exit 2) writes no CSV."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    if code == EXIT_USAGE:
+        assert not out.exists()
+
+
+@settings(max_examples=400, deadline=None)
+@given(sweep_runs())
+def test_every_sweep_exits_0_2_3_or_4(run):
+    flags, text = run
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "run.cfg", Path(tmp) / "sweep.csv"
+        config.write_text(text, encoding="utf-8")
+        _check_exit_code(["sweep", "--config", str(config), "--out", str(out)] + flags, out)
 
 
 @settings(max_examples=200, deadline=None)
-@given(counts_records())
-def test_counts_text_round_trip_reproduces_any_valid_record(record):
-    back = CountsRecord.from_text(record.to_text())
-    np.testing.assert_array_equal(back.counts, record.counts)
-    assert (back.total_trials, back.seed, back.model) == (record.total_trials, record.seed, record.model)
-    assert back.to_text() == record.to_text()
-
-
-HEADER_KEY = st.sampled_from(["trials", "seed", "efficiency", "dark_rate", "max_rate", "gate_window", "x"])
-HEADER_VALUE = st.sampled_from(["0", "-1", "1e400", "nan", "inf", "-inf", "0.5", str(2**63), "1_0", ""]) | st.text(max_size=8)
-PATH_TOKEN = st.integers(-1, 8).map(str) | st.text(max_size=3)
-BASIS_TOKEN = st.sampled_from(["H", "V", "D", "R", "X"])
-COUNT_TOKEN = st.sampled_from(["0", "7", "-3", str(2**63), str(10**30), "1.5", "x", ""]) | st.text(max_size=6)
-COUNTS_TEXT = st.text() | st.builds(
-    lambda header, lines: "\n".join(["# " + " ".join(f"{k}={v}" for k, v in header)] + lines),
-    st.lists(st.tuples(HEADER_KEY, HEADER_VALUE), max_size=8),
-    st.lists(st.tuples(PATH_TOKEN, BASIS_TOKEN, COUNT_TOKEN).map(" ".join), max_size=34),
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(COUNTS_TEXT)
-def test_any_counts_text_is_a_record_or_a_value_error(text):
-    try:
-        CountsRecord.from_text(text)
-    except ValueError:
-        pass
-
-
-@settings(max_examples=200, deadline=None)
-@given(counts_records(), st.data())
-def test_a_valid_record_with_one_token_replaced_is_a_record_or_a_value_error(record, data):
-    lines = [line.split(" ") for line in record.to_text().splitlines()]
-    row = data.draw(st.integers(0, len(lines) - 1))
-    col = data.draw(st.integers(0, len(lines[row]) - 1))
-    lines[row][col] = data.draw(HEADER_VALUE | COUNT_TOKEN)
-    try:
-        CountsRecord.from_text("\n".join(" ".join(line) for line in lines))
-    except ValueError:
-        pass
+@given(st.one_of(tomo_argvs(), VERIFY_ARGVS))
+def test_every_tomo_and_verify_run_exits_0_2_3_or_4(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        _check_exit_code(argv, Path(tmp) / "sweep.csv")
