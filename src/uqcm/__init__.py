@@ -69,7 +69,6 @@ from .tomography import (
     fidelity_report,
     measurement_state,
     montecarlo_report,
-    path_distribution,
     reconstruct_replica,
     reconstruct_single_qubit,
     replicas_from_state,
@@ -155,7 +154,6 @@ __all__ = [
     "fidelity_report",
     "measurement_state",
     "montecarlo_report",
-    "path_distribution",
     "reconstruct_replica",
     "reconstruct_single_qubit",
     "replicas_from_state",

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gates import _apply_gates, apply_circuit
+from .gates import apply_circuit
 from .hilbert import (
     IsometryError,
     PureState,
@@ -44,9 +45,9 @@ from .network import (
     TRIPLICATOR_PREP_TARGET,
     _clone_outputs,
     _input_amplitudes,
+    _network_outputs,
     _reference_outputs,
     _replica_stokes_of_outputs,
-    build_cloning_network,
     build_measurement_circuit,
     optimal_fidelity,
 )
@@ -85,6 +86,10 @@ MAX_TRIALS = 2**63 - 1
 CSV_HEADER = "mode,delta_rad,theta_rad,replica,fidelity,stderr,seed"
 
 _DEFAULT_DELTAS = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
+
+# A negative flag value, exponent form and inf included; argparse's own
+# pattern has neither, so it takes "--theta -1e-3" for a flag without a value.
+_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
 
 class UsageError(Exception):
@@ -356,13 +361,6 @@ def _random_qubit_amplitudes(n: int, seed: int) -> np.ndarray:
     return amps / np.linalg.norm(amps, axis=-1, keepdims=True)
 
 
-def _network_outputs(amps: np.ndarray) -> np.ndarray:
-    """(n, 8) outputs of the gate sequence of `build_cloning_network()` for
-    (n, 2) input amplitudes on qubit 1, qubits 2 and 3 blank, as one batch."""
-    joint = (amps[:, :, None] * np.eye(4)[0]).reshape(len(amps), 8)
-    return _apply_gates(build_cloning_network(), joint)
-
-
 def _check_reference_oracle(n_random: int = 1000, seed: int = 1905) -> CheckResult:
     """Gate network output equals the closed-form oracle up to global phase."""
     amps = _random_qubit_amplitudes(n_random, seed)
@@ -529,6 +527,8 @@ def _build_parser() -> argparse.ArgumentParser:
     tomo.add_argument("--trials", type=int, default=20000)
     tomo.add_argument("--seed", type=int, default=42)
 
+    for command in (sweep, verify, tomo):
+        command._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

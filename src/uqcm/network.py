@@ -6,20 +6,25 @@ flows out of qubit 1), followed by a cloning stage of four CNOT gates that
 redistributes the input qubit's information. Both output copies (qubits 1
 and 2) reach the optimal universal fidelity 5/6 for every pure input.
 
-A direct closed-form transform of the same machine doubles as an oracle
-against which the gate network and the optical realization are checked.
+`build_cloning_network` is the one gate list of the machine and
+`_network_outputs` its one array runner. The compiled 8 x 2 image, the
+triplicator and the bench-layout circuit of `build_measurement_circuit` are
+all derived from them. A direct closed-form transform of the same machine
+doubles as an oracle against which the gate network and the optical
+realization are checked.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import fields, replace
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .angles import PrepAngles, prep_circuit, solve_prep_angles
-from .gates import CNOT, CSWAP, SWAP, Circuit, Rotation, apply_circuit
+from .gates import CNOT, CSWAP, SWAP, Circuit, Rotation, _apply_gates
 from .hilbert import (
     ATOL,
     AUX,
@@ -29,9 +34,7 @@ from .hilbert import (
     _require_isometry,
     _require_physical_stokes,
     _stokes_fidelity,
-    partial_trace,
     stokes_compose,
-    tensor_product,
 )
 
 # Preparation target for the 1-to-2 cloner: (2|00> + |01> + |11>) / sqrt(6)
@@ -139,6 +142,14 @@ def _reference_outputs(amps) -> np.ndarray:
     return amps[..., 0, None] * _IMAGE_OF_0 + amps[..., 1, None] * _IMAGE_OF_1
 
 
+def _network_outputs(amps, prep: PrepAngles | None = None) -> np.ndarray:
+    """(..., 8) outputs of the gate sequence of `build_cloning_network(prep)`
+    for (..., 2) input amplitudes on qubit 1, qubits 2 and 3 blank, as one batch."""
+    amps = np.asarray(amps)
+    joint = (amps[..., None] * np.eye(4)[0]).reshape(amps.shape[:-1] + (8,))
+    return _apply_gates(build_cloning_network(prep), joint)
+
+
 @lru_cache(maxsize=4)
 def _network_image(prep: PrepAngles) -> np.ndarray:
     """8 x 2 read-only image of the input basis states |0>, |1> (qubit 1,
@@ -149,12 +160,7 @@ def _network_image(prep: PrepAngles) -> np.ndarray:
     a0 * image[:, 0] + a1 * image[:, 1]. Compiled once per prep-angle set,
     on first use.
     """
-    network = build_cloning_network(prep)
-    blank = PureState((2, 3), [1, 0, 0, 0])
-    image = np.stack(
-        [apply_circuit(network, tensor_product(PureState([1], basis), blank)).amplitudes for basis in np.eye(2)],
-        axis=1,
-    )
+    image = _network_outputs(np.eye(2), prep).T
     _require_isometry(image, "cloning network image")
     image.flags.writeable = False
     return image
@@ -230,45 +236,25 @@ def triplicate(theta: float) -> tuple:
     cos(theta)|0> + sin(theta)|1> and returns the three reduced density
     matrices, which coincide with an input-independent fidelity.
     """
-    psi = input_state(theta, 0.0)
-    blank = PureState((2, 3), [1, 0, 0, 0])
-    network = build_cloning_network(triplicator_prep_angles())
-    out = apply_circuit(network, tensor_product(psi, blank))
-    return (
-        partial_trace(out, [1]),
-        partial_trace(out, [2]),
-        partial_trace(out, [3]),
-    )
+    out = _input_amplitudes(theta, 0.0) @ _network_image(triplicator_prep_angles()).T
+    return tuple(stokes_compose(*_qubit_stokes(out, k), label=k + 1) for k in range(3))
 
 
 def build_measurement_circuit(prep_angles: PrepAngles | None = None) -> Circuit:
     """Gate-level model of the full optical bench on qubits (1, 2, 3, aux).
 
-    Mirrors the bench layout: the input qubit is first swapped onto qubit 2
-    so later stages see a definite qubit 1, the preparation stage therefore
-    acts on qubits (1, 3) and the cloning stage is relabeled accordingly.
+    Mirrors the bench layout: the input qubit is first swapped onto qubit 2,
+    so later stages see a definite qubit 1. The gates of
+    `build_cloning_network` therefore follow with qubits 1 and 2 exchanged.
     The probe qubit is then spread into (|0> + |1>)/sqrt(2) and controls a
     swap of the two replicas, so each half of the probe carries one copy.
     Because the machine output is symmetric under exchanging qubits 1 and 2,
     this pipeline measures the same replicas as the plain network.
     """
-    if prep_angles is None:
-        prep_angles = cloner_prep_angles()
-    t1, t2, t3 = prep_angles.as_tuple()
-    return Circuit(
-        (1, 2, 3, AUX),
-        (
-            SWAP(1, 2),
-            Rotation(1, t1),
-            CNOT(1, 3),
-            Rotation(3, t2),
-            CNOT(3, 1),
-            Rotation(1, t3),
-            CNOT(2, 1),
-            CNOT(2, 3),
-            CNOT(1, 2),
-            CNOT(3, 2),
-            Rotation(AUX, math.pi / 4),
-            CSWAP(AUX, 1, 2),
-        ),
-    )
+
+    def exchanged(gate):
+        qubits = {f.name: getattr(gate, f.name) for f in fields(gate) if f.name != "angle"}
+        return replace(gate, **{name: {1: 2, 2: 1}.get(q, q) for name, q in qubits.items()})
+
+    network = [exchanged(g) for g in build_cloning_network(prep_angles).gates]
+    return Circuit((1, 2, 3, AUX), (SWAP(1, 2), *network, Rotation(AUX, math.pi / 4), CSWAP(AUX, 1, 2)))

@@ -47,7 +47,7 @@ from .hilbert import (
     stokes_decompose,
     tensor_product,
 )
-from .network import _clone_outputs, _input_amplitudes, input_state
+from .network import _clone_outputs, _input_amplitudes
 from .streams import streams
 
 # Input points per pass of the counting pipeline; its bootstrap refit holds
@@ -183,20 +183,6 @@ def per_path_amplitudes(meas: PureState) -> np.ndarray:
     return _path_rows(meas.amplitudes)
 
 
-def path_distribution(meas: PureState, basis: str) -> np.ndarray:
-    """(8, 2) outcome probabilities for one polarizer setting.
-
-    Column 0 projects onto the basis state, column 1 onto its orthogonal
-    complement; the 16 entries sum to one.
-    """
-    if basis not in BASES:
-        raise ValueError(f"unknown basis {basis!r}; expected one of {BASES}")
-    b0, b1 = BASIS_VECTORS[basis]
-    # Column 1 is the conjugate of (-conj(b1), conj(b0)), orthogonal to b.
-    projections = np.array([[b0.conjugate(), -b1], [b1.conjugate(), b0]])
-    return np.abs(per_path_amplitudes(meas) @ projections) ** 2
-
-
 def _click_probabilities(rows: np.ndarray) -> np.ndarray:
     """(..., 8, 4) click probabilities from (..., 8, 2) per-path amplitudes."""
     return np.abs(rows @ _BASIS_MATRIX) ** 2
@@ -205,6 +191,12 @@ def _click_probabilities(rows: np.ndarray) -> np.ndarray:
 def signal_probabilities(meas: PureState) -> np.ndarray:
     """(8, 4) probability of a click behind the polarizer per (path, basis)."""
     return _click_probabilities(per_path_amplitudes(meas))
+
+
+def _gate_probabilities(amps) -> np.ndarray:
+    """(..., 8, 4) gate-tier click probabilities for (..., 2) input amplitudes:
+    network image, probe-controlled swap as an axis exchange, polarizers."""
+    return _click_probabilities(_path_rows(_aux_cswap(_clone_outputs(amps))))
 
 
 def simulate_counts(
@@ -303,9 +295,14 @@ def _replica_stokes(counts, replicas=(1, 2)) -> np.ndarray:
     return stokes
 
 
-def _replica_fidelities(counts, psi: PureState) -> np.ndarray:
-    """(..., 2) fidelities of both replicas with `psi`, from (..., 8, 4) counts."""
-    return _stokes_fidelity(_replica_stokes(counts), _qubit_stokes(psi.amplitudes))
+def _bootstrap_stokes(draws, trials: int) -> np.ndarray:
+    """`_replica_stokes` of bootstrap resamples of counts that reconstruct; a
+    resample that does not reconstruct means too few trials for error bars."""
+    try:
+        return _replica_stokes(draws)
+    except ReconstructionError as exc:
+        too_few = f"{trials} trials per setting are too few for error bars"
+        raise ReconstructionError(f"bootstrap resample: {exc}; {too_few}") from exc
 
 
 def reconstruct_single_qubit(c_h, c_v, c_d, c_r, label=1) -> DensityMatrix:
@@ -388,19 +385,19 @@ def fidelity_report(
     (any qubit label). When a CountsRecord is supplied, statistical error
     bars are estimated by a parametric bootstrap: all cells are resampled at
     once as Binomial(trials, observed fraction), an (n_bootstrap, 8, 4)
-    draw, every draw is refitted in one `_replica_fidelities` call, and the
+    draw, every draw is refitted in one `_replica_stokes` call, and the
     sample standard deviation of the refitted fidelities is reported; that
     needs `n_bootstrap` >= 2.
     """
     if counts is not None and n_bootstrap < 2:
         raise ValueError(f"n_bootstrap must be >= 2 to estimate a standard error, got {n_bootstrap!r}")
-    psi = input_state(theta, delta)
-    f1, f2 = _stokes_fidelity([stokes_decompose(rho1), stokes_decompose(rho2)], _qubit_stokes(psi.amplitudes))
+    bloch = _qubit_stokes(_input_amplitudes(theta, delta))
+    f1, f2 = _stokes_fidelity([stokes_decompose(rho1), stokes_decompose(rho2)], bloch)
     err1 = err2 = 0.0
     if counts is not None:
         rngs = streams(_bootstrap_entropy([counts.seed]))
         draws = _bootstrap_draws(counts.counts[None], counts.total_trials, rngs, n_bootstrap)[0]
-        err1, err2 = np.std(_replica_fidelities(draws, psi), axis=0, ddof=1)
+        err1, err2 = np.std(_stokes_fidelity(_bootstrap_stokes(draws, counts.total_trials), bloch), axis=0, ddof=1)
     return FidelityReport(
         fidelity1=float(f1),
         fidelity2=float(f2),
@@ -413,9 +410,11 @@ def fidelity_report(
 
 
 def exact_report(theta: float, delta: float) -> FidelityReport:
-    """Noise-free pipeline: exact probabilities through the full reconstruction."""
-    rho1, rho2 = replicas_from_state(measurement_state(theta, delta))
-    return fidelity_report(rho1, rho2, theta, delta, mode="exact")
+    """Noise-free pipeline: exact probabilities through the full reconstruction,
+    a single-point use of the gate-tier kernels."""
+    amps = _input_amplitudes(theta, delta)
+    f1, f2 = _stokes_fidelity(_replica_stokes(_gate_probabilities(amps)), _qubit_stokes(amps)).tolist()
+    return FidelityReport(f1, f2, 0.0, 0.0, theta, delta, mode="exact")
 
 
 def _montecarlo_fidelities(
@@ -425,12 +424,11 @@ def _montecarlo_fidelities(
     counting pipeline at N input points, point k seeded by seeds[k].
 
     Points are taken in blocks of MONTECARLO_BLOCK. A block's (8, 4) click
-    probabilities come from one pass: network image, probe-controlled swap
-    as an axis exchange, `_click_probabilities`. Its counts and bootstrap
-    resamples are drawn point by point from each point's own streams (as
-    `simulate_counts` and `fidelity_report` draw them), all seeded by one
-    `streams.streams` call per block, and both refits are
-    one `_replica_stokes` call each: F = (1 + S . n) / 2, stderr the sample
+    probabilities come from one `_gate_probabilities` pass. Its counts and
+    bootstrap resamples are drawn point by point from each point's own
+    streams (as `simulate_counts` and `fidelity_report` draw them), all
+    seeded by one `streams.streams` call per block, and both refits are one
+    `_replica_stokes` call each: F = (1 + S . n) / 2, stderr the sample
     standard deviation over the resamples.
     """
     if n_bootstrap < 2:
@@ -441,13 +439,12 @@ def _montecarlo_fidelities(
     errs = np.empty((len(amps), 2))
     for start in range(0, len(amps), MONTECARLO_BLOCK):
         block = slice(start, start + MONTECARLO_BLOCK)
-        probs = _click_probabilities(_path_rows(_aux_cswap(_clone_outputs(amps[block]))))
         # The block's counting streams, then its bootstrap streams.
         rngs = streams(_count_entropy(seeds[block]) + _bootstrap_entropy(seeds[block]))
-        counts = _draw_counts(probs, model, trials, rngs)
+        counts = _draw_counts(_gate_probabilities(amps[block]), model, trials, rngs)
         fids[block] = _stokes_fidelity(_replica_stokes(counts), bloch[block])
         draws = _bootstrap_draws(counts, trials, rngs, n_bootstrap)
-        refits = _stokes_fidelity(_replica_stokes(draws), bloch[block, None])
+        refits = _stokes_fidelity(_bootstrap_stokes(draws, trials), bloch[block, None])
         errs[block] = np.std(refits, axis=1, ddof=1)
     _require_report_values(fids, errs)
     return fids, errs

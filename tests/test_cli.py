@@ -33,7 +33,17 @@ from uqcm.errormodel import TRAIN_BLOCK, perturbation_sweep
 from uqcm.hilbert import DensityMatrix, fidelity, random_pure_state
 from uqcm.network import clone, input_state
 from uqcm.optics import optical_measurement_state
-from uqcm.tomography import MONTECARLO_BLOCK, montecarlo_report, replicas_from_state
+from uqcm.tomography import (
+    MONTECARLO_BLOCK,
+    DetectorModel,
+    ReconstructionError,
+    _replica_stokes,
+    measurement_state,
+    montecarlo_report,
+    replicas_from_state,
+    signal_probabilities,
+    simulate_counts,
+)
 
 
 class TestConfig:
@@ -413,6 +423,52 @@ class TestExitCodes:
         assert main(["sweep", "--mode", "montecarlo", "--trials", "1", "--out", str(out)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: replica ")
         assert not out.exists()
+        # Five photons per setting reconstruct, but a bootstrap resample does not.
+        assert main(["sweep", "--mode", "montecarlo", "--trials", "5", "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: bootstrap resample: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("trials", range(2, 6))
+    def test_tomo_bootstrap_too_sparse_for_error_bars(self, trials, capsys):
+        # Counts that reconstruct can still give a bootstrap resample with no
+        # H/V counts in a path group; only that failure names the bootstrap.
+        probs = signal_probabilities(measurement_state(0.0, 0.0))
+        for seed in range(4):
+            try:
+                _replica_stokes(simulate_counts(probs, DetectorModel(), trials, seed))
+                reconstructs = True
+            except ReconstructionError:
+                reconstructs = False
+            argv = ["tomo", "--mode", "montecarlo", "--trials", str(trials), "--seed", str(seed)]
+            assert main(argv) == EXIT_USAGE
+            out, err = capsys.readouterr()
+            assert out == ""
+            if reconstructs:
+                assert err.startswith("error: bootstrap resample: replica ")
+                assert err.rstrip().endswith("too few for error bars")
+            else:
+                assert err.startswith("error: replica ") and err.rstrip().endswith("no counts in its path group")
+
+    @pytest.mark.parametrize(
+        ("flag", "value", "code"),
+        [
+            ("tomo --theta", "-1e-3", EXIT_OK),
+            ("tomo --delta", "-2.5E+1", EXIT_USAGE),
+            ("tomo --mode montecarlo --trials", "-1e3", EXIT_USAGE),
+            ("tomo --mode montecarlo --trials 50 --seed", "-5", EXIT_USAGE),
+            ("verify --inject-hwp-offset-deg", "-1e-300", EXIT_OK),
+            ("verify --inject-hwp-offset-deg", "-inf", EXIT_USAGE),
+            ("sweep --mode perturbed --jitter-deg", "-.5e-1", EXIT_USAGE),
+            ("sweep --mode montecarlo --seed", "-2e0", EXIT_USAGE),
+        ],
+    )
+    def test_negative_value_reads_alike_in_both_forms(self, flag, value, code, tmp_path, capsys):
+        # argparse's own negative-number pattern has no exponent and no inf.
+        *head, name = flag.split()
+        head += ["--out", str(tmp_path / "x.csv")] if head[0] == "sweep" else []
+        runs = [(main(argv), capsys.readouterr()) for argv in (head + [name, value], head + [f"{name}={value}"])]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == code
 
     @pytest.mark.parametrize("offset", ["inf", "-inf", "nan"])
     def test_verify_nonfinite_hwp_offset(self, offset, capsys):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from uqcm.gates import apply_circuit, circuit_unitary
+from uqcm.gates import CNOT, CSWAP, SWAP, Rotation, apply_circuit, circuit_unitary
 from uqcm.hilbert import (
     AUX,
     DensityMatrix,
@@ -34,6 +34,7 @@ from uqcm.network import (
     optimal_fidelity,
     reference_clone_output,
     triplicate,
+    triplicator_prep_angles,
 )
 
 BLANK = PureState((2, 3), [1, 0, 0, 0])
@@ -190,16 +191,49 @@ class TestTriplicator:
         assert np.max(np.abs(r1.matrix - r3.matrix)) < 1e-10
 
     def test_fidelity_is_input_independent(self):
+        network = build_cloning_network(triplicator_prep_angles())
         values = []
         for theta in np.linspace(-1.5, 1.5, 9):
             r1, r2, r3 = triplicate(theta)
             psi = input_state(theta, 0.0)
+            # The image product against the circuit and partial-trace route.
+            out = apply_circuit(network, tensor_product(psi, BLANK))
+            for q, r in zip((1, 2, 3), (r1, r2, r3)):
+                assert r.labels == (q,)
+                assert np.max(np.abs(r.matrix - partial_trace(out, [q]).matrix)) < 1e-12
             fs = [fidelity(psi, DensityMatrix([1], r.matrix)) for r in (r1, r2, r3)]
             assert max(fs) - min(fs) < 1e-10
             values.append(fs[0])
         assert max(values) - min(values) < 1e-9
         # regression against the recorded derivation-run value
         assert values[0] == pytest.approx(TRIPLICATOR_FIDELITY, abs=1e-9)
+
+
+def bench_layout_gates(prep):
+    """The bench-layout circuit written out by hand: the input swap, the
+    network with qubits 1 and 2 exchanged, then the probe and its swap."""
+    t1, t2, t3 = prep.as_tuple()
+    return (
+        SWAP(1, 2),
+        Rotation(1, t1),
+        CNOT(1, 3),
+        Rotation(3, t2),
+        CNOT(3, 1),
+        Rotation(1, t3),
+        CNOT(2, 1),
+        CNOT(2, 3),
+        CNOT(1, 2),
+        CNOT(3, 2),
+        Rotation(AUX, math.pi / 4),
+        CSWAP(AUX, 1, 2),
+    )
+
+
+@pytest.mark.parametrize("prep", [cloner_prep_angles(), triplicator_prep_angles()], ids=["cloner", "triplicator"])
+def test_measurement_circuit_is_the_relabelled_network(prep):
+    circuit = build_measurement_circuit(prep)
+    assert circuit.register == (AUX, 1, 2, 3)
+    assert circuit.gates == bench_layout_gates(prep)
 
 
 def test_measurement_circuit_produces_probe_superposition():
@@ -235,6 +269,11 @@ class TestNetworkImage:
         assert np.max(np.abs(image.conj().T @ image - np.eye(2))) < 1e-12
 
     def test_image_times_amplitudes_equals_apply_circuit(self):
+        # The image is the gate runner's output on the basis inputs, bit for bit.
+        for prep in (cloner_prep_angles(), triplicator_prep_angles()):
+            network = build_cloning_network(prep)
+            columns = [apply_circuit(network, tensor_product(PureState([1], b), BLANK)).amplitudes for b in np.eye(2)]
+            assert np.array_equal(_network_image(prep), np.stack(columns, axis=1))
         rng = np.random.default_rng(81)
         amps = self.random_amplitudes(rng, 40)
         network = build_cloning_network()

@@ -131,6 +131,11 @@ def _text(value):
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def _flag(draw, name, text):
+    """`--name=text` or the two tokens `--name text`, which must read alike."""
+    return [f"--{name}={text}"] if draw(st.booleans()) else [f"--{name}", text]
+
+
 @st.composite
 def sweep_runs(draw):
     """(flags, config text) for `uqcm sweep`: a value goes to its flag, if it
@@ -138,7 +143,7 @@ def sweep_runs(draw):
     flags, lines = [], []
     for key, value in _draw_values(draw, SWEEP_VALUES).items():
         if key in SWEEP_FLAGS and draw(st.booleans()):
-            flags.append(f"--{key.replace('_', '-')}={_text(value)}")
+            flags += _flag(draw, key.replace("_", "-"), _text(value))
         elif key in SWEEP_ALWAYS or draw(st.booleans()):
             lines.append(f"{key} = {_text(value)}\n")
     return flags, "".join(lines)
@@ -146,11 +151,16 @@ def sweep_runs(draw):
 
 @st.composite
 def tomo_argvs(draw):
-    values = _draw_values(draw, TOMO_VALUES)
-    return ["tomo"] + [f"--{key}={_text(value)}" for key, value in values.items() if draw(st.booleans())]
+    argv = ["tomo"]
+    for key, value in _draw_values(draw, TOMO_VALUES).items():
+        if draw(st.booleans()):
+            argv += _flag(draw, key, _text(value))
+    return argv
 
 
-VERIFY_ARGVS = st.just(["verify"]) | ANY_FLOAT.map(lambda offset: ["verify", f"--inject-hwp-offset-deg={offset!r}"])
+@st.composite
+def verify_argvs(draw):
+    return ["verify"] + (_flag(draw, "inject-hwp-offset-deg", repr(draw(ANY_FLOAT))) if draw(st.booleans()) else [])
 
 
 def _check_exit_code(argv, out):
@@ -175,7 +185,7 @@ def test_every_sweep_exits_0_2_3_or_4(run):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(tomo_argvs(), VERIFY_ARGVS))
+@given(st.one_of(tomo_argvs(), verify_argvs()))
 def test_every_tomo_and_verify_run_exits_0_2_3_or_4(argv):
     with tempfile.TemporaryDirectory() as tmp:
         _check_exit_code(argv, Path(tmp) / "sweep.csv")

@@ -10,6 +10,8 @@ from uqcm.hilbert import (
     AUX,
     DensityMatrix,
     PureState,
+    _qubit_stokes,
+    _stokes_fidelity,
     fidelity,
     partial_trace,
     random_pure_state,
@@ -34,14 +36,13 @@ from uqcm.tomography import (
     fidelity_report,
     measurement_state,
     montecarlo_report,
-    path_distribution,
     per_path_amplitudes,
     reconstruct_replica,
     reconstruct_single_qubit,
     replicas_from_state,
     signal_probabilities,
     simulate_counts,
-    _replica_fidelities,
+    _replica_stokes,
 )
 
 F_OPT = 5.0 / 6.0
@@ -113,29 +114,32 @@ class TestProbeAttachment:
 
 
 class TestPathDistribution:
+    """Click probabilities per (path, basis) from `signal_probabilities`."""
+
     def test_uniform_state_spreads_evenly(self):
         meas = PureState((AUX, 1, 2, 3), np.full(16, 0.25))
-        dist = path_distribution(meas, "H")
-        assert np.allclose(dist[:, 0], 1 / 16)
-        assert np.allclose(dist[:, 1], 1 / 16)
+        probs = signal_probabilities(meas)
+        assert np.allclose(probs[:, BASES.index("H")], 1 / 16)
+        assert np.allclose(probs[:, BASES.index("V")], 1 / 16)
 
     def test_probabilities_sum_to_one_and_are_nonnegative(self):
+        # H and V are orthogonal, so their columns sum to each path's weight.
         meas = measurement_state(0.9, 4.0)
-        for basis in BASES:
-            dist = path_distribution(meas, basis)
-            assert dist.min() >= 0.0
-            assert dist.sum() == pytest.approx(1.0, abs=1e-12)
+        probs = signal_probabilities(meas)
+        assert probs.min() >= 0.0
+        weights = np.sum(np.abs(per_path_amplitudes(meas)) ** 2, axis=1)
+        assert np.max(np.abs(probs[:, 0] + probs[:, 1] - weights)) < 1e-15
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_horizontal_input_group_value(self):
         # For the |H> input, the H-outcome share of the replica-1 paths is 5/6.
-        dist = path_distribution(measurement_state(0.0, 0.0), "H")
-        group = dist[0:4]
-        assert group[:, 0].sum() / group.sum() == pytest.approx(5 / 6, abs=1e-12)
+        group = signal_probabilities(measurement_state(0.0, 0.0))[0:4]
+        assert group[:, 0].sum() / group[:, 0:2].sum() == pytest.approx(5 / 6, abs=1e-12)
 
     def test_group_marginals_match_reduced_matrices(self):
         # Renormalized basis-outcome sums over each probe group must equal the
         # Born probabilities of the corresponding replica.
-        meas = measurement_state(0.6, 0.9)
+        probs = signal_probabilities(measurement_state(0.6, 0.9))
         res = clone(0.6, 0.9)
         vectors = {
             "H": np.array([1, 0], dtype=complex),
@@ -143,16 +147,11 @@ class TestPathDistribution:
             "D": np.array([1, 1], dtype=complex) / math.sqrt(2),
             "R": np.array([1, 1j], dtype=complex) / math.sqrt(2),
         }
-        for basis in BASES:
-            dist = path_distribution(meas, basis)
+        for b, basis in enumerate(BASES):
             for which, rho in ((1, res.rho1), (2, res.rho2)):
-                rows = dist[0:4] if which == 1 else dist[4:8]
+                rows = probs[0:4] if which == 1 else probs[4:8]
                 born = float(np.real(vectors[basis].conj() @ rho.matrix @ vectors[basis]))
-                assert rows[:, 0].sum() / rows.sum() == pytest.approx(born, abs=1e-12)
-
-    def test_unknown_basis_rejected(self):
-        with pytest.raises(ValueError, match="unknown basis"):
-            path_distribution(measurement_state(0, 0), "X")
+                assert rows[:, b].sum() / rows[:, 0:2].sum() == pytest.approx(born, abs=1e-12)
 
 
 class TestSimulateCounts:
@@ -301,11 +300,16 @@ class TestSingleQubitInversion:
 
 class TestReplicaReconstruction:
     def test_exact_pipeline_recovers_optimal_fidelity(self):
-        for theta, delta in ((0.0, 0.0), (0.5, 1.0), (math.pi / 2, 3.0)):
+        # Poles included; `exact_report`, the array route, against the objects.
+        for theta, delta in ((0.0, 0.0), (0.5, 1.0), (math.pi / 2, 3.0), (-1.2, 5.5)):
             rho1, rho2 = replicas_from_state(measurement_state(theta, delta))
             psi = input_state(theta, delta)
-            assert fidelity(psi, DensityMatrix([1], rho1.matrix)) == pytest.approx(F_OPT, abs=1e-10)
-            assert fidelity(psi, DensityMatrix([1], rho2.matrix)) == pytest.approx(F_OPT, abs=1e-10)
+            f1 = fidelity(psi, DensityMatrix([1], rho1.matrix))
+            f2 = fidelity(psi, DensityMatrix([1], rho2.matrix))
+            assert f1 == pytest.approx(F_OPT, abs=1e-10)
+            assert f2 == pytest.approx(F_OPT, abs=1e-10)
+            rep = exact_report(theta, delta)
+            assert abs(rep.fidelity1 - f1) <= 1e-12 and abs(rep.fidelity2 - f2) <= 1e-12
 
     def test_exact_pipeline_equals_partial_trace(self):
         res = clone(0.3, 0.7)
@@ -387,7 +391,7 @@ class TestArrayReconstruction:
         raw = np.stack([2 * c_d / n - 1, 2 * c_r / n - 1, (c_h - c_v) / n])
         assert np.sum(np.linalg.norm(raw, axis=0) > 1.0) > 100
         psi = random_pure_state([1], rng)
-        fids = _replica_fidelities(counts, psi)
+        fids = _stokes_fidelity(_replica_stokes(counts), _qubit_stokes(psi.amplitudes))
         assert fids.shape == (40, 2)
         ref = np.array([reference_replica_fidelities(c, psi) for c in counts])
         assert np.max(np.abs(fids - ref)) < 1e-12
@@ -413,7 +417,7 @@ class TestArrayReconstruction:
         counts[1] = [-1, 0, 0, 0]
         counts[2:4] = 0
         with pytest.raises(ValueError, match="positivity floor"):
-            _replica_fidelities(counts, input_state(0.0, 0.0))
+            _replica_stokes(counts)
 
     def test_bootstrap_is_one_batched_draw(self):
         theta, delta = 0.4, 1.1
