@@ -23,13 +23,19 @@ A replica's Stokes vector S is the H+V-weighted mean of its four paths'
 vectors, and its fidelity with a pure input of Bloch vector n is
 F = (1 + S . n) / 2; `_replica_stokes` evaluates S over whole count arrays.
 The counting pipeline runs over any number of input points at once
-(`_montecarlo_fidelities`, in blocks of MONTECARLO_BLOCK points); only the
-seeded draws are taken point by point.
+(`_montecarlo_fidelities`, in blocks of MONTECARLO_BLOCK points). Only the
+seeded draws stay per stream: each setting's multinomial and Poisson draws
+and each point's bootstrap binomials, in a fixed order. The rest is block
+arithmetic: the (4 N, 9) multinomial table, the cap at the trial count, the
+per-path inversion and the replica refits. numpy's bootstrap binomials, one
+call per point with a probability per cell, are the remaining floor of the
+montecarlo sweep while its CSV bytes stay fixed.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -65,8 +71,6 @@ BASIS_VECTORS = {
 }
 # (2, 4): amplitude rows times this give the basis-state overlaps H, V, D, R.
 _BASIS_MATRIX = np.stack([BASIS_VECTORS[b] for b in BASES], axis=1).conj()
-# (4, 3): (H, V, D, R) counts times this give (2 C_D, 2 C_R, C_H - C_V).
-_INVERSION = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
 
 N_PATHS = 8
 
@@ -115,11 +119,13 @@ class CountsRecord:
     seed: int
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.shape != (N_PATHS, len(BASES)):
-            raise ValueError(f"counts must have shape (8, 4), got {counts.shape}")
-        if self.total_trials < 1:
-            raise ValueError(f"total_trials must be positive, got {self.total_trials}")
+        raw = np.asarray(self.counts)
+        if raw.shape != (N_PATHS, len(BASES)):
+            raise ValueError(f"counts must have shape (8, 4), got {raw.shape}")
+        if raw.dtype.kind not in "biu" and not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
+            raise ValueError("counts must be finite whole numbers")
+        _require_trials(self.total_trials, "total_trials")
+        counts = np.asarray(raw, dtype=np.int64)
         if counts.min() < 0 or counts.max() > self.total_trials:
             raise ValueError("counts must lie in [0, total_trials]")
         if self.seed < 0:
@@ -127,6 +133,16 @@ class CountsRecord:
         counts = counts.copy()
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
+
+
+def _require_trials(trials, name: str = "trials") -> None:
+    """`trials` a positive whole number: an integer, or a real number that
+    holds one (numpy would truncate any other before drawing)."""
+    integral = isinstance(trials, numbers.Integral)
+    if not (integral or isinstance(trials, numbers.Real) and float(trials).is_integer()):
+        raise ValueError(f"{name} must be a whole number, got {trials!r}")
+    if trials < 1:
+        raise ValueError(f"{name} must be positive, got {trials!r}")
 
 
 _AUX_CSWAP = Circuit((1, 2, 3, AUX), (CSWAP(AUX, 1, 2),))
@@ -215,10 +231,14 @@ def simulate_counts(
     per cell, capped at `trials`. Each basis setting consumes its own
     substream derived from (seed, basis index), so settings may be simulated
     in parallel without changing the result.
+
+    `trials` must be a positive whole number, and a setting's probabilities
+    may sum to at most 1 (within 1e-12): one photon fires one detector.
     """
     probs = np.asarray(signal_probs, dtype=float)
     if probs.shape != (N_PATHS, len(BASES)):
         raise ValueError(f"signal_probs must have shape (8, 4), got {probs.shape}")
+    _require_trials(trials)
     counts = _draw_counts(probs[None], model, trials, streams(_count_entropy([seed])))[0]
     return CountsRecord(counts=counts, total_trials=trials, seed=seed)
 
@@ -234,22 +254,22 @@ def _bootstrap_entropy(seeds) -> list:
 def _draw_counts(probs: np.ndarray, model: DetectorModel, trials: int, rngs) -> np.ndarray:
     """(N, 8, 4) counts for (N, 8, 4) signal probabilities, drawn as in
     `simulate_counts`: basis b of point k takes generator 4 k + b of `rngs`,
-    the streams of `_count_entropy(seeds)`; exactly 4 N are taken."""
-    if probs.min() < -1e-12 or probs.max() > 1.0 + 1e-12:
+    the streams of `_count_entropy(seeds)`; exactly 4 N are taken. Row 4 k + b
+    of the multinomial table is contiguous, so it sums as one setting's array."""
+    if not (probs.min() >= -1e-12 and probs.max() <= 1.0 + 1e-12):
         raise ValueError("signal probabilities must lie in [0, 1]")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    probs = np.clip(probs, 0.0, 1.0)
+    settings = np.ascontiguousarray(np.swapaxes(np.clip(probs, 0.0, 1.0), -1, -2)).reshape(-1, N_PATHS)
+    if settings.sum(axis=-1).max() > 1.0 + 1e-12:
+        raise ValueError("signal probabilities of a setting must sum to at most 1: a photon fires one detector")
+    detect = settings * model.efficiency
+    pvals = np.concatenate([detect, np.maximum(0.0, 1.0 - detect.sum(axis=-1))[:, None]], axis=-1)
+    pvals /= pvals.sum(axis=-1, keepdims=True)
     dark_mean = model.dark_mean(trials)
-    counts = np.zeros(probs.shape, dtype=np.int64)
-    for k, rng in zip(range(len(probs) * len(BASES)), rngs):
-        point, b = divmod(k, len(BASES))
-        detect = probs[point, :, b] * model.efficiency
-        pvals = np.append(detect, max(0.0, 1.0 - float(detect.sum())))
-        signal = rng.multinomial(trials, pvals / pvals.sum())[:N_PATHS]
-        dark = rng.poisson(dark_mean, size=N_PATHS)
-        counts[point, :, b] = np.minimum(signal + dark, trials)
-    return counts
+    counts = np.empty(detect.shape, dtype=np.int64)
+    for row, rng in zip(range(len(pvals)), rngs):
+        counts[row] = rng.multinomial(trials, pvals[row])[:N_PATHS] + rng.poisson(dark_mean, size=N_PATHS)
+    np.minimum(counts, int(trials), out=counts)
+    return np.swapaxes(counts.reshape(probs.shape[:-2] + (len(BASES), N_PATHS)), -1, -2).copy()
 
 
 def _bootstrap_draws(counts: np.ndarray, trials: int, rngs, n_bootstrap: int) -> np.ndarray:
@@ -265,11 +285,12 @@ def _bootstrap_draws(counts: np.ndarray, trials: int, rngs, n_bootstrap: int) ->
 def _path_stokes(counts: np.ndarray) -> np.ndarray:
     """(..., 3) per-path inversion of (..., 4) H, V, D, R counts, shortened to
     the unit ball; zero where a path has no H/V counts."""
-    total = counts[..., 0] + counts[..., 1]
-    # einsum, not a float matmul: verify's scalar calls would otherwise page in BLAS code.
-    s = np.einsum("...i,ij->...j", counts, _INVERSION)
-    s = s / np.where(total > 0, total, 1.0)[..., None] - (1.0, 1.0, 0.0)
-    s = s / np.maximum(np.linalg.norm(s, axis=-1, keepdims=True), 1.0)
+    c_h, c_v, c_d, c_r = counts[..., 0], counts[..., 1], counts[..., 2], counts[..., 3]
+    total = c_h + c_v
+    n = np.where(total > 0, total, 1.0)
+    sx, sy, sz = 2 * c_d / n - 1.0, 2 * c_r / n - 1.0, (c_h - c_v) / n
+    # Stacked in C order: the refit's einsum sums in an order set by its operands' layout.
+    s = np.stack([sx, sy, sz], axis=-1) / np.maximum(np.sqrt(sx * sx + sy * sy + sz * sz), 1.0)[..., None]
     return np.where((total > 0)[..., None], s, 0.0)
 
 
@@ -284,7 +305,8 @@ def _replica_stokes(counts, replicas=(1, 2)) -> np.ndarray:
     arr = np.asarray(counts.counts if isinstance(counts, CountsRecord) else counts, dtype=float)
     if arr.shape[-2:] != (N_PATHS, len(BASES)):
         raise ValueError(f"counts must have shape (..., 8, 4), got {arr.shape}")
-    groups = arr.reshape(arr.shape[:-2] + (2, 4, len(BASES)))[..., [r - 1 for r in replicas], :, :]
+    pick = slice(None) if tuple(replicas) == (1, 2) else [r - 1 for r in replicas]
+    groups = arr.reshape(arr.shape[:-2] + (2, 4, len(BASES)))[..., pick, :, :]
     weights = groups[..., 0] + groups[..., 1]
     totals = weights.sum(axis=-1)
     for i, r in enumerate(replicas):
@@ -433,6 +455,7 @@ def _montecarlo_fidelities(
     """
     if n_bootstrap < 2:
         raise ValueError(f"n_bootstrap must be >= 2 to estimate a standard error, got {n_bootstrap!r}")
+    _require_trials(trials)
     amps = _input_amplitudes(theta, delta)
     bloch = _qubit_stokes(amps)
     fids = np.empty((len(amps), 2))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from uqcm.hilbert import (
     DensityMatrix,
     PureState,
     _qubit_stokes,
+    _require_physical_stokes,
     _stokes_fidelity,
     fidelity,
     partial_trace,
@@ -19,13 +21,22 @@ from uqcm.hilbert import (
     tensor_product,
 )
 from uqcm.gates import apply_circuit
-from uqcm import tomography
+from uqcm import errormodel, tomography
+from uqcm.cli import SweepConfig
+from uqcm.network import _input_amplitudes
+from uqcm.streams import streams
 from uqcm.network import build_cloning_network, clone, input_state
 from uqcm.tomography import (
     _BOOTSTRAP_SALT,
     MONTECARLO_BLOCK,
+    N_PATHS,
     _aux_cswap,
+    _bootstrap_stokes,
+    _count_entropy,
+    _draw_counts,
+    _gate_probabilities,
     _path_rows,
+    _path_stokes,
     BASES,
     CountsRecord,
     DetectorModel,
@@ -59,6 +70,67 @@ def reference_replica_fidelities(counts, psi):
                 acc += (w / weights.sum()) * reconstruct_single_qubit(*row).matrix
         out.append(fidelity(psi, DensityMatrix([1], acc)))
     return out
+
+
+# The counting kernels as they were before their arithmetic became block
+# arithmetic, kept verbatim as the references the block forms must equal
+# byte for byte: the per-path inversion by einsum, the replica refit with
+# its fancy-index copy of the groups, and the per-stream counting loop.
+_INVERSION = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+
+
+def reference_path_stokes(counts: np.ndarray) -> np.ndarray:
+    """(..., 3) per-path inversion of (..., 4) H, V, D, R counts, shortened to
+    the unit ball; zero where a path has no H/V counts."""
+    total = counts[..., 0] + counts[..., 1]
+    # einsum, not a float matmul: verify's scalar calls would otherwise page in BLAS code.
+    s = np.einsum("...i,ij->...j", counts, _INVERSION)
+    s = s / np.where(total > 0, total, 1.0)[..., None] - (1.0, 1.0, 0.0)
+    s = s / np.maximum(np.linalg.norm(s, axis=-1, keepdims=True), 1.0)
+    return np.where((total > 0)[..., None], s, 0.0)
+
+
+def reference_replica_stokes(counts, replicas=(1, 2)) -> np.ndarray:
+    """(..., len(replicas), 3) replica Stokes vectors from (..., 8, 4) counts.
+
+    Accepts a CountsRecord, counts or exact probabilities. Raises
+    ReconstructionError for a replica whose path group has no H/V counts,
+    and ValueError if an eigenvalue (1 - |S|) / 2 is below the positivity
+    floor.
+    """
+    arr = np.asarray(counts.counts if isinstance(counts, CountsRecord) else counts, dtype=float)
+    if arr.shape[-2:] != (N_PATHS, len(BASES)):
+        raise ValueError(f"counts must have shape (..., 8, 4), got {arr.shape}")
+    groups = arr.reshape(arr.shape[:-2] + (2, 4, len(BASES)))[..., [r - 1 for r in replicas], :, :]
+    weights = groups[..., 0] + groups[..., 1]
+    totals = weights.sum(axis=-1)
+    for i, r in enumerate(replicas):
+        if np.any(totals[..., i] <= 0):
+            raise ReconstructionError(f"replica {r}: no counts in its path group")
+    stokes = np.einsum("...p,...pk->...k", weights / totals[..., None], reference_path_stokes(groups))
+    _require_physical_stokes(stokes)
+    return stokes
+
+
+def reference_draw_counts(probs: np.ndarray, model: DetectorModel, trials: int, rngs) -> np.ndarray:
+    """(N, 8, 4) counts for (N, 8, 4) signal probabilities, drawn as in
+    `simulate_counts`: basis b of point k takes generator 4 k + b of `rngs`,
+    the streams of `_count_entropy(seeds)`; exactly 4 N are taken."""
+    if probs.min() < -1e-12 or probs.max() > 1.0 + 1e-12:
+        raise ValueError("signal probabilities must lie in [0, 1]")
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    probs = np.clip(probs, 0.0, 1.0)
+    dark_mean = model.dark_mean(trials)
+    counts = np.zeros(probs.shape, dtype=np.int64)
+    for k, rng in zip(range(len(probs) * len(BASES)), rngs):
+        point, b = divmod(k, len(BASES))
+        detect = probs[point, :, b] * model.efficiency
+        pvals = np.append(detect, max(0.0, 1.0 - float(detect.sum())))
+        signal = rng.multinomial(trials, pvals / pvals.sum())[:N_PATHS]
+        dark = rng.poisson(dark_mean, size=N_PATHS)
+        counts[point, :, b] = np.minimum(signal + dark, trials)
+    return counts
 
 
 def test_basis_projectors_span_operator_space():
@@ -444,6 +516,215 @@ class TestArrayReconstruction:
         assert rep.fidelity2 == pytest.approx(point[1], abs=1e-12)
         assert rep.stderr1 == pytest.approx(np.std(ref[:, 0], ddof=1), abs=1e-12)
         assert rep.stderr2 == pytest.approx(np.std(ref[:, 1], ddof=1), abs=1e-12)
+
+
+def random_amplitudes(rng, n):
+    amps = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    return amps / np.linalg.norm(amps, axis=-1, keepdims=True)
+
+
+def assert_stokes_match_reference(counts):
+    """`_path_stokes` and `_replica_stokes` of every replica selection equal
+    the einsum references byte for byte, or raise what they raise."""
+    assert _path_stokes(counts).tobytes() == reference_path_stokes(counts).tobytes()
+    for replicas in ((1,), (2,), (1, 2)):
+        try:
+            ref = reference_replica_stokes(counts, replicas)
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as raised:
+                _replica_stokes(counts, replicas)
+            assert str(raised.value) == str(exc)
+            continue
+        got = _replica_stokes(counts, replicas)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+class RecordingGenerator:
+    """A numpy Generator that logs the arguments of its counting draws, so a
+    one-ulp change in the probabilities shows even where the draws agree."""
+
+    def __init__(self, entropy, log: list):
+        self.rng, self.log = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy))), log
+
+    def multinomial(self, n, pvals):
+        self.log.append(("multinomial", n, np.asarray(pvals, dtype=float).tobytes()))
+        return self.rng.multinomial(n, pvals)
+
+    def poisson(self, lam, size):
+        self.log.append(("poisson", lam, size))
+        return self.rng.poisson(lam, size=size)
+
+
+class TestBlockKernels:
+    """The block arithmetic of the counting kernels against the per-stream
+    loop and the einsum inversion it replaced, byte for byte."""
+
+    @pytest.mark.parametrize("shape", [(8, 4), (6, 8, 4), (3, 50, 8, 4)])
+    @pytest.mark.parametrize("high", [3, 1000])
+    def test_integer_counts(self, shape, high):
+        counts = np.random.default_rng(high + len(shape)).integers(0, high + 1, size=shape).astype(float)
+        counts[..., (0, 4), 0] = 1            # both groups reconstruct
+        counts[..., 2, 0:2] = 0               # a path with no H/V counts
+        counts[..., 5, :] = [1000, 0, 1000, 500]   # raw Stokes (1, 0, 1), outside the ball
+        c_h, c_v, c_d, c_r = np.moveaxis(counts, -1, 0)
+        n = np.maximum(c_h + c_v, 1.0)
+        raw = np.stack([2 * c_d / n - 1, 2 * c_r / n - 1, (c_h - c_v) / n])
+        assert np.any(np.linalg.norm(raw, axis=0) > 1.0)
+        assert_stokes_match_reference(counts)
+
+    def test_exact_tier_probabilities(self):
+        rng = np.random.default_rng(31)
+        probs = _gate_probabilities(random_amplitudes(rng, 40))
+        assert_stokes_match_reference(probs)
+        assert_stokes_match_reference(probs[:, None].repeat(3, axis=1))
+        # Any memory layout: the refit sums as it does for C-ordered counts.
+        assert_stokes_match_reference(np.asfortranarray(probs))
+        assert_stokes_match_reference(probs[::2])
+        assert_stokes_match_reference(signal_probabilities(measurement_state(0.7, 2.2)))
+        # The poles, where each replica's D and R columns are flat.
+        assert_stokes_match_reference(_gate_probabilities(_input_amplitudes([0.0, math.pi / 2], [0.0, 1.0])))
+
+    def test_perturbed_tier_probabilities(self, monkeypatch):
+        seen, replica_stokes = [], errormodel._replica_stokes
+        monkeypatch.setattr(errormodel, "_replica_stokes", lambda probs: seen.append(probs.copy()) or replica_stokes(probs))
+        errormodel.perturbation_sweep(math.radians(2.0), 30, 7, theta=0.4, delta=1.3, delta_c_total=0.3)
+        assert seen and all(p.shape[-2:] == (8, 4) for p in seen)
+        for probs in seen:
+            assert_stokes_match_reference(probs)
+
+    @pytest.mark.parametrize(
+        ("n_points", "trials", "model"),
+        [
+            (1, 20000, DetectorModel()),
+            (MONTECARLO_BLOCK, 3000, DetectorModel(dark_rate=5e4, gate_window=1e-3)),
+            (3, 5, DetectorModel(dark_rate=1e4, gate_window=1.0)),   # the cap at trials binds
+            (2, 700, DetectorModel(efficiency=0.0)),                 # every photon absorbed
+        ],
+    )
+    @pytest.mark.parametrize("source", ["gate", "generic"])
+    def test_draw_counts_matches_per_stream_loop(self, n_points, trials, model, source):
+        rng = np.random.default_rng(n_points)
+        probs = _gate_probabilities(random_amplitudes(rng, n_points))
+        if source == "generic":
+            # No zero cells, so the order of each setting's sum shows in its last bits.
+            probs = rng.uniform(0.01, 0.125, size=probs.shape)
+        entropy = _count_entropy(rng.integers(0, 2**63, size=n_points).tolist())
+        expect_log, log = [], []
+        expect = reference_draw_counts(probs, model, trials, (RecordingGenerator(e, expect_log) for e in entropy))
+        rngs = iter([RecordingGenerator(e, log) for e in entropy] + ["next stream"])
+        counts = _draw_counts(probs, model, trials, rngs)
+        assert next(rngs) == "next stream"   # exactly 4 N generators taken
+        assert log == expect_log             # the same draws with the same arguments, in order
+        assert counts.shape == expect.shape and counts.dtype == expect.dtype
+        assert counts.tobytes() == expect.tobytes()
+        assert counts.flags.c_contiguous
+        if trials == 5:
+            assert np.any(counts == trials)
+        # The batched seeding hands out the same streams.
+        assert _draw_counts(probs, model, trials, streams(entropy)).tobytes() == expect.tobytes()
+
+    def test_property_matches_reference_on_any_counts(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+        from hypothesis.extra.numpy import arrays
+
+        batch = st.sampled_from([(), (1,), (3,), (2, 5)]).map(lambda lead: lead + (8, 4))
+        cells = st.integers(min_value=0, max_value=3) | st.integers(min_value=0, max_value=10**6)
+
+        @settings(max_examples=150, deadline=None)
+        @given(arrays(np.int64, batch, elements=cells))
+        def check(counts):
+            assert_stokes_match_reference(counts.astype(float))
+
+        check()
+
+    def test_reconstruction_messages_unchanged(self):
+        counts = np.zeros((8, 4))
+        counts[0:4] = 100
+        with pytest.raises(ReconstructionError) as raised:
+            _replica_stokes(counts)
+        assert str(raised.value) == "replica 2: no counts in its path group"
+        with pytest.raises(ReconstructionError) as raised:
+            _replica_stokes(counts[::-1].copy(), (1,))
+        assert str(raised.value) == "replica 1: no counts in its path group"
+        with pytest.raises(ReconstructionError) as raised:
+            _bootstrap_stokes(counts[None], 5)
+        assert str(raised.value) == (
+            "bootstrap resample: replica 2: no counts in its path group; 5 trials per setting are too few for error bars"
+        )
+        with pytest.raises(ReconstructionError) as raised:
+            reconstruct_single_qubit(0, 0, 10, 10)
+        assert str(raised.value) == "no H/V counts: cannot normalize the inversion"
+        floor = np.ones((8, 4))
+        floor[0], floor[1], floor[2:4] = [1, 1, 2, 1], [-1, 0, 0, 0], 0
+        with pytest.raises(ValueError) as raised:
+            _replica_stokes(floor)
+        assert str(raised.value) == "replica matrix has an eigenvalue below the positivity floor"
+
+
+class TestCountingInputs:
+    """Counting inputs that numpy would silently truncate or renormalise."""
+
+    def test_setting_summing_above_one_rejected(self):
+        with pytest.raises(ValueError, match="must sum to at most 1"):
+            simulate_counts(np.full((8, 4), 0.5), DetectorModel(), 100, 1)
+        probs = np.zeros((3, 8, 4))
+        probs[1, :, 2] = 0.125 + 1e-12   # one setting of one point, 1 + 8e-12 in all
+        with pytest.raises(ValueError, match="must sum to at most 1"):
+            _draw_counts(probs, DetectorModel(), 100, streams(_count_entropy([0, 1, 2])))
+        probs[1, :, 2] = 0.125           # exactly 1: a photon always clicks
+        assert _draw_counts(probs, DetectorModel(), 100, streams(_count_entropy([0, 1, 2]))).shape == (3, 8, 4)
+
+    def test_default_grid_block_passes_the_sum_check(self):
+        config = SweepConfig(mode="montecarlo")
+        thetas = config.theta_grid()
+        amps = _input_amplitudes(np.tile(thetas, len(config.delta_list)), np.repeat(config.delta_list, len(thetas)))
+        probs = _gate_probabilities(amps)
+        assert probs.sum(axis=-2).max() == pytest.approx(5 / 6, abs=1e-12)
+        seeds = list(range(len(probs)))
+        assert _draw_counts(probs, DetectorModel(), 20000, streams(_count_entropy(seeds))).shape == probs.shape
+
+    def test_nan_probability_rejected(self):
+        probs = signal_probabilities(measurement_state(0.2, 0.4))
+        probs[3, 1] = math.nan
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            simulate_counts(probs, DetectorModel(), 100, 1)
+
+    @pytest.mark.parametrize("trials", [100.5, math.nan, math.inf, "100"])
+    def test_non_integral_trials_rejected(self, trials):
+        probs = signal_probabilities(measurement_state(0.1, 0.2))
+        with pytest.raises(ValueError, match=f"trials must be a whole number, got {re.escape(repr(trials))}"):
+            simulate_counts(probs, DetectorModel(), trials, 1)
+        with pytest.raises(ValueError, match="trials must be a whole number"):
+            montecarlo_report(0.1, 0.2, trials, 1)
+        with pytest.raises(ValueError, match="total_trials must be a whole number"):
+            CountsRecord(np.zeros((8, 4), dtype=int), trials, 1)
+
+    @pytest.mark.parametrize("trials", [0, -3, 0.0])
+    def test_trials_below_one_rejected(self, trials):
+        probs = signal_probabilities(measurement_state(0.1, 0.2))
+        with pytest.raises(ValueError, match="trials must be positive"):
+            simulate_counts(probs, DetectorModel(), trials, 1)
+        with pytest.raises(ValueError, match="trials must be positive"):
+            montecarlo_report(0.1, 0.2, trials, 1)
+
+    def test_integral_trials_of_any_type_accepted(self):
+        probs = signal_probabilities(measurement_state(0.1, 0.2))
+        expect = simulate_counts(probs, DetectorModel(), 100, 1).counts
+        for trials in (100.0, np.int64(100), np.float64(100.0)):
+            assert np.array_equal(simulate_counts(probs, DetectorModel(), trials, 1).counts, expect)
+
+    @pytest.mark.parametrize("bad", [2.7, math.nan, math.inf, -0.5])
+    def test_non_integral_counts_rejected(self, bad):
+        counts = np.full((8, 4), 2.0)
+        counts[4, 1] = bad
+        with pytest.raises(ValueError, match="counts must be finite whole numbers"):
+            CountsRecord(counts, 10, 1)
+
+    def test_integral_float_counts_accepted(self):
+        rec = CountsRecord(np.full((8, 4), 2.0), 10, 1)
+        assert rec.counts.dtype == np.int64 and np.all(rec.counts == 2)
 
 
 class TestFidelityReport:
