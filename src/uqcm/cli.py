@@ -39,7 +39,7 @@ from .hilbert import (
     _stokes_fidelity,
 )
 from .angles import SolverError, prep_circuit, solve_prep_angles
-from .errormodel import ErrorBudget, _jittered_fidelities, fidelity_error_bound
+from .errormodel import TRAIN_BLOCK, ErrorBudget, _jittered_fidelities, fidelity_error_bound
 from .network import (
     CLONER_PREP_TARGET,
     TRIPLICATOR_PREP_TARGET,
@@ -53,8 +53,10 @@ from .network import (
 )
 from .optics import HWP, OpticalTrain, _bench_path_amplitudes, build_cloner_train, verify_equivalence
 from .streams import seed_words
+from .sweepcsv import format_block, write_csv
 from .tomography import (
     _BASIS_MATRIX,
+    MONTECARLO_BLOCK,
     DetectorModel,
     ReconstructionError,
     _click_probabilities,
@@ -76,14 +78,13 @@ EXIT_IO = 4
 
 TARGET_F = optimal_fidelity(1, 2)
 EXACT_TOL = 1e-9
-# Grid points per array pass of the exact sweep.
-EXACT_BLOCK = 128
+# Grid points per block of the exact and the montecarlo sweep.
+EXACT_BLOCK = 256
+MONTECARLO_SWEEP_BLOCK = 32 * MONTECARLO_BLOCK
 PERTURBED_BOUND = 0.005
 # Photons per basis setting: the counts are int64, and numpy's multinomial
 # draw takes no larger trial number.
 MAX_TRIALS = 2**63 - 1
-
-CSV_HEADER = "mode,delta_rad,theta_rad,replica,fidelity,stderr,seed"
 
 _DEFAULT_DELTAS = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
 
@@ -208,10 +209,6 @@ def build_sweep_config(args: argparse.Namespace) -> SweepConfig:
         raise UsageError(str(exc)) from exc
 
 
-def format_row(mode, delta, theta, replica, fid, stderr, seed) -> str:
-    return f"{mode},{delta:.9f},{theta:.9f},{replica},{fid:.9f},{stderr:.9f},{seed}"
-
-
 def _exact_fidelities(theta: np.ndarray, delta: np.ndarray) -> tuple:
     """(N, 2) replica fidelities of the gate tier and of the optics tier for
     N input points: one product with the compiled network image, one with
@@ -223,115 +220,93 @@ def _exact_fidelities(theta: np.ndarray, delta: np.ndarray) -> tuple:
     return f_gate, _stokes_fidelity(_replica_stokes(probs), bloch)
 
 
-def compute_sweep(config: SweepConfig):
-    """Run the sweep; returns (csv_rows, summary_lines, exit_code).
+def compute_sweep(config: SweepConfig, write):
+    """Run the sweep, passing each block's rows to `write` as one text as
+    soon as they are computed; returns (n_rows, summary_lines, exit_code).
 
-    Every mode makes one pass over the delta-major (delta, theta) grid, the
-    order of the CSV rows, as array work in fixed-size blocks that bound its
-    working set: exact mode in blocks of EXACT_BLOCK points, montecarlo in
-    blocks of `tomography.MONTECARLO_BLOCK` points, perturbed in blocks of
-    `errormodel.TRAIN_BLOCK` jittered trains. Montecarlo and perturbed
-    points draw from their own seeds, word 0 of
-    SeedSequence((seed, i_delta, i_theta)), so each row equals the
-    single-point `montecarlo_report` or `perturbation_sweep` at that seed.
-    The grid's point seeds are one `streams.seed_words` call, and every
-    per-point and per-sample stream is numpy's `PCG64(SeedSequence(entropy))`,
-    set up by `streams.streams` in batches rather than constructed one by one.
+    One pass over the delta-major (delta, theta) grid, the CSV row order, in
+    blocks that bound its working set: EXACT_BLOCK points in exact mode,
+    MONTECARLO_SWEEP_BLOCK in montecarlo mode, and as many whole points as
+    fill `errormodel.TRAIN_BLOCK` trains (at least one) in perturbed mode, so
+    that a point's samples stay contiguous for their mean and spread. A
+    random-mode point's seed is word 0 of SeedSequence((seed, i_delta,
+    i_theta)), one `seed_words` call per block, and its rows equal
+    `montecarlo_report` or `perturbation_sweep` at that seed. The summary
+    keeps order-free maxima and a count.
     """
-    summary = []
-    exit_code = EXIT_OK
-    thetas = config.theta_grid()
-    grid_delta = np.repeat(config.delta_list, len(thetas))
-    grid_theta = np.tile(thetas, len(config.delta_list))
-    # The seed column: the base seed in exact mode, each point's own stream
-    # seed in the two random modes.
-    if config.mode == "exact":
-        seeds = [config.seed] * grid_theta.size
-    else:
-        entropy = [(config.seed, i_d, i_t) for i_d in range(len(config.delta_list)) for i_t in range(len(thetas))]
-        seeds = seed_words(entropy, 1)[:, 0].tolist()
+    mode, samples, thetas = config.mode, config.samples, config.theta_grid()
+    size = {"exact": EXACT_BLOCK, "montecarlo": MONTECARLO_SWEEP_BLOCK}.get(mode, max(1, TRAIN_BLOCK // samples))
+    jitter = math.radians(config.jitter_deg)
+    # Max |F - 5/6| of the gate and optics tiers; max |F - 5/6| and max
+    # stderr; max over points of the mean replica-1 |F - 5/6|.
+    worst = np.zeros(2)
+    n_rows = n_exceeding = 0
+    n_points = thetas.size * len(config.delta_list)
+    for start in range(0, n_points, size):
+        i_delta, i_theta = np.divmod(np.arange(start, min(start + size, n_points)), thetas.size)
+        delta, theta = np.take(config.delta_list, i_delta), thetas[i_theta]
+        seeds = [config.seed] * i_delta.size
+        if mode != "exact":
+            seeds = seed_words([(config.seed, d, t) for d, t in zip(i_delta.tolist(), i_theta.tolist())], 1)
+            seeds = seeds[:, 0].tolist()
+        if mode == "exact":
+            fids, f_opt = _exact_fidelities(theta, delta)
+            errs = np.zeros_like(fids)
+            block = np.abs(fids - TARGET_F).max(), np.abs(f_opt - TARGET_F).max()
+        elif mode == "montecarlo":
+            fids, errs = _montecarlo_fidelities(theta, delta, seeds, config.trials, DetectorModel(), n_bootstrap=50)
+            block = np.abs(fids - TARGET_F).max(), errs.max()
+        else:
+            # (replica, point, sample): a point's samples contiguous, as in
+            # `perturbation_sweep`, so means and spreads sum in its order.
+            per_replica = np.ascontiguousarray(np.moveaxis(
+                _jittered_fidelities(theta, delta, seeds, samples, jitter, config.delta_c), -1, 0))
+            fids = per_replica.mean(axis=-1).T
+            errs = per_replica.std(axis=-1, ddof=1).T if samples > 1 else np.zeros_like(fids)
+            devs = np.abs(per_replica[0] - TARGET_F)
+            block = devs.mean(axis=-1).max(), 0.0
+            n_exceeding += int(np.sum(devs > PERTURBED_BOUND))
+        worst = np.maximum(worst, block)
+        write(format_block(mode, delta, theta, fids, errs, seeds) + "\n")
+        n_rows += fids.size
 
-    if config.mode == "exact":
-        blocks = [
-            _exact_fidelities(grid_theta[i:i + EXACT_BLOCK], grid_delta[i:i + EXACT_BLOCK])
-            for i in range(0, grid_theta.size, EXACT_BLOCK)
+    worst_a, worst_b = worst.tolist()
+    exit_code = EXIT_OK
+    if mode == "exact":
+        summary = [
+            f"exact sweep: {n_rows} rows over {len(config.delta_list)} delta x {config.theta_steps} theta",
+            f"max |F - 5/6| gate tier:   {worst_a:.3e}",
+            f"max |F - 5/6| optics tier: {worst_b:.3e}",
         ]
-        fids, f_opt = (np.concatenate(tier) for tier in zip(*blocks))
-        errs = np.zeros_like(fids)
-        max_dev_gate = float(np.max(np.abs(fids - TARGET_F)))
-        max_dev_optics = float(np.max(np.abs(f_opt - TARGET_F)))
-        summary.append(f"exact sweep: {fids.size} rows over {len(config.delta_list)} delta x {len(thetas)} theta")
-        summary.append(f"max |F - 5/6| gate tier:   {max_dev_gate:.3e}")
-        summary.append(f"max |F - 5/6| optics tier: {max_dev_optics:.3e}")
-        if max_dev_gate > EXACT_TOL or max_dev_optics > EXACT_TOL:
+        if worst_a > EXACT_TOL or worst_b > EXACT_TOL:
             summary.append(f"FAIL: exact-mode deviation exceeds {EXACT_TOL:.1e}")
             exit_code = EXIT_VERIFY
         else:
             summary.append(f"PASS: all fidelities within {EXACT_TOL:.1e} of 5/6")
-
-    elif config.mode == "montecarlo":
-        fids, errs = _montecarlo_fidelities(
-            grid_theta, grid_delta, seeds, config.trials, DetectorModel(), n_bootstrap=50
-        )
-        summary.append(
-            f"montecarlo sweep: trials={config.trials} per basis setting, base seed={config.seed}"
-        )
-        summary.append(
-            f"max |F - 5/6| = {float(np.max(np.abs(fids - TARGET_F))):.6f}, "
-            f"max bootstrap stderr = {float(np.max(errs)):.6f}"
-        )
-
-    else:  # perturbed
-        jitter = math.radians(config.jitter_deg)
+    elif mode == "montecarlo":
+        summary = [
+            f"montecarlo sweep: trials={config.trials} per basis setting, base seed={config.seed}",
+            f"max |F - 5/6| = {worst_a:.6f}, max bootstrap stderr = {worst_b:.6f}",
+        ]
+    else:
         budget = ErrorBudget(delta_c=(config.delta_c / 4.0,) * 4, delta_theta=jitter)
-        samples = _jittered_fidelities(grid_theta, grid_delta, seeds, config.samples, jitter, config.delta_c)
-        # (replica, point, sample): each point's samples contiguous, like the
-        # 1-D arrays of `perturbation_sweep`, so means and spreads are summed
-        # in the same order.
-        per_replica = np.ascontiguousarray(np.moveaxis(samples, -1, 0))
-        fids = per_replica.mean(axis=-1).T
-        if config.samples > 1:
-            errs = per_replica.std(axis=-1, ddof=1).T
-        else:
-            errs = np.zeros_like(fids)
-        devs = np.abs(per_replica[0] - TARGET_F)
-        summary.append(
-            f"perturbed sweep: jitter={config.jitter_deg} deg, delta_c={config.delta_c}, "
-            f"samples={config.samples} per point"
-        )
-        summary.append(f"analytic bound sum(dC) + 1.5*dtheta = {fidelity_error_bound(budget):.4f}")
-        summary.append(
-            f"max mean |F - 5/6| over grid = {float(np.max(devs.mean(axis=-1))):.6f} "
-            f"(reference bound {PERTURBED_BOUND})"
-        )
-        summary.append(f"samples exceeding bound: {int(np.sum(devs > PERTURBED_BOUND))} (flagged, not fatal)")
-
-    rows = [
-        format_row(config.mode, delta, theta, replica, fid, err, seed)
-        for delta, theta, seed, point_fids, point_errs in zip(
-            grid_delta.tolist(), grid_theta.tolist(), seeds, fids.tolist(), errs.tolist()
-        )
-        for replica, (fid, err) in enumerate(zip(point_fids, point_errs), start=1)
-    ]
-    return rows, summary, exit_code
-
-
-def write_csv(path: str, csv_rows) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in csv_rows:
-            fh.write(row + "\n")
+        summary = [
+            f"perturbed sweep: jitter={config.jitter_deg} deg, delta_c={config.delta_c}, samples={samples} per point",
+            f"analytic bound sum(dC) + 1.5*dtheta = {fidelity_error_bound(budget):.4f}",
+            f"max mean |F - 5/6| over grid = {worst_a:.6f} (reference bound {PERTURBED_BOUND})",
+            f"samples exceeding bound: {n_exceeding} (flagged, not fatal)",
+        ]
+    return n_rows, summary, exit_code
 
 
 def run_sweep(config: SweepConfig, stdout=None) -> int:
     stdout = stdout or sys.stdout
-    csv_rows, summary, exit_code = compute_sweep(config)
     try:
-        write_csv(config.out, csv_rows)
+        n_rows, summary, exit_code = write_csv(config.out, lambda write: compute_sweep(config, write))
     except OSError as exc:
         print(f"I/O error writing {config.out!r}: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"wrote {len(csv_rows)} rows to {config.out}", file=stdout)
+    print(f"wrote {n_rows} rows to {config.out}", file=stdout)
     for line in summary:
         print(line, file=stdout)
     return exit_code
@@ -548,7 +523,8 @@ def main(argv=None) -> int:
             return run_verify(hwp_offset_rad=math.radians(args.hwp_offset_deg))
         if args.command == "tomo":
             return run_tomo(args.theta, args.delta, args.mode, args.trials, args.seed)
-    except (UsageError, ReconstructionError) as exc:
+    except (UsageError, ReconstructionError, MemoryError) as exc:
+        # MemoryError: numpy cannot allocate a grid that large.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except IsometryError as exc:

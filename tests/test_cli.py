@@ -3,13 +3,15 @@
 import hashlib
 import io
 import math
+import os
+import stat
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from uqcm import cli, errormodel, network, optics, tomography
 from uqcm.cli import (
-    CSV_HEADER,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
@@ -24,15 +26,15 @@ from uqcm.cli import (
     _random_qubit_amplitudes,
     build_sweep_config,
     compute_sweep,
-    format_row,
     load_config_file,
     main,
     run_verify,
 )
 from uqcm.errormodel import TRAIN_BLOCK, perturbation_sweep
-from uqcm.hilbert import DensityMatrix, fidelity, random_pure_state
+from uqcm.hilbert import DensityMatrix, IsometryError, fidelity, random_pure_state
 from uqcm.network import clone, input_state
 from uqcm.optics import optical_measurement_state
+from uqcm.sweepcsv import CSV_HEADER, format_row
 from uqcm.tomography import (
     MONTECARLO_BLOCK,
     DetectorModel,
@@ -44,6 +46,16 @@ from uqcm.tomography import (
     signal_probabilities,
     simulate_counts,
 )
+
+
+def sweep_rows(config):
+    """`compute_sweep` with its blocks collected: (rows, summary, exit_code)."""
+    blocks = []
+    n_rows, summary, code = compute_sweep(config, blocks.append)
+    assert all(block.endswith("\n") for block in blocks)
+    rows = "".join(blocks).splitlines()
+    assert len(rows) == n_rows
+    return rows, summary, code
 
 
 class TestConfig:
@@ -118,7 +130,7 @@ class TestConfig:
 class TestSweep:
     def test_exact_rows_pinned_to_reference(self, tmp_path):
         cfg = SweepConfig(theta_steps=3, delta_list=(0.0,), out=str(tmp_path / "x.csv"))
-        rows, summary, code = compute_sweep(cfg)
+        rows, summary, code = sweep_rows(cfg)
         assert code == EXIT_OK
         assert len(rows) == 6
         for row in rows:
@@ -130,7 +142,7 @@ class TestSweep:
 
     def test_rows_sorted_by_delta_theta_replica(self):
         cfg = SweepConfig(theta_steps=2, delta_list=(1.0, 0.0))
-        rows, _, _ = compute_sweep(cfg)
+        rows, _, _ = sweep_rows(cfg)
         keys = []
         for row in rows:
             f = row.split(",")
@@ -140,7 +152,7 @@ class TestSweep:
     def test_exact_rows_match_per_point_route(self):
         # The grid pass against one clone + one optical_measurement_state per point.
         cfg = SweepConfig(theta_start=-1.2, theta_end=math.pi / 2, theta_steps=7, delta_list=(6.2, 0.0, 1.3))
-        rows, summary, code = compute_sweep(cfg)
+        rows, summary, code = sweep_rows(cfg)
         thetas = cfg.theta_grid()
         assert thetas[-1] == math.pi / 2
         expect, worst_optics = [], 0.0
@@ -164,11 +176,11 @@ class TestSweep:
     def test_exact_check_fails_with_corrupted_network(self, module, monkeypatch):
         # Triplicator prep angles compile a different image (gate tier) or
         # body isometry (optics tier): complex inputs then miss 5/6, by an
-        # amount that depends on the point. 150 points span two array blocks.
+        # amount that depends on the point. 270 points span two array blocks.
         monkeypatch.setattr(module, "cloner_prep_angles", network.triplicator_prep_angles)
-        cfg = SweepConfig(theta_steps=50, delta_list=(0.0, 1.3, 2.0))
+        cfg = SweepConfig(theta_steps=90, delta_list=(0.0, 1.3, 2.0))
         assert len(cfg.theta_grid()) * len(cfg.delta_list) > EXACT_BLOCK
-        rows, summary, code = compute_sweep(cfg)
+        rows, summary, code = sweep_rows(cfg)
         assert code == EXIT_VERIFY
         assert summary[-1].startswith("FAIL")
         expect, worst_gate, worst_optics = [], 0.0, 0.0
@@ -207,7 +219,7 @@ class TestSweep:
     @pytest.mark.parametrize("case", GRID_CASES, ids=lambda c: f"{c['mode']}-seed{c['seed']}")
     def test_grid_pass_matches_single_point_references(self, case):
         cfg = SweepConfig(**case)
-        rows, summary, code = compute_sweep(cfg)
+        rows, summary, code = sweep_rows(cfg)
         expect, point_devs, point_errs, n_exceed = [], [], [], 0
         for i_d, delta in enumerate(cfg.delta_list):
             for i_t, theta in enumerate(cfg.theta_grid()):
@@ -240,7 +252,7 @@ class TestSweep:
     @pytest.mark.parametrize("seed", [0, 42, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 3])
     def test_point_seeds_are_seed_sequence_words(self, seed):
         cfg = SweepConfig(mode="montecarlo", theta_steps=3, delta_list=(0.0, 1.0), trials=50, seed=seed)
-        rows, _, _ = compute_sweep(cfg)
+        rows, _, _ = sweep_rows(cfg)
         assert [int(r.split(",")[-1]) for r in rows[::2]] == [
             int(np.random.SeedSequence((seed, i_d, i_t)).generate_state(1)[0]) for i_d in range(2) for i_t in range(3)
         ]
@@ -263,13 +275,14 @@ class TestSweep:
         monkeypatch.setattr(errormodel, "_replica_stokes", spy_replica_stokes)
         monkeypatch.setattr(tomography, "_replica_stokes", spy_replica_stokes)
 
-        compute_sweep(SweepConfig(mode="perturbed", samples=40, seed=2))
+        # A perturbed block holds whole points: 12 points of 40 samples.
+        sweep_rows(SweepConfig(mode="perturbed", samples=40, seed=2))
         assert sum(shape[0] for shape in propagated) == 76 * 40 > 5 * TRAIN_BLOCK
-        assert max(shape for shape in propagated) == (TRAIN_BLOCK, 16, 1)
-        assert max(shape[0] for shape in refitted) == TRAIN_BLOCK
+        assert max(shape for shape in propagated) == (TRAIN_BLOCK // 40 * 40, 16, 1)
+        assert max(shape[0] for shape in refitted) == TRAIN_BLOCK // 40 * 40
 
         refitted.clear()
-        compute_sweep(SweepConfig(mode="montecarlo", trials=500, seed=2))
+        sweep_rows(SweepConfig(mode="montecarlo", trials=500, seed=2))
         points = [shape[0] for shape in refitted if len(shape) == 3]
         draws = [shape for shape in refitted if len(shape) == 4]
         assert sum(points) == 76 and max(points) == MONTECARLO_BLOCK
@@ -278,13 +291,13 @@ class TestSweep:
 
     def test_montecarlo_has_stderr_column(self):
         cfg = SweepConfig(mode="montecarlo", theta_steps=2, delta_list=(0.0,), trials=2000)
-        rows, summary, code = compute_sweep(cfg)
+        rows, summary, code = sweep_rows(cfg)
         assert code == EXIT_OK
         assert all(float(r.split(",")[5]) > 0 for r in rows)
 
     def test_perturbed_summary_reports_bound(self):
         cfg = SweepConfig(mode="perturbed", theta_steps=1, delta_list=(0.0,), samples=5)
-        rows, summary, code = compute_sweep(cfg)
+        rows, summary, code = sweep_rows(cfg)
         assert code == EXIT_OK
         assert len(rows) == 2
         assert any("0.005" in line for line in summary)
@@ -307,6 +320,172 @@ class TestSweep:
             lines = fh.read().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + 19 * 4 * 2
+
+
+class TestStreamedOutput:
+    """Blocks reach the CSV as they are computed; `--out` is replaced whole
+    or left as it was."""
+
+    def test_block_sizes_per_mode(self, monkeypatch):
+        # Kernel calls per block, with stand-in kernels so that no grid is
+        # actually scored: 257 points make one full block and one point.
+        sizes = []
+
+        def fake(theta, delta, *args, **kwargs):
+            sizes.append(len(theta))
+            return np.full((len(theta), 2), 5 / 6), np.full((len(theta), 2), 5 / 6)
+
+        def fake_jittered(theta, delta, seeds, samples, jitter, delta_c):
+            sizes.append(len(theta))
+            return np.full((len(theta), samples, 2), 5 / 6)
+
+        monkeypatch.setattr(cli, "_exact_fidelities", fake)
+        monkeypatch.setattr(cli, "_montecarlo_fidelities", fake)
+        monkeypatch.setattr(cli, "_jittered_fidelities", fake_jittered)
+        grid = dict(theta_steps=257, delta_list=(0.5,))
+        for mode, samples, expect in [
+            ("exact", 25, [EXACT_BLOCK, 1]),
+            ("montecarlo", 25, [cli.MONTECARLO_SWEEP_BLOCK, 1]),
+            ("perturbed", 25, [TRAIN_BLOCK // 25] * 12 + [257 - 12 * (TRAIN_BLOCK // 25)]),
+            ("perturbed", TRAIN_BLOCK + 1, [1] * 257),
+        ]:
+            sizes.clear()
+            rows, _, code = sweep_rows(SweepConfig(mode=mode, samples=samples, **grid))
+            assert (sizes, len(rows), code) == (expect, 2 * 257, EXIT_OK)
+        assert EXACT_BLOCK == 256 and cli.MONTECARLO_SWEEP_BLOCK % MONTECARLO_BLOCK == 0
+        # The default montecarlo grid is one kernel call.
+        assert 19 * 4 <= cli.MONTECARLO_SWEEP_BLOCK
+
+    def test_run_sweep_calls_the_module_names(self, tmp_path, monkeypatch, capsys):
+        # The benchmark's tracer wraps cli.compute_sweep and cli.write_csv by
+        # name; run_sweep must look both up there at call time.
+        calls = []
+        for name in ("compute_sweep", "write_csv"):
+            def wrapper(*args, _name=name, _fn=getattr(cli, name)):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(cli, name, wrapper)
+        assert main(["sweep", "--out", str(tmp_path / "x.csv")]) == EXIT_OK
+        capsys.readouterr()
+        assert calls == ["write_csv", "compute_sweep"]
+
+    @staticmethod
+    def _prior(tmp_path):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"an earlier sweep\n")
+        return out
+
+    @staticmethod
+    def _assert_untouched(out):
+        assert out.read_bytes() == b"an earlier sweep\n"
+        assert sorted(p.name for p in out.parent.iterdir()) == [out.name]
+
+    def test_isometry_failure_in_second_block_keeps_prior_output(self, tmp_path, monkeypatch, capsys):
+        out = self._prior(tmp_path)
+        calls, exact = [], cli._exact_fidelities
+
+        def fail_second(theta, delta):
+            calls.append(len(theta))
+            if len(calls) == 2:
+                raise IsometryError("bench body is not an isometry (dev 1.000e-03)")
+            return exact(theta, delta)
+
+        monkeypatch.setattr(cli, "_exact_fidelities", fail_second)
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("theta_steps = 100\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_VERIFY
+        assert calls == [EXACT_BLOCK, 100 * 4 - EXACT_BLOCK]
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err.startswith("verification error: bench body")
+        cfg.unlink()
+        self._assert_untouched(out)
+
+    def test_sparse_counts_keep_prior_output(self, tmp_path, capsys):
+        # The montecarlo grid fails after the header has gone to the temporary file.
+        out = self._prior(tmp_path)
+        assert main(["sweep", "--mode", "montecarlo", "--trials", "1", "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: replica ")
+        self._assert_untouched(out)
+
+    @pytest.mark.parametrize("key", ["theta_steps", "samples"])
+    def test_grid_too_large_to_allocate_is_a_usage_error(self, key, tmp_path, capsys):
+        # numpy refuses 10**15 points or samples at once, before any work.
+        cfg, out = tmp_path / "huge.cfg", tmp_path / "x.csv"
+        cfg.write_text(f"mode = perturbed\ntheta_steps = 2\ndelta_list = 0\n{key} = {10**15}\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err.startswith("error: Unable to allocate ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.cfg"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_new_csv_mode_follows_the_umask(self, umask, tmp_path, capsys):
+        out = tmp_path / "new.csv"
+        old = os.umask(umask)
+        try:
+            assert main(["sweep", "--out", str(out)]) == EXIT_OK
+        finally:
+            os.umask(old)
+        capsys.readouterr()
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
+    def test_replaced_csv_keeps_its_mode(self, tmp_path, capsys):
+        out = self._prior(tmp_path)
+        out.chmod(0o640)
+        assert main(["sweep", "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert out.read_text(encoding="ascii").startswith(CSV_HEADER + "\n")
+
+    def test_unwritable_output_is_an_io_error(self, tmp_path, monkeypatch, capsys):
+        # A read-only file is not replaced, as open() would not truncate it;
+        # os.access stands in for a user without write permission.
+        out = self._prior(tmp_path)
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda p, m: False if os.fspath(p) == str(out) else access(p, m))
+        assert main(["sweep", "--out", str(out)]) == EXIT_IO
+        assert "Permission denied" in capsys.readouterr().err
+        self._assert_untouched(out)
+
+    def test_symlinked_output_keeps_the_link(self, tmp_path, capsys):
+        target, link = tmp_path / "data" / "sweep.csv", tmp_path / "latest.csv"
+        target.parent.mkdir()
+        target.write_text("old\n")
+        link.symlink_to(target)
+        assert main(["sweep", "--out", str(link)]) == EXIT_OK
+        capsys.readouterr()
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert len(target.read_text(encoding="ascii").splitlines()) == 1 + 19 * 4 * 2
+        assert sorted(p.name for p in target.parent.iterdir()) == ["sweep.csv"]
+
+    def test_directory_output_is_an_io_error(self, tmp_path, capsys):
+        out = tmp_path / "dir.csv"
+        out.mkdir()
+        assert main(["sweep", "--out", str(out)]) == EXIT_IO
+        capsys.readouterr()
+        assert list(out.iterdir()) == [] and [p.name for p in tmp_path.iterdir()] == ["dir.csv"]
+
+    def test_non_regular_output_is_written_directly(self, capsys):
+        assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+        assert main(["sweep", "--out", os.devnull]) == EXIT_OK
+        assert capsys.readouterr().out.startswith(f"wrote {19 * 4 * 2} rows to {os.devnull}\n")
+
+    def test_exact_sweep_memory_does_not_grow_with_the_grid(self, tmp_path):
+        def peak(theta_steps):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            cfg = SweepConfig(theta_steps=theta_steps, out=str(tmp_path / f"{theta_steps}.csv"))
+            assert cli.run_sweep(cfg, stdout=io.StringIO()) == EXIT_OK
+            return tracemalloc.get_traced_memory()[1] - start
+
+        cli.run_sweep(SweepConfig(theta_steps=300, out=str(tmp_path / "warm.csv")), stdout=io.StringIO())
+        tracemalloc.start()
+        try:
+            small, large = peak(2_000), peak(20_000)
+        finally:
+            tracemalloc.stop()
+        assert large - small < 1_000_000, (small, large)
+        assert len((tmp_path / "20000.csv").read_bytes().splitlines()) == 1 + 20_000 * 4 * 2
 
 
 class TestGoldenCsv:

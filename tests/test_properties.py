@@ -1,5 +1,6 @@
 """Property tests: batched seeding against numpy, config parsing against any
-input, and the CLI's exit codes against any flags and small configs."""
+input, the CSV block formatter against the row formatter, and the CLI's exit
+codes and output files against any flags and small configs."""
 
 import math
 import os
@@ -16,6 +17,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from uqcm.cli import EXIT_USAGE, SweepConfig, UsageError, load_config_file, main  # noqa: E402
 from uqcm.streams import seed_words, streams  # noqa: E402
+from uqcm.sweepcsv import format_block, format_row  # noqa: E402
 
 entropy_ints = st.integers(min_value=0, max_value=2**128 - 1)
 
@@ -37,6 +39,33 @@ def test_seed_words_and_states_match_numpy(rows, n_words):
         sequence = np.random.SeedSequence(row)
         np.testing.assert_array_equal(row_words, sequence.generate_state(n_words))
         assert generator.bit_generator.state == np.random.PCG64(sequence).state
+
+
+CSV_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 1e-12, -1e-12, 5e-10, -5e-10, 0.5 - 5e-10, 5 / 6, 2.0**-1074, 1e300]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["exact", "montecarlo", "perturbed"]),
+    st.lists(
+        st.tuples(CSV_FLOATS, CSV_FLOATS, CSV_FLOATS, CSV_FLOATS, CSV_FLOATS, CSV_FLOATS,
+                  st.integers(0, 2**32 - 1) | st.sampled_from([2**64 + 5, 2**100 + 3])),
+        min_size=1, max_size=12,
+    ),
+)
+def test_block_formatter_equals_joined_rows(mode, points):
+    delta, theta, f1, f2, e1, e2, seeds = (list(column) for column in zip(*points))
+    fids, errs = np.column_stack((f1, f2)), np.column_stack((e1, e2))
+    rows = [
+        format_row(mode, d, t, replica, fids[k, replica - 1], errs[k, replica - 1], seed)
+        for k, (d, t, seed) in enumerate(zip(delta, theta, seeds))
+        for replica in (1, 2)
+    ]
+    assert format_block(mode, np.array(delta), np.array(theta), fids, errs, seeds) == "\n".join(rows)
+    # The f-string the row formatter replaced, on the same values.
+    assert rows[0] == f"{mode},{delta[0]:.9f},{theta[0]:.9f},1,{f1[0]:.9f},{e1[0]:.9f},{seeds[0]}"
 
 
 CONFIG_KEYS = [
@@ -172,6 +201,7 @@ def _check_exit_code(argv, out):
     assert code in (0, 2, 3, 4)
     if code == EXIT_USAGE:
         assert not out.exists()
+    return code
 
 
 @settings(max_examples=400, deadline=None)
@@ -181,7 +211,17 @@ def test_every_sweep_exits_0_2_3_or_4(run):
     with tempfile.TemporaryDirectory() as tmp:
         config, out = Path(tmp) / "run.cfg", Path(tmp) / "sweep.csv"
         config.write_text(text, encoding="utf-8")
-        _check_exit_code(["sweep", "--config", str(config), "--out", str(out)] + flags, out)
+        code = _check_exit_code(["sweep", "--config", str(config), "--out", str(out)] + flags, out)
+        # The config and, on exit 0 or 3, the CSV: no temporary file is left
+        # behind. Exit 3 writes the CSV after a failed exact deviation check,
+        # not after a failed isometry check.
+        names = sorted(p.name for p in Path(tmp).iterdir())
+        if code == 0:
+            assert names == ["run.cfg", "sweep.csv"]
+        elif code == 3:
+            assert names in (["run.cfg"], ["run.cfg", "sweep.csv"])
+        else:
+            assert names == ["run.cfg"]
 
 
 @settings(max_examples=200, deadline=None)
