@@ -85,6 +85,10 @@ PERTURBED_BOUND = 0.005
 # Photons per basis setting: the counts are int64, and numpy's multinomial
 # draw takes no larger trial number.
 MAX_TRIALS = 2**63 - 1
+# Theta steps and samples per point: the theta grid is float64 and a
+# perturbed point's fidelities are (samples, 2) float64, and numpy describes
+# no array of 2**63 bytes or more (it raises ValueError, not MemoryError).
+MAX_GRID_AXIS = np.iinfo(np.intp).max // 16
 
 _DEFAULT_DELTAS = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
 
@@ -97,9 +101,9 @@ class UsageError(Exception):
     """Invalid configuration or flags."""
 
 
-def _check_trials(trials: int) -> None:
-    if not 1 <= trials <= MAX_TRIALS:
-        raise UsageError(f"trials must be >= 1 and <= {MAX_TRIALS}")
+def _check_count(name: str, value: int, limit: int) -> None:
+    if not 1 <= value <= limit:
+        raise UsageError(f"{name} must be >= 1 and <= {limit}")
 
 
 def _check_angles(theta, delta) -> None:
@@ -127,14 +131,12 @@ class SweepConfig:
     def __post_init__(self):
         if self.mode not in ("exact", "montecarlo", "perturbed"):
             raise UsageError(f"unknown mode {self.mode!r}")
-        if self.theta_steps < 1:
-            raise UsageError("theta_steps must be >= 1")
+        _check_count("theta_steps", self.theta_steps, MAX_GRID_AXIS)
         _check_angles((self.theta_start, self.theta_end), 0.0)
         if self.theta_end < self.theta_start:
             raise UsageError("theta_end must be >= theta_start")
-        _check_trials(self.trials)
-        if self.samples < 1:
-            raise UsageError("samples must be >= 1")
+        _check_count("trials", self.trials, MAX_TRIALS)
+        _check_count("samples", self.samples, MAX_GRID_AXIS)
         if self.seed < 0:
             raise UsageError("seed must be >= 0")
         if not (math.isfinite(self.jitter_deg) and self.jitter_deg >= 0):
@@ -440,7 +442,7 @@ def run_tomo(theta: float, delta: float, mode: str, trials: int, seed: int, stdo
     if mode not in ("exact", "montecarlo"):
         raise UsageError(f"tomo supports modes 'exact' and 'montecarlo', got {mode!r}")
     _check_angles(theta, delta)
-    _check_trials(trials)
+    _check_count("trials", trials, MAX_TRIALS)
     if seed < 0:
         raise UsageError("seed must be >= 0")
     probs = signal_probabilities(measurement_state(theta, delta))

@@ -194,6 +194,15 @@ def _coefficients(element: OpticalElement, angle=None) -> tuple:
     raise TypeError(f"{element!r} has no row coefficients")
 
 
+def _abs2(z):
+    """|z|^2 as (z conj z).real, the Gram product itself; a real array (an
+    HWP's coefficient rows) takes z * z, the same value bit for bit in one
+    multiply."""
+    if isinstance(z, np.ndarray) and z.dtype.kind == "f":
+        return z * z
+    return (z * z.conjugate()).real
+
+
 def _coefficient_dev(a, b, c, d) -> float:
     """max |J^H J - I| for J = [[a, b], [c, d]], the maximum over all entries.
 
@@ -201,9 +210,8 @@ def _coefficient_dev(a, b, c, d) -> float:
     is identically 0, so J^H J is diagonal and only the squared column
     norms |a|^2 + |c|^2 and |b|^2 + |d|^2 can deviate from 1. NaN stays NaN.
     """
-    # |z|^2 as (z conj z).real, the Gram product itself; one multiply on a real array.
-    col1 = abs((a * a.conjugate()).real + (c * c.conjugate()).real - 1.0)
-    col2 = abs((b * b.conjugate()).real + (d * d.conjugate()).real - 1.0)
+    col1 = abs(_abs2(a) + _abs2(c) - 1.0)
+    col2 = abs(_abs2(b) + _abs2(d) - 1.0)
     # np.maximum, not max(): NaN must win. Its result is always a numpy value.
     return float(np.maximum(col1, col2).max())
 
@@ -246,7 +254,7 @@ def _mix_rows(rows: np.ndarray, i: int, j: int, a, b, c, d) -> None:
     rows[i], rows[j] = a * x + b * y, c * x + d * y
 
 
-def _apply_element(element: OpticalElement, rows: np.ndarray, angle=None, what=None) -> None:
+def _apply_element(element: OpticalElement, rows: np.ndarray, angle=None, what=None, lit=None) -> None:
     """Apply one element in place to mode rows `rows`, shape (dim, k, ...).
 
     Only the element's rows change. A PBS exchanges its two V rows; every
@@ -255,20 +263,31 @@ def _apply_element(element: OpticalElement, rows: np.ndarray, angle=None, what=N
     scalar or an array of the batch shape) replaces an HWP's axis angle.
     With `what` given, the coefficients are first checked unitary within
     1e-10 by `_coefficient_dev`, over every batch entry, and IsometryError
-    names the element `what`.
+    names the element `what`. `lit` holds one flag per row, False while the
+    row is exactly zero in every entry (dark; by default every row is lit):
+    a pair of dark rows is left as it is, since mixing zeros gives zeros,
+    and the flags follow the element: a PBS swaps its two, a mixed pair is
+    lit.
     """
+    if lit is None:
+        lit = [True] * len(rows)
     if isinstance(element, PBS):
         av, bv = 2 * element.path_a + POL_V, 2 * element.path_b + POL_V
-        rows[[av, bv]] = rows[[bv, av]]
+        if lit[av] or lit[bv]:
+            rows[[av, bv]] = rows[[bv, av]]
+            lit[av], lit[bv] = lit[bv], lit[av]
         return
     coeffs = _coefficients(element, angle)
     if what is not None:
         _require_isometry_dev(_coefficient_dev(*coeffs), what)
     if isinstance(element, BS):
-        for pol in (POL_H, POL_V):
-            _mix_rows(rows, 2 * element.path_a + pol, 2 * element.path_b + pol, *coeffs)
+        pairs = [(2 * element.path_a + pol, 2 * element.path_b + pol) for pol in (POL_H, POL_V)]
     else:
-        _mix_rows(rows, 2 * element.path + POL_H, 2 * element.path + POL_V, *coeffs)
+        pairs = [(2 * element.path + POL_H, 2 * element.path + POL_V)]
+    for i, j in pairs:
+        if lit[i] or lit[j]:
+            _mix_rows(rows, i, j, *coeffs)
+            lit[i] = lit[j] = True
 
 
 def _propagate(elements, m: np.ndarray, offsets=None) -> np.ndarray:
@@ -276,22 +295,27 @@ def _propagate(elements, m: np.ndarray, offsets=None) -> np.ndarray:
 
     The one propagation kernel: `_apply_element` on a copy laid out as
     (dim, k, ...), so that each mode row is contiguous and broadcasts
-    against coefficients of the batch shape (...). With `offsets` of shape
+    against coefficients of the batch shape (...). Only the light does
+    arithmetic: the rows of `m` that are exactly zero in every entry are
+    noted on entry, and an element whose rows are all still dark only
+    swaps its flags (a PBS) or is skipped (in the cloner train from the
+    source photon's column, 65 of the 129 elements). With `offsets` of shape
     (B, n_hwp), `m` has a leading batch axis of length B and the j-th HWP
     of batch entry b is turned by offsets[b, j] (jittered copies of one
     train): it applies the (B,) coefficient rows c = cos 2(a + offsets[:, j])
     and s = sin 2(a + offsets[:, j]). The copies' composite matrices are
     never formed, so each is checked unitary element by element by the one
     closed form `_coefficient_dev`, within 1e-10: every single-path element,
-    the BS coupling once per call, and a PBS is an exact row swap. A product
-    of unitaries is unitary, so this is at least as strong as checking the
-    composite. A failure raises IsometryError naming the element by its
-    index in the list. Without offsets nothing is checked here: the caller
-    checks the composite.
+    dark or not, the BS coupling once per call, and a PBS is an exact row
+    swap. A product of unitaries is unitary, so this is at least as strong
+    as checking the composite. A failure raises IsometryError naming the
+    element by its index in the list. Without offsets nothing is checked
+    here: the caller checks the composite.
     """
     if offsets is not None:
         _require_isometry_dev(_coefficient_dev(*_BS_COUPLING.ravel()), "BS coupling")
     rows = np.moveaxis(m, (-2, -1), (0, 1)).copy()
+    lit = rows.reshape(len(rows), -1).any(axis=1).tolist()
     j = 0
     for k, e in enumerate(elements):
         angle = what = None
@@ -300,7 +324,7 @@ def _propagate(elements, m: np.ndarray, offsets=None) -> np.ndarray:
             if isinstance(e, HWP):
                 angle = e.angle + offsets[:, j]
                 j += 1
-        _apply_element(e, rows, angle, what)
+        _apply_element(e, rows, angle, what, lit)
     m[...] = np.moveaxis(rows, (0, 1), (-2, -1))
     return m
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import errno
 import os
+import sys
 
 import numpy as np
 
@@ -40,9 +41,15 @@ def write_csv(path: str, fill):
     anything raises, the temporary file is removed and `path` is left as it
     was. The new file takes the old file's mode, or 0o666 less the umask as
     open() gives a new file; a file the caller may not write is not
-    replaced (PermissionError). An existing path that is not a regular file
-    (/dev/stdout) is written directly.
+    replaced (PermissionError). A path that is the process's standard output
+    (/dev/stdout, whatever it is redirected to) is written through
+    `sys.stdout`, so that what is printed after it follows it there; any
+    other existing path that is not a regular file (/dev/null, a pipe) is
+    written directly.
     """
+    if _is_stdout(path):
+        sys.stdout.write(CSV_HEADER + "\n")
+        return fill(sys.stdout.write)
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="ascii", newline="") as fh:
             fh.write(CSV_HEADER + "\n")
@@ -66,3 +73,13 @@ def write_csv(path: str, fill):
         os.remove(tmp)
         raise
     return result
+
+
+def _is_stdout(path: str) -> bool:
+    """`path` is the file open on the process's standard output: the two
+    share a device and an inode."""
+    try:
+        st, out = os.stat(path), os.fstat(sys.stdout.fileno())
+    except (OSError, ValueError):  # no such path, or no descriptor behind sys.stdout
+        return False
+    return (st.st_dev, st.st_ino) == (out.st_dev, out.st_ino)

@@ -5,6 +5,8 @@ import io
 import math
 import os
 import stat
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -17,6 +19,7 @@ from uqcm.cli import (
     EXIT_USAGE,
     EXACT_BLOCK,
     EXIT_VERIFY,
+    MAX_GRID_AXIS,
     PERTURBED_BOUND,
     SweepConfig,
     UsageError,
@@ -275,11 +278,14 @@ class TestSweep:
         monkeypatch.setattr(errormodel, "_replica_stokes", spy_replica_stokes)
         monkeypatch.setattr(tomography, "_replica_stokes", spy_replica_stokes)
 
-        # A perturbed block holds whole points: 12 points of 40 samples.
+        # A perturbed block holds as many whole points of 40 samples as fit
+        # in TRAIN_BLOCK trains, and the 76 points take several blocks.
+        per_block = TRAIN_BLOCK // 40
         sweep_rows(SweepConfig(mode="perturbed", samples=40, seed=2))
-        assert sum(shape[0] for shape in propagated) == 76 * 40 > 5 * TRAIN_BLOCK
-        assert max(shape for shape in propagated) == (TRAIN_BLOCK // 40 * 40, 16, 1)
-        assert max(shape[0] for shape in refitted) == TRAIN_BLOCK // 40 * 40
+        assert len(propagated) == -(-76 // per_block) > 1
+        assert sum(shape[0] for shape in propagated) == 76 * 40
+        assert max(shape for shape in propagated) == (per_block * 40, 16, 1)
+        assert max(shape[0] for shape in refitted) == per_block * 40
 
         refitted.clear()
         sweep_rows(SweepConfig(mode="montecarlo", trials=500, seed=2))
@@ -328,8 +334,11 @@ class TestStreamedOutput:
 
     def test_block_sizes_per_mode(self, monkeypatch):
         # Kernel calls per block, with stand-in kernels so that no grid is
-        # actually scored: 257 points make one full block and one point.
+        # actually scored: 257 points make one full block and one point in
+        # exact and montecarlo mode, and several perturbed blocks.
         sizes = []
+        per_block = TRAIN_BLOCK // 25
+        n_blocks = -(-257 // per_block)
 
         def fake(theta, delta, *args, **kwargs):
             sizes.append(len(theta))
@@ -346,13 +355,13 @@ class TestStreamedOutput:
         for mode, samples, expect in [
             ("exact", 25, [EXACT_BLOCK, 1]),
             ("montecarlo", 25, [cli.MONTECARLO_SWEEP_BLOCK, 1]),
-            ("perturbed", 25, [TRAIN_BLOCK // 25] * 12 + [257 - 12 * (TRAIN_BLOCK // 25)]),
+            ("perturbed", 25, [per_block] * (n_blocks - 1) + [257 - (n_blocks - 1) * per_block]),
             ("perturbed", TRAIN_BLOCK + 1, [1] * 257),
         ]:
             sizes.clear()
             rows, _, code = sweep_rows(SweepConfig(mode=mode, samples=samples, **grid))
             assert (sizes, len(rows), code) == (expect, 2 * 257, EXIT_OK)
-        assert EXACT_BLOCK == 256 and cli.MONTECARLO_SWEEP_BLOCK % MONTECARLO_BLOCK == 0
+        assert EXACT_BLOCK == 256 and cli.MONTECARLO_SWEEP_BLOCK % MONTECARLO_BLOCK == 0 and n_blocks > 2
         # The default montecarlo grid is one kernel call.
         assert 19 * 4 <= cli.MONTECARLO_SWEEP_BLOCK
 
@@ -418,6 +427,30 @@ class TestStreamedOutput:
         assert out_text == "" and err.startswith("error: Unable to allocate ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.cfg"]
 
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            "mode = perturbed\nsamples = 100000000000000000000000\n",
+            "theta_steps = 100000000000000000000000\n",
+            "mode = perturbed\ntheta_steps = 1\ndelta_list = 0\nsamples = 9223372036854775807\n",
+            f"samples = {MAX_GRID_AXIS + 1}\n",
+        ],
+    )
+    def test_grid_too_large_to_describe_is_a_usage_error(self, lines, tmp_path, capsys):
+        # Beyond MAX_GRID_AXIS numpy raises ValueError, not MemoryError: the
+        # config itself is refused, naming the field, before any file is made.
+        cfg, out = tmp_path / "huge.cfg", tmp_path / "x.csv"
+        cfg.write_text(lines)
+        key = lines.splitlines()[-1].split(" = ")[0]
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err == f"error: {key} must be >= 1 and <= {MAX_GRID_AXIS}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.cfg"]
+
+    def test_largest_grid_axis_is_accepted(self):
+        cfg = SweepConfig(mode="perturbed", theta_steps=MAX_GRID_AXIS, samples=MAX_GRID_AXIS)
+        assert cfg.theta_steps == cfg.samples == MAX_GRID_AXIS == 2**59 - 1
+
     @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
     def test_new_csv_mode_follows_the_umask(self, umask, tmp_path, capsys):
         out = tmp_path / "new.csv"
@@ -469,6 +502,23 @@ class TestStreamedOutput:
         assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
         assert main(["sweep", "--out", os.devnull]) == EXIT_OK
         assert capsys.readouterr().out.startswith(f"wrote {19 * 4 * 2} rows to {os.devnull}\n")
+
+    def test_stdout_redirected_to_a_file_keeps_csv_and_summary(self, tmp_path):
+        # --out /dev/stdout with stdout redirected to a regular file: the CSV
+        # goes through sys.stdout, so the summary lines follow it there.
+        listing = tmp_path / "listing.txt"
+        env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+        with open(listing, "wb") as fh:
+            proc = subprocess.run(
+                [sys.executable, "-m", "uqcm.cli", "sweep", "--out", "/dev/stdout"],
+                stdout=fh, stderr=subprocess.PIPE, env=env, cwd=tmp_path, check=False,
+            )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+        lines = listing.read_text(encoding="ascii").splitlines()
+        assert lines[0] == CSV_HEADER and len(lines) == 1 + 19 * 4 * 2 + 5
+        assert lines[1 + 19 * 4 * 2] == f"wrote {19 * 4 * 2} rows to /dev/stdout"
+        assert lines[-1] == "PASS: all fidelities within 1.0e-09 of 5/6"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["listing.txt"]
 
     def test_exact_sweep_memory_does_not_grow_with_the_grid(self, tmp_path):
         def peak(theta_steps):

@@ -153,6 +153,21 @@ class TestPerturbationSweep:
         assert np.max(np.abs(fids - f_optics[:, None, :])) < 1e-12
 
 
+@pytest.mark.parametrize("jitter, delta_c", [(0.0017, 0.002), (0.035, 0.0)])
+def test_train_block_does_not_change_the_fidelities(jitter, delta_c, monkeypatch):
+    # 6 points of 100 samples: 86 blocks of 7 trains, which split points,
+    # two blocks of 512, and one of the default size.
+    theta, delta = np.linspace(-1.4, 1.5, 6), np.array([0.0, 0.7, 1.5, 2.3, 4.0, 6.1])
+    seeds = np.arange(6) + 11
+    default = errormodel.TRAIN_BLOCK
+    assert default >= 600
+    results = []
+    for block in (7, 512, default):
+        monkeypatch.setattr(errormodel, "TRAIN_BLOCK", block)
+        results.append(errormodel._jittered_fidelities(theta, delta, seeds, 100, jitter, delta_c).tobytes())
+    assert results[0] == results[1] == results[2]
+
+
 class TestElementUnitarityCheck:
     """Jittered trains are checked element by element: a non-unitary element
     must stop both the single-point sweep and `uqcm sweep --mode perturbed`,

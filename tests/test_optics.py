@@ -8,9 +8,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from uqcm import optics
 from uqcm.gates import Circuit
 from uqcm.hilbert import IsometryError, fidelity, DensityMatrix
-from uqcm.network import build_measurement_circuit, input_state
+from uqcm.network import build_measurement_circuit, cloner_prep_angles, input_state
 from uqcm.optics import (
     AJWP,
     BS,
@@ -35,6 +36,7 @@ from uqcm.optics import (
     _bench_path_amplitudes,
     _coefficient_dev,
     _coefficients,
+    _cloner_train_elements,
     _propagate,
     _unit_norms,
 )
@@ -193,6 +195,75 @@ class TestJitteredPropagation:
         assert np.max(np.abs(out.conj().T @ out - np.eye(self.SPACE.dim))) > 0.1
         with pytest.raises(IsometryError, match="lossless train composite is not an isometry"):
             OpticalTrain(self.SPACE, [HWP(0, 0.2), shift])
+
+
+class TestDarkRows:
+    """`_propagate` does no arithmetic on the rows the light has not reached:
+    the bench carries one photon, which enters on the source path alone.
+    Skipping them can change only the sign of an exact zero, which |amp|^2
+    erases."""
+
+    SPACE = ModeSpace(8)
+    B = 9
+
+    @staticmethod
+    def _elements():
+        return list(_cloner_train_elements(0.4, 1.1, cloner_prep_angles()))
+
+    def _source(self, batch=()):
+        m = np.zeros(batch + (self.SPACE.dim, 1), dtype=complex)
+        m[..., 0, 0] = 1.0
+        return m
+
+    def test_source_column_matches_the_dense_product(self):
+        elements = self._elements()
+        dense = np.eye(self.SPACE.dim)
+        for e in elements:
+            dense = element_matrix(e, self.SPACE) @ dense
+        got = _propagate(elements, self._source())[:, 0]
+        assert np.max(np.abs(np.abs(got) ** 2 - np.abs(dense[:, 0]) ** 2)) < 1e-12
+
+    def test_jittered_source_columns_equal_lit_identities_bit_for_bit(self):
+        # The identity lights every row, so each element does its arithmetic;
+        # its column 0 is the source column, entry by entry the same updates.
+        elements = self._elements()
+        offsets = np.random.default_rng(41).uniform(-0.05, 0.05, size=(self.B, 64))
+        source = _propagate(elements, self._source((self.B,)), offsets)[..., 0]
+        lit = _propagate(elements, np.repeat(np.eye(self.SPACE.dim, dtype=complex)[None], self.B, axis=0), offsets)
+        assert (np.abs(source) ** 2).tobytes() == (np.abs(lit[..., 0]) ** 2).tobytes()
+
+    def test_dark_pairs_are_not_mixed(self, monkeypatch):
+        # From the source column 58 row pairs are mixed (65 of the 129
+        # elements act on dark rows only); from the identity, every pair.
+        mixed = []
+        mix_rows = optics._mix_rows
+
+        def spy(rows, i, j, *coeffs):
+            mixed.append((i, j))
+            mix_rows(rows, i, j, *coeffs)
+
+        monkeypatch.setattr(optics, "_mix_rows", spy)
+        elements = self._elements()
+        n_pairs = sum(2 if isinstance(e, BS) else 0 if isinstance(e, PBS) else 1 for e in elements)
+        _propagate(elements, np.eye(self.SPACE.dim, dtype=complex))
+        assert len(mixed) == n_pairs
+        mixed.clear()
+        _propagate(elements, self._source())
+        assert len(mixed) == 58 < n_pairs
+
+    def test_nan_offset_on_a_dark_plate_fails_naming_it(self):
+        # Element 8, HWP(3, pi/4), is the first plate after the input swap on
+        # a path the photon has not reached: its rows are exactly zero.
+        elements = self._elements()
+        k = 8
+        assert elements[k] == HWP(3, math.pi / 4)
+        before = _propagate(elements[:k], self._source())[:, 0]
+        assert not np.any(before[[6, 7]])
+        j = sum(isinstance(e, HWP) for e in elements[:k])
+        offsets = np.zeros((self.B, 64))
+        offsets[4, j] = np.nan
+        with pytest.raises(IsometryError, match=re.escape(f"Jones matrix of element {k} (HWP on path 3)")):
+            _propagate(elements, self._source((self.B,)), offsets)
 
 
 def test_ajwp_array_retardance_gives_one_jones_matrix_per_entry():

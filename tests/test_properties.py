@@ -119,10 +119,13 @@ TRIALS = (
     st.integers(-1, 0) | st.integers(2**63, 2**63 + 3),
 )
 SEED = (st.integers(0, 2**70), st.integers(-3, -1))
+# Grids numpy cannot allocate (10**15, 2**59 - 1) or cannot even describe
+# (from 2**59, where it raises ValueError) must be usage errors too.
+GRID_AXIS = (st.integers(1, 3), st.integers(-1, 0) | st.sampled_from([10**15, 2**59 - 1, 2**59, 2**63 - 1, 10**23]))
 SWEEP_VALUES = {
-    "theta_steps": (st.integers(1, 3), st.integers(-1, 0)),
+    "theta_steps": GRID_AXIS,
     "delta_list": (st.lists(st.floats(0.0, 6.2), min_size=1, max_size=2), st.lists(ANY_FLOAT, max_size=2)),
-    "samples": (st.integers(1, 3), st.integers(-1, 0)),
+    "samples": GRID_AXIS,
     "theta_start": (st.floats(-1.5, 0.0), ANY_FLOAT),
     "theta_end": (st.floats(0.0, 1.5), ANY_FLOAT),
     # Hypothesis draws the first entry most often: the random modes first.
@@ -134,7 +137,7 @@ SWEEP_VALUES = {
     # negative: drawn up to 6 in every run.
     "delta_c": (st.floats(0.0, 6.0), ANY_FLOAT),
 }
-# Always set: the grid stays at most 3 x 2 points, 3 samples each.
+# Always set: drawn in range, the grid is at most 3 x 2 points, 3 samples each.
 SWEEP_ALWAYS = ("theta_steps", "delta_list", "samples", "mode", "delta_c")
 SWEEP_FLAGS = ("mode", "trials", "seed", "jitter_deg")
 TOMO_VALUES = {
