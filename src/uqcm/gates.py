@@ -124,11 +124,9 @@ def gate_unitary(gate: Gate, register) -> np.ndarray:
     dim = 1 << n
 
     if isinstance(gate, Rotation):
-        u = np.eye(1, dtype=complex)
-        r = rotation_matrix(gate.angle)
-        for lab in register:
-            u = np.kron(u, r if lab == gate.target else np.eye(2, dtype=complex))
-        return u
+        pos = register.index(gate.target)
+        u = np.kron(np.eye(1 << pos, dtype=complex), rotation_matrix(gate.angle))
+        return np.kron(u, np.eye(1 << (n - 1 - pos), dtype=complex))
 
     # The remaining gates permute computational basis states.
     u = np.zeros((dim, dim), dtype=complex)
@@ -190,19 +188,21 @@ def _apply_gates(circuit: Circuit, amps: np.ndarray) -> np.ndarray:
     """(..., 2^n) amplitudes after the circuit's gates, for any leading batch
     shape; the register is the circuit's, unchecked.
 
-    A rotation multiplies the 2x2 rotation matrix into its qubit's axis;
+    A rotation moves its qubit's axis to the front, so the whole batch is
+    one (2, M) matrix, and multiplies it by the 2x2 rotation matrix once;
     CNOT, SWAP and CSWAP permute basis states, so they only reindex the
     amplitudes. No dense 2^n x 2^n gate matrix is built (`gate_unitary`
     remains the reference).
     """
     register = circuit.register
     amps = np.asarray(amps, dtype=complex)
-    lead = amps.shape[:-1]
     for g in circuit.gates:
         if isinstance(g, Rotation):
             # Canonical order: the qubit at position k has 2^k more significant states.
             high = 1 << register.index(g.target)
-            amps = (rotation_matrix(g.angle) @ amps.reshape(lead + (high, 2, -1))).reshape(amps.shape)
+            axis = amps.reshape(-1, high, 2, amps.shape[-1] // (2 * high)).transpose(2, 0, 1, 3)
+            turned = (rotation_matrix(g.angle) @ axis.reshape(2, -1)).reshape(axis.shape)
+            amps = turned.transpose(1, 2, 0, 3).reshape(amps.shape)
         else:
             amps = amps[..., _basis_permutation(g, register)]
     return amps

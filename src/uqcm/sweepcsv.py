@@ -45,12 +45,14 @@ def write_csv(path: str, fill):
     (/dev/stdout, whatever it is redirected to) is written through
     `sys.stdout`, so that what is printed after it follows it there; any
     other existing path that is not a regular file (/dev/null, a pipe) is
-    written directly.
+    written directly. So is a path that can only name a directory (empty,
+    or ending in a separator, "." or ".."), which realpath would turn into
+    a file name: open() refuses it before `fill` runs.
     """
     if _is_stdout(path):
         sys.stdout.write(CSV_HEADER + "\n")
         return fill(sys.stdout.write)
-    if os.path.exists(path) and not os.path.isfile(path):
+    if os.path.basename(path) in ("", os.curdir, os.pardir) or (os.path.exists(path) and not os.path.isfile(path)):
         with open(path, "w", encoding="ascii", newline="") as fh:
             fh.write(CSV_HEADER + "\n")
             return fill(fh.write)

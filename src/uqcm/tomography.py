@@ -201,7 +201,7 @@ def per_path_amplitudes(meas: PureState) -> np.ndarray:
 
 def _click_probabilities(rows: np.ndarray) -> np.ndarray:
     """(..., 8, 4) click probabilities from (..., 8, 2) per-path amplitudes."""
-    return np.abs(rows @ _BASIS_MATRIX) ** 2
+    return (np.abs(rows.reshape(-1, 2) @ _BASIS_MATRIX) ** 2).reshape(rows.shape[:-1] + (4,))
 
 
 def signal_probabilities(meas: PureState) -> np.ndarray:

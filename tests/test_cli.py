@@ -498,6 +498,27 @@ class TestStreamedOutput:
         capsys.readouterr()
         assert list(out.iterdir()) == [] and [p.name for p in tmp_path.iterdir()] == ["dir.csv"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--out", "newdir/"], ["--out", "existing/"], ["--out", ""], ["--out", "newdir/."], ["--config", "../empty-out.cfg"]],
+    )
+    def test_output_named_as_a_directory_is_an_io_error(self, argv, tmp_path, monkeypatch, capsys):
+        # realpath drops a trailing separator and turns "" into the working
+        # directory; open() refuses each form, before the sweep runs, and no
+        # file is left anywhere.
+        (tmp_path / "run" / "existing").mkdir(parents=True)
+        (tmp_path / "empty-out.cfg").write_text("out =\n")
+        monkeypatch.chdir(tmp_path / "run")
+        monkeypatch.setattr(cli, "compute_sweep", lambda *args: pytest.fail("the sweep ran"))
+        name = argv[1] if argv[0] == "--out" else ""
+        with pytest.raises(OSError) as refused:
+            open(name, "w")
+        assert main(["sweep", *argv]) == EXIT_IO
+        assert capsys.readouterr().err == f"I/O error writing {name!r}: {refused.value}\n"
+        assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == [
+            "empty-out.cfg", "run", os.path.join("run", "existing"),
+        ]
+
     def test_non_regular_output_is_written_directly(self, capsys):
         assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
         assert main(["sweep", "--out", os.devnull]) == EXIT_OK
@@ -547,11 +568,33 @@ class TestGoldenCsv:
         "perturbed": "333b2dfccd6dc83894372f98912ff861ea7e45bf79b25267cac7fdc313e93e89",
     }
 
+    # The summary lines below the "wrote ... rows" line, recorded with the
+    # hashes' numpy before the gate runner and the click table became
+    # whole-batch products.
+    SUMMARY = {
+        "exact": (
+            "exact sweep: 152 rows over 4 delta x 19 theta\n"
+            "max |F - 5/6| gate tier:   3.331e-16\n"
+            "max |F - 5/6| optics tier: 3.331e-16\n"
+            "PASS: all fidelities within 1.0e-09 of 5/6\n"
+        ),
+        "montecarlo": (
+            "montecarlo sweep: trials=20000 per basis setting, base seed=42\n"
+            "max |F - 5/6| = 0.021734, max bootstrap stderr = 0.013674\n"
+        ),
+        "perturbed": (
+            "perturbed sweep: jitter=0.1 deg, delta_c=0.002, samples=25 per point\n"
+            "analytic bound sum(dC) + 1.5*dtheta = 0.0046\n"
+            "max mean |F - 5/6| over grid = 0.002046 (reference bound 0.005)\n"
+            "samples exceeding bound: 5 (flagged, not fatal)\n"
+        ),
+    }
+
     @pytest.mark.parametrize("mode", sorted(GOLDEN_SHA256))
     def test_default_sweep_csv_hash(self, mode, tmp_path, capsys):
         out = tmp_path / f"{mode}.csv"
         assert main(["sweep", "--mode", mode, "--out", str(out)]) == EXIT_OK
-        capsys.readouterr()
+        assert capsys.readouterr().out == f"wrote 152 rows to {out}\n" + self.SUMMARY[mode]
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN_SHA256[mode]
 
     # Base seeds of two and three 32-bit words, recorded while every stream
@@ -731,6 +774,22 @@ class TestExitCodes:
 
 
 class TestVerify:
+    # The whole printout, recorded before the gate runner, `gate_unitary`
+    # and the click table became whole-batch products.
+    PINNED_STDOUT = (
+        "reference_oracle\tPASS\tdeviation=2.483e-16\ttol=1.0e-10\n"
+        "optics_equivalence\tPASS\tdeviation=2.267e-16\ttol=1.0e-09\n"
+        "prep_solver\tPASS\tdeviation=1.110e-16\ttol=1.0e-10\n"
+        "tomography_roundtrip\tPASS\tdeviation=3.103e-16\ttol=1.0e-12\n"
+        "pipeline_fidelity\tPASS\tdeviation=3.331e-16\ttol=1.0e-10\n"
+        "replica_symmetry\tPASS\tdeviation=4.441e-16\ttol=1.0e-10\n"
+        "verify: all checks passed\n"
+    )
+
+    def test_stdout_pinned(self, capsys):
+        assert main(["verify"]) == EXIT_OK
+        assert capsys.readouterr().out == self.PINNED_STDOUT
+
     def test_machine_readable_lines(self):
         buf = io.StringIO()
         code = run_verify(stdout=buf)

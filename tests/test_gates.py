@@ -10,12 +10,21 @@ from uqcm.gates import (
     Circuit,
     Rotation,
     _apply_gates,
+    _basis_permutation,
     apply_circuit,
     circuit_unitary,
     gate_unitary,
+    rotation_matrix,
 )
-from uqcm.hilbert import AUX, LabelError, PureState, random_pure_state
-from uqcm.network import build_cloning_network, build_measurement_circuit
+from uqcm.hilbert import AUX, LabelError, PureState, canonical_labels, random_pure_state
+from uqcm.network import (
+    _network_image,
+    build_cloning_network,
+    build_measurement_circuit,
+    cloner_prep_angles,
+    triplicator_prep_angles,
+)
+from uqcm.tomography import _BASIS_MATRIX, _click_probabilities
 
 
 def test_rotation_zero_is_identity():
@@ -133,3 +142,74 @@ def test_batched_kernel_matches_per_state_apply(build, lead):
     for idx in np.ndindex(lead):
         ref = apply_circuit(circ, PureState(circ.register, amps[idx])).amplitudes
         assert np.max(np.abs(out[idx] - ref)) <= 1e-15
+
+
+def stacked_runner(circuit, amps):
+    """The gate runner as it was: each rotation one stacked product, a 2x2
+    by 2 x k matrix per (input, higher-qubit index)."""
+    register = circuit.register
+    amps = np.asarray(amps, dtype=complex)
+    lead = amps.shape[:-1]
+    for g in circuit.gates:
+        if isinstance(g, Rotation):
+            high = 1 << register.index(g.target)
+            amps = (rotation_matrix(g.angle) @ amps.reshape(lead + (high, 2, -1))).reshape(amps.shape)
+        else:
+            amps = amps[..., _basis_permutation(g, register)]
+    return amps
+
+
+def kron_chain(gate, register):
+    """`gate_unitary` of a rotation as it was: one kron per register qubit."""
+    u = np.eye(1, dtype=complex)
+    for lab in canonical_labels(register):
+        u = np.kron(u, rotation_matrix(gate.angle) if lab == gate.target else np.eye(2, dtype=complex))
+    return u
+
+
+class TestWholeBatchProducts:
+    """The whole-batch products against the stacked forms they replace."""
+
+    LEAD_SHAPES = [(), (1,), (2,), (7,), (100,), (1000,), (3, 7)]
+
+    @pytest.mark.parametrize("build", [build_cloning_network, build_measurement_circuit])
+    @pytest.mark.parametrize("lead", LEAD_SHAPES)
+    def test_runner_matches_the_stacked_products(self, build, lead):
+        circ = build()
+        dim = 1 << len(circ.register)
+        rng = np.random.default_rng(len(lead) * 1009 + sum(lead))
+        amps = rng.normal(size=lead + (dim,)) + 1j * rng.normal(size=lead + (dim,))
+        amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
+        out = _apply_gates(circ, amps)
+        assert out.shape == amps.shape
+        # Off the last qubit the stacked product was a BLAS matrix product per
+        # stack, as the whole-batch product is: the same arithmetic, the same bits.
+        last = circ.register[-1]
+        inner = Circuit(circ.register, [g for g in circ.gates if not (isinstance(g, Rotation) and g.target == last)])
+        assert _apply_gates(inner, amps).tobytes() == stacked_runner(inner, amps).tobytes()
+        # On the last qubit each stack was a matrix-vector product, rounded
+        # differently: at most a few units of the last place per rotation.
+        rotations = sum(isinstance(g, Rotation) for g in circ.gates)
+        assert np.max(np.abs(out - stacked_runner(circ, amps))) <= 4 * rotations * np.finfo(float).eps
+
+    @pytest.mark.parametrize("register", [(1,), (1, 2), (1, 2, 3), (1, 2, 3, AUX)])
+    def test_rotation_unitary_matches_the_kron_chain(self, register):
+        for target in register:
+            for angle in (0.0, 0.3, -1.2, np.pi / 2, 2.9, -np.pi):
+                gate = Rotation(target, angle)
+                assert gate_unitary(gate, register).tobytes() == kron_chain(gate, register).tobytes()
+
+    @pytest.mark.parametrize("lead", [(), (5,), (3, 4), (700,)])
+    def test_click_table_matches_the_stacked_product(self, lead):
+        rng = np.random.default_rng(47)
+        rows = rng.normal(size=lead + (8, 2)) + 1j * rng.normal(size=lead + (8, 2))
+        views = [rows, rows[..., ::-1], rows[..., ::2, :], np.swapaxes(np.swapaxes(rows, -1, -2).copy(), -1, -2)]
+        for view in views:
+            assert _click_probabilities(view).tobytes() == (np.abs(view @ _BASIS_MATRIX) ** 2).tobytes()
+
+    @pytest.mark.parametrize("prep", [cloner_prep_angles(), triplicator_prep_angles()])
+    def test_network_image_matches_the_stacked_runner(self, prep):
+        # Equal by value: a zero the stacked product gave as -0.0 may now be
+        # +0.0 (4 entries of the cloner's image), which no |.|^2 can see.
+        basis = (np.eye(2)[:, :, None] * np.eye(4)[0]).reshape(2, 8)
+        assert np.array_equal(_network_image(prep), stacked_runner(build_cloning_network(prep), basis).T)
