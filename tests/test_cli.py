@@ -558,6 +558,29 @@ class TestStreamedOutput:
         assert large - small < 1_000_000, (small, large)
         assert len((tmp_path / "20000.csv").read_bytes().splitlines()) == 1 + 20_000 * 4 * 2
 
+    def test_montecarlo_sweep_memory_does_not_grow_with_the_grid(self, tmp_path):
+        # 64 theta steps are one full kernel call of MONTECARLO_SWEEP_BLOCK
+        # points and 320 steps are five: the kernel seeds, prices and draws a
+        # whole call at once, so its peak is bounded by the call, not the grid.
+        def peak(theta_steps):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            cfg = SweepConfig(mode="montecarlo", trials=500, theta_steps=theta_steps,
+                              out=str(tmp_path / f"{theta_steps}.csv"))
+            assert cli.run_sweep(cfg, stdout=io.StringIO()) == EXIT_OK
+            return tracemalloc.get_traced_memory()[1] - start
+
+        assert 64 * 4 == cli.MONTECARLO_SWEEP_BLOCK
+        cfg = SweepConfig(mode="montecarlo", trials=500, theta_steps=20, out=str(tmp_path / "warm.csv"))
+        cli.run_sweep(cfg, stdout=io.StringIO())
+        tracemalloc.start()
+        try:
+            small, large = peak(64), peak(320)
+        finally:
+            tracemalloc.stop()
+        assert large - small < 1_000_000, (small, large)
+        assert len((tmp_path / "320.csv").read_bytes().splitlines()) == 1 + 320 * 4 * 2
+
 
 class TestGoldenCsv:
     """The default sweep CSVs are pinned byte for byte (Python 3.11, numpy 2.4)."""

@@ -420,19 +420,32 @@ class TestReplicaReconstruction:
             assert getattr(rep, name) == pytest.approx(getattr(ref, name), abs=1e-12)
 
     def test_montecarlo_blocks_seed_once_and_match_single_points(self, monkeypatch):
-        # 10 points: a full block and a block of 2. Each block seeds its
-        # counting streams (4 per point) and bootstrap streams (1 per point)
-        # in one call, and every point equals its single-point report.
+        # 10 points: a full block and a block of 2. One call seeds all
+        # counting streams (4 per point), then all bootstrap streams (1 per
+        # point), and every point equals its single-point report.
         theta, delta = np.linspace(-1.2, 1.4, 10), np.linspace(0.1, 6.0, 10)
         seeds = np.arange(10) * 7919 + 3
         calls, seeded = [], tomography.streams
         monkeypatch.setattr(tomography, "streams", lambda rows: calls.append(len(rows)) or seeded(rows))
         fids, errs = tomography._montecarlo_fidelities(theta, delta, seeds, 500, DetectorModel(), 6)
-        assert calls == [5 * MONTECARLO_BLOCK, 5 * 2]
+        assert calls == [5 * 10]
         for k in range(10):
             rep = montecarlo_report(theta[k], delta[k], 500, int(seeds[k]), n_bootstrap=6)
             assert [rep.fidelity1, rep.fidelity2] == pytest.approx(fids[k], abs=1e-12)
             assert [rep.stderr1, rep.stderr2] == pytest.approx(errs[k], abs=1e-12)
+
+    def test_montecarlo_first_error_is_the_first_failing_blocks(self):
+        # At 4 trials a bootstrap resample of the first block loses replica
+        # 1's counts before any count refit of the second block fails; a
+        # kernel that refitted every point's counts before any bootstrap
+        # would report the count refit's error instead.
+        theta, delta = np.linspace(-1.2, 1.4, 16), np.linspace(0.1, 6.0, 16)
+        seeds = np.arange(16) * 7919 + 4
+        with pytest.raises(ReconstructionError) as raised:
+            tomography._montecarlo_fidelities(theta, delta, seeds, 4, DetectorModel(), 6)
+        assert str(raised.value) == (
+            "bootstrap resample: replica 1: no counts in its path group; 4 trials per setting are too few for error bars"
+        )
 
     def test_replicas_agree_within_statistics(self):
         rep = montecarlo_report(0.0, 0.0, trials=20000, seed=42)
