@@ -21,7 +21,7 @@ phase plates absorb the rest):
 Apart from the PBS, an exact row swap, each element is four coefficients
 (a, b, c, d) from `_coefficients` that turn each of its row pairs x, y into
 a x + b y, c x + d y; propagation, `element_matrix` and the one unitarity
-check, `_coefficient_dev`, all read them.
+check, `_coefficient_dev` (`_hwp_dev` for an HWP), all read them.
 
 The compiled cloner train lives on 8 paths: path bits are (probe, q2, q3)
 with the probe ("aux") as the most significant bit. Fragments placed before
@@ -216,6 +216,12 @@ def _coefficient_dev(a, b, c, d) -> float:
     return float(np.maximum(col1, col2).max())
 
 
+def _hwp_dev(c, s) -> float:
+    """`_coefficient_dev(c, s, s, -c)` bit for bit from one column: an HWP's
+    second column norm s s + c c equals its first, c c + s s."""
+    return float(abs(_abs2(c) + _abs2(s) - 1.0).max())
+
+
 def _check_paths(element: OpticalElement, space: ModeSpace) -> None:
     for p in element_paths(element):
         if not (0 <= p < space.n_paths):
@@ -279,7 +285,7 @@ def _apply_element(element: OpticalElement, rows: np.ndarray, angle=None, what=N
         return
     coeffs = _coefficients(element, angle)
     if what is not None:
-        _require_isometry_dev(_coefficient_dev(*coeffs), what)
+        _require_isometry_dev(_hwp_dev(*coeffs[:2]) if isinstance(element, HWP) else _coefficient_dev(*coeffs), what)
     if isinstance(element, BS):
         pairs = [(2 * element.path_a + pol, 2 * element.path_b + pol) for pol in (POL_H, POL_V)]
     else:

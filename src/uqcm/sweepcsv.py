@@ -2,9 +2,11 @@
 text, and the output file, replaced whole or not at all.
 
 A row is ``mode,delta_rad,theta_rad,replica,fidelity,stderr,seed`` with
-radians and fidelities at 9 decimals. `format_block` fills the repeated row
-template from one flat tuple, so a block of rows costs one `%` instead of a
-format call per row, and `format_row` is the same template for one row.
+radians and fidelities at 9 decimals. `format_row` is the row template for
+one row, and the reference for `format_block`, which writes a block of rows
+by string joins after converting each distinct float64 of the block once:
+an exact sweep's block repeats a handful of fidelities, one stderr and its
+delta in almost every row. The file is written as ASCII bytes.
 """
 
 from __future__ import annotations
@@ -24,17 +26,30 @@ def format_row(mode, delta, theta, replica, fid, stderr, seed) -> str:
 
 
 def format_block(mode, delta, theta, fids, errs, seeds) -> str:
-    """The rows of n points, replicas 1 and 2 of each, joined by newlines, by
-    one `%` over the repeated row template; `fids` and `errs` are (n, 2)."""
-    cells = np.empty((len(seeds), 2, 7), dtype=object)
-    for k, column in enumerate((mode, delta[:, None], theta[:, None], (1, 2), fids, errs, np.reshape(seeds, (-1, 1)))):
-        cells[..., k] = column
-    return "\n".join([CSV_ROW] * (2 * len(seeds))) % tuple(cells.ravel().tolist())
+    """The rows of n points, replicas 1 and 2 of each, joined by newlines;
+    `delta` and `theta` are (n,) float64 arrays and `fids` and `errs` (n, 2).
+
+    Each distinct float64 bit pattern of the block is formatted once, by
+    one `%`, into a memo keyed by the bits that lives for this call, so
+    -0.0 and 0.0 stay apart and every NaN prints as `nan`, as `format_row`
+    prints them; the rows are then joined from the memo's strings.
+    """
+    bits = np.concatenate((delta, theta, np.ravel(fids), np.ravel(errs))).view(np.uint64).tolist()
+    distinct = list(dict.fromkeys(bits))
+    floats = np.array(distinct, dtype=np.uint64).view(np.float64).tolist()
+    memo = dict(zip(distinct, ("%.9f\n" * len(floats) % tuple(floats)).split("\n")))
+    text = list(map(memo.__getitem__, bits))
+    n = len(seeds)
+    d, t, f, e = text[:n], text[n:2 * n], text[2 * n:4 * n], text[4 * n:]
+    return "\n".join([
+        f"{mode},{dk},{tk},1,{f1},{e1},{seed}\n{mode},{dk},{tk},2,{f2},{e2},{seed}"
+        for dk, tk, f1, f2, e1, e2, seed in zip(d, t, f[::2], f[1::2], e[::2], e[1::2], seeds)
+    ])
 
 
 def write_csv(path: str, fill):
     """Write the header, then the text `fill(write)` passes to `write`, to
-    `path`; returns what `fill` returns.
+    `path` as ASCII bytes; returns what `fill` returns.
 
     A new path or a regular file (symlinks followed) is written to a
     temporary file beside it that replaces it once `fill` returns; if
@@ -53,9 +68,8 @@ def write_csv(path: str, fill):
         sys.stdout.write(CSV_HEADER + "\n")
         return fill(sys.stdout.write)
     if os.path.basename(path) in ("", os.curdir, os.pardir) or (os.path.exists(path) and not os.path.isfile(path)):
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(CSV_HEADER + "\n")
-            return fill(fh.write)
+        with open(path, "wb") as fh:
+            return _fill_bytes(fh, fill)
     target = os.path.realpath(path)
     mode = None
     if os.path.isfile(target):
@@ -63,18 +77,27 @@ def write_csv(path: str, fill):
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
         mode = os.stat(target).st_mode & 0o7777
     tmp = f"{target}.{os.urandom(6).hex()}.tmp"
-    fh = open(tmp, "x", encoding="ascii", newline="")
+    fh = open(tmp, "xb")
     try:
         with fh:
             if mode is not None:
                 os.chmod(tmp, mode)
-            fh.write(CSV_HEADER + "\n")
-            result = fill(fh.write)
+            result = _fill_bytes(fh, fill)
         os.replace(tmp, target)
     except BaseException:
         os.remove(tmp)
         raise
     return result
+
+
+def _fill_bytes(fh, fill):
+    """The header, then each text `fill` passes, to the binary file `fh`;
+    a text that is not ASCII raises UnicodeEncodeError."""
+    def write(text):
+        return fh.write(text.encode("ascii"))
+
+    write(CSV_HEADER + "\n")
+    return fill(write)
 
 
 def _is_stdout(path: str) -> bool:

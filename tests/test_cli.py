@@ -7,6 +7,7 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -37,7 +38,7 @@ from uqcm.errormodel import TRAIN_BLOCK, perturbation_sweep
 from uqcm.hilbert import DensityMatrix, IsometryError, fidelity, random_pure_state
 from uqcm.network import clone, input_state
 from uqcm.optics import optical_measurement_state
-from uqcm.sweepcsv import CSV_HEADER, format_row
+from uqcm.sweepcsv import CSV_HEADER, format_row, write_csv
 from uqcm.tomography import (
     MONTECARLO_BLOCK,
     DetectorModel,
@@ -410,6 +411,12 @@ class TestStreamedOutput:
         cfg.unlink()
         self._assert_untouched(out)
 
+    def test_non_ascii_text_raises_and_keeps_prior_output(self, tmp_path):
+        out = self._prior(tmp_path)
+        with pytest.raises(UnicodeEncodeError):
+            write_csv(str(out), lambda write: write("exact,\u03b8\n"))
+        self._assert_untouched(out)
+
     def test_sparse_counts_keep_prior_output(self, tmp_path, capsys):
         # The montecarlo grid fails after the header has gone to the temporary file.
         out = self._prior(tmp_path)
@@ -541,6 +548,36 @@ class TestStreamedOutput:
         assert lines[-1] == "PASS: all fidelities within 1.0e-09 of 5/6"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["listing.txt"]
 
+    def test_every_output_branch_writes_the_same_bytes(self, tmp_path, capsys):
+        # Over several blocks: a regular file (temporary file, then replace),
+        # a FIFO (opened and written directly) and /dev/stdout in a child
+        # whose stdout is a pipe (written through sys.stdout).
+        config, regular, fifo = tmp_path / "multi.cfg", tmp_path / "regular.csv", tmp_path / "fifo"
+        config.write_text("theta_steps = 300\n")
+        assert main(["sweep", "--config", str(config), "--out", str(regular)]) == EXIT_OK
+        summary, expected = capsys.readouterr().out, regular.read_bytes()
+        assert expected.count(b"\n") == 1 + 2 * 300 * 4
+
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            assert main(["sweep", "--config", str(config), "--out", str(fifo)]) == EXIT_OK
+        finally:
+            reader.join(timeout=60)
+        assert not reader.is_alive() and received == [expected]
+        assert capsys.readouterr().out == summary.replace(str(regular), str(fifo))
+
+        env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "uqcm.cli", "sweep", "--config", str(config), "--out", "/dev/stdout"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, check=False,
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
+        assert proc.stdout == expected + summary.replace(str(regular), "/dev/stdout").encode("ascii")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "multi.cfg", "regular.csv"]
+
     def test_exact_sweep_memory_does_not_grow_with_the_grid(self, tmp_path):
         def peak(theta_steps):
             tracemalloc.reset_peak()
@@ -635,6 +672,24 @@ class TestGoldenCsv:
         assert main(["sweep", "--mode", mode, "--seed", str(seed), "--out", str(out)]) == EXIT_OK
         capsys.readouterr()
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.MULTIWORD_SHA256[mode, seed]
+
+    # 300 theta steps x the 4 default deltas: 1,200 points in five
+    # EXACT_BLOCK blocks, the last one partial.
+    MULTIBLOCK_SHA256 = "603c80f51c50bbdbd3785e0761fa5936238ac5d2fe654e8e6d05f3b5f56de0e0"
+
+    def test_multiblock_exact_sweep_csv_hash(self, tmp_path, capsys):
+        config, out = tmp_path / "multi.cfg", tmp_path / "multi.csv"
+        config.write_text("theta_steps = 300\n")
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            f"wrote 2400 rows to {out}\n"
+            "exact sweep: 2400 rows over 4 delta x 300 theta\n"
+            "max |F - 5/6| gate tier:   3.331e-16\n"
+            "max |F - 5/6| optics tier: 7.772e-16\n"
+            "PASS: all fidelities within 1.0e-09 of 5/6\n"
+        )
+        assert -(-300 * 4 // EXACT_BLOCK) == 5
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.MULTIBLOCK_SHA256
 
 
 class TestExitCodes:

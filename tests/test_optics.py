@@ -36,6 +36,7 @@ from uqcm.optics import (
     _bench_path_amplitudes,
     _coefficient_dev,
     _coefficients,
+    _hwp_dev,
     _cloner_train_elements,
     _propagate,
     _unit_norms,
@@ -181,6 +182,19 @@ class TestJitteredPropagation:
         m = _random_modes(rng, (self.B, self.SPACE.dim, 1))
         with pytest.raises(IsometryError, match=re.escape("Jones matrix of element 3 (HWP on path 2)")):
             _propagate(elements, m, offsets)
+
+    @pytest.mark.parametrize("offset", [math.inf, -math.inf])
+    def test_infinite_offset_fails_the_waveplate_check(self, offset):
+        # cos and sin of an infinite angle are NaN (numpy's warning silenced
+        # here), so the same element fails as with a NaN offset.
+        rng = np.random.default_rng(23)
+        elements = self._train(rng)
+        offsets = np.zeros((self.B, 4))
+        offsets[2, 1] = offset
+        m = _random_modes(rng, (self.B, self.SPACE.dim, 1))
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(IsometryError, match=re.escape("Jones matrix of element 3 (HWP on path 2)")):
+                _propagate(elements, m, offsets)
 
     def test_unbatched_call_is_unchecked(self, scale_coefficients):
         # Without offsets the caller checks the composite (OpticalTrain),
@@ -331,6 +345,22 @@ class TestCoefficientCheck:
         factors[4] = 1.0 + 3e-6
         coeffs = [factors * x for x in _coefficients(HWP(0, angles))]
         assert _coefficient_dev(*coeffs) == pytest.approx((1.0 + 3e-6) ** 2 - 1.0, rel=1e-9)
+
+    def test_hwp_form_equals_the_two_column_form_bit_for_bit(self):
+        # Scalar and array angles, exact and scaled coefficients, and NaN and
+        # infinite angles (numpy's warning silenced), which must stay NaN.
+        rng = np.random.default_rng(34)
+        angles = np.concatenate((
+            rng.uniform(-10.0, 10.0, 2000), np.arange(-16, 17) * math.pi / 8,
+            [-0.0, 1e300, math.nan, -math.nan, math.inf, -math.inf],
+        ))
+        with np.errstate(invalid="ignore"):
+            for factor in (1.0, 1.0 + 1e-8, 0.9):
+                for angle in [*angles, angles, angles[:-4]]:
+                    coeffs = [factor * x for x in _coefficients(HWP(0, 0.0), angle)]
+                    got, want = _hwp_dev(*coeffs[:2]), _coefficient_dev(*coeffs)
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                    assert math.isnan(got) == (not np.isfinite(angle).all())
 
     @pytest.mark.parametrize("where", [0, 3])
     def test_either_column_can_fail(self, where):

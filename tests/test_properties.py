@@ -15,7 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from uqcm.cli import EXIT_USAGE, SweepConfig, UsageError, load_config_file, main  # noqa: E402
+from uqcm.cli import EXACT_BLOCK, EXIT_USAGE, SweepConfig, UsageError, load_config_file, main  # noqa: E402
 from uqcm.streams import seed_words, streams  # noqa: E402
 from uqcm.sweepcsv import format_block, format_row  # noqa: E402
 
@@ -44,28 +44,54 @@ def test_seed_words_and_states_match_numpy(rows, n_words):
 CSV_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [-0.0, 0.0, 1e-12, -1e-12, 5e-10, -5e-10, 0.5 - 5e-10, 5 / 6, 2.0**-1074, 1e300]
 )
+CSV_SEEDS = st.integers(0, 2**32 - 1) | st.sampled_from([2**64 + 5, 2**100 + 3])
+
+
+def _ulp_neighbours(x):
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+# Values a block may repeat: both zeros, 5/6 and the values one ulp either
+# side of it and of ties at the 9th decimal, NaN and the infinities.
+POOL_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf]
+    + [y for x in (5 / 6, 5e-10, -5e-10, 0.5 - 5e-10, 0.8333333335, 1.0000000005, 2.5e-9) for y in _ulp_neighbours(x)]
+)
+
+
+@st.composite
+def few_point_blocks(draw):
+    """Up to 12 points whose values are mostly all distinct and finite."""
+    points = draw(st.lists(st.tuples(*[CSV_FLOATS] * 6, CSV_SEEDS), min_size=1, max_size=12))
+    delta, theta, f1, f2, e1, e2, seeds = (list(column) for column in zip(*points))
+    return np.array(delta), np.array(theta), np.column_stack((f1, f2)), np.column_stack((e1, e2)), seeds
+
+
+@st.composite
+def repeating_blocks(draw):
+    """Up to EXACT_BLOCK points whose values come from a pool of at most
+    eight, so that each value repeats within the block."""
+    pool = np.array(draw(st.lists(POOL_FLOATS, min_size=1, max_size=8)))
+    n = draw(st.integers(1, EXACT_BLOCK))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    delta, theta = (pool[rng.integers(len(pool), size=n)] for _ in range(2))
+    fids, errs = (pool[rng.integers(len(pool), size=(n, 2))] for _ in range(2))
+    seeds = draw(st.lists(CSV_SEEDS, min_size=1, max_size=3))
+    return delta, theta, fids, errs, [seeds[k] for k in rng.integers(len(seeds), size=n)]
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    st.sampled_from(["exact", "montecarlo", "perturbed"]),
-    st.lists(
-        st.tuples(CSV_FLOATS, CSV_FLOATS, CSV_FLOATS, CSV_FLOATS, CSV_FLOATS, CSV_FLOATS,
-                  st.integers(0, 2**32 - 1) | st.sampled_from([2**64 + 5, 2**100 + 3])),
-        min_size=1, max_size=12,
-    ),
-)
-def test_block_formatter_equals_joined_rows(mode, points):
-    delta, theta, f1, f2, e1, e2, seeds = (list(column) for column in zip(*points))
-    fids, errs = np.column_stack((f1, f2)), np.column_stack((e1, e2))
+@given(st.sampled_from(["exact", "montecarlo", "perturbed"]), few_point_blocks() | repeating_blocks())
+def test_block_formatter_equals_joined_rows(mode, block):
+    delta, theta, fids, errs, seeds = block
     rows = [
         format_row(mode, d, t, replica, fids[k, replica - 1], errs[k, replica - 1], seed)
         for k, (d, t, seed) in enumerate(zip(delta, theta, seeds))
         for replica in (1, 2)
     ]
-    assert format_block(mode, np.array(delta), np.array(theta), fids, errs, seeds) == "\n".join(rows)
+    assert format_block(mode, delta, theta, fids, errs, seeds) == "\n".join(rows)
     # The f-string the row formatter replaced, on the same values.
-    assert rows[0] == f"{mode},{delta[0]:.9f},{theta[0]:.9f},1,{f1[0]:.9f},{e1[0]:.9f},{seeds[0]}"
+    assert rows[0] == f"{mode},{delta[0]:.9f},{theta[0]:.9f},1,{fids[0, 0]:.9f},{errs[0, 0]:.9f},{seeds[0]}"
 
 
 CONFIG_KEYS = [
