@@ -16,10 +16,8 @@ from .hilbert import (
     PureState,
     fidelity,
     partial_trace,
-    random_pure_state,
     stokes_compose,
     stokes_decompose,
-    tensor_product,
 )
 from .network import (
     CLONER_PREP_TARGET,
@@ -32,9 +30,7 @@ from .network import (
     build_preparation_circuit,
     clone,
     cloner_prep_angles,
-    input_state,
     optimal_fidelity,
-    reference_clone_output,
     triplicate,
     triplicator_prep_angles,
 )
@@ -49,13 +45,10 @@ from .optics import (
     OpticalTrain,
     PhaseShift,
     PhotonState,
-    apply_train,
     build_cloner_train,
     element_matrix,
     modes_to_qubits,
     optical_measurement_state,
-    qubits_to_modes,
-    source_photon,
     verify_equivalence,
 )
 from .tomography import (
@@ -64,14 +57,11 @@ from .tomography import (
     DetectorModel,
     FidelityReport,
     ReconstructionError,
-    attach_aux_cswap,
     exact_report,
     fidelity_report,
     measurement_state,
     montecarlo_report,
     reconstruct_replica,
-    reconstruct_single_qubit,
-    replicas_from_state,
     signal_probabilities,
     simulate_counts,
 )
@@ -104,10 +94,8 @@ __all__ = [
     "PureState",
     "fidelity",
     "partial_trace",
-    "random_pure_state",
     "stokes_compose",
     "stokes_decompose",
-    "tensor_product",
     # network
     "CLONER_PREP_TARGET",
     "TRIPLICATOR_FIDELITY",
@@ -119,9 +107,7 @@ __all__ = [
     "build_preparation_circuit",
     "clone",
     "cloner_prep_angles",
-    "input_state",
     "optimal_fidelity",
-    "reference_clone_output",
     "triplicate",
     "triplicator_prep_angles",
     # optics
@@ -135,13 +121,10 @@ __all__ = [
     "OpticalTrain",
     "PhaseShift",
     "PhotonState",
-    "apply_train",
     "build_cloner_train",
     "element_matrix",
     "modes_to_qubits",
     "optical_measurement_state",
-    "qubits_to_modes",
-    "source_photon",
     "verify_equivalence",
     # tomography
     "BASES",
@@ -149,14 +132,11 @@ __all__ = [
     "DetectorModel",
     "FidelityReport",
     "ReconstructionError",
-    "attach_aux_cswap",
     "exact_report",
     "fidelity_report",
     "measurement_state",
     "montecarlo_report",
     "reconstruct_replica",
-    "reconstruct_single_qubit",
-    "replicas_from_state",
     "signal_probabilities",
     "simulate_counts",
     # errormodel

@@ -331,8 +331,8 @@ class CheckResult:
 
 
 def _random_qubit_amplitudes(n: int, seed: int) -> np.ndarray:
-    """(n, 2) amplitudes of n random input qubits: the PCG64 stream of n
-    looped `random_pure_state([1], rng)` draws, taken in one call."""
+    """(n, 2) amplitudes of n random input qubits: one call draws what n
+    calls of `tests/reference.random_pure_state([1], rng)` draw."""
     z = np.random.default_rng(seed).normal(size=(n, 2, 2))
     amps = z[:, 0] + 1j * z[:, 1]
     return amps / np.linalg.norm(amps, axis=-1, keepdims=True)

@@ -100,14 +100,6 @@ class PureState:
     def dim(self) -> int:
         return self._amps.size
 
-    def inner(self, other: "PureState") -> complex:
-        """<self|other> for states on the same register."""
-        if self._labels != other._labels:
-            raise LabelError(
-                f"register mismatch: {self._labels!r} vs {other._labels!r}"
-            )
-        return complex(np.vdot(self._amps, other._amps))
-
     def density(self) -> "DensityMatrix":
         return DensityMatrix(self._labels, np.outer(self._amps, self._amps.conj()))
 
@@ -163,14 +155,6 @@ class DensityMatrix:
         return f"DensityMatrix(labels={self._labels!r}, matrix={self._matrix!r})"
 
 
-def tensor_product(a: PureState, b: PureState) -> PureState:
-    """Combined state on the union register; label sets must be disjoint."""
-    overlap = set(a.labels) & set(b.labels)
-    if overlap:
-        raise LabelError(f"overlapping qubit labels: {sorted(map(str, overlap))}")
-    return PureState(a.labels + b.labels, np.kron(a.amplitudes, b.amplitudes))
-
-
 def partial_trace(rho, keep) -> DensityMatrix:
     """Reduced density matrix on the `keep` labels.
 
@@ -178,7 +162,7 @@ def partial_trace(rho, keep) -> DensityMatrix:
     """
     if isinstance(rho, PureState):
         rho = rho.density()
-    keep = tuple(keep) if not isinstance(keep, (int, str)) else (keep,)
+    keep = (keep,) if isinstance(keep, (int, np.integer, str)) else tuple(keep)
     keep_canon = canonical_labels(keep)
     missing = set(keep_canon) - set(rho.labels)
     if missing:
@@ -273,10 +257,3 @@ def stokes_compose(sx: float, sy: float, sz: float, label=1) -> DensityMatrix:
     """Single-qubit density matrix with the given Stokes components."""
     return DensityMatrix([label], _stokes_density((sx, sy, sz)))
 
-
-def random_pure_state(labels, rng: np.random.Generator) -> PureState:
-    """Haar-style random pure state on the given register (for checks and tests)."""
-    canon = canonical_labels(labels)
-    d = 2 ** len(canon)
-    amps = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return PureState(canon, amps / np.linalg.norm(amps))

@@ -68,15 +68,6 @@ def _input_amplitudes(theta, delta) -> np.ndarray:
     return np.stack([np.cos(theta), np.exp(1j * delta) * np.sin(theta)], axis=-1)
 
 
-def input_state(theta: float, delta: float) -> PureState:
-    """Input qubit cos(theta)|0> + e^(i delta) sin(theta)|1> on qubit 1.
-
-    Accepts theta in (-pi/2, pi/2] and delta in the full [0, 2 pi) range
-    (sweeps typically use the narrower [0, pi) slice).
-    """
-    return PureState([1], _input_amplitudes(theta, delta))
-
-
 @lru_cache(maxsize=None)
 def cloner_prep_angles() -> PrepAngles:
     """Solved rotation angles preparing the cloner target on qubits (2, 3)."""
@@ -122,17 +113,6 @@ _IMAGE_OF_1 = np.zeros(8, dtype=complex)
 _IMAGE_OF_1[0b111] = math.sqrt(2.0 / 3.0)
 _IMAGE_OF_1[0b100] = math.sqrt(1.0 / 6.0)
 _IMAGE_OF_1[0b010] = math.sqrt(1.0 / 6.0)
-
-
-def reference_clone_output(psi: PureState) -> PureState:
-    """Closed-form machine output for a single-qubit input.
-
-    Serves as the oracle for the gate network and the optical train: the
-    output is the input amplitudes contracted with the fixed basis images.
-    """
-    if psi.n_qubits != 1:
-        raise ValueError("input must be a single-qubit state")
-    return PureState((1, 2, 3), _reference_outputs(psi.amplitudes))
 
 
 def _reference_outputs(amps) -> np.ndarray:

@@ -115,13 +115,6 @@ class PhotonState:
         return f"PhotonState(space={self.space!r}, amplitudes={self._amps!r})"
 
 
-def source_photon(space: ModeSpace, path: int = 0, pol="H") -> PhotonState:
-    """Photon definitely in one (path, polarization) mode."""
-    amps = np.zeros(space.dim, dtype=complex)
-    amps[space.index(path, pol)] = 1.0
-    return PhotonState(space, amps)
-
-
 @dataclass(frozen=True)
 class HWP:
     path: int
@@ -382,14 +375,6 @@ class OpticalTrain:
         return f"OpticalTrain(space={self.space!r}, n_elements={len(self._elements)})"
 
 
-def apply_train(train: OpticalTrain, state: PhotonState) -> PhotonState:
-    """Apply the elements one by one; the norm is preserved."""
-    if state.space != train.space:
-        raise ValueError(f"state lives on {state.space!r}, train on {train.space!r}")
-    amps = _propagate(train.elements, state.amplitudes.reshape(-1, 1).copy())
-    return PhotonState(train.space, amps)
-
-
 def mode_qubit_labels(n_paths: int) -> tuple:
     """Qubit labels carried by a photon on n_paths paths (canonical order)."""
     k = int(round(math.log2(n_paths)))
@@ -444,16 +429,6 @@ def modes_to_qubits(state: PhotonState, tol: float = 1e-9) -> PureState:
     qamps = np.empty(state.space.dim, dtype=complex)
     qamps[perm] = state.amplitudes
     return PureState(labels, qamps / nrm)
-
-
-def qubits_to_modes(psi: PureState, space: ModeSpace) -> PhotonState:
-    """Inverse of modes_to_qubits."""
-    if psi.labels != mode_qubit_labels(space.n_paths):
-        raise ValueError(
-            f"state labels {psi.labels!r} do not match a photon on {space.n_paths} paths"
-        )
-    perm = _mode_to_qubit_permutation(space.n_paths)
-    return PhotonState(space, psi.amplitudes[perm])
 
 
 # ---------------------------------------------------------------------------

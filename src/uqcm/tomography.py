@@ -32,9 +32,7 @@ arithmetic: the (4 N, 9) multinomial table, the cap at the trial count, the
 per-path inversion and the replica refits. numpy's bootstrap binomials, one
 call per point with a probability per cell, are the remaining floor of the
 montecarlo sweep while its CSV bytes stay fixed: about half of the warm
-default-grid kernel. One seeding, pricing and drawing pass per call took
-that kernel from 21.8 to 18.2 ms warm (medians of 12 alternating
-in-process calls; Python 3.11, numpy 2.4.6, 2 shared CPUs).
+default-grid kernel.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ from typing import Union
 
 import numpy as np
 
-from .gates import CSWAP, Circuit, apply_circuit
 from .hilbert import (
     AUX,
     DensityMatrix,
@@ -56,7 +53,6 @@ from .hilbert import (
     _stokes_fidelity,
     stokes_compose,
     stokes_decompose,
-    tensor_product,
 )
 from .network import _clone_outputs, _input_amplitudes
 from .streams import streams
@@ -152,26 +148,16 @@ def _require_trials(trials, name: str = "trials") -> None:
         raise ValueError(f"{name} must be positive, got {trials!r}")
 
 
-_AUX_CSWAP = Circuit((1, 2, 3, AUX), (CSWAP(AUX, 1, 2),))
-
-
-def attach_aux_cswap(out3: PureState) -> PureState:
-    """Attach the probe qubit and apply the probe-controlled replica swap.
-
-    Maps the three-qubit machine output to
-    (|0>_aux |psi_123> + |1>_aux |psi_213>) / sqrt(2).
-    """
-    if out3.labels != (1, 2, 3):
-        raise ValueError(f"expected a state on qubits (1, 2, 3), got {out3.labels!r}")
-    probe = PureState([AUX], [_SQ2, _SQ2])
-    joint = tensor_product(probe, out3)
-    return apply_circuit(_AUX_CSWAP, joint)
+def _require_bootstrap(n_bootstrap) -> None:
+    """`n_bootstrap` an integer of at least 2, the resamples a standard error needs."""
+    if not (isinstance(n_bootstrap, numbers.Integral) and n_bootstrap >= 2):
+        raise ValueError(f"n_bootstrap must be an integer >= 2 to estimate a standard error, got {n_bootstrap!r}")
 
 
 def _aux_cswap(out) -> np.ndarray:
-    """(..., 16) amplitudes on (aux, 1, 2, 3) of `attach_aux_cswap` for
-    (..., 8) machine outputs on (1, 2, 3): the probe-1 half is the output
-    with its qubit 1 and qubit 2 axes exchanged."""
+    """(..., 16) amplitudes on (aux, 1, 2, 3) for (..., 8) machine outputs on
+    (1, 2, 3), the probe in (|0> + |1>)/sqrt(2) controlling a swap of qubits 1
+    and 2: the probe-1 half is the output with those two axes exchanged."""
     out = np.asarray(out)
     qubits = out.reshape(out.shape[:-1] + (2, 2, 2))
     meas = _SQ2 * np.stack([qubits, np.swapaxes(qubits, -3, -2)], axis=-4)
@@ -334,19 +320,6 @@ def _bootstrap_stokes(draws, trials: int) -> np.ndarray:
         raise ReconstructionError(f"bootstrap resample: {exc}; {too_few}") from exc
 
 
-def reconstruct_single_qubit(c_h, c_v, c_d, c_r, label=1) -> DensityMatrix:
-    """Linear-inversion reconstruction from one path's four settings.
-
-    Accepts integer counts or exact (float) probabilities; the formulas are
-    scale-invariant as long as all four share one scale.
-    """
-    if min(c_h, c_v, c_d, c_r) < 0:
-        raise ValueError("counts must be nonnegative")
-    if not c_h + c_v > 0:
-        raise ReconstructionError("no H/V counts: cannot normalize the inversion")
-    return stokes_compose(*_path_stokes(np.array([c_h, c_v, c_d, c_r], dtype=float)), label=label)
-
-
 def reconstruct_replica(counts, which: int) -> DensityMatrix:
     """Weighted per-path reconstruction of one replica.
 
@@ -362,12 +335,6 @@ def reconstruct_replica(counts, which: int) -> DensityMatrix:
     if stokes.shape != (1, 3):
         raise ValueError("reconstruct_replica takes one (8, 4) count array, not a batch")
     return stokes_compose(*stokes[0])
-
-
-def replicas_from_state(meas: PureState) -> tuple:
-    """Exact-probability reconstruction of both replicas (the noise-free pipeline)."""
-    probs = signal_probabilities(meas)
-    return reconstruct_replica(probs, 1), reconstruct_replica(probs, 2)
 
 
 def _require_report_values(fids, errs) -> None:
@@ -416,10 +383,10 @@ def fidelity_report(
     once as Binomial(trials, observed fraction), an (n_bootstrap, 8, 4)
     draw, every draw is refitted in one `_replica_stokes` call, and the
     sample standard deviation of the refitted fidelities is reported; that
-    needs `n_bootstrap` >= 2.
+    needs an integer `n_bootstrap` >= 2.
     """
-    if counts is not None and n_bootstrap < 2:
-        raise ValueError(f"n_bootstrap must be >= 2 to estimate a standard error, got {n_bootstrap!r}")
+    if counts is not None:
+        _require_bootstrap(n_bootstrap)
     bloch = _qubit_stokes(_input_amplitudes(theta, delta))
     f1, f2 = _stokes_fidelity([stokes_decompose(rho1), stokes_decompose(rho2)], bloch)
     err1 = err2 = 0.0
@@ -463,8 +430,7 @@ def _montecarlo_fidelities(
     the resamples. Refitting block by block keeps the first
     ReconstructionError of a sparse run that of the first failing block.
     """
-    if n_bootstrap < 2:
-        raise ValueError(f"n_bootstrap must be >= 2 to estimate a standard error, got {n_bootstrap!r}")
+    _require_bootstrap(n_bootstrap)
     _require_trials(trials)
     amps = _input_amplitudes(theta, delta)
     bloch = _qubit_stokes(amps)

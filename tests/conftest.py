@@ -3,8 +3,10 @@ import sys
 
 import pytest
 
-# Allow running pytest from a fresh checkout without installing the package.
+# Allow running pytest from a fresh checkout without installing the package,
+# and importing the test-only `reference` module under any import mode.
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, os.path.dirname(__file__))
 
 
 @pytest.fixture

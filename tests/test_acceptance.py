@@ -11,15 +11,13 @@ from uqcm.angles import prep_circuit, solve_prep_angles
 from uqcm.cli import main
 from uqcm.errormodel import ErrorBudget, fidelity_error_bound, perturbation_sweep
 from uqcm.gates import apply_circuit, circuit_unitary
-from uqcm.hilbert import DensityMatrix, PureState, fidelity, partial_trace, random_pure_state, tensor_product
+from uqcm.hilbert import DensityMatrix, PureState, fidelity, partial_trace
 from uqcm.network import (
     CLONER_PREP_TARGET,
     TRIPLICATOR_FIDELITY,
     build_cloning_network,
     clone,
-    input_state,
     optimal_fidelity,
-    reference_clone_output,
     triplicate,
 )
 from uqcm.optics import optical_measurement_state
@@ -27,10 +25,17 @@ from uqcm.tomography import (
     DetectorModel,
     measurement_state,
     reconstruct_replica,
-    reconstruct_single_qubit,
-    replicas_from_state,
     signal_probabilities,
     simulate_counts,
+)
+
+from reference import (
+    input_state,
+    random_pure_state,
+    reconstruct_single_qubit,
+    reference_clone_output,
+    replicas_from_state,
+    tensor_product,
 )
 
 F_OPT = 5.0 / 6.0

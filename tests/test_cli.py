@@ -35,8 +35,8 @@ from uqcm.cli import (
     run_verify,
 )
 from uqcm.errormodel import TRAIN_BLOCK, perturbation_sweep
-from uqcm.hilbert import DensityMatrix, IsometryError, fidelity, random_pure_state
-from uqcm.network import clone, input_state
+from uqcm.hilbert import DensityMatrix, IsometryError, fidelity
+from uqcm.network import clone
 from uqcm.optics import optical_measurement_state
 from uqcm.sweepcsv import CSV_HEADER, format_row, write_csv
 from uqcm.tomography import (
@@ -46,10 +46,11 @@ from uqcm.tomography import (
     _replica_stokes,
     measurement_state,
     montecarlo_report,
-    replicas_from_state,
     signal_probabilities,
     simulate_counts,
 )
+
+from reference import input_state, random_pure_state, replicas_from_state
 
 
 def sweep_rows(config):

@@ -11,9 +11,11 @@ from uqcm import errormodel, optics
 from uqcm.cli import EXIT_VERIFY, _exact_fidelities, main
 from uqcm.errormodel import ErrorBudget, PerturbationResult, fidelity_error_bound, perturbation_sweep
 from uqcm.hilbert import DensityMatrix, IsometryError, fidelity
-from uqcm.network import cloner_prep_angles, input_state
+from uqcm.network import cloner_prep_angles
 from uqcm.optics import HWP, OpticalTrain, PhaseShift, PhotonState, build_cloner_train, modes_to_qubits
 from uqcm.tomography import reconstruct_replica, signal_probabilities
+
+from reference import input_state
 
 
 def reference_sweep(jitter, n_samples, seed, theta, delta, delta_c_total):

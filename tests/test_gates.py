@@ -16,7 +16,7 @@ from uqcm.gates import (
     gate_unitary,
     rotation_matrix,
 )
-from uqcm.hilbert import AUX, LabelError, PureState, canonical_labels, random_pure_state
+from uqcm.hilbert import AUX, LabelError, PureState, canonical_labels
 from uqcm.network import (
     _network_image,
     build_cloning_network,
@@ -25,6 +25,8 @@ from uqcm.network import (
     triplicator_prep_angles,
 )
 from uqcm.tomography import _BASIS_MATRIX, _click_probabilities
+
+from reference import random_pure_state
 
 
 def test_rotation_zero_is_identity():

@@ -13,14 +13,14 @@ from uqcm.hilbert import (
     PureState,
     fidelity,
     partial_trace,
-    random_pure_state,
     stokes_compose,
     stokes_decompose,
-    tensor_product,
     _require_isometry,
     _require_isometry_dev,
     _require_physical_stokes,
 )
+
+from reference import random_pure_state, tensor_product
 
 
 class TestPureState:
@@ -146,6 +146,14 @@ class TestPartialTrace:
             assert np.max(np.abs(m - m.conj().T)) < 1e-12
             assert np.trace(m).real == pytest.approx(1.0, abs=1e-12)
             assert np.min(np.linalg.eigvalsh(m)) > -1e-10
+
+    def test_numpy_integer_is_one_label(self):
+        # As an int is: canonical_labels accepts numpy integer labels.
+        psi = random_pure_state((1, 2, 3), np.random.default_rng(23))
+        for keep in (np.int64(2), np.int32(2), np.uint8(2)):
+            red = partial_trace(psi, keep)
+            assert red.labels == (2,)
+            assert np.array_equal(red.matrix, partial_trace(psi, 2).matrix)
 
     def test_empty_or_unknown_labels_rejected(self):
         rho = PureState((1, 2), [1, 0, 0, 0]).density()

@@ -45,3 +45,25 @@ def test_fidelity_report_takes_counts_sixth():
     # The tracer tells bootstrap calls apart by reading positional args[5].
     params = list(inspect.signature(uqcm.tomography.fidelity_report).parameters)
     assert params[5] == "counts"
+
+
+# Public helpers that no command, tracer target or release criterion needs in
+# the package, by the module that defined them. The object-tier references
+# among them live in tests/reference.py.
+RETIRED = {
+    "hilbert": ("tensor_product", "random_pure_state"),
+    "network": ("input_state", "reference_clone_output"),
+    "optics": ("source_photon", "apply_train", "qubits_to_modes"),
+    "tomography": ("attach_aux_cswap", "reconstruct_single_qubit", "replicas_from_state"),
+}
+
+
+def test_retired_names_are_gone():
+    for module_name, names in RETIRED.items():
+        module = importlib.import_module(f"uqcm.{module_name}")
+        for name in names:
+            assert name not in uqcm.__all__, name
+            assert not hasattr(uqcm, name), name
+            assert not hasattr(module, name), f"{module_name}.{name}"
+    assert not hasattr(uqcm.PureState, "inner")
+    assert not hasattr(uqcm.tomography, "_AUX_CSWAP")

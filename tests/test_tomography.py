@@ -16,16 +16,14 @@ from uqcm.hilbert import (
     _stokes_fidelity,
     fidelity,
     partial_trace,
-    random_pure_state,
     stokes_compose,
-    tensor_product,
 )
 from uqcm.gates import apply_circuit
 from uqcm import errormodel, tomography
 from uqcm.cli import SweepConfig
 from uqcm.network import _input_amplitudes
 from uqcm.streams import streams
-from uqcm.network import build_cloning_network, clone, input_state
+from uqcm.network import build_cloning_network, clone
 from uqcm.tomography import (
     _BOOTSTRAP_SALT,
     MONTECARLO_BLOCK,
@@ -42,18 +40,24 @@ from uqcm.tomography import (
     DetectorModel,
     FidelityReport,
     ReconstructionError,
-    attach_aux_cswap,
     exact_report,
     fidelity_report,
     measurement_state,
     montecarlo_report,
     per_path_amplitudes,
     reconstruct_replica,
-    reconstruct_single_qubit,
-    replicas_from_state,
     signal_probabilities,
     simulate_counts,
     _replica_stokes,
+)
+
+from reference import (
+    attach_aux_cswap,
+    input_state,
+    random_pure_state,
+    reconstruct_single_qubit,
+    replicas_from_state,
+    tensor_product,
 )
 
 F_OPT = 5.0 / 6.0
@@ -774,10 +778,26 @@ class TestFidelityReport:
                 stokes_compose(0, 0, 1), stokes_compose(0, 0, 1), 0.0, 0.0, mode="bogus"
             )
 
-    @pytest.mark.parametrize("n_bootstrap", [0, 1])
+    @pytest.mark.parametrize("n_bootstrap", [0, 1, 2.5])
     def test_bootstrap_needs_two_draws(self, n_bootstrap):
-        with pytest.raises(ValueError, match="n_bootstrap"):
+        # An integer of at least 2, checked by each entry point before numpy
+        # sees it as an array size.
+        rec = simulate_counts(signal_probabilities(measurement_state(0.3, 0.5)), DetectorModel(), 2000, 5)
+        rho = reconstruct_replica(rec, 1)
+        match = "n_bootstrap must be an integer >= 2"
+        with pytest.raises(ValueError, match=match):
+            fidelity_report(rho, rho, 0.3, 0.5, "montecarlo", rec, n_bootstrap)
+        with pytest.raises(ValueError, match=match):
             montecarlo_report(0.3, 0.5, 2000, 5, n_bootstrap=n_bootstrap)
+        with pytest.raises(ValueError, match=match):
+            tomography._montecarlo_fidelities([0.3], [0.5], [5], 2000, DetectorModel(), n_bootstrap)
+
+    def test_bootstrap_count_checked_once_per_call(self, monkeypatch):
+        seen = []
+        require = tomography._require_bootstrap
+        monkeypatch.setattr(tomography, "_require_bootstrap", lambda n: seen.append(n) or require(n))
+        montecarlo_report(0.3, 0.5, 2000, 5, n_bootstrap=np.int64(3))
+        assert seen == [3]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-3])
     def test_non_finite_or_negative_stderr_rejected(self, bad):
