@@ -18,6 +18,7 @@ supplied bound are counted rather than silently accepted.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,8 +183,8 @@ def perturbation_sweep(
     """
     if not (math.isfinite(jitter) and jitter >= 0):
         raise ValueError(f"jitter must be finite and nonnegative, got {jitter!r}")
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
+    if not (isinstance(n_samples, numbers.Integral) and n_samples >= 1):
+        raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
     if not 0 <= delta_c_total <= 1:
         raise ValueError(f"delta_c_total must be finite and in [0, 1], got {delta_c_total!r}")
     f1s, f2s = _jittered_fidelities([theta], [delta], [seed], n_samples, jitter, delta_c_total)[0].T

@@ -11,7 +11,10 @@ bit for bit for a whole batch of entropy tuples:
 * `seed_words` runs SeedSequence's pool mixing and ``generate_state`` over
   all rows at once, as array arithmetic on 32-bit words held in uint64
   (reduced mod 2**32 by shifts), with the hash constants of numpy's
-  ``bit_generator.pyx``;
+  ``bit_generator.pyx``. It does so for the tables the package builds, of
+  at most four ints below 2**32 a row, which fill SeedSequence's pool
+  with one word each; any other table (a seed of 2**32 or more, or more
+  than four columns) is seeded row by row by numpy's own SeedSequence;
 * `streams` turns each row's words into the state that PCG64's seeding
   (``pcg_setseq_128_srandom_r``) reaches and loads it into one reused
   PCG64, so each further stream costs one state assignment.
@@ -21,7 +24,7 @@ The tests compare both against numpy's own classes.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import numbers
 
 import numpy as np
 
@@ -56,22 +59,23 @@ def _hash_constants(init: int, mult: int, n: int) -> tuple:
     return np.array(xor, dtype=np.uint64)[:, None], np.array(mul, dtype=np.uint64)[:, None]
 
 
-@lru_cache(maxsize=None)
-def _pool_constants(extra: int) -> tuple:
-    """``mix_entropy``'s hashmix constants for a pool fed `extra` words
-    beyond its four: (4, 1) arrays for the initial hashing, (4, 4, 1) for
-    the mixing pass indexed [source, destination] (the unused diagonal
-    holds zeros), and (extra, 4, 1) for the extra pass."""
-    xor, mul = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * extra)
+def _pool_constants() -> tuple:
+    """``mix_entropy``'s hashmix constants for a pool of at most four words:
+    (4, 1) arrays for the initial hashing and (4, 4, 1) for the mixing pass
+    indexed [source, destination] (the unused diagonal holds zeros)."""
+    xor, mul = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
     off_diagonal = ~np.eye(_POOL_SIZE, dtype=bool)
     tables = []
     for flat in (xor, mul):
         mixing = np.zeros((_POOL_SIZE, _POOL_SIZE, 1), dtype=np.uint64)
-        mixing[off_diagonal] = flat[_POOL_SIZE:_POOL_SIZE * _POOL_SIZE]
-        tables += [flat[:_POOL_SIZE], mixing, flat[_POOL_SIZE * _POOL_SIZE:].reshape(extra, _POOL_SIZE, 1)]
+        mixing[off_diagonal] = flat[_POOL_SIZE:]
+        tables += [flat[:_POOL_SIZE], mixing]
     for table in tables:
         table.flags.writeable = False
     return tuple(tables)
+
+
+_INIT_XOR, _MIX_XOR, _INIT_MUL, _MIX_MUL = _pool_constants()
 
 
 def _hashmix(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
@@ -86,80 +90,49 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> _XSHIFT)
 
 
-def _pool(columns: list, n: int) -> np.ndarray:
-    """(4, n) SeedSequence pool words (``mix_entropy``) for n rows of
-    entropy words, given as a list of (n,) uint64 columns. The hashmix calls
-    that one source word makes for the other pool words are independent, so
-    each source word is mixed into the whole pool in one batch, its own row
-    kept as it was."""
-    extra = max(len(columns) - _POOL_SIZE, 0)
-    init_xor, mix_xor, extra_xor, init_mul, mix_mul, extra_mul = _pool_constants(extra)
-    words = np.zeros((_POOL_SIZE + extra, n), dtype=np.uint64)
-    words[:len(columns)] = np.reshape(columns, (len(columns), n))
-    pool = _hashmix(words[:_POOL_SIZE], init_xor, init_mul)
+def _pool(words: np.ndarray) -> np.ndarray:
+    """(4, n) SeedSequence pool words (``mix_entropy``) for (4, n) uint64
+    entropy words, a row's unused words zero. The hashmix calls that one
+    source word makes for the other pool words are independent, so each
+    source word is mixed into the whole pool in one batch, its own row kept
+    as it was."""
+    pool = _hashmix(words, _INIT_XOR, _INIT_MUL)
     for src in range(_POOL_SIZE):
-        mixed = _mix(pool, _hashmix(pool[src], mix_xor[src], mix_mul[src]))
+        mixed = _mix(pool, _hashmix(pool[src], _MIX_XOR[src], _MIX_MUL[src]))
         mixed[src] = pool[src]
         pool = mixed
-    for src in range(extra):
-        pool = _mix(pool, _hashmix(words[_POOL_SIZE + src], extra_xor[src], extra_mul[src]))
     return pool
-
-
-def _entropy_groups(entropy):
-    """Yield (rows, n, columns) for the n rows of `entropy` whose ints split
-    into the same numbers of 32-bit words: their indices (all rows as a
-    slice) and their words as a list of (n,) uint64 columns, in
-    SeedSequence's order (each int's words low word first, 0 as one word)."""
-    values = np.asarray(entropy)
-    if values.dtype.kind not in "iu":
-        # Ints beyond 64 bits, or rows of no ints: keep them as Python ints.
-        values = np.array(entropy, dtype=object)
-    if values.ndim != 2:
-        raise ValueError(f"entropy must be an (N, K) array of nonnegative ints, got shape {values.shape}")
-    if values.size and values.min() < 0:
-        raise ValueError("entropy must be nonnegative")
-    if values.dtype.kind in "iu":
-        values = values.astype(np.uint64)
-    words, counts = [], None
-    for k, column in enumerate(values.T):
-        high = column >> 32
-        column_words = [(column - (high << 32)).astype(np.uint64)]
-        while high.any():
-            if counts is None:
-                counts = np.ones(values.shape, dtype=np.intp)
-            counts[:, k] += high.astype(bool)
-            column, high = high, high >> 32
-            column_words.append((column - (high << 32)).astype(np.uint64))
-        words.append(column_words)
-    if counts is None:
-        yield slice(None), len(values), [column_words[0] for column_words in words]
-        return
-    patterns, inverse = np.unique(counts, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    for g, pattern in enumerate(patterns.tolist()):
-        rows = np.flatnonzero(inverse == g)
-        yield rows, rows.size, [column_words[j][rows] for column_words, count in zip(words, pattern) for j in range(count)]
 
 
 def seed_words(entropy, n_words: int) -> np.ndarray:
     """(N, n_words) uint32: ``SeedSequence(tuple(row)).generate_state(n_words)``
     for every row of `entropy`, an (N, K) array-like of nonnegative ints.
 
-    Rows whose ints split into different numbers of 32-bit words are mixed
-    separately, each group in one pass of array arithmetic.
+    A table of at most four columns of ints below 2**32 is mixed in one pass
+    of array arithmetic; any other is seeded row by row by numpy.
     """
     return _state_words(entropy, n_words).astype(np.uint32)
 
 
 def _state_words(entropy, n_words: int) -> np.ndarray:
     """`seed_words` as uint64 words."""
-    out = np.empty((len(entropy), n_words), dtype=np.uint64)
+    values = np.asarray(entropy)
+    native = values.dtype.kind in "iu"
+    if not native:
+        # Ints beyond 64 bits, ints that numpy would hold as floats, or no ints.
+        values = np.array(entropy, dtype=object)
+    if values.ndim != 2 or not (native or all(isinstance(v, numbers.Integral) for v in values.flat)):
+        raise ValueError(
+            f"entropy must be an (N, K) array of nonnegative ints, got {values.dtype} of shape {values.shape}")
+    if values.size and values.min() < 0:
+        raise ValueError("entropy must be nonnegative")
+    if not native or values.shape[1] > _POOL_SIZE or values.size and values.max() > _MASK32:
+        words = [np.random.SeedSequence(row).generate_state(n_words) for row in values.tolist()]
+        return np.array(words, dtype=np.uint64).reshape(len(values), n_words)
+    words = np.zeros((_POOL_SIZE, len(values)), dtype=np.uint64)
+    words[:values.shape[1]] = values.T
     xor, mul = _hash_constants(_INIT_B, _MULT_B, n_words)
-    for rows, n, columns in _entropy_groups(entropy):
-        pool = _pool(columns, n)
-        out[rows] = _hashmix(pool[np.arange(n_words) % _POOL_SIZE], xor, mul).T
-    return out
+    return _hashmix(_pool(words)[np.arange(n_words) % _POOL_SIZE], xor, mul).T
 
 
 def streams(entropy):

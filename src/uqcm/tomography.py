@@ -29,8 +29,9 @@ refits and the bootstrap go in blocks of MONTECARLO_BLOCK points. Only the
 seeded draws stay per stream: each setting's multinomial and Poisson draws
 and each point's bootstrap binomials, in a fixed order. The rest is array
 arithmetic: the (4 N, 9) multinomial table, the cap at the trial count, the
-per-path inversion and the replica refits. numpy's bootstrap binomials, one
-call per point with a probability per cell, are the remaining floor of the
+per-path inversion and the replica refits. `_bootstrap_errors` gives the
+error bars of both the kernel and `fidelity_report`; its binomials, one call
+per point with a probability per cell, are the remaining floor of the
 montecarlo sweep while its CSV bytes stay fixed: about half of the warm
 default-grid kernel.
 """
@@ -131,6 +132,8 @@ class CountsRecord:
         counts = np.asarray(raw, dtype=np.int64)
         if counts.min() < 0 or counts.max() > self.total_trials:
             raise ValueError("counts must lie in [0, total_trials]")
+        if not isinstance(self.seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         counts = counts.copy()
@@ -265,16 +268,6 @@ def _draw_counts(probs: np.ndarray, model: DetectorModel, trials: int, rngs) -> 
     return np.swapaxes(counts.reshape(probs.shape[:-2] + (len(BASES), N_PATHS)), -1, -2).copy()
 
 
-def _bootstrap_draws(counts: np.ndarray, trials: int, rngs, n_bootstrap: int) -> np.ndarray:
-    """(N, n_bootstrap, 8, 4) parametric resamples of (N, 8, 4) counts: every
-    cell Binomial(trials, observed fraction), point k from generator k of
-    `rngs`, the streams of `_bootstrap_entropy(seeds)`; exactly N are taken."""
-    draws = np.empty((len(counts), n_bootstrap) + counts.shape[1:], dtype=np.int64)
-    for k, rng in zip(range(len(counts)), rngs):
-        draws[k] = rng.binomial(trials, counts[k] / trials, size=draws.shape[1:])
-    return draws
-
-
 def _path_stokes(counts: np.ndarray) -> np.ndarray:
     """(..., 3) per-path inversion of (..., 4) H, V, D, R counts, shortened to
     the unit ball; zero where a path has no H/V counts."""
@@ -310,14 +303,24 @@ def _replica_stokes(counts, replicas=(1, 2)) -> np.ndarray:
     return stokes
 
 
-def _bootstrap_stokes(draws, trials: int) -> np.ndarray:
-    """`_replica_stokes` of bootstrap resamples of counts that reconstruct; a
-    resample that does not reconstruct means too few trials for error bars."""
+def _bootstrap_errors(counts: np.ndarray, trials: int, rngs, n_bootstrap: int, bloch: np.ndarray) -> np.ndarray:
+    """(N, 2) parametric-bootstrap standard errors of the replica fidelities
+    of (N, 8, 4) counts against (N, 3) input Bloch vectors. Point k draws
+    (n_bootstrap, 8, 4) resamples, every cell Binomial(trials, observed
+    fraction), from generator k of `rngs`, the streams of
+    `_bootstrap_entropy(seeds)`; exactly N are taken. All resamples are
+    refitted in one `_replica_stokes` call, and a point's error is the sample
+    standard deviation of its refitted fidelities. A resample that does not
+    reconstruct means too few trials for error bars."""
+    draws = np.empty((len(counts), n_bootstrap) + counts.shape[1:], dtype=np.int64)
+    for k, rng in zip(range(len(counts)), rngs):
+        draws[k] = rng.binomial(trials, counts[k] / trials, size=draws.shape[1:])
     try:
-        return _replica_stokes(draws)
+        stokes = _replica_stokes(draws)
     except ReconstructionError as exc:
         too_few = f"{trials} trials per setting are too few for error bars"
         raise ReconstructionError(f"bootstrap resample: {exc}; {too_few}") from exc
+    return np.std(_stokes_fidelity(stokes, bloch[:, None]), axis=1, ddof=1)
 
 
 def reconstruct_replica(counts, which: int) -> DensityMatrix:
@@ -379,11 +382,9 @@ def fidelity_report(
 
     The point estimates come from the single-qubit matrices `rho1`, `rho2`
     (any qubit label). When a CountsRecord is supplied, statistical error
-    bars are estimated by a parametric bootstrap: all cells are resampled at
-    once as Binomial(trials, observed fraction), an (n_bootstrap, 8, 4)
-    draw, every draw is refitted in one `_replica_stokes` call, and the
-    sample standard deviation of the refitted fidelities is reported; that
-    needs an integer `n_bootstrap` >= 2.
+    bars are estimated by a parametric bootstrap from the record's own
+    stream (`_bootstrap_errors`, as the montecarlo kernel estimates them);
+    that needs an integer `n_bootstrap` >= 2.
     """
     if counts is not None:
         _require_bootstrap(n_bootstrap)
@@ -392,8 +393,7 @@ def fidelity_report(
     err1 = err2 = 0.0
     if counts is not None:
         rngs = streams(_bootstrap_entropy([counts.seed]))
-        draws = _bootstrap_draws(counts.counts[None], counts.total_trials, rngs, n_bootstrap)[0]
-        err1, err2 = np.std(_stokes_fidelity(_bootstrap_stokes(draws, counts.total_trials), bloch), axis=0, ddof=1)
+        err1, err2 = _bootstrap_errors(counts.counts[None], counts.total_trials, rngs, n_bootstrap, bloch[None])[0]
     return FidelityReport(
         fidelity1=float(f1),
         fidelity2=float(f2),
@@ -424,11 +424,11 @@ def _montecarlo_fidelities(
     `_gate_probabilities` pass gives the (N, 8, 4) click probabilities and
     one `_draw_counts` call draws all counts from each point's own streams
     (as `simulate_counts` draws them). Then, per block of MONTECARLO_BLOCK
-    points in order, the block's counts are refitted, its resamples drawn
-    from the next bootstrap streams (as `fidelity_report` draws them) and
-    refitted: F = (1 + S . n) / 2, stderr the sample standard deviation over
-    the resamples. Refitting block by block keeps the first
-    ReconstructionError of a sparse run that of the first failing block.
+    points in order, the block's counts are refitted, F = (1 + S . n) / 2,
+    and its standard errors estimated by `_bootstrap_errors` from the next
+    bootstrap streams (as `fidelity_report` estimates them). Refitting block
+    by block keeps the first ReconstructionError of a sparse run that of the
+    first failing block.
     """
     _require_bootstrap(n_bootstrap)
     _require_trials(trials)
@@ -441,9 +441,7 @@ def _montecarlo_fidelities(
     for start in range(0, len(amps), MONTECARLO_BLOCK):
         block = slice(start, start + MONTECARLO_BLOCK)
         fids[block] = _stokes_fidelity(_replica_stokes(counts[block]), bloch[block])
-        draws = _bootstrap_draws(counts[block], trials, rngs, n_bootstrap)
-        refits = _stokes_fidelity(_bootstrap_stokes(draws, trials), bloch[block, None])
-        errs[block] = np.std(refits, axis=1, ddof=1)
+        errs[block] = _bootstrap_errors(counts[block], trials, rngs, n_bootstrap, bloch[block])
     _require_report_values(fids, errs)
     return fids, errs
 

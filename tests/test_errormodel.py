@@ -125,6 +125,10 @@ class TestPerturbationSweep:
             perturbation_sweep(jitter=-0.1, n_samples=5, seed=0)
         with pytest.raises(ValueError, match="n_samples"):
             perturbation_sweep(jitter=0.1, n_samples=0, seed=0)
+        with pytest.raises(ValueError, match="n_samples must be a positive integer, got 2.5"):
+            perturbation_sweep(jitter=0.001, n_samples=2.5, seed=1)
+        with pytest.raises(ValueError, match="entropy must be an"):
+            perturbation_sweep(jitter=0.001, n_samples=3, seed=2.5)
         with pytest.raises(ValueError, match="delta_c_total"):
             perturbation_sweep(jitter=0.1, n_samples=5, seed=0, delta_c_total=-1.0)
 

@@ -17,8 +17,8 @@ def _numpy_state(row):
 
 
 # Each base seed splits into 1 (0, 1, 2**32 - 1), 2 (2**32), 3 (2**64 + 5)
-# or 4 (2**100 + 3) words, so the rows below are 2 to 6 words wide and the
-# widths above the pool size take SeedSequence's extra mixing pass.
+# or 4 (2**100 + 3) words, so the rows below are 2 to 6 words wide: the
+# one-word rows are mixed in batch, the others seeded by numpy.
 PAIR_ROWS = [(base, i) for base in BASE_SEEDS for i in (0, 1, 24, 2**32 - 1)]
 TRIPLE_ROWS = [(base, i, j) for base in BASE_SEEDS for i in (0, 3) for j in (0, 18)]
 
@@ -32,8 +32,8 @@ def test_seed_words_match_seed_sequence(rows, n_words):
 
 
 def test_rows_of_one_width_match_seed_sequence():
-    # One batch per row width, including 4-word rows (the pool size, no
-    # extra pass) and 5- and 6-word rows (one and two extra passes).
+    # 4-word rows (the pool size) are mixed in batch; 5- and 6-word rows,
+    # which take SeedSequence's extra mixing pass, are seeded by numpy.
     for rows in ([(7, 8, 9, 10)], [(7, 8, 9, 10, 11)], [(2**64 + 5, 2, 3)], [(2**100 + 3, 2**32)] * 3):
         np.testing.assert_array_equal(seed_words(rows, 4), _numpy_words(rows, 4))
 
@@ -78,7 +78,39 @@ def test_empty_batch():
 
 
 def test_entropy_must_be_a_table_of_nonnegative_ints():
-    with pytest.raises(ValueError, match="nonnegative"):
-        seed_words([(1, -2)], 1)
+    # Checked alike for a table that would be mixed in batch and for tables
+    # that would go to numpy's SeedSequence.
+    for rows in ([(1, -2)], [(2**40, -1)], [(2**70, -1)]):
+        with pytest.raises(ValueError, match="nonnegative"):
+            seed_words(rows, 1)
     with pytest.raises(ValueError, match=r"\(N, K\)"):
         seed_words([1, 2], 1)
+    for rows in ([(1.5, 0)], [(3, 0.5)], [(2**40, 1.5)], [(2**70, 1.5)], [(1, 2, 3, 4, 5.5)], [("7", 0)]):
+        with pytest.raises(ValueError, match=r"\(N, K\) array of nonnegative ints"):
+            seed_words(rows, 1)
+        with pytest.raises(ValueError, match=r"\(N, K\) array of nonnegative ints"):
+            streams(rows)
+
+
+def test_package_tables_are_mixed_in_batch(monkeypatch):
+    # The tables the package builds, of at most four ints below 2**32 a row,
+    # never reach numpy's SeedSequence; a wider int does.
+    tables = [
+        [(seed, b) for seed in (0, 7, 2**32 - 1) for b in range(4)],       # (seed, basis)
+        [(seed, 0x626F6F74) for seed in (0, 7, 2**32 - 1)],                # (seed, salt)
+        np.column_stack((np.repeat([3, 2**31], 25), np.tile(np.arange(25), 2))),   # (seed, sample)
+        [(2**32 - 1, d, t) for d in range(4) for t in range(19)],           # (seed, i_delta, i_theta)
+    ]
+    expect = [(_numpy_words(rows, 1), [_numpy_state(row) for row in np.asarray(rows).tolist()]) for rows in tables]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy's SeedSequence called")
+
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    for rows, (words, states) in zip(tables, expect):
+        np.testing.assert_array_equal(seed_words(rows, 1), words)
+        assert [generator.bit_generator.state for generator in streams(rows)] == states
+    with pytest.raises(AssertionError, match="SeedSequence called"):
+        seed_words([(2**32, 0)], 1)
+    with pytest.raises(AssertionError, match="SeedSequence called"):
+        seed_words([(1, 2, 3, 4, 5)], 1)

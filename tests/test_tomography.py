@@ -1,6 +1,7 @@
 """Tomography stack: probe attachment, distributions, counting, inversion."""
 
 import dataclasses
+import itertools
 import math
 import re
 
@@ -29,7 +30,8 @@ from uqcm.tomography import (
     MONTECARLO_BLOCK,
     N_PATHS,
     _aux_cswap,
-    _bootstrap_stokes,
+    _bootstrap_entropy,
+    _bootstrap_errors,
     _count_entropy,
     _draw_counts,
     _gate_probabilities,
@@ -640,6 +642,27 @@ class TestBlockKernels:
         # The batched seeding hands out the same streams.
         assert _draw_counts(probs, model, trials, streams(entropy)).tobytes() == expect.tobytes()
 
+    @pytest.mark.parametrize(
+        ("n_points", "trials", "n_bootstrap"), [(1, 20000, 50), (MONTECARLO_BLOCK, 500, 50), (3, 50, 7)]
+    )
+    def test_bootstrap_errors_match_per_point_std(self, n_points, trials, n_bootstrap):
+        # Per point: a fresh generator, one (n_bootstrap, 8, 4) binomial
+        # draw, a refit and the sample deviation over axis 0.
+        rng = np.random.default_rng(n_points)
+        amps = random_amplitudes(rng, n_points)
+        seeds = rng.integers(0, 2**32, size=n_points).tolist()
+        counts = _draw_counts(_gate_probabilities(amps), DetectorModel(), trials, streams(_count_entropy(seeds)))
+        bloch = _qubit_stokes(amps)
+        expect = []
+        for k, entropy in enumerate(_bootstrap_entropy(seeds)):
+            generator = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+            draws = generator.binomial(trials, counts[k] / trials, size=(n_bootstrap, 8, 4))
+            expect.append(np.std(_stokes_fidelity(_replica_stokes(draws), bloch[k]), axis=0, ddof=1))
+        rngs = itertools.chain(streams(_bootstrap_entropy(seeds)), ["next stream"])
+        errs = _bootstrap_errors(counts, trials, rngs, n_bootstrap, bloch)
+        assert next(rngs) == "next stream"   # exactly N generators taken
+        assert errs.shape == (n_points, 2) and errs.tobytes() == np.array(expect).tobytes()
+
     def test_property_matches_reference_on_any_counts(self):
         pytest.importorskip("hypothesis")
         from hypothesis import given, settings
@@ -658,7 +681,7 @@ class TestBlockKernels:
 
     def test_reconstruction_messages_unchanged(self):
         counts = np.zeros((8, 4))
-        counts[0:4] = 100
+        counts[0:4] = 5
         with pytest.raises(ReconstructionError) as raised:
             _replica_stokes(counts)
         assert str(raised.value) == "replica 2: no counts in its path group"
@@ -666,7 +689,7 @@ class TestBlockKernels:
             _replica_stokes(counts[::-1].copy(), (1,))
         assert str(raised.value) == "replica 1: no counts in its path group"
         with pytest.raises(ReconstructionError) as raised:
-            _bootstrap_stokes(counts[None], 5)
+            _bootstrap_errors(counts[None], 5, streams(_bootstrap_entropy([0])), 2, np.zeros((1, 3)))
         assert str(raised.value) == (
             "bootstrap resample: replica 2: no counts in its path group; 5 trials per setting are too few for error bars"
         )
@@ -701,6 +724,14 @@ class TestCountingInputs:
         assert probs.sum(axis=-2).max() == pytest.approx(5 / 6, abs=1e-12)
         seeds = list(range(len(probs)))
         assert _draw_counts(probs, DetectorModel(), 20000, streams(_count_entropy(seeds))).shape == probs.shape
+
+    def test_single_probability_above_one_rejected(self):
+        # The clip to [0, 1] runs before the sum check, which alone would
+        # accept a setting of one 1.5 and zeros.
+        probs = np.zeros((1, 8, 4))
+        probs[0, 3, 1] = 1.5
+        with pytest.raises(ValueError, match=r"signal probabilities must lie in \[0, 1\]"):
+            _draw_counts(probs, DetectorModel(), 100, streams(_count_entropy([0])))
 
     def test_nan_probability_rejected(self):
         probs = signal_probabilities(measurement_state(0.2, 0.4))
@@ -738,6 +769,16 @@ class TestCountingInputs:
         counts[4, 1] = bad
         with pytest.raises(ValueError, match="counts must be finite whole numbers"):
             CountsRecord(counts, 10, 1)
+
+    def test_non_integer_seed_rejected(self):
+        probs = signal_probabilities(measurement_state(0.1, 0.2))
+        with pytest.raises(ValueError, match="entropy must be an"):
+            simulate_counts(probs, DetectorModel(), 100, 1.5)
+        with pytest.raises(ValueError, match="entropy must be an"):
+            montecarlo_report(0.3, 0.5, 100, 2.5)
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+            CountsRecord(np.zeros((8, 4), dtype=int), 10, seed=1.5)
+        assert CountsRecord(np.zeros((8, 4), dtype=int), 10, seed=np.int64(3)).seed == 3
 
     def test_integral_float_counts_accepted(self):
         rec = CountsRecord(np.full((8, 4), 2.0), 10, 1)
@@ -798,6 +839,11 @@ class TestFidelityReport:
         monkeypatch.setattr(tomography, "_require_bootstrap", lambda n: seen.append(n) or require(n))
         montecarlo_report(0.3, 0.5, 2000, 5, n_bootstrap=np.int64(3))
         assert seen == [3]
+
+    @pytest.mark.parametrize("fidelities", [(1.5, F_OPT), (F_OPT, 1.5)])
+    def test_fidelity_above_one_rejected(self, fidelities):
+        with pytest.raises(ValueError, match=r"fidelity 1.5 outside \[0, 1\]"):
+            FidelityReport(*fidelities, 0.0, 0.0, 0.0, 0.0, "montecarlo")
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-3])
     def test_non_finite_or_negative_stderr_rejected(self, bad):
