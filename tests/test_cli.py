@@ -996,3 +996,23 @@ class TestTomo:
     def test_stdout_pinned(self, flags, capsys):
         assert main(["tomo", *flags]) == EXIT_OK
         assert capsys.readouterr().out == self.PINNED_STDOUT[flags]
+
+
+def test_exact_commands_never_import_numpy_random(tmp_path):
+    # Exact runs never draw, so the CLI loads numpy.random only for a
+    # random run; a montecarlo tomo afterwards shows that the probe sees it.
+    script = "\n".join((
+        "import sys",
+        "import uqcm.cli",
+        "loaded = ['numpy.random' in sys.modules]",
+        f"assert uqcm.cli.main(['sweep', '--out', {str(tmp_path / 'exact.csv')!r}]) == 0",
+        "assert uqcm.cli.main(['tomo']) == 0",
+        "loaded.append('numpy.random' in sys.modules)",
+        "assert uqcm.cli.main(['tomo', '--mode', 'montecarlo', '--seed', '3', '--trials', '200']) == 0",
+        "loaded.append('numpy.random' in sys.modules)",
+        "print(loaded, file=sys.stderr)",
+    ))
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    proc = subprocess.run([sys.executable, "-c", script], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          env=env, check=False)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, b"[False, False, True]\n")

@@ -34,7 +34,9 @@ def test_seed_words_match_seed_sequence(rows, n_words):
 def test_rows_of_one_width_match_seed_sequence():
     # 4-word rows (the pool size) are mixed in batch; 5- and 6-word rows,
     # which take SeedSequence's extra mixing pass, are seeded by numpy.
-    for rows in ([(7, 8, 9, 10)], [(7, 8, 9, 10, 11)], [(2**64 + 5, 2, 3)], [(2**100 + 3, 2**32)] * 3):
+    # Zero- and one-word rows leave pool words that are hashed as zeros.
+    for rows in ([(7, 8, 9, 10)], [(7, 8, 9, 10, 11)], [(2**64 + 5, 2, 3)], [(2**100 + 3, 2**32)] * 3,
+                 np.empty((2, 0), np.int64), [(7,)], [(0,), (2**32 - 1,)]):
         np.testing.assert_array_equal(seed_words(rows, 4), _numpy_words(rows, 4))
 
 
@@ -60,6 +62,13 @@ def test_streams_restart_a_half_used_word():
     iterator = streams(rows)
     next(iterator).integers(0, 2**32, dtype=np.uint32)
     assert next(iterator).bit_generator.state == _numpy_state(rows[1])
+
+
+def test_streams_are_independent():
+    # Taking a later Generator leaves an earlier one where it was.
+    first, _ = streams([(5, 0), (5, 1)])
+    reference = np.random.Generator(np.random.PCG64(np.random.SeedSequence((5, 0))))
+    np.testing.assert_array_equal(first.random(7), reference.random(7))
 
 
 def test_uniform_is_an_affine_map_of_random():
