@@ -1,17 +1,13 @@
-"""Preparation-angle solver: grid search plus refinement."""
+"""Preparation-angle solver: the closed-form angles and their checks."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from uqcm import angles
 from uqcm.angles import (
-    GRID_STEP,
     PrepAngles,
     SolverError,
-    _coarse_grid_start,
     prep_circuit,
     sequence_amplitudes,
     solve_prep_angles,
@@ -109,6 +105,9 @@ def test_rejects_invalid_targets():
         solve_prep_angles(np.array([1.0, 0.0]))
     with pytest.raises(ValueError, match="two qubits"):
         solve_prep_angles(PureState([1], [1, 0]))
+    for bad in ([math.nan, 0.0, 0.0, 0.0], [1.0, math.nan, 0.0, 0.0], [1.0, complex(0.0, math.nan), 0.0, 0.0]):
+        with pytest.raises(ValueError, match="finite"):
+            solve_prep_angles(np.array(bad))
 
 
 def test_random_reachable_targets_are_recovered():
@@ -129,37 +128,12 @@ def test_random_reachable_targets_are_recovered():
     assert found == 5
 
 
-def exhaustive_grid_start(target):
-    """The coarse search as a loop over every t1 plane of the 360^3 grid:
-    the reference the pruned `_coarse_grid_start` must reproduce exactly."""
-    g = -math.pi + GRID_STEP * np.arange(1, 361)
-    c, s = np.cos(g), np.sin(g)
-    o_cc = np.outer(c, c)
-    o_ss = np.outer(s, s)
-    o_cs = np.outer(c, s)
-    o_sc = np.outer(s, c)
-    t0, t1, t2, t3 = target
-    p = t0 * o_cc - t1 * o_ss + t2 * o_cs + t3 * o_sc
-    q = t0 * o_ss + t1 * o_cc - t2 * o_sc + t3 * o_cs
-    best = -1.0
-    best_angles = (g[0], g[0], g[0])
-    for i in range(g.size):
-        plane = np.abs(c[i] * p + s[i] * q)
-        flat = int(np.argmax(plane))
-        val = float(plane.flat[flat])
-        if val > best:
-            j, k = divmod(flat, g.size)
-            best = val
-            best_angles = (float(g[i]), float(g[j]), float(g[k]))
-    return best_angles
-
-
 def _grid_targets():
     named = [
         CLONER_PREP_TARGET,
         TRIPLICATOR_PREP_TARGET,
         np.array([1.0, 0.0, 0.0, 0.0]),
-        np.full(4, 0.5),  # many tied maximizers
+        np.full(4, 0.5),  # p = q, so t2 = 0
         np.array([0.0, 0.0, 0.0, 1.0]),
         np.array([0.0, 1.0, 0.0, 0.0]),
         np.array([1.0, 0.0, 1.0, 0.0]) / math.sqrt(2.0),
@@ -173,34 +147,19 @@ def _grid_targets():
     return named + list(raw / np.linalg.norm(raw, axis=1, keepdims=True))
 
 
-def test_pruned_grid_search_matches_exhaustive_loop():
+def assert_solves(target):
+    angles = solve_prep_angles(target)
+    assert all(-math.pi < v <= math.pi for v in angles.as_tuple()), angles
+    # The gate sequence itself, not the closed form, lands on +target.
+    assert np.max(np.abs(prepared_state(angles) - target)) <= 1e-12, (target, angles)
+
+
+def test_closed_form_solves_every_grid_target():
     for target in _grid_targets():
-        assert _coarse_grid_start(target) == exhaustive_grid_start(target), target
+        assert_solves(target)
 
 
-def column_pruned_grid_start(target):
-    """The coarse search over the full 360 x 360 (t2, t3) grid, pruned by
-    column only: the second reference for the row-pruned `_coarse_grid_start`."""
-    g = -math.pi + GRID_STEP * np.arange(1, 361)
-    c, s = np.cos(g), np.sin(g)
-    o_cc = np.outer(c, c)
-    o_ss = np.outer(s, s)
-    o_cs = np.outer(c, s)
-    o_sc = np.outer(s, c)
-    t0, t1, t2, t3 = target
-    p = (t0 * o_cc - t1 * o_ss + t2 * o_cs + t3 * o_sc).reshape(-1)
-    q = (t0 * o_ss + t1 * o_cc - t2 * o_sc + t3 * o_cs).reshape(-1)
-    bound = np.hypot(p, q)
-    top = int(np.argmax(bound))
-    lower = float(np.max(np.abs(c * p[top] + s * q[top])))
-    cols = np.flatnonzero(bound * (1.0 + angles._BOUND_MARGIN) >= lower)
-    vals = np.abs(c[:, None] * p[cols] + s[:, None] * q[cols])
-    i, m = divmod(int(np.argmax(vals)), cols.size)
-    j, k = divmod(int(cols[m]), g.size)
-    return (float(g[i]), float(g[j]), float(g[k]))
-
-
-def test_row_pruned_search_matches_column_pruned_reference():
+def test_closed_form_solves_zero_entries_and_near_family_targets():
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings
     from hypothesis import strategies as st
@@ -208,8 +167,7 @@ def test_row_pruned_search_matches_column_pruned_reference():
     entry = st.just(0.0) | st.floats(min_value=0.0, max_value=1.0, allow_subnormal=False)
     entries = st.tuples(entry, entry, entry, entry).map(np.array)
     # (|00> + |11>) and (|01> + |10>) are reached by a one-parameter family of
-    # angles: every row has det 0, so a tiny perturbation puts the row bounds
-    # closest to the lower bound.
+    # angles: p or q is 0 there, so atan2 meets (0, 0) or a tiny vector.
     family = st.sampled_from([np.array([1.0, 0.0, 0.0, 1.0]), np.array([0.0, 1.0, 1.0, 0.0])])
     tiny = st.just(0.0) | st.floats(min_value=1e-15, max_value=1e-3)
     near_family = st.builds(lambda base, eps, d: base + eps * d, family, tiny, entries)
@@ -218,25 +176,14 @@ def test_row_pruned_search_matches_column_pruned_reference():
     @settings(max_examples=200, deadline=None)
     @given(targets)
     def check(target):
-        assert _coarse_grid_start(target) == column_pruned_grid_start(target)
+        assert_solves(target)
 
     check()
 
 
-@pytest.mark.parametrize("target", [CLONER_PREP_TARGET, TRIPLICATOR_PREP_TARGET], ids=["cloner", "triplicator"])
-def test_coarse_search_peak_memory_stays_below_1_mb(target):
-    tracemalloc.start()
-    try:
-        _coarse_grid_start(target)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
-
-
 def test_solved_constant_angles_are_pinned():
     assert cloner_prep_angles().as_tuple() == (0.5535743588970452, 0.3648638281134833, 0.23182380450040307)
-    assert triplicator_prep_angles().as_tuple() == (1.9634954084936211, 1.400877872067836, 1.9634954084936211)
+    assert triplicator_prep_angles().as_tuple() == (0.39269908169872414, 0.1699184547270609, 0.39269908169872414)
 
 
 def test_solver_error_is_not_cached():
@@ -244,12 +191,3 @@ def test_solver_error_is_not_cached():
         with pytest.raises(SolverError):
             solve_prep_angles(TRIPLICATOR_PREP_TARGET, tol=-1.0)
     assert solve_prep_angles(TRIPLICATOR_PREP_TARGET) == triplicator_prep_angles()
-
-
-def test_solver_memo_is_bounded():
-    rng = np.random.default_rng(5)
-    for _ in range(12):
-        target = np.abs(rng.normal(size=4))
-        solve_prep_angles(target / np.linalg.norm(target), tol=1.0)
-    info = angles._solve.cache_info()
-    assert info.currsize <= info.maxsize == 8
