@@ -1,51 +1,47 @@
 #!/usr/bin/env python3
-"""Derivation of the frozen triplicator preparation state.
+"""Derive the frozen triplicator preparation state in closed form.
 
-The cloning stage is fixed; only the two-qubit preparation state fed into it
-changes which machine the network realizes. This script searches the three
-preparation angles for the settings that copy one real-amplitude qubit into
-THREE equal copies:
-
-    constraint 1: the three reduced outputs coincide for every real input;
-    constraint 2: their common fidelity does not depend on the input;
-    selection:    among settings meeting both, take the highest fidelity
-                  (the constraints are also met by a trash setting whose
-                  replicas are maximally mixed, F = 1/2).
-
-Stage 1 scans a 2-degree angle grid with a vectorized feasibility objective:
-matching coefficients of the replicas' matrix entries over all real inputs
-reduces the two constraints to polynomial identities in the prepared
-amplitudes (d0, d1, d2, d3) = (p00, p11, p01, p10):
+Only the two-qubit state prepared for the fixed cloning stage picks the
+machine. The triplicator's state gives three replicas that coincide for every
+real input, with a fidelity that does not depend on it, and the highest such
+fidelity. Both constraints are quadratic identities in the prepared
+amplitudes d = (d0, d1, d2, d3) = (p00, p11, p01, p10), with |d| = 1:
 
     d1^2 = d2^2 = d3^2,
-    d0 d1 + d2 d3 = d0 d2 + d1 d3 = d0 d3 + d1 d2,
-    2 - 4 (d0^2 + d1^2) + 4 (d0 d1 + d2 d3) = 0,
+    q1 = q2 = q3, where q1 = d0 d1 + d2 d3, q2 = d0 d2 + d1 d3, q3 = d0 d3 + d1 d2,
+    2 |d|^2 - 4 (d0^2 + d1^2) + 4 q1 = 0.
 
-with common fidelity d0^2 + d1^2. Stage 2 refines one candidate per basin by
-pattern search on the literal objective (replica mismatch plus fidelity
-variance over a real-input grid), then the best feasible machine is compared
-against the constants frozen in the package (TRIPLICATOR_PREP_TARGET and the
-recorded TRIPLICATOR_FIDELITY). Exits nonzero on mismatch.
+The script reads the constraints off the cloning unitary as quadratic forms
+in d and checks that they span the same 5-dimensional space as the
+identities. The first identity gives d_k = s_k x (k = 1, 2, 3) with s_k = +-1
+and x > 0, since x = 0 leaves -2 d0^2 = 0. With d0 = r x the last one reads
+r^2 - 2 s1 r - (1 + 2 s2 s3) = 0, so r = s1 +- sqrt(2 + 2 s2 s3) and
+x = 1 / sqrt(r^2 + 3). Ten of those candidates meet q1 = q2 = q3: up to
+global sign, five states in the package order (p00, p01, p10, p11),
 
-Run:  python scripts/derive_triplicator.py
+    (sqrt(3)/2, 1/(2 sqrt 3), 1/(2 sqrt 3), 1/(2 sqrt 3))                at F = 5/6,
+    (1, -1, -1, -1)/2, (1, 1, 1, -1)/2, (1, 1, -1, 1)/2, (1, -1, 1, 1)/2  at F = 1/2.
+
+Each state is run through the literal machine, and the best one must match
+TRIPLICATOR_PREP_TARGET and TRIPLICATOR_FIDELITY to 1e-12. Exits nonzero on
+any mismatch.
+
+Run:  PYTHONPATH=src python scripts/derive_triplicator.py
 """
 
+import itertools
 import math
 import sys
 
 import numpy as np
 
-from uqcm.angles import sequence_amplitudes
+from uqcm.angles import sequence_amplitudes, solve_prep_angles
 from uqcm.gates import circuit_unitary
 from uqcm.network import TRIPLICATOR_FIDELITY, TRIPLICATOR_PREP_TARGET, build_cloning_circuit
 
 CLONING_UNITARY = circuit_unitary(build_cloning_circuit())
 INPUT_GRID = np.linspace(-1.3, 1.3, 5)
-
-GRID_STEP_DEG = 2.0
-FEASIBLE_CUT = 5e-3
-BASIN_RADIUS = 0.35
-MAX_BASINS = 80
+P_OF_D = [0, 2, 3, 1]  # (p00, p01, p10, p11) = d[P_OF_D]
 
 
 def run_machine(prep, theta):
@@ -53,159 +49,83 @@ def run_machine(prep, theta):
     amp_in = np.array([math.cos(theta), math.sin(theta)])
     state = CLONING_UNITARY @ np.kron(amp_in, prep).astype(complex)
     tensor = np.outer(state, state.conj()).reshape((2,) * 6)
-    rhos = [
-        np.einsum("iabjab->ij", tensor),
-        np.einsum("aibajb->ij", tensor),
-        np.einsum("abiabj->ij", tensor),
-    ]
-    f = float(np.real(amp_in @ rhos[0] @ amp_in))
-    return rhos, f
+    rhos = [np.einsum(trace, tensor) for trace in ("iabjab->ij", "aibajb->ij", "abiabj->ij")]
+    return rhos, float(np.real(amp_in @ rhos[0] @ amp_in))
 
 
-def grid_objective(angles):
-    """Replica mismatch plus fidelity variance over the real-input grid."""
-    prep = sequence_amplitudes(*angles)
-    total = 0.0
-    fs = []
-    for theta in INPUT_GRID:
-        (r1, r2, r3), f = run_machine(prep, theta)
-        total += float(np.sum(np.abs(r1 - r2) ** 2) + np.sum(np.abs(r1 - r3) ** 2))
-        fs.append(f)
-    return total + float(np.var(fs)), float(np.mean(fs))
+def constraint_values(d):
+    """rho1 - rho2, rho1 - rho3 and F - F(first input) over the input grid.
+
+    Each value is quadratic in d. A reduced entry is a quadratic form in the
+    input (c, s) and F a quartic one, so their values at the grid's five
+    input directions fix every coefficient: all vanish exactly when d meets
+    both constraints for every real input.
+    """
+    runs = [run_machine(d[P_OF_D], theta) for theta in INPUT_GRID]
+    f_first = runs[0][1]
+    return np.concatenate([np.append(np.ravel([r1 - r2, r1 - r3]), f - f_first) for (r1, r2, r3), f in runs])
 
 
-def closed_form_scan():
-    """Vectorized feasibility residual on the full coarse angle grid."""
-    n = int(round(360.0 / GRID_STEP_DEG))
-    g = -math.pi + (2 * math.pi / n) * np.arange(n)
-    c, s = np.cos(g), np.sin(g)
-    c2col, s2col = c[:, None], s[:, None]
-    c3row, s3row = c[None, :], s[None, :]
-    candidates = []
-    for i in range(n):
-        c1, s1 = c[i], s[i]
-        # amplitude planes over (theta2 rows, theta3 columns) for this theta1
-        a00 = c3row * c1 * c2col + s3row * s1 * s2col
-        a01 = c3row * s1 * c2col - s3row * c1 * s2col
-        a10 = s3row * c1 * c2col - c3row * s1 * s2col
-        a11 = s3row * s1 * c2col + c3row * c1 * s2col
-        d0, d1, d2, d3 = a00, a11, a01, a10
-        q1 = d0 * d1 + d2 * d3
-        q2 = d0 * d2 + d1 * d3
-        q3 = d0 * d3 + d1 * d2
-        a_sq = d0**2 + d1**2
-        res = (
-            (d1**2 - d2**2) ** 2
-            + (d1**2 - d3**2) ** 2
-            + (q1 - q2) ** 2
-            + (q1 - q3) ** 2
-            + (2.0 - 4.0 * a_sq + 4.0 * q1) ** 2
-        )
-        hits = np.argwhere(res < FEASIBLE_CUT)
-        for j, k in hits:
-            candidates.append(
-                (float(res[j, k]), float(a_sq[j, k]), (float(g[i]), float(g[j]), float(g[k])))
-            )
-    # The feasible set contains a large low-fidelity (trash) manifold; rank
-    # candidate basins by their fidelity first so the copying machine is
-    # refined before the dedupe budget is spent inside the trash regions.
-    candidates.sort(key=lambda t: (-round(t[1], 2), t[0]))
-    return candidates
+def identities(d):
+    """The five identities in d; all vanish on a constrained state."""
+    d0, d1, d2, d3 = d
+    q1, q2, q3 = d0 * d1 + d2 * d3, d0 * d2 + d1 * d3, d0 * d3 + d1 * d2
+    return np.array([d1**2 - d2**2, d1**2 - d3**2, q1 - q2, q1 - q3, 2 * (d @ d) - 4 * (d0**2 + d1**2) + 4 * q1])
 
 
-def dedupe_by_basin(candidates):
-    kept = []
-    for res, fid, angles in candidates:
-        a = np.array(angles)
-        if all(np.linalg.norm(a - np.array(b)) >= BASIN_RADIUS for _, _, b in kept):
-            kept.append((res, fid, angles))
-        if len(kept) >= MAX_BASINS:
-            break
-    return kept
+def quadratic_forms(values):
+    """Real rows of 16 matrix entries, one per value's quadratic form in d (by polarization)."""
+    e = np.eye(4)
+    forms = np.array([[(values(e[i] + e[j]) - values(e[i]) - values(e[j])) / 2 for j in range(4)] for i in range(4)])
+    return np.concatenate([forms.real, forms.imag], axis=2).reshape(16, -1).T
 
 
-def pattern_search(x0, step=0.05, min_step=2e-10, budget=4000):
-    x = np.asarray(x0, dtype=float)
-    fx, _ = grid_objective(x)
-    evals = 0
-    while step > min_step and evals < budget:
-        improved = False
-        for k in range(3):
-            for sign in (1.0, -1.0):
-                y = x.copy()
-                y[k] += sign * step
-                fy, _ = grid_objective(y)
-                evals += 1
-                if fy < fx:
-                    x, fx = y, fy
-                    improved = True
-        if not improved:
-            step *= 0.5
-    return x, fx
+def constrained_states():
+    """Raw solution count, and each state once as d with d0 > 0."""
+    found = []
+    for s1, s2, s3 in itertools.product((1, -1), repeat=3):
+        w = math.sqrt(2 + 2 * s2 * s3)
+        for r in (s1 + w, s1 - w) if w else (s1,):
+            v = np.array([r, s1, s2, s3], dtype=float)  # d / x has integer entries: exact test
+            if not identities(v).any():
+                found.append(v / math.sqrt(r * r + 3))
+    return len(found), [np.array(d) for d in sorted({tuple(np.sign(d[0]) * d) for d in found}, reverse=True)]
 
 
 def main():
-    print(f"stage 1: closed-form feasibility scan ({GRID_STEP_DEG} degree grid) ...")
-    candidates = closed_form_scan()
-    print(f"  {len(candidates)} grid points below residual {FEASIBLE_CUT}")
-    basins = dedupe_by_basin(candidates)
-    print(f"  {len(basins)} distinct basins kept for refinement")
-
-    print("stage 2: pattern-search refinement on the real-input-grid objective ...")
-    solutions = {}
-    for _, _, start in basins:
-        x, fx = pattern_search(start)
-        if fx < 1e-14:
-            prep = sequence_amplitudes(*x)
-            if prep[0] < 0:
-                prep = -prep  # overall sign is unobservable
-            _, mean_f = grid_objective(x)
-            key = tuple(np.round(prep, 8))
-            if key not in solutions or solutions[key][0] < mean_f:
-                solutions[key] = (mean_f, x)
-
-    if not solutions:
-        print("no constrained solution found")
+    machine, hand = quadratic_forms(constraint_values), quadratic_forms(identities)
+    ranks = tuple(int(np.linalg.matrix_rank(m)) for m in (machine, hand, np.concatenate([machine, hand])))
+    print("rank of the machine's forms %d, of the identities %d, joint %d" % ranks)
+    if ranks != (5, 5, 5):
+        print("MISMATCH: the identities do not express the machine's constraints")
         return 1
 
-    print(f"  {len(solutions)} distinct constrained preparation states:")
-    for key, (mean_f, _) in sorted(solutions.items(), key=lambda kv: -kv[1][0]):
-        print(f"    prep = {np.array(key)}  common fidelity = {mean_f:.9f}")
-
-    best_f, best_x = max(solutions.values(), key=lambda v: v[0])
-    best_prep = sequence_amplitudes(*best_x)
-    if best_prep[0] < 0:
-        best_prep = -best_prep
-
-    print()
-    print(f"selected triplicator prep state: {best_prep}")
-    print(f"frozen package constant:         {TRIPLICATOR_PREP_TARGET}")
-    print(f"selected common fidelity:        {best_f:.12f}")
-    print(f"recorded package constant:       {TRIPLICATOR_FIDELITY:.12f}")
-    print()
-    print("closed forms: prep = (sqrt(3)/2, 1/(2 sqrt 3), 1/(2 sqrt 3), 1/(2 sqrt 3)),")
-    print("fidelity = 5/6 for every real input.")
-
-    prep_dev = float(np.max(np.abs(best_prep - TRIPLICATOR_PREP_TARGET)))
+    n_raw, states = constrained_states()
+    print(f"{n_raw} solutions, {len(states)} constrained preparation states up to global sign:")
+    scored = []
+    for d in states:
+        residual = float(np.max(np.abs(constraint_values(d))))
+        fidelity = run_machine(d[P_OF_D], INPUT_GRID[0])[1]
+        print(f"    prep = {d[P_OF_D]}  common fidelity = {fidelity:.9f}  [constraint residual {residual:.1e}]")
+        if not residual < 1e-13:
+            print("MISMATCH: this state fails the constraints on the literal machine")
+            return 1
+        scored.append((fidelity, d[P_OF_D]))
+    best_f, best = max(scored, key=lambda fp: fp[0])
+    angles = solve_prep_angles(best).as_tuple()
+    angle_dev = float(np.max(np.abs(sequence_amplitudes(*angles) - best)))
+    prep_dev = float(np.max(np.abs(best - TRIPLICATOR_PREP_TARGET)))
     f_dev = abs(best_f - TRIPLICATOR_FIDELITY)
-    print(f"deviation from frozen constants: prep {prep_dev:.2e}, fidelity {f_dev:.2e}")
-    if prep_dev > 1e-6 or f_dev > 1e-8:
+
+    print()
+    print(f"selected triplicator prep state: {best}, common fidelity {best_f:.12f}")
+    print(f"prep angles {angles} reproduce it to {angle_dev:.1e}")
+    print(f"deviation from TRIPLICATOR_PREP_TARGET {prep_dev:.1e}, from TRIPLICATOR_FIDELITY {f_dev:.1e}")
+    if not (prep_dev <= 1e-12 and f_dev <= 1e-12 and angle_dev <= 1e-12):
         print("MISMATCH with the frozen constants")
         return 1
-
-    # Exactness check of the frozen constant through the actual machine.
-    residual = 0.0
-    for theta in INPUT_GRID:
-        (r1, r2, r3), f = run_machine(TRIPLICATOR_PREP_TARGET, theta)
-        residual = max(
-            residual,
-            float(np.max(np.abs(r1 - r2))),
-            float(np.max(np.abs(r1 - r3))),
-            abs(f - TRIPLICATOR_FIDELITY),
-        )
-    print(f"frozen-constant residual across the input grid: {residual:.2e}")
-    print("OK" if residual < 1e-12 else "FROZEN CONSTANT FAILS ITS OWN CONTRACT")
-    return 0 if residual < 1e-12 else 1
+    print("OK")
+    return 0
 
 
 if __name__ == "__main__":

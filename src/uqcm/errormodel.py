@@ -180,6 +180,8 @@ def perturbation_sweep(
     perturbed sweep runs over its whole grid: the jittered trains propagate
     the source photon's column in blocks of TRAIN_BLOCK, each element checked
     unitary, and every sample is scored from its (8, 4) click probabilities.
+    Samples whose |F - 5/6| exceeds a nonnegative `bound` are counted; an
+    infinite bound flags none.
     """
     if not (math.isfinite(jitter) and jitter >= 0):
         raise ValueError(f"jitter must be finite and nonnegative, got {jitter!r}")
@@ -187,6 +189,8 @@ def perturbation_sweep(
         raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
     if not 0 <= delta_c_total <= 1:
         raise ValueError(f"delta_c_total must be finite and in [0, 1], got {delta_c_total!r}")
+    if not (bound is None or bound >= 0):
+        raise ValueError(f"bound must be None or nonnegative, got {bound!r}")
     f1s, f2s = _jittered_fidelities([theta], [delta], [seed], n_samples, jitter, delta_c_total)[0].T
     devs = np.abs(f1s - _TARGET_F)
     return PerturbationResult(

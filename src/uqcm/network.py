@@ -42,16 +42,17 @@ from .hilbert import (
 CLONER_PREP_TARGET = np.array([2.0, 1.0, 0.0, 1.0]) / math.sqrt(6.0)
 
 # Preparation target for the symmetric triplicator of real-amplitude inputs:
-# (sqrt(3)/2) |00> + (1 / (2 sqrt(3))) (|01> + |10> + |11>). Derived by
-# constrained numerical search (see scripts/derive_triplicator.py): it is the
-# nonnegative prep state for which the three reduced outputs coincide and
-# their fidelity is independent of the (real) input.
+# (sqrt(3)/2) |00> + (1 / (2 sqrt(3))) (|01> + |10> + |11>). Derived in
+# closed form by scripts/derive_triplicator.py: of the five prep states (up to
+# global sign) for which the three reduced outputs coincide and their
+# fidelity is independent of the (real) input, it is the one of highest
+# fidelity; the other four give F = 1/2.
 TRIPLICATOR_PREP_TARGET = np.array(
     [math.sqrt(3.0) / 2.0, 0.5 / math.sqrt(3.0), 0.5 / math.sqrt(3.0), 0.5 / math.sqrt(3.0)]
 )
 
-# Common replica fidelity of the triplicator, recorded from the derivation
-# run (scripts/derive_triplicator.py); not an input to the simulation.
+# Common replica fidelity of the triplicator, derived in closed form with its
+# prep state (scripts/derive_triplicator.py); not an input to the simulation.
 TRIPLICATOR_FIDELITY = 5.0 / 6.0
 
 

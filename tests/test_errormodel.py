@@ -131,6 +131,11 @@ class TestPerturbationSweep:
             perturbation_sweep(jitter=0.001, n_samples=3, seed=2.5)
         with pytest.raises(ValueError, match="delta_c_total"):
             perturbation_sweep(jitter=0.1, n_samples=5, seed=0, delta_c_total=-1.0)
+        # A NaN bound would flag no sample and a negative one every sample.
+        for bad in (math.nan, -0.1):
+            with pytest.raises(ValueError, match="bound must be None or nonnegative"):
+                perturbation_sweep(jitter=0.001, n_samples=3, seed=0, bound=bad)
+        assert perturbation_sweep(jitter=0.1, n_samples=3, seed=0, bound=math.inf).n_exceeding_bound == 0
 
     def test_delta_c_total_above_one_rejected(self):
         # A path weight is scaled by 1 + u_i delta_c / sum |u_j| >= 1 - delta_c, which

@@ -1,6 +1,9 @@
 """Cloning network: stage contracts, oracle equivalence, fidelities, triplicator."""
 
 import math
+import re
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,8 +206,18 @@ class TestTriplicator:
             assert max(fs) - min(fs) < 1e-10
             values.append(fs[0])
         assert max(values) - min(values) < 1e-9
-        # regression against the recorded derivation-run value
+        # regression against the derived value 5/6
         assert values[0] == pytest.approx(TRIPLICATOR_FIDELITY, abs=1e-9)
+
+    def test_derivation_script_lists_every_constrained_state(self, capsys):
+        # The closed-form derivation: 10 solutions, 5 states up to global
+        # sign, the triplicator at 5/6 and four trash states at 1/2.
+        script = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts" / "derive_triplicator.py"))
+        assert script["main"]() == 0
+        out = capsys.readouterr().out
+        assert "rank of the machine's forms 5, of the identities 5, joint 5" in out
+        assert "10 solutions, 5 constrained preparation states" in out
+        assert sorted(re.findall(r"common fidelity = (\S+)", out)) == ["0.500000000"] * 4 + ["0.833333333"]
 
 
 def bench_layout_gates(prep):
