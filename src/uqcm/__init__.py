@@ -41,10 +41,8 @@ from .optics import (
     PBS,
     EquivalenceReport,
     LossyTrainError,
-    ModeSpace,
     OpticalTrain,
     PhaseShift,
-    PhotonState,
     build_cloner_train,
     element_matrix,
     modes_to_qubits,
@@ -117,10 +115,8 @@ __all__ = [
     "PBS",
     "EquivalenceReport",
     "LossyTrainError",
-    "ModeSpace",
     "OpticalTrain",
     "PhaseShift",
-    "PhotonState",
     "build_cloner_train",
     "element_matrix",
     "modes_to_qubits",

@@ -56,6 +56,7 @@ from .streams import seed_words
 from .sweepcsv import format_block, write_csv
 from .tomography import (
     _BASIS_MATRIX,
+    MAX_TRIALS,
     MONTECARLO_BLOCK,
     DetectorModel,
     ReconstructionError,
@@ -82,9 +83,6 @@ EXACT_TOL = 1e-9
 EXACT_BLOCK = 256
 MONTECARLO_SWEEP_BLOCK = 32 * MONTECARLO_BLOCK
 PERTURBED_BOUND = 0.005
-# Photons per basis setting: the counts are int64, and numpy's multinomial
-# draw takes no larger trial number.
-MAX_TRIALS = 2**63 - 1
 # Theta steps and samples per point: the theta grid is float64 and a
 # perturbed point's fidelities are (samples, 2) float64, and numpy describes
 # no array of 2**63 bytes or more (it raises ValueError, not MemoryError).
@@ -357,7 +355,7 @@ def _check_optics_equivalence(hwp_offset_rad: float = 0.0) -> CheckResult:
             if isinstance(e, HWP):
                 elements[i] = replace(e, angle=e.angle + hwp_offset_rad)
                 break
-        train = OpticalTrain(train.space, elements)
+        train = OpticalTrain(train.n_paths, elements)
     report = verify_equivalence(train, build_measurement_circuit(), tol=1e-9)
     return CheckResult("optics_equivalence", report.passed, report.max_deviation, report.tol)
 

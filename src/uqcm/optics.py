@@ -1,8 +1,10 @@
 """Single-photon mode-space simulation of the optical cloning bench.
 
-A single photon carries one polarization qubit and up to three path qubits;
-the mode space is (path index) x (polarization in {H, V}) and a mode's
-amplitude index is 2 * path + pol with H = 0, V = 1.
+A single photon carries one polarization qubit and up to three path qubits.
+On n_paths paths it is a plain (2 n_paths,) complex amplitude vector over
+the modes (path index) x (polarization in {H, V}): mode (path, pol) is
+index 2 * path + pol with H = 0, V = 1. `OpticalTrain` takes the path
+count, and `modes_to_qubits` reads such a vector as a qubit register.
 
 Every element is lossless. Element conventions (fixed once, compensating
 phase plates absorb the rest):
@@ -45,74 +47,10 @@ from .hilbert import AUX, PureState, _require_isometry, _require_isometry_dev
 from .network import _input_amplitudes, cloner_prep_angles
 
 POL_H, POL_V = 0, 1
-_POL_NAMES = ("H", "V")
 
 
 class LossyTrainError(ValueError):
     """A lossless state was required but the train absorbed amplitude."""
-
-
-class ModeSpace:
-    """(path, polarization) mode labels for a fixed number of paths."""
-
-    def __init__(self, n_paths: int):
-        if int(n_paths) != n_paths or n_paths < 1:
-            raise ValueError(f"n_paths must be a positive integer, got {n_paths!r}")
-        self._n_paths = int(n_paths)
-
-    @property
-    def n_paths(self) -> int:
-        return self._n_paths
-
-    @property
-    def dim(self) -> int:
-        return 2 * self._n_paths
-
-    def index(self, path: int, pol) -> int:
-        if pol in _POL_NAMES:
-            pol = _POL_NAMES.index(pol)
-        if not (0 <= path < self._n_paths) or pol not in (POL_H, POL_V):
-            raise ValueError(f"no mode (path={path!r}, pol={pol!r}) in this space")
-        return 2 * path + pol
-
-    def __eq__(self, other):
-        return isinstance(other, ModeSpace) and other._n_paths == self._n_paths
-
-    def __hash__(self):
-        return hash(("ModeSpace", self._n_paths))
-
-    def __repr__(self):
-        return f"ModeSpace(n_paths={self._n_paths})"
-
-
-class PhotonState:
-    """Photon amplitude vector over the modes of a ModeSpace.
-
-    The norm never exceeds one; a norm below one is a photon lost on the
-    way, which `modes_to_qubits` rejects.
-    """
-
-    def __init__(self, space: ModeSpace, amplitudes):
-        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        if amps.size != space.dim:
-            raise ValueError(f"expected {space.dim} amplitudes, got {amps.size}")
-        nrm = float(np.linalg.norm(amps))
-        if not nrm <= 1.0 + 1e-12:
-            raise ValueError(f"photon norm {nrm!r} is not at most one")
-        amps = amps.copy()
-        amps.flags.writeable = False
-        self.space = space
-        self._amps = amps
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return self._amps
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self._amps))
-
-    def __repr__(self):
-        return f"PhotonState(space={self.space!r}, amplitudes={self._amps!r})"
 
 
 @dataclass(frozen=True)
@@ -156,12 +94,6 @@ class PhaseShift:
 OpticalElement = Union[HWP, AJWP, PBS, BS, PhaseShift]
 
 _BS_COUPLING = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / math.sqrt(2.0)
-
-
-def element_paths(element: OpticalElement) -> tuple:
-    if isinstance(element, (PBS, BS)):
-        return (element.path_a, element.path_b)
-    return (element.path,)
 
 
 def _coefficients(element: OpticalElement, angle=None) -> tuple:
@@ -215,34 +147,41 @@ def _hwp_dev(c, s) -> float:
     return float(abs(_abs2(c) + _abs2(s) - 1.0).max())
 
 
-def _check_paths(element: OpticalElement, space: ModeSpace) -> None:
-    for p in element_paths(element):
-        if not (0 <= p < space.n_paths):
-            raise ValueError(f"element {element!r} references path {p} outside {space!r}")
+def _check_paths(element: OpticalElement, n_paths: int) -> None:
+    paths = (element.path_a, element.path_b) if isinstance(element, (PBS, BS)) else (element.path,)
+    for p in paths:
+        if not (0 <= p < n_paths):
+            raise ValueError(f"element {element!r} references path {p} outside the {n_paths} paths")
 
 
-def element_matrix(element: OpticalElement, space: ModeSpace) -> np.ndarray:
-    """Full mode-space matrix of one element (identity outside its modes).
+def _row_pairs(element: OpticalElement) -> list:
+    """The mode-row pairs an element acts on, mode 2 * path + pol: a PBS's
+    two V rows, a BS's two pairs of same-polarization rows, or any other
+    element's H and V rows of its path."""
+    if isinstance(element, PBS):
+        return [(2 * element.path_a + POL_V, 2 * element.path_b + POL_V)]
+    if isinstance(element, BS):
+        return [(2 * element.path_a + pol, 2 * element.path_b + pol) for pol in (POL_H, POL_V)]
+    return [(2 * element.path + POL_H, 2 * element.path + POL_V)]
+
+
+def element_matrix(element: OpticalElement, n_paths: int) -> np.ndarray:
+    """Full (2 n_paths, 2 n_paths) matrix of one element on n_paths paths
+    (identity outside its modes).
 
     Propagation never builds these; they are the dense reference for the
-    row-update kernel, with rows placed by `ModeSpace.index` and blocks
-    filled from `_coefficients`.
+    row-update kernel, with rows placed by the kernel's own `_row_pairs`
+    and blocks filled from `_coefficients` (a PBS's block is the swap).
     """
-    _check_paths(element, space)
-    mat = np.eye(space.dim, dtype=complex)
+    _check_paths(element, n_paths)
+    mat = np.eye(2 * n_paths, dtype=complex)
     if isinstance(element, PBS):
-        av = space.index(element.path_a, POL_V)
-        bv = space.index(element.path_b, POL_V)
-        mat[av, av] = mat[bv, bv] = 0.0
-        mat[av, bv] = mat[bv, av] = 1.0
-        return mat
-    if isinstance(element, BS):
-        pairs = [(space.index(element.path_a, pol), space.index(element.path_b, pol)) for pol in (POL_H, POL_V)]
+        block = [[0.0, 1.0], [1.0, 0.0]]
     else:
-        pairs = [(space.index(element.path, POL_H), space.index(element.path, POL_V))]
-    a, b, c, d = _coefficients(element)
-    for idx in pairs:
-        mat[np.ix_(idx, idx)] = [[a, b], [c, d]]
+        a, b, c, d = _coefficients(element)
+        block = [[a, b], [c, d]]
+    for idx in _row_pairs(element):
+        mat[np.ix_(idx, idx)] = block
     return mat
 
 
@@ -256,9 +195,8 @@ def _mix_rows(rows: np.ndarray, i: int, j: int, a, b, c, d) -> None:
 def _apply_element(element: OpticalElement, rows: np.ndarray, angle=None, what=None, lit=None) -> None:
     """Apply one element in place to mode rows `rows`, shape (dim, k, ...).
 
-    Only the element's rows change. A PBS exchanges its two V rows; every
-    other element mixes its row pairs (its path's H and V rows, or a BS's
-    two pairs of same-polarization rows) by its `_coefficients`. `angle` (a
+    Only the element's `_row_pairs` change: a PBS exchanges its pair, and
+    every other element mixes each pair by its `_coefficients`. `angle` (a
     scalar or an array of the batch shape) replaces an HWP's axis angle.
     With `what` given, the coefficients are first checked unitary within
     1e-10 by `_coefficient_dev`, over every batch entry, and IsometryError
@@ -270,8 +208,9 @@ def _apply_element(element: OpticalElement, rows: np.ndarray, angle=None, what=N
     """
     if lit is None:
         lit = [True] * len(rows)
+    pairs = _row_pairs(element)
     if isinstance(element, PBS):
-        av, bv = 2 * element.path_a + POL_V, 2 * element.path_b + POL_V
+        ((av, bv),) = pairs
         if lit[av] or lit[bv]:
             rows[[av, bv]] = rows[[bv, av]]
             lit[av], lit[bv] = lit[bv], lit[av]
@@ -279,10 +218,6 @@ def _apply_element(element: OpticalElement, rows: np.ndarray, angle=None, what=N
     coeffs = _coefficients(element, angle)
     if what is not None:
         _require_isometry_dev(_hwp_dev(*coeffs[:2]) if isinstance(element, HWP) else _coefficient_dev(*coeffs), what)
-    if isinstance(element, BS):
-        pairs = [(2 * element.path_a + pol, 2 * element.path_b + pol) for pol in (POL_H, POL_V)]
-    else:
-        pairs = [(2 * element.path + POL_H, 2 * element.path + POL_V)]
     for i, j in pairs:
         if lit[i] or lit[j]:
             _mix_rows(rows, i, j, *coeffs)
@@ -329,7 +264,8 @@ def _propagate(elements, m: np.ndarray, offsets=None) -> np.ndarray:
 
 
 class OpticalTrain:
-    """Ordered optical elements on a fixed mode space.
+    """Ordered optical elements on `n_paths` paths (a positive integer),
+    acting on the 2 n_paths mode amplitudes, mode 2 * path + pol.
 
     The composite matrix is compiled at construction by propagating the
     identity through the elements (each touches only its own rows); it must
@@ -338,14 +274,16 @@ class OpticalTrain:
     batch of jittered copies (`errormodel.perturbation_sweep`).
     """
 
-    def __init__(self, space: ModeSpace, elements):
-        elements = tuple(elements)
+    def __init__(self, n_paths: int, elements):
+        if int(n_paths) != n_paths or n_paths < 1:
+            raise ValueError(f"n_paths must be a positive integer, got {n_paths!r}")
+        n_paths, elements = int(n_paths), tuple(elements)
         for e in elements:
-            _check_paths(e, space)
-        composite = _propagate(elements, np.eye(space.dim, dtype=complex))
+            _check_paths(e, n_paths)
+        composite = _propagate(elements, np.eye(2 * n_paths, dtype=complex))
         _require_isometry(composite, "lossless train composite")
         composite.flags.writeable = False
-        self.space = space
+        self.n_paths = n_paths
         self._elements = elements
         self._composite = composite
 
@@ -354,7 +292,7 @@ class OpticalTrain:
         return self._elements
 
     def unitary(self) -> np.ndarray:
-        """Composite mode-space matrix."""
+        """Composite (2 n_paths, 2 n_paths) mode matrix."""
         return self._composite
 
     def describe(self) -> str:
@@ -372,7 +310,7 @@ class OpticalTrain:
         return "\n".join(lines) + "\n"
 
     def __repr__(self):
-        return f"OpticalTrain(space={self.space!r}, n_elements={len(self._elements)})"
+        return f"OpticalTrain(n_paths={self.n_paths}, n_elements={len(self._elements)})"
 
 
 def mode_qubit_labels(n_paths: int) -> tuple:
@@ -415,20 +353,23 @@ def _unit_norms(amps: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return nrm
 
 
-def modes_to_qubits(state: PhotonState, tol: float = 1e-9) -> PureState:
-    """Relabel photon modes as qubits: polarization is qubit 1 (H=0, V=1),
-    path bits are qubits 2, 3 (and the probe qubit for 8 paths).
+def modes_to_qubits(amplitudes, tol: float = 1e-9) -> PureState:
+    """Relabel a photon's 1-D vector of 2, 4, 8 or 16 mode amplitudes, mode
+    2 * path + pol, as qubits (ValueError for any other shape): polarization
+    is qubit 1 (H=0, V=1), path bits are qubits 2, 3 (and the probe qubit
+    for 8 paths).
 
     Requires unit norm within `tol` (post-selection on no loss);
     renormalizes the residual rounding before constructing the state.
     """
-    n_paths = state.space.n_paths
-    labels = mode_qubit_labels(n_paths)
-    nrm = _unit_norms(state.amplitudes, tol)
-    perm = _mode_to_qubit_permutation(n_paths)
-    qamps = np.empty(state.space.dim, dtype=complex)
-    qamps[perm] = state.amplitudes
-    return PureState(labels, qamps / nrm)
+    amps = np.asarray(amplitudes, dtype=complex)
+    if amps.ndim != 1 or amps.size not in (2, 4, 8, 16):
+        raise ValueError(f"expected 2 n_paths amplitudes, n_paths a power of two up to 8, got shape {amps.shape}")
+    nrm = _unit_norms(amps, tol)
+    perm = _mode_to_qubit_permutation(amps.size // 2)
+    qamps = np.empty(amps.size, dtype=complex)
+    qamps[perm] = amps
+    return PureState(mode_qubit_labels(amps.size // 2), qamps / nrm)
 
 
 # ---------------------------------------------------------------------------
@@ -565,9 +506,7 @@ def build_cloner_train(
     _input_amplitudes(theta, delta)
     if prep_angles is None:
         prep_angles = cloner_prep_angles()
-    return OpticalTrain(
-        ModeSpace(N_BENCH_PATHS), _cloner_train_elements(float(theta), float(delta), prep_angles)
-    )
+    return OpticalTrain(N_BENCH_PATHS, _cloner_train_elements(float(theta), float(delta), prep_angles))
 
 
 def _bench_modes(theta, delta) -> np.ndarray:
@@ -607,7 +546,7 @@ def optical_measurement_state(theta: float, delta: float) -> PureState:
     the same angle-domain check as `build_cloner_train`.
     """
     _input_amplitudes(theta, delta)
-    return modes_to_qubits(PhotonState(ModeSpace(N_BENCH_PATHS), _bench_modes(theta, delta)))
+    return modes_to_qubits(_bench_modes(theta, delta))
 
 
 @dataclass(frozen=True)
@@ -632,14 +571,14 @@ def verify_equivalence(train: OpticalTrain, circuit: Circuit, tol: float = 1e-9)
     mode relabeling; the reported deviation is the elementwise maximum after
     removing the trace-optimal global phase.
     """
-    labels = mode_qubit_labels(train.space.n_paths)
+    labels = mode_qubit_labels(train.n_paths)
     if labels != circuit.register:
         raise ValueError(
             f"dimension mismatch: train carries qubits {labels!r}, "
             f"circuit register is {circuit.register!r}"
         )
-    perm = _mode_to_qubit_permutation(train.space.n_paths)
-    dim = train.space.dim
+    perm = _mode_to_qubit_permutation(train.n_paths)
+    dim = 2 * train.n_paths
     u_train = np.zeros((dim, dim), dtype=complex)
     mode_u = train.unitary()
     u_train[np.ix_(perm, perm)] = mode_u

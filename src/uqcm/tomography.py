@@ -30,10 +30,8 @@ seeded draws stay per stream: each setting's multinomial and Poisson draws
 and each point's bootstrap binomials, in a fixed order. The rest is array
 arithmetic: the (4 N, 9) multinomial table, the cap at the trial count, the
 per-path inversion and the replica refits. `_bootstrap_errors` gives the
-error bars of both the kernel and `fidelity_report`; its binomials, one call
-per point with a probability per cell, are the remaining floor of the
-montecarlo sweep while its CSV bytes stay fixed: about half of the warm
-default-grid kernel.
+error bars of both the kernel and `fidelity_report`, from one binomial call
+per point with a probability per cell.
 """
 
 from __future__ import annotations
@@ -63,6 +61,10 @@ from .streams import streams
 # Seeding, click probabilities and count draws run once per kernel call, over
 # all its points (at most cli.MONTECARLO_SWEEP_BLOCK in a sweep).
 MONTECARLO_BLOCK = 8
+
+# Photons per basis setting: the counts are int64, and numpy's multinomial
+# draw takes no larger trial number.
+MAX_TRIALS = 2**63 - 1
 
 BASES = ("H", "V", "D", "R")
 
@@ -142,13 +144,17 @@ class CountsRecord:
 
 
 def _require_trials(trials, name: str = "trials") -> None:
-    """`trials` a positive whole number: an integer, or a real number that
-    holds one (numpy would truncate any other before drawing)."""
+    """`trials` a whole number in [1, MAX_TRIALS]: an integer, or a real
+    number that holds one (numpy would truncate any other before drawing,
+    and overflow on a larger one)."""
     integral = isinstance(trials, numbers.Integral)
     if not (integral or isinstance(trials, numbers.Real) and float(trials).is_integer()):
         raise ValueError(f"{name} must be a whole number, got {trials!r}")
     if trials < 1:
         raise ValueError(f"{name} must be positive, got {trials!r}")
+    # int(): numpy would round MAX_TRIALS to a float64 equal to 2.0**63.
+    if int(trials) > MAX_TRIALS:
+        raise ValueError(f"{name} must be at most {MAX_TRIALS}, got {trials!r}")
 
 
 def _require_bootstrap(n_bootstrap) -> None:
@@ -228,8 +234,9 @@ def simulate_counts(
     substream derived from (seed, basis index), so settings may be simulated
     in parallel without changing the result.
 
-    `trials` must be a positive whole number, and a setting's probabilities
-    may sum to at most 1 (within 1e-12): one photon fires one detector.
+    `trials` must be a whole number in [1, MAX_TRIALS], and a setting's
+    probabilities may sum to at most 1 (within 1e-12): one photon fires one
+    detector.
     """
     probs = np.asarray(signal_probs, dtype=float)
     if probs.shape != (N_PATHS, len(BASES)):

@@ -12,7 +12,7 @@ from uqcm.cli import EXIT_VERIFY, _exact_fidelities, main
 from uqcm.errormodel import ErrorBudget, PerturbationResult, fidelity_error_bound, perturbation_sweep
 from uqcm.hilbert import DensityMatrix, IsometryError, fidelity
 from uqcm.network import cloner_prep_angles
-from uqcm.optics import HWP, OpticalTrain, PhaseShift, PhotonState, build_cloner_train, modes_to_qubits
+from uqcm.optics import HWP, OpticalTrain, PhaseShift, build_cloner_train, modes_to_qubits
 from uqcm.tomography import reconstruct_replica, signal_probabilities
 
 from reference import input_state
@@ -30,8 +30,8 @@ def reference_sweep(jitter, n_samples, seed, theta, delta, delta_c_total):
             if isinstance(e, HWP) else e
             for e in base.elements
         ]
-        train = OpticalTrain(base.space, elements)
-        probs = signal_probabilities(modes_to_qubits(PhotonState(train.space, train.unitary()[:, 0])))
+        train = OpticalTrain(base.n_paths, elements)
+        probs = signal_probabilities(modes_to_qubits(train.unitary()[:, 0]))
         u = rng.uniform(-1.0, 1.0, size=4)
         probs[0:4] *= (1.0 + u * (delta_c_total / np.abs(u).sum()))[:, None]
         for rho, out in ((reconstruct_replica(probs, 1), f1s), (reconstruct_replica(probs, 2), f2s)):

@@ -18,10 +18,8 @@ from uqcm.optics import (
     HWP,
     PBS,
     LossyTrainError,
-    ModeSpace,
     OpticalTrain,
     PhaseShift,
-    PhotonState,
     build_cloner_train,
     element_matrix,
     mode_qubit_labels,
@@ -43,39 +41,43 @@ from uqcm.tomography import measurement_state, per_path_amplitudes, signal_proba
 
 from reference import input_state, replicas_from_state
 
-SP2 = ModeSpace(2)
+SP2 = 2
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cloner_train.txt")
 
 
-def _photon(space, path, pol):
-    """Photon definitely in one (path, polarization) mode."""
-    return PhotonState(space, np.eye(space.dim)[space.index(path, pol)])
+def _mode(path, pol):
+    """Amplitude index of the (path, polarization) mode, pol "H" or "V"."""
+    return 2 * path + "HV".index(pol)
+
+
+def _photon(n_paths, path, pol):
+    """Amplitudes of a photon definitely in one (path, polarization) mode."""
+    return np.eye(2 * n_paths)[_mode(path, pol)]
 
 
 class TestElements:
     def test_hwp_at_45_deg_flips_polarization(self):
         u = element_matrix(HWP(0, math.pi / 4), SP2)
-        photon = _photon(SP2, 0, "H")
-        out = u @ photon.amplitudes
-        assert out[SP2.index(0, "V")] == pytest.approx(1.0)
+        out = u @ _photon(SP2, 0, "H")
+        assert out[_mode(0, "V")] == pytest.approx(1.0)
 
     def test_hwp_at_22_5_deg_makes_diagonal(self):
         u = element_matrix(HWP(0, math.pi / 8), SP2)
-        out = u @ _photon(SP2, 0, "H").amplitudes
-        assert out[SP2.index(0, "H")] == pytest.approx(1 / math.sqrt(2))
-        assert out[SP2.index(0, "V")] == pytest.approx(1 / math.sqrt(2))
+        out = u @ _photon(SP2, 0, "H")
+        assert out[_mode(0, "H")] == pytest.approx(1 / math.sqrt(2))
+        assert out[_mode(0, "V")] == pytest.approx(1 / math.sqrt(2))
 
     def test_bs_splits_50_50(self):
         u = element_matrix(BS(0, 1), SP2)
-        out = u @ _photon(SP2, 0, "H").amplitudes
+        out = u @ _photon(SP2, 0, "H")
         probs = np.abs(out) ** 2
-        assert probs[SP2.index(0, "H")] == pytest.approx(0.5)
-        assert probs[SP2.index(1, "H")] == pytest.approx(0.5)
+        assert probs[_mode(0, "H")] == pytest.approx(0.5)
+        assert probs[_mode(1, "H")] == pytest.approx(0.5)
 
     def test_pbs_transmits_h_reflects_v(self):
         u = element_matrix(PBS(0, 1), SP2)
-        assert (u @ _photon(SP2, 0, "H").amplitudes)[SP2.index(0, "H")] == 1.0
-        assert (u @ _photon(SP2, 0, "V").amplitudes)[SP2.index(1, "V")] == 1.0
+        assert (u @ _photon(SP2, 0, "H"))[_mode(0, "H")] == 1.0
+        assert (u @ _photon(SP2, 0, "V"))[_mode(1, "V")] == 1.0
 
     def test_all_non_polarizer_elements_are_unitary(self):
         els = [
@@ -111,30 +113,30 @@ def _random_modes(rng, shape):
 class TestRowUpdateKernel:
     """The in-place row update equals the dense element matrix product."""
 
-    SPACE = ModeSpace(4)
+    N_PATHS = 4
 
     @pytest.mark.parametrize("element", ALL_KINDS, ids=lambda e: type(e).__name__)
     def test_unbatched_matches_dense(self, element):
         rng = np.random.default_rng(11)
-        m = _random_modes(rng, (self.SPACE.dim, 3))
+        m = _random_modes(rng, (2 * self.N_PATHS, 3))
         got = m.copy()
         _apply_element(element, got)
-        assert np.max(np.abs(got - element_matrix(element, self.SPACE) @ m)) < 1e-12
+        assert np.max(np.abs(got - element_matrix(element, self.N_PATHS) @ m)) < 1e-12
 
     @pytest.mark.parametrize("element", ALL_KINDS, ids=lambda e: type(e).__name__)
     def test_batched_matches_dense(self, element):
         # Batch axis last: entry b of `got` (5, dim, 3) is updated through
         # the (dim, 3, 5) view, with its own axis angle.
         rng = np.random.default_rng(12)
-        m = _random_modes(rng, (5, self.SPACE.dim, 3))
+        m = _random_modes(rng, (5, 2 * self.N_PATHS, 3))
         got = m.copy()
         if isinstance(element, HWP):
             angles = rng.uniform(-math.pi, math.pi, size=5)
             _apply_element(element, np.moveaxis(got, 0, -1), angles)
-            dense = [element_matrix(replace(element, angle=a), self.SPACE) for a in angles]
+            dense = [element_matrix(replace(element, angle=a), self.N_PATHS) for a in angles]
         else:
             _apply_element(element, np.moveaxis(got, 0, -1))
-            dense = [element_matrix(element, self.SPACE)] * 5
+            dense = [element_matrix(element, self.N_PATHS)] * 5
         for b in range(5):
             assert np.max(np.abs(got[b] - dense[b] @ m[b])) < 1e-12
 
@@ -143,7 +145,7 @@ class TestJitteredPropagation:
     """`_propagate` with per-entry axis offsets: every copy equals the dense
     product of its own element matrices, and each element is checked."""
 
-    SPACE = ModeSpace(4)
+    N_PATHS = 4
     B = 6
 
     def _train(self, rng):
@@ -158,16 +160,16 @@ class TestJitteredPropagation:
         elements = self._train(rng)
         n_hwp = sum(isinstance(e, HWP) for e in elements)
         offsets = rng.uniform(-0.3, 0.3, size=(self.B, n_hwp))
-        m = _random_modes(rng, (self.B, self.SPACE.dim, 2))
+        m = _random_modes(rng, (self.B, 2 * self.N_PATHS, 2))
         got = _propagate(elements, m.copy(), offsets)
         for b in range(self.B):
-            dense, j = np.eye(self.SPACE.dim), 0
+            dense, j = np.eye(2 * self.N_PATHS), 0
             for e in elements:
                 if isinstance(e, HWP):
                     e, j = replace(e, angle=e.angle + offsets[b, j]), j + 1
                 elif isinstance(e, AJWP) and np.ndim(e.retardance):
                     e = replace(e, retardance=float(e.retardance[b]))
-                dense = element_matrix(e, self.SPACE) @ dense
+                dense = element_matrix(e, self.N_PATHS) @ dense
             assert np.max(np.abs(got[b] - dense @ m[b])) < 1e-12
 
     def test_scaled_phase_shift_raises_naming_the_element(self, scale_coefficients):
@@ -175,7 +177,7 @@ class TestJitteredPropagation:
         elements = self._train(rng)
         elements.insert(4, PhaseShift(2, 0.3))
         scale_coefficients(elements[4], 1.0 + 1e-8)
-        m = _random_modes(rng, (self.B, self.SPACE.dim, 1))
+        m = _random_modes(rng, (self.B, 2 * self.N_PATHS, 1))
         with pytest.raises(IsometryError, match=re.escape("Jones matrix of element 4 (PhaseShift on path 2)")):
             _propagate(elements, m, np.zeros((self.B, 4)))
 
@@ -184,7 +186,7 @@ class TestJitteredPropagation:
         elements = self._train(rng)
         offsets = np.zeros((self.B, 4))
         offsets[2, 1] = np.nan  # oriented element 1 is element 3, HWP(2, -1.1)
-        m = _random_modes(rng, (self.B, self.SPACE.dim, 1))
+        m = _random_modes(rng, (self.B, 2 * self.N_PATHS, 1))
         with pytest.raises(IsometryError, match=re.escape("Jones matrix of element 3 (HWP on path 2)")):
             _propagate(elements, m, offsets)
 
@@ -196,7 +198,7 @@ class TestJitteredPropagation:
         elements = self._train(rng)
         offsets = np.zeros((self.B, 4))
         offsets[2, 1] = offset
-        m = _random_modes(rng, (self.B, self.SPACE.dim, 1))
+        m = _random_modes(rng, (self.B, 2 * self.N_PATHS, 1))
         with np.errstate(invalid="ignore"):
             with pytest.raises(IsometryError, match=re.escape("Jones matrix of element 3 (HWP on path 2)")):
                 _propagate(elements, m, offsets)
@@ -206,14 +208,14 @@ class TestJitteredPropagation:
         # so a scaled element propagates and the composite is not unitary.
         shift = PhaseShift(0, 0.3)
         scale_coefficients(shift, 0.9)
-        m = np.eye(self.SPACE.dim, dtype=complex)
+        m = np.eye(2 * self.N_PATHS, dtype=complex)
         out = _propagate([HWP(0, 0.2), shift], m)
-        dense = element_matrix(shift, self.SPACE) @ element_matrix(HWP(0, 0.2), self.SPACE)
+        dense = element_matrix(shift, self.N_PATHS) @ element_matrix(HWP(0, 0.2), self.N_PATHS)
         assert out is m
         assert np.max(np.abs(out - dense)) < 1e-15
-        assert np.max(np.abs(out.conj().T @ out - np.eye(self.SPACE.dim))) > 0.1
+        assert np.max(np.abs(out.conj().T @ out - np.eye(2 * self.N_PATHS))) > 0.1
         with pytest.raises(IsometryError, match="lossless train composite is not an isometry"):
-            OpticalTrain(self.SPACE, [HWP(0, 0.2), shift])
+            OpticalTrain(self.N_PATHS, [HWP(0, 0.2), shift])
 
 
 class TestDarkRows:
@@ -222,7 +224,7 @@ class TestDarkRows:
     Skipping them can change only the sign of an exact zero, which |amp|^2
     erases."""
 
-    SPACE = ModeSpace(8)
+    N_PATHS = 8
     B = 9
 
     @staticmethod
@@ -230,15 +232,15 @@ class TestDarkRows:
         return list(_cloner_train_elements(0.4, 1.1, cloner_prep_angles()))
 
     def _source(self, batch=()):
-        m = np.zeros(batch + (self.SPACE.dim, 1), dtype=complex)
+        m = np.zeros(batch + (2 * self.N_PATHS, 1), dtype=complex)
         m[..., 0, 0] = 1.0
         return m
 
     def test_source_column_matches_the_dense_product(self):
         elements = self._elements()
-        dense = np.eye(self.SPACE.dim)
+        dense = np.eye(2 * self.N_PATHS)
         for e in elements:
-            dense = element_matrix(e, self.SPACE) @ dense
+            dense = element_matrix(e, self.N_PATHS) @ dense
         got = _propagate(elements, self._source())[:, 0]
         assert np.max(np.abs(np.abs(got) ** 2 - np.abs(dense[:, 0]) ** 2)) < 1e-12
 
@@ -248,7 +250,7 @@ class TestDarkRows:
         elements = self._elements()
         offsets = np.random.default_rng(41).uniform(-0.05, 0.05, size=(self.B, 64))
         source = _propagate(elements, self._source((self.B,)), offsets)[..., 0]
-        lit = _propagate(elements, np.repeat(np.eye(self.SPACE.dim, dtype=complex)[None], self.B, axis=0), offsets)
+        lit = _propagate(elements, np.repeat(np.eye(2 * self.N_PATHS, dtype=complex)[None], self.B, axis=0), offsets)
         assert (np.abs(source) ** 2).tobytes() == (np.abs(lit[..., 0]) ** 2).tobytes()
 
     def test_dark_pairs_are_not_mixed(self, monkeypatch):
@@ -264,7 +266,7 @@ class TestDarkRows:
         monkeypatch.setattr(optics, "_mix_rows", spy)
         elements = self._elements()
         n_pairs = sum(2 if isinstance(e, BS) else 0 if isinstance(e, PBS) else 1 for e in elements)
-        _propagate(elements, np.eye(self.SPACE.dim, dtype=complex))
+        _propagate(elements, np.eye(2 * self.N_PATHS, dtype=complex))
         assert len(mixed) == n_pairs
         mixed.clear()
         _propagate(elements, self._source())
@@ -292,7 +294,7 @@ def test_ajwp_array_retardance_gives_one_jones_matrix_per_entry():
     for delta, entry in zip(deltas, d):
         assert entry == _coefficients(AJWP(0, float(delta)))[3]
         jones = np.array([[a, b], [c, entry]])
-        assert np.max(np.abs(jones - element_matrix(AJWP(0, float(delta)), ModeSpace(1)))) < 1e-15
+        assert np.max(np.abs(jones - element_matrix(AJWP(0, float(delta)), 1))) < 1e-15
 
 
 def _random_element(kind, rng, size=None):
@@ -304,13 +306,13 @@ def _random_element(kind, rng, size=None):
     return kind(1, value)
 
 
-def _blocks(element, space):
+def _blocks(element, n_paths):
     """The element's 2 x 2 blocks of `element_matrix`, one per row pair."""
-    mat = element_matrix(element, space)
+    mat = element_matrix(element, n_paths)
     if isinstance(element, BS):
-        pairs = [(space.index(0, pol), space.index(1, pol)) for pol in ("H", "V")]
+        pairs = [(_mode(0, pol), _mode(1, pol)) for pol in ("H", "V")]
     else:
-        pairs = [(space.index(element.path, "H"), space.index(element.path, "V"))]
+        pairs = [(_mode(element.path, "H"), _mode(element.path, "V"))]
     return [mat[np.ix_(idx, idx)] for idx in pairs]
 
 
@@ -334,12 +336,11 @@ class TestCoefficientCheck:
         # Scaling J by a factor keeps its columns orthogonal and moves
         # J^H J to |factor|^2 J^H J, so the closed form must follow.
         rng = np.random.default_rng(32)
-        space = ModeSpace(2)
         for _ in range(10):
             element = _random_element(kind, rng)
             coeffs = [factor * x for x in _coefficients(element)]
             gram = max(
-                np.max(np.abs((factor * j).conj().T @ (factor * j) - np.eye(2))) for j in _blocks(element, space)
+                np.max(np.abs((factor * j).conj().T @ (factor * j) - np.eye(2))) for j in _blocks(element, SP2)
             )
             assert _coefficient_dev(*coeffs) == pytest.approx(gram, rel=1e-9, abs=1e-15)
 
@@ -384,6 +385,17 @@ class TestCoefficientCheck:
 
 
 class TestTrains:
+    @pytest.mark.parametrize("n_paths", [0, -2, 2.5])
+    def test_n_paths_must_be_a_positive_integer(self, n_paths):
+        with pytest.raises(ValueError, match=re.escape(f"n_paths must be a positive integer, got {n_paths!r}")):
+            OpticalTrain(n_paths, [])
+
+    def test_train_carries_its_path_count(self):
+        train = OpticalTrain(2.0, [HWP(1, 0.3)])
+        assert train.n_paths == 2 and type(train.n_paths) is int
+        assert train.unitary().shape == (4, 4)
+        assert repr(build_cloner_train()) == "OpticalTrain(n_paths=8, n_elements=129)"
+
     def test_empty_train_is_identity(self):
         assert np.array_equal(OpticalTrain(SP2, []).unitary(), np.eye(4))
 
@@ -404,7 +416,7 @@ class TestTrains:
         train = build_cloner_train(0.5, 2.5)
         dense = np.eye(16, dtype=complex)
         for e in train.elements:
-            dense = element_matrix(e, train.space) @ dense
+            dense = element_matrix(e, train.n_paths) @ dense
         assert np.max(np.abs(train.unitary() - dense)) < 1e-12
 
     def test_train_rejects_path_outside_space(self):
@@ -428,31 +440,37 @@ class TestModeQubitMapping:
         assert mode_qubit_labels(8)[0] == "aux"
 
     def test_path0_h_maps_to_all_zero(self):
-        psi = modes_to_qubits(_photon(ModeSpace(4), 0, "H"))
+        psi = modes_to_qubits(_photon(4, 0, "H"))
         assert psi.amplitudes[0b000] == 1.0
 
     def test_path1_v_maps_to_101(self):
         # path 1 = (q2, q3) = (0, 1); polarization V = qubit 1 set
-        psi = modes_to_qubits(_photon(ModeSpace(4), 1, "V"))
+        psi = modes_to_qubits(_photon(4, 1, "V"))
         assert psi.amplitudes[0b101] == 1.0
 
     def test_round_trip_is_identity(self):
         rng = np.random.default_rng(5)
-        space = ModeSpace(8)
         amps = rng.normal(size=16) + 1j * rng.normal(size=16)
         amps /= np.linalg.norm(amps)
-        photon = PhotonState(space, amps)
-        back = modes_to_qubits(photon).amplitudes[_mode_to_qubit_permutation(8)]
-        assert np.max(np.abs(back - photon.amplitudes)) < 1e-12
+        back = modes_to_qubits(amps).amplitudes[_mode_to_qubit_permutation(8)]
+        assert np.max(np.abs(back - amps)) < 1e-12
 
     def test_lossy_state_rejected(self):
-        out = PhotonState(ModeSpace(2), [0.9, 0.0, 0.0, 0.0])
         with pytest.raises(LossyTrainError, match="norm"):
-            modes_to_qubits(out)
+            modes_to_qubits([0.9, 0.0, 0.0, 0.0])
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError, match="power of two"):
-            modes_to_qubits(_photon(ModeSpace(3), 0, "H"))
+            modes_to_qubits(_photon(3, 0, "H"))
+
+    @pytest.mark.parametrize("shape", [(), (0,), (1,), (3,), (5,), (32,), (1, 16), (2, 2)])
+    def test_malformed_vector_rejected(self, shape):
+        # Checked before the norm and the relabeling: an odd length would
+        # otherwise fail there with an IndexError.
+        amps = np.zeros(shape, dtype=complex)
+        amps.flat[:1] = 1.0
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            modes_to_qubits(amps)
 
 
 class TestClonerTrain:
@@ -471,7 +489,7 @@ class TestClonerTrain:
                 if isinstance(e, HWP):
                     elements[i] = replace(e, angle=e.angle + math.radians(offset_deg))
                     break
-            bad = OpticalTrain(base.space, elements)
+            bad = OpticalTrain(base.n_paths, elements)
             report = verify_equivalence(bad, build_measurement_circuit(), tol=1e-9)
             assert not report.passed
             devs.append(report.max_deviation)
@@ -479,7 +497,7 @@ class TestClonerTrain:
 
     def test_identity_train_matches_empty_circuit(self):
         report = verify_equivalence(
-            OpticalTrain(ModeSpace(8), []),
+            OpticalTrain(8, []),
             Circuit(mode_qubit_labels(8)),
             tol=1e-12,
         )
@@ -491,7 +509,7 @@ class TestClonerTrain:
 
     def test_photon_number_conserved(self):
         train = build_cloner_train(0.4, 1.0)
-        out = _propagate(train.elements, _photon(ModeSpace(8), 0, "H").amplitudes.reshape(-1, 1).copy())
+        out = _propagate(train.elements, _photon(8, 0, "H").reshape(-1, 1).astype(complex))
         assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
     def test_distribution_matches_gate_tier(self):
@@ -532,8 +550,8 @@ class TestClonerTrain:
     def test_nan_photon_rejected(self):
         # NaN is not "within tolerance": the norm checks compare as
         # `not dev <= tol`, and raise before numpy can warn.
-        with pytest.raises(ValueError, match="photon norm nan is not at most one"):
-            PhotonState(ModeSpace(1), [np.nan, 0.0])
+        with pytest.raises(LossyTrainError, match="photon norm nan is not 1 within 1e-09"):
+            modes_to_qubits([np.nan, 0.0])
         modes = _bench_modes(np.array([0.1, 0.2]), np.array([0.0, 1.0]))
         modes[1, 3] = np.nan
         with pytest.raises(LossyTrainError, match="photon norm nan"):

@@ -53,7 +53,7 @@ def test_fidelity_report_takes_counts_sixth():
 RETIRED = {
     "hilbert": ("tensor_product", "random_pure_state"),
     "network": ("input_state", "reference_clone_output"),
-    "optics": ("source_photon", "apply_train", "qubits_to_modes"),
+    "optics": ("source_photon", "apply_train", "qubits_to_modes", "ModeSpace", "PhotonState", "element_paths"),
     "tomography": ("attach_aux_cswap", "reconstruct_single_qubit", "replicas_from_state"),
 }
 
@@ -67,3 +67,4 @@ def test_retired_names_are_gone():
             assert not hasattr(module, name), f"{module_name}.{name}"
     assert not hasattr(uqcm.PureState, "inner")
     assert not hasattr(uqcm.tomography, "_AUX_CSWAP")
+    assert not hasattr(uqcm.optics, "_POL_NAMES")

@@ -21,12 +21,14 @@ from uqcm.hilbert import (
 )
 from uqcm.gates import apply_circuit
 from uqcm import errormodel, tomography
+from uqcm import cli
 from uqcm.cli import SweepConfig
 from uqcm.network import _input_amplitudes
 from uqcm.streams import streams
 from uqcm.network import build_cloning_network, clone
 from uqcm.tomography import (
     _BOOTSTRAP_SALT,
+    MAX_TRIALS,
     MONTECARLO_BLOCK,
     N_PATHS,
     _aux_cswap,
@@ -756,6 +758,26 @@ class TestCountingInputs:
             simulate_counts(probs, DetectorModel(), trials, 1)
         with pytest.raises(ValueError, match="trials must be positive"):
             montecarlo_report(0.1, 0.2, trials, 1)
+
+    @pytest.mark.parametrize("trials", [2**63, 2**64, 1e19, np.float64(2.0**63), np.uint64(2**63)])
+    def test_trials_beyond_int64_rejected(self, trials):
+        # numpy's draws take int64 trial numbers and would overflow first.
+        probs = signal_probabilities(measurement_state(0.3, 0.5))
+        too_many = f"trials must be at most {MAX_TRIALS}, got {re.escape(repr(trials))}"
+        with pytest.raises(ValueError, match=too_many):
+            simulate_counts(probs, DetectorModel(), trials, 0)
+        with pytest.raises(ValueError, match=too_many):
+            montecarlo_report(0.3, 0.5, trials, 1)
+        counts = simulate_counts(probs, DetectorModel(), 20000, 0).counts
+        rho1, rho2 = reconstruct_replica(probs, 1), reconstruct_replica(probs, 2)
+        with pytest.raises(ValueError, match=f"total_{too_many}"):
+            fidelity_report(rho1, rho2, 0.3, 0.5, mode="montecarlo", counts=CountsRecord(counts, trials, 0))
+
+    def test_trials_up_to_int64_max_accepted(self):
+        assert MAX_TRIALS == 2**63 - 1 == np.iinfo(np.int64).max
+        assert cli.MAX_TRIALS is MAX_TRIALS
+        counts = np.full((8, 4), MAX_TRIALS)
+        assert CountsRecord(counts, MAX_TRIALS, 0).total_trials == MAX_TRIALS
 
     def test_integral_trials_of_any_type_accepted(self):
         probs = signal_probabilities(measurement_state(0.1, 0.2))
