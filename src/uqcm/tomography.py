@@ -270,8 +270,8 @@ def _draw_counts(probs: np.ndarray, model: DetectorModel, trials: int, rngs) -> 
     dark_mean = model.dark_mean(trials)
     counts = np.empty(detect.shape, dtype=np.int64)
     for row, rng in zip(range(len(pvals)), rngs):
-        counts[row] = rng.multinomial(trials, pvals[row])[:N_PATHS] + rng.poisson(dark_mean, size=N_PATHS)
-    np.minimum(counts, int(trials), out=counts)
+        signal, dark = rng.multinomial(trials, pvals[row])[:N_PATHS], rng.poisson(dark_mean, size=N_PATHS)
+        counts[row] = np.minimum(signal, int(trials) - dark) + dark
     return np.swapaxes(counts.reshape(probs.shape[:-2] + (len(BASES), N_PATHS)), -1, -2).copy()
 
 

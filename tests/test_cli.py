@@ -53,6 +53,12 @@ from uqcm.tomography import (
 from reference import input_state, random_pure_state, replicas_from_state
 
 
+def python(*args, **kwargs):
+    """A `python *args` child process, with this checkout's src/ as its PYTHONPATH."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    return subprocess.run([sys.executable, *args], env=env, check=False, **kwargs)
+
+
 def sweep_rows(config):
     """`compute_sweep` with its blocks collected: (rows, summary, exit_code)."""
     blocks = []
@@ -321,13 +327,20 @@ class TestSweep:
         with open(out1, "rb") as f1, open(out2, "rb") as f2:
             assert f1.read() == f2.read()
 
-    def test_csv_header_and_shape(self, tmp_path):
-        out = str(tmp_path / "grid.csv")
-        assert main(["sweep", "--out", out]) == EXIT_OK
-        with open(out, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-        assert lines[0] == CSV_HEADER
-        assert len(lines) == 1 + 19 * 4 * 2
+    def test_csv_header_and_shape(self, tmp_path, capsys):
+        # 70 theta steps x 4 deltas are 280 montecarlo points, two calls of
+        # the counting kernel; every call's rows reach the CSV.
+        config = tmp_path / "two-calls.cfg"
+        config.write_text("mode = montecarlo\ntheta_steps = 70\n")
+        assert cli.MONTECARLO_SWEEP_BLOCK < 70 * 4 <= 2 * cli.MONTECARLO_SWEEP_BLOCK
+        for mode, argv, points in (("exact", [], 19 * 4), ("montecarlo", ["--config", str(config)], 70 * 4)):
+            out = tmp_path / f"{mode}.csv"
+            assert main(["sweep", *argv, "--out", str(out)]) == EXIT_OK
+            assert capsys.readouterr().err == ""
+            lines = out.read_text(encoding="ascii").splitlines()
+            assert lines[0] == CSV_HEADER
+            assert len(lines) == 1 + points * 2
+            assert all(line.startswith(f"{mode},") for line in lines[1:])
 
 
 class TestStreamedOutput:
@@ -536,12 +549,9 @@ class TestStreamedOutput:
         # --out /dev/stdout with stdout redirected to a regular file: the CSV
         # goes through sys.stdout, so the summary lines follow it there.
         listing = tmp_path / "listing.txt"
-        env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
         with open(listing, "wb") as fh:
-            proc = subprocess.run(
-                [sys.executable, "-m", "uqcm.cli", "sweep", "--out", "/dev/stdout"],
-                stdout=fh, stderr=subprocess.PIPE, env=env, cwd=tmp_path, check=False,
-            )
+            proc = python("-m", "uqcm.cli", "sweep", "--out", "/dev/stdout", stdout=fh, stderr=subprocess.PIPE,
+                          cwd=tmp_path)
         assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
         lines = listing.read_text(encoding="ascii").splitlines()
         assert lines[0] == CSV_HEADER and len(lines) == 1 + 19 * 4 * 2 + 5
@@ -570,11 +580,8 @@ class TestStreamedOutput:
         assert not reader.is_alive() and received == [expected]
         assert capsys.readouterr().out == summary.replace(str(regular), str(fifo))
 
-        env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
-        proc = subprocess.run(
-            [sys.executable, "-m", "uqcm.cli", "sweep", "--config", str(config), "--out", "/dev/stdout"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, check=False,
-        )
+        proc = python("-m", "uqcm.cli", "sweep", "--config", str(config), "--out", "/dev/stdout",
+                      stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         assert (proc.returncode, proc.stderr) == (EXIT_OK, b"")
         assert proc.stdout == expected + summary.replace(str(regular), "/dev/stdout").encode("ascii")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "multi.cfg", "regular.csv"]
@@ -756,10 +763,17 @@ class TestExitCodes:
         assert "seed must be >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flags", [["--theta", "3"], ["--delta", "-0.5"], ["--trials", "0"], ["--seed", "-1"]]
+        "flags",
+        [
+            ["--mode", "montecarlo", "--theta", "3"],
+            ["--mode", "montecarlo", "--delta", "-0.5"],
+            ["--mode", "montecarlo", "--trials", "0"],
+            ["--mode", "montecarlo", "--seed", "-1"],
+            ["--theta", "2.0"],
+        ],
     )
     def test_tomo_out_of_range_input(self, flags, capsys):
-        assert main(["tomo", "--mode", "montecarlo", *flags]) == EXIT_USAGE
+        assert main(["tomo", *flags]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("seed", range(1, 6))
@@ -798,6 +812,8 @@ class TestExitCodes:
                 assert err.startswith("error: bootstrap resample: replica ")
                 assert err.rstrip().endswith("too few for error bars")
             else:
+                # The README's example of the bootstrap error.
+                assert (trials, seed) != (5, 0)
                 assert err.startswith("error: replica ") and err.rstrip().endswith("no counts in its path group")
 
     @pytest.mark.parametrize(
@@ -849,7 +865,19 @@ class TestExitCodes:
         assert "optics_equivalence\tFAIL" in out
 
     def test_distinct_exit_codes(self):
+        # The README's exit-code promise, through the real entry point: one
+        # `python -W error -m uqcm.cli` process per code.
         assert len({EXIT_OK, EXIT_USAGE, EXIT_VERIFY, EXIT_IO}) == 4
+        for argv, code, err in [
+            (["verify"], EXIT_OK, ""),
+            (["sweep", "--mode", "bogus"], EXIT_USAGE, "uqcm sweep: error: argument --mode: invalid choice: 'bogus'"),
+            (["verify", "--inject-hwp-offset-deg", "0.1"], EXIT_VERIFY, ""),
+            (["sweep", "--out", "/nonexistent-dir/x.csv"], EXIT_IO, "I/O error writing '/nonexistent-dir/x.csv': "),
+        ]:
+            proc = python("-W", "error", "-m", "uqcm.cli", *argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True)
+            assert proc.returncode == code, (argv, proc.stderr)
+            assert err in proc.stderr if err else proc.stderr == "", proc.stderr
 
 
 class TestVerify:
@@ -928,9 +956,12 @@ class TestTomo:
         assert "replica 2: F = 0.833333333" in out
 
     def test_montecarlo_output(self, capsys):
-        assert main(["tomo", "--mode", "montecarlo", "--trials", "5000", "--seed", "4"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "+/-" in out
+        # A base seed of 2**100 + 3 seeds the count and bootstrap streams row
+        # by row through numpy's own SeedSequence.
+        for flags in (["--trials", "5000", "--seed", "4"], ["--seed", str(2**100 + 3)]):
+            assert main(["tomo", "--mode", "montecarlo", *flags]) == EXIT_OK
+            out, err = capsys.readouterr()
+            assert "+/-" in out and err == ""
 
     # Whole printouts, recorded before the reconstruction became array
     # arithmetic. The exact point is off the poles: at theta = 0 the printed
@@ -1012,7 +1043,38 @@ def test_exact_commands_never_import_numpy_random(tmp_path):
         "loaded.append('numpy.random' in sys.modules)",
         "print(loaded, file=sys.stderr)",
     ))
-    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
-    proc = subprocess.run([sys.executable, "-c", script], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                          env=env, check=False)
+    proc = python("-c", script, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
     assert (proc.returncode, proc.stderr) == (EXIT_OK, b"[False, False, True]\n")
+
+
+WORKFLOW = os.path.join(os.path.dirname(__file__), "..", ".github", "workflows", "tests.yml")
+
+
+def _workflow_commands():
+    """The shell lines of the CI workflow's `run:` steps: the text after
+    `run:`, or each line of the block under `run: |`. CI installs no YAML
+    parser, so the file is read as text."""
+    commands, run_indent = [], None
+    with open(WORKFLOW, encoding="utf-8") as fh:
+        for line in fh:
+            indent, text = len(line) - len(line.lstrip()), line.strip()
+            if run_indent is not None and (indent > run_indent or not text):
+                commands.append(text)
+            elif text.startswith(("run:", "- run:")):
+                run_indent = indent
+                commands.append(text.split(":", 1)[1].strip())
+            else:
+                run_indent = None
+    return [c for c in commands if c not in ("", "|", ">")]
+
+
+def test_cli_checks_live_in_the_suite_not_the_workflow():
+    # A check of the command line or of a script belongs in the tier-1
+    # suite, which every local run makes, not in a CI step of its own.
+    commands = _workflow_commands()
+    tier1 = [c for c in commands if "python -m pytest" in c]
+    assert len(tier1) == 1 and any("perfbench/run.py" in c for c in commands)
+    assert [c for c in commands if "uqcm" in c or "scripts/" in c] == []
+    # The README gives the suite's command as CI runs it.
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        assert tier1[0] in fh.read()

@@ -779,6 +779,16 @@ class TestCountingInputs:
         counts = np.full((8, 4), MAX_TRIALS)
         assert CountsRecord(counts, MAX_TRIALS, 0).total_trials == MAX_TRIALS
 
+    def test_counts_at_int64_max_are_capped_without_wrapping(self):
+        # A cell that takes every trial, plus its dark counts, is capped at
+        # trials; summed first, the two would wrap negative in int64.
+        probs = np.zeros((8, 4))
+        probs[0, 0] = 1.0
+        model = DetectorModel(efficiency=1.0)
+        assert model.dark_mean(MAX_TRIALS) > 1e8
+        counts = simulate_counts(probs, model, MAX_TRIALS, 0).counts
+        assert counts[0, 0] == MAX_TRIALS
+
     def test_integral_trials_of_any_type_accepted(self):
         probs = signal_probabilities(measurement_state(0.1, 0.2))
         expect = simulate_counts(probs, DetectorModel(), 100, 1).counts
