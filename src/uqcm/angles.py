@@ -66,16 +66,16 @@ class PrepAngles:
         return (self.theta1, self.theta2, self.theta3)
 
 
-def prep_circuit(angles: PrepAngles, qubit_a=2, qubit_b=3) -> Circuit:
-    """The preparation sequence as a circuit on (qubit_a, qubit_b)."""
+def prep_circuit(angles: PrepAngles) -> Circuit:
+    """The preparation sequence as a circuit on qubits (2, 3)."""
     return Circuit(
-        (qubit_a, qubit_b),
+        (2, 3),
         (
-            Rotation(qubit_a, angles.theta1),
-            CNOT(qubit_a, qubit_b),
-            Rotation(qubit_b, angles.theta2),
-            CNOT(qubit_b, qubit_a),
-            Rotation(qubit_a, angles.theta3),
+            Rotation(2, angles.theta1),
+            CNOT(2, 3),
+            Rotation(3, angles.theta2),
+            CNOT(3, 2),
+            Rotation(2, angles.theta3),
         ),
     )
 

@@ -85,7 +85,7 @@ def build_preparation_circuit(angles: PrepAngles | None = None) -> Circuit:
     """Preparation stage on qubits (2, 3); defaults to the cloner angles."""
     if angles is None:
         angles = cloner_prep_angles()
-    return prep_circuit(angles, qubit_a=2, qubit_b=3)
+    return prep_circuit(angles)
 
 
 def build_cloning_circuit() -> Circuit:

@@ -490,9 +490,7 @@ def _body_isometry(prep: PrepAngles) -> np.ndarray:
     return iso
 
 
-def build_cloner_train(
-    theta: float = 0.0, delta: float = 0.0, prep_angles: PrepAngles | None = None
-) -> OpticalTrain:
+def build_cloner_train(theta: float = 0.0, delta: float = 0.0) -> OpticalTrain:
     """The full 8-path cloning bench for input angles (theta, delta).
 
     Covers input preparation, the polarization/path state swap, the
@@ -504,9 +502,7 @@ def build_cloner_train(
     delta outside [0, 2 pi) with ValueError, as `network.clone` does.
     """
     _input_amplitudes(theta, delta)
-    if prep_angles is None:
-        prep_angles = cloner_prep_angles()
-    return OpticalTrain(N_BENCH_PATHS, _cloner_train_elements(float(theta), float(delta), prep_angles))
+    return OpticalTrain(N_BENCH_PATHS, _cloner_train_elements(float(theta), float(delta), cloner_prep_angles()))
 
 
 def _bench_modes(theta, delta) -> np.ndarray:

@@ -26,12 +26,13 @@ The counting pipeline runs over any number of input points at once
 (`_montecarlo_fidelities`). Each call seeds all its streams, prices every
 point's clicks and draws every point's counts in one pass each; only the
 refits and the bootstrap go in blocks of MONTECARLO_BLOCK points. Only the
-seeded draws stay per stream: each setting's multinomial and Poisson draws
-and each point's bootstrap binomials, in a fixed order. The rest is array
-arithmetic: the (4 N, 9) multinomial table, the cap at the trial count, the
-per-path inversion and the replica refits. `_bootstrap_errors` gives the
-error bars of both the kernel and `fidelity_report`, from one binomial call
-per point with a probability per cell.
+seeded draws stay per stream, in a fixed order: each setting's multinomial
+and Poisson draws, capped at the trial count in the same row step, and each
+point's bootstrap binomials. The rest is array arithmetic: the (4 N, 9)
+multinomial table, the per-path inversion and the replica refits.
+`_bootstrap_errors` gives the error bars of both the kernel and
+`fidelity_report`, from one binomial call per point with a probability per
+cell.
 """
 
 from __future__ import annotations

@@ -27,7 +27,6 @@ from uqcm.cli import (
     _check_reference_oracle,
     _check_tomography_roundtrip,
     _format_matrix,
-    _random_qubit_amplitudes,
     build_sweep_config,
     compute_sweep,
     load_config_file,
@@ -50,7 +49,8 @@ from uqcm.tomography import (
     simulate_counts,
 )
 
-from reference import input_state, random_pure_state, replicas_from_state
+from reference import input_state, replicas_from_state
+from test_package import perfbench_constant
 
 
 def python(*args, **kwargs):
@@ -535,7 +535,7 @@ class TestStreamedOutput:
         with pytest.raises(OSError) as refused:
             open(name, "w")
         assert main(["sweep", *argv]) == EXIT_IO
-        assert capsys.readouterr().err == f"I/O error writing {name!r}: {refused.value}\n"
+        assert capsys.readouterr().err == f"I/O error writing {name!r}: {refused.value.strerror}\n"
         assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == [
             "empty-out.cfg", "run", os.path.join("run", "existing"),
         ]
@@ -850,8 +850,10 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     def test_io_error_on_unwritable_output(self, capsys):
+        # The message names --out and the reason, not the temporary file
+        # beside it that could not be created.
         assert main(["sweep", "--out", "/nonexistent-dir/x.csv"]) == EXIT_IO
-        capsys.readouterr()
+        assert capsys.readouterr() == ("", "I/O error writing '/nonexistent-dir/x.csv': No such file or directory\n")
 
     def test_verify_passes_on_pristine_build(self, capsys):
         assert main(["verify"]) == EXIT_OK
@@ -881,15 +883,15 @@ class TestExitCodes:
 
 
 class TestVerify:
-    # The whole printout, recorded before the gate runner, `gate_unitary`
-    # and the click table became whole-batch products.
+    # The whole printout. The oracle, round-trip, pipeline and symmetry
+    # deviations are those of the four fixed check inputs.
     PINNED_STDOUT = (
-        "reference_oracle\tPASS\tdeviation=2.483e-16\ttol=1.0e-10\n"
+        "reference_oracle\tPASS\tdeviation=1.665e-16\ttol=1.0e-10\n"
         "optics_equivalence\tPASS\tdeviation=2.267e-16\ttol=1.0e-09\n"
         "prep_solver\tPASS\tdeviation=1.110e-16\ttol=1.0e-10\n"
-        "tomography_roundtrip\tPASS\tdeviation=3.103e-16\ttol=1.0e-12\n"
-        "pipeline_fidelity\tPASS\tdeviation=3.331e-16\ttol=1.0e-10\n"
-        "replica_symmetry\tPASS\tdeviation=4.441e-16\ttol=1.0e-10\n"
+        "tomography_roundtrip\tPASS\tdeviation=2.555e-16\ttol=1.0e-12\n"
+        "pipeline_fidelity\tPASS\tdeviation=5.818e-16\ttol=1.0e-10\n"
+        "replica_symmetry\tPASS\tdeviation=2.220e-16\ttol=1.0e-10\n"
         "verify: all checks passed\n"
     )
 
@@ -903,7 +905,8 @@ class TestVerify:
         assert code == EXIT_OK
         lines = buf.getvalue().splitlines()
         named = [ln for ln in lines if "\t" in ln]
-        assert len(named) == 6
+        # The benchmark's verify workload requires exactly this many lines.
+        assert len(named) == perfbench_constant("run.py", "VERIFY_CHECKS")
         for ln in named:
             name, status, dev, tol = ln.split("\t")
             assert status in ("PASS", "FAIL")
@@ -919,20 +922,15 @@ class TestVerify:
         assert run_verify(stdout=buf) == EXIT_OK
         assert "prep_solver\tPASS" in buf.getvalue()
 
-    @pytest.mark.parametrize(("seed", "n"), [(1905, 1000), (515, 100)])
-    def test_batched_inputs_match_looped_draws(self, seed, n):
-        rng = np.random.default_rng(seed)
-        looped = np.array([random_pure_state([1], rng).amplitudes for _ in range(n)])
-        assert np.max(np.abs(_random_qubit_amplitudes(n, seed) - looped)) <= 1e-15
-
     def test_corrupted_network_fails_oracle_and_symmetry(self, monkeypatch, capsys):
-        # The triplicator prep angles change the gate sequence the two
-        # batched checks propagate their inputs through.
+        # The triplicator prep angles change the gate sequence that the
+        # oracle and symmetry checks run, and the compiled image that the
+        # pipeline check runs.
         monkeypatch.setattr(network, "cloner_prep_angles", network.triplicator_prep_angles)
         assert main(["verify"]) == EXIT_VERIFY
         out = capsys.readouterr().out
-        assert "reference_oracle\tFAIL" in out
-        assert "replica_symmetry\tFAIL" in out
+        for name in ("reference_oracle", "pipeline_fidelity", "replica_symmetry"):
+            assert f"{name}\tFAIL" in out
 
     def test_roundtrip_check_fails_on_a_wrong_inversion(self, monkeypatch):
         assert _check_tomography_roundtrip().passed
@@ -946,6 +944,15 @@ class TestVerify:
         outputs = cli._network_outputs
         monkeypatch.setattr(cli, "_network_outputs", lambda amps: np.exp(0.7j) * outputs(amps))
         assert _check_reference_oracle().passed
+
+    def test_oracle_check_fails_on_a_relative_phase(self, monkeypatch):
+        # The image of |1> negated: a relative phase between the two basis
+        # images, which no global phase removes.
+        outputs = cli._network_outputs
+        monkeypatch.setattr(cli, "_network_outputs", lambda amps: outputs(np.asarray(amps) * [1, -1]))
+        result = _check_reference_oracle()
+        assert not result.passed
+        assert result.deviation > 1.0
 
 
 class TestTomo:
@@ -1030,8 +1037,9 @@ class TestTomo:
 
 
 def test_exact_commands_never_import_numpy_random(tmp_path):
-    # Exact runs never draw, so the CLI loads numpy.random only for a
-    # random run; a montecarlo tomo afterwards shows that the probe sees it.
+    # Exact runs and verify never draw, so the CLI loads numpy.random only
+    # for a random run; a montecarlo tomo afterwards shows that the probe
+    # sees it.
     script = "\n".join((
         "import sys",
         "import uqcm.cli",
@@ -1039,12 +1047,14 @@ def test_exact_commands_never_import_numpy_random(tmp_path):
         f"assert uqcm.cli.main(['sweep', '--out', {str(tmp_path / 'exact.csv')!r}]) == 0",
         "assert uqcm.cli.main(['tomo']) == 0",
         "loaded.append('numpy.random' in sys.modules)",
+        "assert uqcm.cli.main(['verify']) == 0",
+        "loaded.append('numpy.random' in sys.modules)",
         "assert uqcm.cli.main(['tomo', '--mode', 'montecarlo', '--seed', '3', '--trials', '200']) == 0",
         "loaded.append('numpy.random' in sys.modules)",
         "print(loaded, file=sys.stderr)",
     ))
     proc = python("-c", script, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-    assert (proc.returncode, proc.stderr) == (EXIT_OK, b"[False, False, True]\n")
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, b"[False, False, False, True]\n")
 
 
 WORKFLOW = os.path.join(os.path.dirname(__file__), "..", ".github", "workflows", "tests.yml")

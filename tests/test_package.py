@@ -17,21 +17,22 @@ def test_all_lists_public_objects_not_submodules():
     assert "optics" not in uqcm.__all__
 
 
-TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _tracer_targets():
-    """The tracer's (span, module, attribute) table, read from its source
-    without importing it."""
-    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+def perfbench_constant(filename, name):
+    """The module-level constant `name` of perfbench/`filename`, read from
+    its source without importing it."""
+    tree = ast.parse((PERFBENCH / filename).read_text(encoding="utf-8"))
     for node in tree.body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]:
             return ast.literal_eval(node.value)
-    raise AssertionError("no TARGETS table in perfbench/tracing.py")
+    raise AssertionError(f"no {name} in perfbench/{filename}")
 
 
 def test_benchmark_tracer_targets_resolve():
-    targets = _tracer_targets()
+    # The tracer's (span, module, attribute) table.
+    targets = perfbench_constant("tracing.py", "TARGETS")
     assert targets
     for span, module_name, attr in targets:
         obj = importlib.import_module(module_name)
