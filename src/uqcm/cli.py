@@ -10,7 +10,7 @@ Subcommands:
   gates, tomography round-trip, prep-angle solver, replica symmetry) and
   report machine-readable pass/fail lines.
 * ``tomo``   - single-state tomography run printing the reconstructed
-  replica density matrices.
+  replica density matrices, through the sweep's kernels.
 
 Exit codes: 0 success, 2 configuration/usage error (counts too sparse to
 reconstruct included), 3 verification failure, 4 I/O failure. CSV output is
@@ -58,18 +58,13 @@ from .tomography import (
     _BASIS_MATRIX,
     MAX_TRIALS,
     MONTECARLO_BLOCK,
-    DetectorModel,
     ReconstructionError,
     _click_probabilities,
     _gate_probabilities,
     _montecarlo_fidelities,
     _path_stokes,
     _replica_stokes,
-    fidelity_report,
-    measurement_state,
-    reconstruct_replica,
-    signal_probabilities,
-    simulate_counts,
+    _require_report_values,
 )
 
 EXIT_OK = 0
@@ -254,7 +249,7 @@ def compute_sweep(config: SweepConfig, write):
             errs = np.zeros_like(fids)
             block = np.abs(fids - TARGET_F).max(), np.abs(f_opt - TARGET_F).max()
         elif mode == "montecarlo":
-            fids, errs = _montecarlo_fidelities(theta, delta, seeds, config.trials, DetectorModel(), n_bootstrap=50)
+            fids, errs, _ = _montecarlo_fidelities(theta, delta, seeds, config.trials)
             block = np.abs(fids - TARGET_F).max(), errs.max()
         else:
             # (replica, point, sample): a point's samples contiguous, as in
@@ -434,6 +429,10 @@ def run_verify(hwp_offset_rad: float = 0.0, stdout=None) -> int:
 # ---------------------------------------------------------------------------
 
 def run_tomo(theta: float, delta: float, mode: str, trials: int, seed: int, stdout=None) -> int:
+    """One input state through the sweep's kernels: exact mode refits the
+    click probabilities, as the pipeline check does; montecarlo mode is one
+    single-point `_montecarlo_fidelities` call, so F and +/- equal
+    `montecarlo_report` and the sweep's row at the same seed."""
     stdout = stdout or sys.stdout
     if mode not in ("exact", "montecarlo"):
         raise UsageError(f"tomo supports modes 'exact' and 'montecarlo', got {mode!r}")
@@ -441,18 +440,17 @@ def run_tomo(theta: float, delta: float, mode: str, trials: int, seed: int, stdo
     _check_count("trials", trials, MAX_TRIALS)
     if seed < 0:
         raise UsageError("seed must be >= 0")
-    probs = signal_probabilities(measurement_state(theta, delta))
-    record = None if mode == "exact" else simulate_counts(probs, DetectorModel(), trials, seed)
-    source = probs if record is None else record
-    rho1, rho2 = reconstruct_replica(source, 1), reconstruct_replica(source, 2)
-    rep = fidelity_report(rho1, rho2, theta, delta, mode=mode, counts=record)
+    if mode == "exact":
+        amps = _input_amplitudes(theta, delta)
+        stokes = _replica_stokes(_gate_probabilities(amps))
+        fids, errs = _stokes_fidelity(stokes, _qubit_stokes(amps)), np.zeros(2)
+        _require_report_values(fids, errs)
+    else:
+        fids, errs, stokes = (a[0] for a in _montecarlo_fidelities([theta], [delta], [seed], trials))
     print(f"input: theta={theta:.9f} delta={delta:.9f} mode={mode}", file=stdout)
-    for name, rho, fid, err in (
-        ("replica 1", rho1, rep.fidelity1, rep.stderr1),
-        ("replica 2", rho2, rep.fidelity2, rep.stderr2),
-    ):
-        print(f"{name}: F = {fid:.9f} +/- {err:.9f} (reference 5/6 = {TARGET_F:.9f})", file=stdout)
-        print(_format_matrix(rho.matrix), file=stdout)
+    for r, (fid, err, rho) in enumerate(zip(fids.tolist(), errs.tolist(), _stokes_density(stokes)), start=1):
+        print(f"replica {r}: F = {fid:.9f} +/- {err:.9f} (reference 5/6 = {TARGET_F:.9f})", file=stdout)
+        print(_format_matrix(rho), file=stdout)
     return EXIT_OK
 
 

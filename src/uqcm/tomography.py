@@ -23,9 +23,12 @@ A replica's Stokes vector S is the H+V-weighted mean of its four paths'
 vectors, and its fidelity with a pure input of Bloch vector n is
 F = (1 + S . n) / 2; `_replica_stokes` evaluates S over whole count arrays.
 The counting pipeline runs over any number of input points at once
-(`_montecarlo_fidelities`). Each call seeds all its streams, prices every
-point's clicks and draws every point's counts in one pass each; only the
-refits and the bootstrap go in blocks of MONTECARLO_BLOCK points. Only the
+(`_montecarlo_fidelities`, the kernel of the montecarlo sweep, of `uqcm
+tomo --mode montecarlo` and of `montecarlo_report`), with the default
+DetectorModel and N_BOOTSTRAP resamples per point; neither is a parameter.
+Each call seeds all its streams, prices every point's clicks and draws every
+point's counts in one pass each; only the refits and the bootstrap go in
+blocks of MONTECARLO_BLOCK points. Only the
 seeded draws stay per stream, in a fixed order: each setting's multinomial
 and Poisson draws, capped at the trial count in the same row step, and each
 point's bootstrap binomials. The rest is array arithmetic: the (4 N, 9)
@@ -58,10 +61,13 @@ from .network import _clone_outputs, _input_amplitudes
 from .streams import streams
 
 # Input points per refit and bootstrap block of the counting pipeline: the
-# bootstrap holds MONTECARLO_BLOCK x n_bootstrap (8, 4) count arrays at once.
+# bootstrap holds MONTECARLO_BLOCK x N_BOOTSTRAP (8, 4) count arrays at once.
 # Seeding, click probabilities and count draws run once per kernel call, over
 # all its points (at most cli.MONTECARLO_SWEEP_BLOCK in a sweep).
 MONTECARLO_BLOCK = 8
+
+# Parametric-bootstrap resamples per point, the standard error's sample size.
+N_BOOTSTRAP = 50
 
 # Photons per basis setting: the counts are int64, and numpy's multinomial
 # draw takes no larger trial number.
@@ -156,12 +162,6 @@ def _require_trials(trials, name: str = "trials") -> None:
     # int(): numpy would round MAX_TRIALS to a float64 equal to 2.0**63.
     if int(trials) > MAX_TRIALS:
         raise ValueError(f"{name} must be at most {MAX_TRIALS}, got {trials!r}")
-
-
-def _require_bootstrap(n_bootstrap) -> None:
-    """`n_bootstrap` an integer of at least 2, the resamples a standard error needs."""
-    if not (isinstance(n_bootstrap, numbers.Integral) and n_bootstrap >= 2):
-        raise ValueError(f"n_bootstrap must be an integer >= 2 to estimate a standard error, got {n_bootstrap!r}")
 
 
 def _aux_cswap(out) -> np.ndarray:
@@ -311,16 +311,16 @@ def _replica_stokes(counts, replicas=(1, 2)) -> np.ndarray:
     return stokes
 
 
-def _bootstrap_errors(counts: np.ndarray, trials: int, rngs, n_bootstrap: int, bloch: np.ndarray) -> np.ndarray:
+def _bootstrap_errors(counts: np.ndarray, trials: int, rngs, bloch: np.ndarray) -> np.ndarray:
     """(N, 2) parametric-bootstrap standard errors of the replica fidelities
     of (N, 8, 4) counts against (N, 3) input Bloch vectors. Point k draws
-    (n_bootstrap, 8, 4) resamples, every cell Binomial(trials, observed
+    (N_BOOTSTRAP, 8, 4) resamples, every cell Binomial(trials, observed
     fraction), from generator k of `rngs`, the streams of
     `_bootstrap_entropy(seeds)`; exactly N are taken. All resamples are
     refitted in one `_replica_stokes` call, and a point's error is the sample
     standard deviation of its refitted fidelities. A resample that does not
     reconstruct means too few trials for error bars."""
-    draws = np.empty((len(counts), n_bootstrap) + counts.shape[1:], dtype=np.int64)
+    draws = np.empty((len(counts), N_BOOTSTRAP) + counts.shape[1:], dtype=np.int64)
     for k, rng in zip(range(len(counts)), rngs):
         draws[k] = rng.binomial(trials, counts[k] / trials, size=draws.shape[1:])
     try:
@@ -384,24 +384,20 @@ def fidelity_report(
     delta: float,
     mode: str = "exact",
     counts: Union[CountsRecord, None] = None,
-    n_bootstrap: int = 50,
 ) -> FidelityReport:
     """Fidelities of both replicas against the (theta, delta) input state.
 
     The point estimates come from the single-qubit matrices `rho1`, `rho2`
     (any qubit label). When a CountsRecord is supplied, statistical error
     bars are estimated by a parametric bootstrap from the record's own
-    stream (`_bootstrap_errors`, as the montecarlo kernel estimates them);
-    that needs an integer `n_bootstrap` >= 2.
+    stream (`_bootstrap_errors`, as the montecarlo kernel estimates them).
     """
-    if counts is not None:
-        _require_bootstrap(n_bootstrap)
     bloch = _qubit_stokes(_input_amplitudes(theta, delta))
     f1, f2 = _stokes_fidelity([stokes_decompose(rho1), stokes_decompose(rho2)], bloch)
     err1 = err2 = 0.0
     if counts is not None:
         rngs = streams(_bootstrap_entropy([counts.seed]))
-        err1, err2 = _bootstrap_errors(counts.counts[None], counts.total_trials, rngs, n_bootstrap, bloch[None])[0]
+        err1, err2 = _bootstrap_errors(counts.counts[None], counts.total_trials, rngs, bloch[None])[0]
     return FidelityReport(
         fidelity1=float(f1),
         fidelity2=float(f2),
@@ -421,53 +417,45 @@ def exact_report(theta: float, delta: float) -> FidelityReport:
     return FidelityReport(f1, f2, 0.0, 0.0, theta, delta, mode="exact")
 
 
-def _montecarlo_fidelities(
-    theta, delta, seeds, trials: int, model: DetectorModel, n_bootstrap: int
-) -> tuple:
-    """(N, 2) replica fidelities and (N, 2) bootstrap standard errors of the
-    counting pipeline at N input points, point k seeded by seeds[k].
+def _montecarlo_fidelities(theta, delta, seeds, trials: int) -> tuple:
+    """(N, 2) replica fidelities, (N, 2) bootstrap standard errors and
+    (N, 2, 3) replica Stokes vectors of the counting pipeline at N input
+    points, point k seeded by seeds[k], counted by the default DetectorModel.
 
     One `streams.streams` call seeds every stream of the call, the 4 N
     counting streams and then the N bootstrap streams; one
     `_gate_probabilities` pass gives the (N, 8, 4) click probabilities and
     one `_draw_counts` call draws all counts from each point's own streams
     (as `simulate_counts` draws them). Then, per block of MONTECARLO_BLOCK
-    points in order, the block's counts are refitted, F = (1 + S . n) / 2,
+    points in order, the block's counts are refitted to S, F = (1 + S . n) / 2,
     and its standard errors estimated by `_bootstrap_errors` from the next
     bootstrap streams (as `fidelity_report` estimates them). Refitting block
     by block keeps the first ReconstructionError of a sparse run that of the
     first failing block.
     """
-    _require_bootstrap(n_bootstrap)
     _require_trials(trials)
     amps = _input_amplitudes(theta, delta)
     bloch = _qubit_stokes(amps)
     fids = np.empty((len(amps), 2))
     errs = np.empty((len(amps), 2))
+    stokes = np.empty((len(amps), 2, 3))
     rngs = streams(_count_entropy(seeds) + _bootstrap_entropy(seeds))
-    counts = _draw_counts(_gate_probabilities(amps), model, trials, rngs)
+    counts = _draw_counts(_gate_probabilities(amps), DetectorModel(), trials, rngs)
     for start in range(0, len(amps), MONTECARLO_BLOCK):
         block = slice(start, start + MONTECARLO_BLOCK)
-        fids[block] = _stokes_fidelity(_replica_stokes(counts[block]), bloch[block])
-        errs[block] = _bootstrap_errors(counts[block], trials, rngs, n_bootstrap, bloch[block])
+        stokes[block] = _replica_stokes(counts[block])
+        fids[block] = _stokes_fidelity(stokes[block], bloch[block])
+        errs[block] = _bootstrap_errors(counts[block], trials, rngs, bloch[block])
     _require_report_values(fids, errs)
-    return fids, errs
+    return fids, errs, stokes
 
 
-def montecarlo_report(
-    theta: float,
-    delta: float,
-    trials: int,
-    seed: int,
-    model: DetectorModel = DetectorModel(),
-    n_bootstrap: int = 50,
-) -> FidelityReport:
+def montecarlo_report(theta: float, delta: float, trials: int, seed: int) -> FidelityReport:
     """Counting-statistics pipeline: simulate counts, reconstruct, bootstrap errors.
 
     The single-point use of `_montecarlo_fidelities`, the kernel the
     montecarlo sweep runs over its whole grid.
     """
-    (f1, f2), (err1, err2) = (
-        a[0].tolist() for a in _montecarlo_fidelities([theta], [delta], [seed], trials, model, n_bootstrap)
-    )
+    fids, errs, _ = _montecarlo_fidelities([theta], [delta], [seed], trials)
+    (f1, f2), (err1, err2) = fids[0].tolist(), errs[0].tolist()
     return FidelityReport(f1, f2, err1, err2, theta, delta, mode="montecarlo")

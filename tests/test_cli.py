@@ -34,17 +34,21 @@ from uqcm.cli import (
     run_verify,
 )
 from uqcm.errormodel import TRAIN_BLOCK, perturbation_sweep
-from uqcm.hilbert import DensityMatrix, IsometryError, fidelity
+from uqcm.hilbert import DensityMatrix, IsometryError, PureState, fidelity
 from uqcm.network import clone
 from uqcm.optics import optical_measurement_state
 from uqcm.sweepcsv import CSV_HEADER, format_row, write_csv
 from uqcm.tomography import (
     MONTECARLO_BLOCK,
+    CountsRecord,
     DetectorModel,
+    FidelityReport,
     ReconstructionError,
     _replica_stokes,
+    fidelity_report,
     measurement_state,
     montecarlo_report,
+    reconstruct_replica,
     signal_probabilities,
     simulate_counts,
 )
@@ -359,12 +363,15 @@ class TestStreamedOutput:
             sizes.append(len(theta))
             return np.full((len(theta), 2), 5 / 6), np.full((len(theta), 2), 5 / 6)
 
+        def fake_montecarlo(theta, delta, seeds, trials):
+            return (*fake(theta, delta), np.zeros((len(theta), 2, 3)))
+
         def fake_jittered(theta, delta, seeds, samples, jitter, delta_c):
             sizes.append(len(theta))
             return np.full((len(theta), samples, 2), 5 / 6)
 
         monkeypatch.setattr(cli, "_exact_fidelities", fake)
-        monkeypatch.setattr(cli, "_montecarlo_fidelities", fake)
+        monkeypatch.setattr(cli, "_montecarlo_fidelities", fake_montecarlo)
         monkeypatch.setattr(cli, "_jittered_fidelities", fake_jittered)
         grid = dict(theta_steps=257, delta_list=(0.5,))
         for mode, samples, expect in [
@@ -875,6 +882,9 @@ class TestExitCodes:
             (["sweep", "--mode", "bogus"], EXIT_USAGE, "uqcm sweep: error: argument --mode: invalid choice: 'bogus'"),
             (["verify", "--inject-hwp-offset-deg", "0.1"], EXIT_VERIFY, ""),
             (["sweep", "--out", "/nonexistent-dir/x.csv"], EXIT_IO, "I/O error writing '/nonexistent-dir/x.csv': "),
+            (["tomo"], EXIT_OK, ""),
+            (["tomo", "--mode", "montecarlo", "--trials", "1"], EXIT_USAGE,
+             "error: replica 2: no counts in its path group"),
         ]:
             proc = python("-W", "error", "-m", "uqcm.cli", *argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                           text=True)
@@ -955,7 +965,55 @@ class TestVerify:
         assert result.deviation > 1.0
 
 
+def library_tomo(theta, delta, mode, trials, seed):
+    """(stdout, stderr, exit code) of `tomo` built from the library's object
+    chain: `simulate_counts` -> `reconstruct_replica` -> `fidelity_report`."""
+    probs = signal_probabilities(measurement_state(theta, delta))
+    record = None if mode == "exact" else simulate_counts(probs, DetectorModel(), trials, seed)
+    source = probs if record is None else record
+    try:
+        rho1, rho2 = reconstruct_replica(source, 1), reconstruct_replica(source, 2)
+        rep = fidelity_report(rho1, rho2, theta, delta, mode=mode, counts=record)
+    except ReconstructionError as exc:
+        return "", f"error: {exc}\n", EXIT_USAGE
+    lines = [f"input: theta={theta:.9f} delta={delta:.9f} mode={mode}"]
+    for r, rho, fid, err in ((1, rho1, rep.fidelity1, rep.stderr1), (2, rho2, rep.fidelity2, rep.stderr2)):
+        lines += [f"replica {r}: F = {fid:.9f} +/- {err:.9f} (reference 5/6 = {5 / 6:.9f})", _format_matrix(rho.matrix)]
+    return "\n".join(lines) + "\n", "", EXIT_OK
+
+
 class TestTomo:
+    # The poles, three generic points and the +y point of the equator; exact
+    # mode, and montecarlo down to the trial counts whose counts (1: exit 2,
+    # "error: replica N: ...") or bootstrap resamples (3: exit 2, "error:
+    # bootstrap resample: ..." at 11 of the 12 runs) leave a path group empty.
+    REFERENCE_INPUTS = [(0.0, 0.0), (math.pi / 2, 0.0), (0.7, 2.1), (-0.8, 1.0), (1.2, 0.3), (math.pi / 4, math.pi / 2)]
+    REFERENCE_RUNS = [("exact", 20000)] + [("montecarlo", trials) for trials in (20000, 200, 3, 1)]
+
+    @pytest.mark.parametrize("seed", [42, 2**40])
+    @pytest.mark.parametrize(("mode", "trials"), REFERENCE_RUNS)
+    @pytest.mark.parametrize(("theta", "delta"), REFERENCE_INPUTS)
+    def test_equals_the_library_chain(self, theta, delta, mode, trials, seed, capsys):
+        argv = ["tomo", "--theta", repr(theta), "--delta", repr(delta), "--mode", mode,
+                "--trials", str(trials), "--seed", str(seed)]
+        code = main(argv)
+        assert (*capsys.readouterr(), code) == library_tomo(theta, delta, mode, trials, seed)
+
+    def test_builds_no_object_tier_record(self, monkeypatch, capsys):
+        built = []
+        for cls in (PureState, DensityMatrix, CountsRecord, FidelityReport):
+            init = cls.__init__
+            monkeypatch.setattr(
+                cls, "__init__", lambda self, *a, _init=init, _name=cls.__name__, **kw: built.append(_name) or _init(self, *a, **kw)
+            )
+        for argv in (["tomo"], ["tomo", "--mode", "montecarlo"]):
+            assert main(argv) == EXIT_OK
+        assert built == []
+        # The spies see the library chain build each record.
+        assert library_tomo(0.3, 0.5, "montecarlo", 2000, 5)[2] == EXIT_OK
+        assert set(built) == {"PureState", "DensityMatrix", "CountsRecord", "FidelityReport"}
+        capsys.readouterr()
+
     def test_exact_output(self, capsys):
         assert main(["tomo", "--theta", "0.0", "--delta", "0.0"]) == EXIT_OK
         out = capsys.readouterr().out

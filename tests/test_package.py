@@ -5,6 +5,7 @@ import ast
 import importlib
 import inspect
 import pathlib
+import pkgutil
 import types
 
 import uqcm
@@ -46,6 +47,34 @@ def test_fidelity_report_takes_counts_sixth():
     # The tracer tells bootstrap calls apart by reading positional args[5].
     params = list(inspect.signature(uqcm.tomography.fidelity_report).parameters)
     assert params[5] == "counts"
+
+
+def package_functions():
+    """(qualified name, function) of every function and method defined in a
+    `uqcm` module, memoised ones unwrapped."""
+    for info in pkgutil.iter_modules(uqcm.__path__):
+        module = importlib.import_module(f"uqcm.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            for member in vars(obj).values() if inspect.isclass(obj) else [obj]:
+                fn = inspect.unwrap(getattr(member, "__func__", member))
+                if inspect.isfunction(fn):
+                    yield f"{module.__name__}.{fn.__qualname__}", fn
+
+
+def test_bootstrap_size_and_detector_model_are_no_parameters():
+    # One bootstrap size and one detector model: the counting kernel and its
+    # single-point report count with `DetectorModel()` and N_BOOTSTRAP
+    # resamples. `simulate_counts` keeps its model, which tests vary.
+    functions = dict(package_functions())
+    assert "uqcm.tomography._montecarlo_fidelities" in functions and "uqcm.cli.run_tomo" in functions
+    assert [name for name, fn in functions.items() if "n_bootstrap" in inspect.signature(fn).parameters] == []
+    assert not hasattr(uqcm.tomography, "_require_bootstrap")
+    assert uqcm.tomography.N_BOOTSTRAP == 50
+    for fn in (uqcm.tomography._montecarlo_fidelities, uqcm.tomography.montecarlo_report):
+        assert "model" not in inspect.signature(fn).parameters, fn.__name__
+    assert "model" in inspect.signature(uqcm.tomography.simulate_counts).parameters
 
 
 # Public helpers that no command, tracer target or release criterion needs in

@@ -30,6 +30,7 @@ from uqcm.tomography import (
     _BOOTSTRAP_SALT,
     MAX_TRIALS,
     MONTECARLO_BLOCK,
+    N_BOOTSTRAP,
     N_PATHS,
     _aux_cswap,
     _bootstrap_entropy,
@@ -435,10 +436,13 @@ class TestReplicaReconstruction:
         seeds = np.arange(10) * 7919 + 3
         calls, seeded = [], tomography.streams
         monkeypatch.setattr(tomography, "streams", lambda rows: calls.append(len(rows)) or seeded(rows))
-        fids, errs = tomography._montecarlo_fidelities(theta, delta, seeds, 500, DetectorModel(), 6)
+        fids, errs, stokes = tomography._montecarlo_fidelities(theta, delta, seeds, 500)
         assert calls == [5 * 10]
+        # The fidelities are those of the replica Stokes vectors returned beside them.
+        bloch = _qubit_stokes(_input_amplitudes(theta, delta))
+        assert stokes.shape == (10, 2, 3) and fids.tobytes() == _stokes_fidelity(stokes, bloch).tobytes()
         for k in range(10):
-            rep = montecarlo_report(theta[k], delta[k], 500, int(seeds[k]), n_bootstrap=6)
+            rep = montecarlo_report(theta[k], delta[k], 500, int(seeds[k]))
             assert [rep.fidelity1, rep.fidelity2] == pytest.approx(fids[k], abs=1e-12)
             assert [rep.stderr1, rep.stderr2] == pytest.approx(errs[k], abs=1e-12)
 
@@ -450,7 +454,7 @@ class TestReplicaReconstruction:
         theta, delta = np.linspace(-1.2, 1.4, 16), np.linspace(0.1, 6.0, 16)
         seeds = np.arange(16) * 7919 + 4
         with pytest.raises(ReconstructionError) as raised:
-            tomography._montecarlo_fidelities(theta, delta, seeds, 4, DetectorModel(), 6)
+            tomography._montecarlo_fidelities(theta, delta, seeds, 4)
         assert str(raised.value) == (
             "bootstrap resample: replica 1: no counts in its path group; 4 trials per setting are too few for error bars"
         )
@@ -644,11 +648,9 @@ class TestBlockKernels:
         # The batched seeding hands out the same streams.
         assert _draw_counts(probs, model, trials, streams(entropy)).tobytes() == expect.tobytes()
 
-    @pytest.mark.parametrize(
-        ("n_points", "trials", "n_bootstrap"), [(1, 20000, 50), (MONTECARLO_BLOCK, 500, 50), (3, 50, 7)]
-    )
-    def test_bootstrap_errors_match_per_point_std(self, n_points, trials, n_bootstrap):
-        # Per point: a fresh generator, one (n_bootstrap, 8, 4) binomial
+    @pytest.mark.parametrize(("n_points", "trials"), [(1, 20000), (MONTECARLO_BLOCK, 500), (3, 50)])
+    def test_bootstrap_errors_match_per_point_std(self, n_points, trials):
+        # Per point: a fresh generator, one (N_BOOTSTRAP, 8, 4) binomial
         # draw, a refit and the sample deviation over axis 0.
         rng = np.random.default_rng(n_points)
         amps = random_amplitudes(rng, n_points)
@@ -658,10 +660,10 @@ class TestBlockKernels:
         expect = []
         for k, entropy in enumerate(_bootstrap_entropy(seeds)):
             generator = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-            draws = generator.binomial(trials, counts[k] / trials, size=(n_bootstrap, 8, 4))
+            draws = generator.binomial(trials, counts[k] / trials, size=(N_BOOTSTRAP, 8, 4))
             expect.append(np.std(_stokes_fidelity(_replica_stokes(draws), bloch[k]), axis=0, ddof=1))
         rngs = itertools.chain(streams(_bootstrap_entropy(seeds)), ["next stream"])
-        errs = _bootstrap_errors(counts, trials, rngs, n_bootstrap, bloch)
+        errs = _bootstrap_errors(counts, trials, rngs, bloch)
         assert next(rngs) == "next stream"   # exactly N generators taken
         assert errs.shape == (n_points, 2) and errs.tobytes() == np.array(expect).tobytes()
 
@@ -691,7 +693,7 @@ class TestBlockKernels:
             _replica_stokes(counts[::-1].copy(), (1,))
         assert str(raised.value) == "replica 1: no counts in its path group"
         with pytest.raises(ReconstructionError) as raised:
-            _bootstrap_errors(counts[None], 5, streams(_bootstrap_entropy([0])), 2, np.zeros((1, 3)))
+            _bootstrap_errors(counts[None], 5, streams(_bootstrap_entropy([0])), np.zeros((1, 3)))
         assert str(raised.value) == (
             "bootstrap resample: replica 2: no counts in its path group; 5 trials per setting are too few for error bars"
         )
@@ -850,27 +852,6 @@ class TestFidelityReport:
             fidelity_report(
                 stokes_compose(0, 0, 1), stokes_compose(0, 0, 1), 0.0, 0.0, mode="bogus"
             )
-
-    @pytest.mark.parametrize("n_bootstrap", [0, 1, 2.5])
-    def test_bootstrap_needs_two_draws(self, n_bootstrap):
-        # An integer of at least 2, checked by each entry point before numpy
-        # sees it as an array size.
-        rec = simulate_counts(signal_probabilities(measurement_state(0.3, 0.5)), DetectorModel(), 2000, 5)
-        rho = reconstruct_replica(rec, 1)
-        match = "n_bootstrap must be an integer >= 2"
-        with pytest.raises(ValueError, match=match):
-            fidelity_report(rho, rho, 0.3, 0.5, "montecarlo", rec, n_bootstrap)
-        with pytest.raises(ValueError, match=match):
-            montecarlo_report(0.3, 0.5, 2000, 5, n_bootstrap=n_bootstrap)
-        with pytest.raises(ValueError, match=match):
-            tomography._montecarlo_fidelities([0.3], [0.5], [5], 2000, DetectorModel(), n_bootstrap)
-
-    def test_bootstrap_count_checked_once_per_call(self, monkeypatch):
-        seen = []
-        require = tomography._require_bootstrap
-        monkeypatch.setattr(tomography, "_require_bootstrap", lambda n: seen.append(n) or require(n))
-        montecarlo_report(0.3, 0.5, 2000, 5, n_bootstrap=np.int64(3))
-        assert seen == [3]
 
     @pytest.mark.parametrize("fidelities", [(1.5, F_OPT), (F_OPT, 1.5)])
     def test_fidelity_above_one_rejected(self, fidelities):
