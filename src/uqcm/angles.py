@@ -31,6 +31,8 @@ from .gates import CNOT, Circuit, Rotation
 from .hilbert import PureState
 
 _TWO_PI = 2.0 * math.pi
+# Largest 1 - overlap of the prepared state with the target that a solve accepts.
+PREP_TOL = 1e-10
 
 
 class SolverError(RuntimeError):
@@ -100,13 +102,13 @@ def sequence_amplitudes(t1: float, t2: float, t3: float) -> np.ndarray:
     )
 
 
-def solve_prep_angles(target, tol: float = 1e-10) -> PrepAngles:
+def solve_prep_angles(target) -> PrepAngles:
     """Angles whose preparation sequence reproduces `target` from |00>.
 
     `target` is a PureState on two qubits or a length-4 amplitude vector,
     normalized with real nonnegative entries. Returns the closed-form branch
     of the module docstring, t2 in [-pi/4, pi/4]; raises SolverError with
-    the residual when its angles miss 1 - tol overlap.
+    the residual when its angles miss 1 - PREP_TOL overlap.
     """
     if isinstance(target, PureState):
         if target.n_qubits != 2:
@@ -130,10 +132,10 @@ def solve_prep_angles(target, tol: float = 1e-10) -> PrepAngles:
     # bits, and the pinned cloner angles, so every CSV, depend on those bits.
     x = tuple(_wrap_angle(w) for w in ((v - u) / 2.0, math.atan2(p - q, p + q), (u + v) / 2.0))
     residual = 1.0 - abs(float(sequence_amplitudes(*x) @ t))
-    if not residual <= tol:
+    if not residual <= PREP_TOL:
         residual = max(0.0, residual)
         raise SolverError(
-            f"prep-angle solve failed: residual {residual:.3e} exceeds tol {tol:.1e}",
+            f"prep-angle solve failed: residual {residual:.3e} exceeds tol {PREP_TOL:.1e}",
             residual=residual,
         )
     return PrepAngles(*x)

@@ -25,7 +25,7 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .hilbert import (
     _stokes_density,
     _stokes_fidelity,
 )
-from .angles import SolverError, prep_circuit, solve_prep_angles
+from .angles import PREP_TOL, SolverError, prep_circuit, solve_prep_angles
 from .errormodel import TRAIN_BLOCK, ErrorBudget, _jittered_fidelities, fidelity_error_bound
 from .network import (
     CLONER_PREP_TARGET,
@@ -51,7 +51,7 @@ from .network import (
     build_measurement_circuit,
     optimal_fidelity,
 )
-from .optics import HWP, OpticalTrain, _bench_path_amplitudes, build_cloner_train, verify_equivalence
+from .optics import _bench_path_amplitudes, build_cloner_train, verify_equivalence
 from .streams import seed_words
 from .sweepcsv import format_block, write_csv
 from .tomography import (
@@ -294,17 +294,16 @@ def compute_sweep(config: SweepConfig, write):
     return n_rows, summary, exit_code
 
 
-def run_sweep(config: SweepConfig, stdout=None) -> int:
-    stdout = stdout or sys.stdout
+def run_sweep(config: SweepConfig) -> int:
     try:
         n_rows, summary, exit_code = write_csv(config.out, lambda write: compute_sweep(config, write))
     except OSError as exc:
         # The error names --out, not the temporary file beside it that failed.
         print(f"I/O error writing {config.out!r}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"wrote {n_rows} rows to {config.out}", file=stdout)
+    print(f"wrote {n_rows} rows to {config.out}")
     for line in summary:
-        print(line, file=stdout)
+        print(line)
     return exit_code
 
 
@@ -343,17 +342,9 @@ def _check_reference_oracle() -> CheckResult:
     return CheckResult("reference_oracle", worst <= 1e-10, worst, 1e-10)
 
 
-def _check_optics_equivalence(hwp_offset_rad: float = 0.0) -> CheckResult:
+def _check_optics_equivalence() -> CheckResult:
     """Compiled train matches the measurement circuit as a unitary."""
-    train = build_cloner_train()
-    if hwp_offset_rad:
-        elements = list(train.elements)
-        for i, e in enumerate(elements):
-            if isinstance(e, HWP):
-                elements[i] = replace(e, angle=e.angle + hwp_offset_rad)
-                break
-        train = OpticalTrain(train.n_paths, elements)
-    report = verify_equivalence(train, build_measurement_circuit(), tol=1e-9)
+    report = verify_equivalence(build_cloner_train(), build_measurement_circuit())
     return CheckResult("optics_equivalence", report.passed, report.max_deviation, report.tol)
 
 
@@ -364,12 +355,12 @@ def _check_prep_solver() -> CheckResult:
         try:
             angles = solve_prep_angles(target)
         except SolverError as exc:
-            return CheckResult("prep_solver", False, exc.residual, 1e-10)
+            return CheckResult("prep_solver", False, exc.residual, PREP_TOL)
         blank = PureState((2, 3), [1, 0, 0, 0])
         prepared = apply_circuit(prep_circuit(angles), blank)
         overlap = abs(complex(np.vdot(np.asarray(target, dtype=complex), prepared.amplitudes)))
         worst = max(worst, 1.0 - overlap)
-    return CheckResult("prep_solver", worst <= 1e-10, worst, 1e-10)
+    return CheckResult("prep_solver", worst <= PREP_TOL, worst, PREP_TOL)
 
 
 def _check_tomography_roundtrip() -> CheckResult:
@@ -407,20 +398,19 @@ def _check_replica_symmetry() -> CheckResult:
     return CheckResult("replica_symmetry", worst <= 1e-10, worst, 1e-10)
 
 
-def run_verify(hwp_offset_rad: float = 0.0, stdout=None) -> int:
-    stdout = stdout or sys.stdout
+def run_verify() -> int:
     checks = [
         _check_reference_oracle(),
-        _check_optics_equivalence(hwp_offset_rad),
+        _check_optics_equivalence(),
         _check_prep_solver(),
         _check_tomography_roundtrip(),
         _check_pipeline_fidelity(),
         _check_replica_symmetry(),
     ]
     for check in checks:
-        print(check.line(), file=stdout)
+        print(check.line())
     passed = all(c.passed for c in checks)
-    print(f"verify: {'all checks passed' if passed else 'CHECKS FAILED'}", file=stdout)
+    print(f"verify: {'all checks passed' if passed else 'CHECKS FAILED'}")
     return EXIT_OK if passed else EXIT_VERIFY
 
 
@@ -428,12 +418,11 @@ def run_verify(hwp_offset_rad: float = 0.0, stdout=None) -> int:
 # tomo
 # ---------------------------------------------------------------------------
 
-def run_tomo(theta: float, delta: float, mode: str, trials: int, seed: int, stdout=None) -> int:
+def run_tomo(theta: float, delta: float, mode: str, trials: int, seed: int) -> int:
     """One input state through the sweep's kernels: exact mode refits the
     click probabilities, as the pipeline check does; montecarlo mode is one
     single-point `_montecarlo_fidelities` call, so F and +/- equal
     `montecarlo_report` and the sweep's row at the same seed."""
-    stdout = stdout or sys.stdout
     if mode not in ("exact", "montecarlo"):
         raise UsageError(f"tomo supports modes 'exact' and 'montecarlo', got {mode!r}")
     _check_angles(theta, delta)
@@ -447,10 +436,10 @@ def run_tomo(theta: float, delta: float, mode: str, trials: int, seed: int, stdo
         _require_report_values(fids, errs)
     else:
         fids, errs, stokes = (a[0] for a in _montecarlo_fidelities([theta], [delta], [seed], trials))
-    print(f"input: theta={theta:.9f} delta={delta:.9f} mode={mode}", file=stdout)
+    print(f"input: theta={theta:.9f} delta={delta:.9f} mode={mode}")
     for r, (fid, err, rho) in enumerate(zip(fids.tolist(), errs.tolist(), _stokes_density(stokes)), start=1):
-        print(f"replica {r}: F = {fid:.9f} +/- {err:.9f} (reference 5/6 = {TARGET_F:.9f})", file=stdout)
-        print(_format_matrix(rho), file=stdout)
+        print(f"replica {r}: F = {fid:.9f} +/- {err:.9f} (reference 5/6 = {TARGET_F:.9f})")
+        print(_format_matrix(rho))
     return EXIT_OK
 
 
@@ -482,14 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", type=str, default=None)
     sweep.add_argument("--config", type=str, default=None, help="key = value config file")
 
-    verify = sub.add_parser("verify", help="run the invariant suite")
-    verify.add_argument(
-        "--inject-hwp-offset-deg",
-        dest="hwp_offset_deg",
-        type=float,
-        default=0.0,
-        help="fault-injection hook: offset the first waveplate by this angle",
-    )
+    sub.add_parser("verify", help="run the invariant suite")
 
     tomo = sub.add_parser("tomo", help="single-state tomography run")
     tomo.add_argument("--theta", type=float, default=0.0, help="input angle in radians")
@@ -498,7 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tomo.add_argument("--trials", type=int, default=20000)
     tomo.add_argument("--seed", type=int, default=42)
 
-    for command in (sweep, verify, tomo):
+    for command in (sweep, tomo):
         command._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
@@ -514,9 +496,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return run_sweep(build_sweep_config(args))
         if args.command == "verify":
-            if not math.isfinite(args.hwp_offset_deg):
-                raise UsageError("--inject-hwp-offset-deg must be finite")
-            return run_verify(hwp_offset_rad=math.radians(args.hwp_offset_deg))
+            return run_verify()
         if args.command == "tomo":
             return run_tomo(args.theta, args.delta, args.mode, args.trials, args.seed)
     except (UsageError, ReconstructionError, MemoryError) as exc:

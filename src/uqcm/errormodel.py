@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import _qubit_stokes, _stokes_fidelity
-from .network import _input_amplitudes, cloner_prep_angles, optimal_fidelity
+from .network import _input_amplitudes, optimal_fidelity
 from .optics import HWP, N_BENCH_PATHS, _body_elements, _input_elements, _propagate
 from .streams import streams
 from .tomography import _click_probabilities, _replica_stokes
@@ -120,7 +120,7 @@ def _jittered_fidelities(theta, delta, seeds, n_samples: int, jitter: float, del
     """
     theta, delta = np.asarray(theta, dtype=float), np.asarray(delta, dtype=float)
     bloch = _qubit_stokes(_input_amplitudes(theta, delta))
-    body = _body_elements(cloner_prep_angles())
+    body = _body_elements()
     n_oriented = sum(isinstance(e, HWP) for e in _input_elements(0.0, 0.0) + body)
     n_trains = theta.size * n_samples
     n_draws = n_oriented + (4 if delta_c_total > 0.0 else 0)

@@ -221,7 +221,7 @@ def triplicate(theta: float) -> tuple:
     return tuple(stokes_compose(*_qubit_stokes(out, k), label=k + 1) for k in range(3))
 
 
-def build_measurement_circuit(prep_angles: PrepAngles | None = None) -> Circuit:
+def build_measurement_circuit() -> Circuit:
     """Gate-level model of the full optical bench on qubits (1, 2, 3, aux).
 
     Mirrors the bench layout: the input qubit is first swapped onto qubit 2,
@@ -237,5 +237,5 @@ def build_measurement_circuit(prep_angles: PrepAngles | None = None) -> Circuit:
         qubits = {f.name: getattr(gate, f.name) for f in fields(gate) if f.name != "angle"}
         return replace(gate, **{name: {1: 2, 2: 1}.get(q, q) for name, q in qubits.items()})
 
-    network = [exchanged(g) for g in build_cloning_network(prep_angles).gates]
+    network = [exchanged(g) for g in build_cloning_network().gates]
     return Circuit((1, 2, 3, AUX), (SWAP(1, 2), *network, Rotation(AUX, math.pi / 4), CSWAP(AUX, 1, 2)))

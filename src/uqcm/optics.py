@@ -41,12 +41,13 @@ from typing import Union
 
 import numpy as np
 
-from .angles import PrepAngles
 from .gates import Circuit, circuit_unitary
 from .hilbert import AUX, PureState, _require_isometry, _require_isometry_dev
 from .network import _input_amplitudes, cloner_prep_angles
 
 POL_H, POL_V = 0, 1
+NORM_TOL = 1e-9  # largest |norm - 1| of a photon that arrives unabsorbed
+EQUIVALENCE_TOL = 1e-9  # largest |U_train - e^(i phi) U_circuit| of a train that matches
 
 
 class LossyTrainError(ValueError):
@@ -343,29 +344,29 @@ def _mode_to_qubit_permutation(n_paths: int) -> np.ndarray:
     return perm
 
 
-def _unit_norms(amps: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def _unit_norms(amps: np.ndarray) -> np.ndarray:
     """Norms of (..., dim) photon amplitude vectors; LossyTrainError unless
-    every one is 1 within `tol` (post-selection on no loss)."""
+    every one is 1 within NORM_TOL."""
     nrm = np.linalg.norm(amps, axis=-1)
-    lossy = ~(np.abs(nrm - 1.0) <= tol)
+    lossy = ~(np.abs(nrm - 1.0) <= NORM_TOL)
     if np.any(lossy):
-        raise LossyTrainError(f"photon norm {float(nrm[lossy][0])!r} is not 1 within {tol:g}")
+        raise LossyTrainError(f"photon norm {float(nrm[lossy][0])!r} is not 1 within {NORM_TOL:g}")
     return nrm
 
 
-def modes_to_qubits(amplitudes, tol: float = 1e-9) -> PureState:
+def modes_to_qubits(amplitudes) -> PureState:
     """Relabel a photon's 1-D vector of 2, 4, 8 or 16 mode amplitudes, mode
     2 * path + pol, as qubits (ValueError for any other shape): polarization
     is qubit 1 (H=0, V=1), path bits are qubits 2, 3 (and the probe qubit
     for 8 paths).
 
-    Requires unit norm within `tol` (post-selection on no loss);
+    Requires unit norm within NORM_TOL (post-selection on no loss);
     renormalizes the residual rounding before constructing the state.
     """
     amps = np.asarray(amplitudes, dtype=complex)
     if amps.ndim != 1 or amps.size not in (2, 4, 8, 16):
         raise ValueError(f"expected 2 n_paths amplitudes, n_paths a power of two up to 8, got shape {amps.shape}")
-    nrm = _unit_norms(amps, tol)
+    nrm = _unit_norms(amps)
     perm = _mode_to_qubit_permutation(amps.size // 2)
     qamps = np.empty(amps.size, dtype=complex)
     qamps[perm] = amps
@@ -440,9 +441,9 @@ def _input_elements(theta, delta) -> list:
     return _pol_rotation([0], theta) + [AJWP(0, delta)]
 
 
-def _body_elements(prep: PrepAngles) -> list:
+def _body_elements() -> list:
     """Everything after the input preparation; independent of (theta, delta)."""
-    t1, t2, t3 = prep.as_tuple()
+    t1, t2, t3 = cloner_prep_angles().as_tuple()
     # State swap: move the input from polarization onto path bit q2, leaving
     # a definite H polarization behind.
     els = _swap_pol_with_path(_Q2_PAIRS, _Q2_ONE)
@@ -471,20 +472,20 @@ def _body_elements(prep: PrepAngles) -> list:
     return els
 
 
-def _cloner_train_elements(theta: float, delta: float, prep: PrepAngles) -> tuple:
+def _cloner_train_elements(theta: float, delta: float) -> tuple:
     """Element list of the 8-path bench: input preparation, then the body."""
-    return tuple(_input_elements(theta, delta) + _body_elements(prep))
+    return tuple(_input_elements(theta, delta) + _body_elements())
 
 
-@lru_cache(maxsize=4)
-def _body_isometry(prep: PrepAngles) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _body_isometry() -> np.ndarray:
     """16 x 2 read-only image of the source path's H and V modes under the body.
 
     The input preparation acts on the source path alone, so the photon
     enters the body in modes (0, H) and (0, V); these two columns of the
     body's unitary are all the measurement pipeline needs.
     """
-    iso = _propagate(_body_elements(prep), np.eye(2 * N_BENCH_PATHS, 2, dtype=complex))
+    iso = _propagate(_body_elements(), np.eye(2 * N_BENCH_PATHS, 2, dtype=complex))
     _require_isometry(iso, "bench body")
     iso.flags.writeable = False
     return iso
@@ -502,7 +503,7 @@ def build_cloner_train(theta: float = 0.0, delta: float = 0.0) -> OpticalTrain:
     delta outside [0, 2 pi) with ValueError, as `network.clone` does.
     """
     _input_amplitudes(theta, delta)
-    return OpticalTrain(N_BENCH_PATHS, _cloner_train_elements(float(theta), float(delta), cloner_prep_angles()))
+    return OpticalTrain(N_BENCH_PATHS, _cloner_train_elements(float(theta), float(delta)))
 
 
 def _bench_modes(theta, delta) -> np.ndarray:
@@ -512,14 +513,13 @@ def _bench_modes(theta, delta) -> np.ndarray:
     Only the three input-preparation elements depend on (theta, delta), and
     they act on the source path alone: they turn the source photon's
     polarization, one (..., 2) batch, and one product with the body's 16 x 2
-    isometry, compiled once per prep angles on first use, carries every
-    polarization to the detectors.
+    isometry carries every polarization to the detectors.
     """
     theta, delta = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(delta, dtype=float))
     pol = np.zeros(theta.shape + (2, 1), dtype=complex)
     pol[..., 0, 0] = 1.0
     _propagate(_input_elements(theta, delta), pol)
-    return pol[..., 0] @ _body_isometry(cloner_prep_angles()).T
+    return pol[..., 0] @ _body_isometry().T
 
 
 def _bench_path_amplitudes(theta, delta) -> np.ndarray:
@@ -527,7 +527,7 @@ def _bench_path_amplitudes(theta, delta) -> np.ndarray:
 
     Mode 2 p + s is row p, column s, the layout of
     `tomography.per_path_amplitudes(optical_measurement_state(theta, delta))`;
-    every photon must arrive unabsorbed (norm 1 within 1e-9).
+    every photon must arrive unabsorbed (norm 1 within NORM_TOL).
     """
     modes = _bench_modes(theta, delta)
     rows = modes / _unit_norms(modes)[..., None]
@@ -560,12 +560,12 @@ class EquivalenceReport:
         )
 
 
-def verify_equivalence(train: OpticalTrain, circuit: Circuit, tol: float = 1e-9) -> EquivalenceReport:
+def verify_equivalence(train: OpticalTrain, circuit: Circuit) -> EquivalenceReport:
     """Compare a train against a circuit as unitaries, up to global phase.
 
     The train's composite matrix is conjugated into the qubit basis via the
     mode relabeling; the reported deviation is the elementwise maximum after
-    removing the trace-optimal global phase.
+    removing the trace-optimal global phase, and passes at EQUIVALENCE_TOL or below.
     """
     labels = mode_qubit_labels(train.n_paths)
     if labels != circuit.register:
@@ -576,10 +576,9 @@ def verify_equivalence(train: OpticalTrain, circuit: Circuit, tol: float = 1e-9)
     perm = _mode_to_qubit_permutation(train.n_paths)
     dim = 2 * train.n_paths
     u_train = np.zeros((dim, dim), dtype=complex)
-    mode_u = train.unitary()
-    u_train[np.ix_(perm, perm)] = mode_u
+    u_train[np.ix_(perm, perm)] = train.unitary()
     u_circ = circuit_unitary(circuit)
     overlap = complex(np.trace(u_circ.conj().T @ u_train))
     phase = float(np.angle(overlap)) if abs(overlap) > 0 else 0.0
     dev = float(np.max(np.abs(u_train - np.exp(1j * phase) * u_circ)))
-    return EquivalenceReport(max_deviation=dev, phase=phase, tol=tol, passed=dev <= tol)
+    return EquivalenceReport(max_deviation=dev, phase=phase, tol=EQUIVALENCE_TOL, passed=dev <= EQUIVALENCE_TOL)

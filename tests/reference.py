@@ -4,13 +4,19 @@ No command runs these. Each builds labeled states and density matrices
 step by step (tensor products, a gate-level probe swap, one path at a time),
 where the package computes the same thing as array arithmetic, so the
 release criteria and the kernel tests use them as independent references.
+`misaligned_cloner_train` is the one faulty bench the tests feed to the
+optics equivalence check.
 """
+
+import math
+from dataclasses import replace
 
 import numpy as np
 
 from uqcm.gates import CSWAP, Circuit, apply_circuit
 from uqcm.hilbert import AUX, DensityMatrix, LabelError, PureState, canonical_labels, stokes_compose
 from uqcm.network import _input_amplitudes, _reference_outputs
+from uqcm.optics import HWP, OpticalTrain, build_cloner_train
 from uqcm.tomography import _SQ2, ReconstructionError, _path_stokes, reconstruct_replica, signal_probabilities
 
 
@@ -83,3 +89,14 @@ def replicas_from_state(meas: PureState) -> tuple:
     """Exact-probability reconstruction of both replicas (the noise-free pipeline)."""
     probs = signal_probabilities(meas)
     return reconstruct_replica(probs, 1), reconstruct_replica(probs, 2)
+
+
+def misaligned_cloner_train(offset_deg: float) -> OpticalTrain:
+    """The cloner bench at the (0, 0) input with its first half-wave plate
+    turned by `offset_deg` degrees: one misaligned plate, which the optics
+    equivalence check must catch."""
+    train = build_cloner_train()
+    elements = list(train.elements)
+    k = next(k for k, e in enumerate(elements) if isinstance(e, HWP))
+    elements[k] = replace(elements[k], angle=elements[k].angle + math.radians(offset_deg))
+    return OpticalTrain(train.n_paths, elements)

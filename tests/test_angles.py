@@ -82,15 +82,18 @@ def test_deterministic_resolution():
 
 
 def test_tightened_tolerance_still_converges():
+    # The closed form lands far inside PREP_TOL: its residual is at most 1e-14.
     for target in (CLONER_PREP_TARGET, TRIPLICATOR_PREP_TARGET):
-        angles = solve_prep_angles(target, tol=1e-14)
+        angles = solve_prep_angles(target)
+        assert 1.0 - abs(sequence_amplitudes(*angles.as_tuple()) @ target) <= 1e-14
         assert abs(prepared_state(angles) @ target) >= 1 - 1e-12
 
 
-def test_solver_error_carries_best_residual():
+def test_solver_error_carries_best_residual(monkeypatch):
     # An impossible tolerance must fail loudly and report how close it got.
+    monkeypatch.setattr("uqcm.angles.PREP_TOL", -1.0)
     with pytest.raises(SolverError) as err:
-        solve_prep_angles(CLONER_PREP_TARGET, tol=-1.0)
+        solve_prep_angles(CLONER_PREP_TARGET)
     assert err.value.residual >= 0.0
 
 
@@ -186,8 +189,10 @@ def test_solved_constant_angles_are_pinned():
     assert triplicator_prep_angles().as_tuple() == (0.39269908169872414, 0.1699184547270609, 0.39269908169872414)
 
 
-def test_solver_error_is_not_cached():
-    for _ in range(2):
-        with pytest.raises(SolverError):
-            solve_prep_angles(TRIPLICATOR_PREP_TARGET, tol=-1.0)
+def test_solver_error_is_not_cached(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr("uqcm.angles.PREP_TOL", -1.0)
+        for _ in range(2):
+            with pytest.raises(SolverError):
+                solve_prep_angles(TRIPLICATOR_PREP_TARGET)
     assert solve_prep_angles(TRIPLICATOR_PREP_TARGET) == triplicator_prep_angles()

@@ -1,5 +1,7 @@
 """Harness behavior: config handling, CSV output, exit codes, reproducibility."""
 
+import contextlib
+import functools
 import hashlib
 import io
 import math
@@ -53,7 +55,7 @@ from uqcm.tomography import (
     simulate_counts,
 )
 
-from reference import input_state, replicas_from_state
+from reference import input_state, misaligned_cloner_train, replicas_from_state
 from test_package import perfbench_constant
 
 
@@ -192,7 +194,9 @@ class TestSweep:
         # Triplicator prep angles compile a different image (gate tier) or
         # body isometry (optics tier): complex inputs then miss 5/6, by an
         # amount that depends on the point. 270 points span two array blocks.
+        # The body isometry is compiled once, so the optics tier gets a fresh cache.
         monkeypatch.setattr(module, "cloner_prep_angles", network.triplicator_prep_angles)
+        monkeypatch.setattr(optics, "_body_isometry", functools.cache(optics._body_isometry.__wrapped__))
         cfg = SweepConfig(theta_steps=90, delta_list=(0.0, 1.3, 2.0))
         assert len(cfg.theta_grid()) * len(cfg.delta_list) > EXACT_BLOCK
         rows, summary, code = sweep_rows(cfg)
@@ -598,10 +602,12 @@ class TestStreamedOutput:
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
             cfg = SweepConfig(theta_steps=theta_steps, out=str(tmp_path / f"{theta_steps}.csv"))
-            assert cli.run_sweep(cfg, stdout=io.StringIO()) == EXIT_OK
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.run_sweep(cfg) == EXIT_OK
             return tracemalloc.get_traced_memory()[1] - start
 
-        cli.run_sweep(SweepConfig(theta_steps=300, out=str(tmp_path / "warm.csv")), stdout=io.StringIO())
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.run_sweep(SweepConfig(theta_steps=300, out=str(tmp_path / "warm.csv")))
         tracemalloc.start()
         try:
             small, large = peak(2_000), peak(20_000)
@@ -619,12 +625,14 @@ class TestStreamedOutput:
             start = tracemalloc.get_traced_memory()[0]
             cfg = SweepConfig(mode="montecarlo", trials=500, theta_steps=theta_steps,
                               out=str(tmp_path / f"{theta_steps}.csv"))
-            assert cli.run_sweep(cfg, stdout=io.StringIO()) == EXIT_OK
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.run_sweep(cfg) == EXIT_OK
             return tracemalloc.get_traced_memory()[1] - start
 
         assert 64 * 4 == cli.MONTECARLO_SWEEP_BLOCK
         cfg = SweepConfig(mode="montecarlo", trials=500, theta_steps=20, out=str(tmp_path / "warm.csv"))
-        cli.run_sweep(cfg, stdout=io.StringIO())
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.run_sweep(cfg)
         tracemalloc.start()
         try:
             small, large = peak(64), peak(320)
@@ -830,8 +838,6 @@ class TestExitCodes:
             ("tomo --delta", "-2.5E+1", EXIT_USAGE),
             ("tomo --mode montecarlo --trials", "-1e3", EXIT_USAGE),
             ("tomo --mode montecarlo --trials 50 --seed", "-5", EXIT_USAGE),
-            ("verify --inject-hwp-offset-deg", "-1e-300", EXIT_OK),
-            ("verify --inject-hwp-offset-deg", "-inf", EXIT_USAGE),
             ("sweep --mode perturbed --jitter-deg", "-.5e-1", EXIT_USAGE),
             ("sweep --mode montecarlo --seed", "-2e0", EXIT_USAGE),
         ],
@@ -844,16 +850,13 @@ class TestExitCodes:
         assert runs[0] == runs[1]
         assert runs[0][0] == code
 
-    @pytest.mark.parametrize("offset", ["inf", "-inf", "nan"])
-    def test_verify_nonfinite_hwp_offset(self, offset, capsys):
-        assert main(["verify", f"--inject-hwp-offset-deg={offset}"]) == EXIT_USAGE
+    @pytest.mark.parametrize("flag", ["--prep-tol 1e-12", "--inject-hwp-offset-deg 0.1"])
+    def test_verify_has_no_retired_flag(self, flag, capsys):
+        # verify takes no flag: a retired one is a usage error, not a check.
+        assert main(["verify", *flag.split()]) == EXIT_USAGE
         out, err = capsys.readouterr()
-        assert (out, err) == ("", "error: --inject-hwp-offset-deg must be finite\n")
-
-    def test_verify_has_no_prep_tol_flag(self, capsys):
-        assert main(["verify", "--prep-tol", "1e-12"]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "unrecognized arguments: --prep-tol 1e-12" in err
+        assert out == ""
+        assert f"unrecognized arguments: {flag}" in err
         assert "Traceback" not in err
 
     def test_io_error_on_unwritable_output(self, capsys):
@@ -868,26 +871,48 @@ class TestExitCodes:
         assert out.count("PASS") >= 6
         assert "FAIL" not in out
 
-    def test_verify_fails_with_injected_misalignment(self, capsys):
-        assert main(["verify", "--inject-hwp-offset-deg", "0.1"]) == EXIT_VERIFY
-        out = capsys.readouterr().out
-        assert "optics_equivalence\tFAIL" in out
+    def test_verify_fails_with_injected_misalignment(self, monkeypatch, capsys):
+        # The first half-wave plate turned by 0.1 deg: only the optics
+        # equivalence check sees it, and the rest of the printout stays.
+        monkeypatch.setattr(cli, "build_cloner_train", lambda: misaligned_cloner_train(0.1))
+        assert main(["verify"]) == EXIT_VERIFY
+        assert capsys.readouterr() == (
+            "reference_oracle\tPASS\tdeviation=1.665e-16\ttol=1.0e-10\n"
+            "optics_equivalence\tFAIL\tdeviation=2.015e-03\ttol=1.0e-09\n"
+            "prep_solver\tPASS\tdeviation=1.110e-16\ttol=1.0e-10\n"
+            "tomography_roundtrip\tPASS\tdeviation=2.555e-16\ttol=1.0e-12\n"
+            "pipeline_fidelity\tPASS\tdeviation=5.818e-16\ttol=1.0e-10\n"
+            "replica_symmetry\tPASS\tdeviation=2.220e-16\ttol=1.0e-10\n"
+            "verify: CHECKS FAILED\n",
+            "",
+        )
 
     def test_distinct_exit_codes(self):
         # The README's exit-code promise, through the real entry point: one
-        # `python -W error -m uqcm.cli` process per code.
+        # `python -W error -m uqcm.cli` process per code. Exit 3 comes from a
+        # `python -W error -c` child that misaligns the bench as
+        # `test_verify_fails_with_injected_misalignment` does.
         assert len({EXIT_OK, EXIT_USAGE, EXIT_VERIFY, EXIT_IO}) == 4
+        misaligned = "; ".join((
+            f"import sys; sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})",
+            "from reference import misaligned_cloner_train",
+            "from uqcm import cli",
+            "cli.build_cloner_train = lambda: misaligned_cloner_train(0.1)",
+            "sys.exit(cli.main(['verify']))",
+        ))
+        entry = ["-m", "uqcm.cli"]
         for argv, code, err in [
-            (["verify"], EXIT_OK, ""),
-            (["sweep", "--mode", "bogus"], EXIT_USAGE, "uqcm sweep: error: argument --mode: invalid choice: 'bogus'"),
-            (["verify", "--inject-hwp-offset-deg", "0.1"], EXIT_VERIFY, ""),
-            (["sweep", "--out", "/nonexistent-dir/x.csv"], EXIT_IO, "I/O error writing '/nonexistent-dir/x.csv': "),
-            (["tomo"], EXIT_OK, ""),
-            (["tomo", "--mode", "montecarlo", "--trials", "1"], EXIT_USAGE,
+            (entry + ["verify"], EXIT_OK, ""),
+            (entry + ["sweep", "--mode", "bogus"], EXIT_USAGE,
+             "uqcm sweep: error: argument --mode: invalid choice: 'bogus'"),
+            (["-c", misaligned], EXIT_VERIFY, ""),
+            (entry + ["sweep", "--out", "/nonexistent-dir/x.csv"], EXIT_IO,
+             "I/O error writing '/nonexistent-dir/x.csv': "),
+            (entry + ["tomo"], EXIT_OK, ""),
+            (entry + ["tomo", "--mode", "montecarlo", "--trials", "1"], EXIT_USAGE,
              "error: replica 2: no counts in its path group"),
         ]:
-            proc = python("-W", "error", "-m", "uqcm.cli", *argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                          text=True)
+            proc = python("-W", "error", *argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
             assert proc.returncode == code, (argv, proc.stderr)
             assert err in proc.stderr if err else proc.stderr == "", proc.stderr
 
@@ -909,11 +934,10 @@ class TestVerify:
         assert main(["verify"]) == EXIT_OK
         assert capsys.readouterr().out == self.PINNED_STDOUT
 
-    def test_machine_readable_lines(self):
-        buf = io.StringIO()
-        code = run_verify(stdout=buf)
+    def test_machine_readable_lines(self, capsys):
+        code = run_verify()
         assert code == EXIT_OK
-        lines = buf.getvalue().splitlines()
+        lines = capsys.readouterr().out.splitlines()
         named = [ln for ln in lines if "\t" in ln]
         # The benchmark's verify workload requires exactly this many lines.
         assert len(named) == perfbench_constant("run.py", "VERIFY_CHECKS")
@@ -923,14 +947,12 @@ class TestVerify:
             assert dev.startswith("deviation=")
             assert tol.startswith("tol=")
 
-    def test_tightened_solver_tolerance_still_passes(self, monkeypatch):
+    def test_tightened_solver_tolerance_still_passes(self, monkeypatch, capsys):
         # The prep_solver check still passes when the solver it calls is held
-        # to a tighter tolerance than its default.
-        solve = cli.solve_prep_angles
-        monkeypatch.setattr(cli, "solve_prep_angles", lambda target: solve(target, tol=1e-14))
-        buf = io.StringIO()
-        assert run_verify(stdout=buf) == EXIT_OK
-        assert "prep_solver\tPASS" in buf.getvalue()
+        # to a tighter tolerance than PREP_TOL.
+        monkeypatch.setattr("uqcm.angles.PREP_TOL", 1e-14)
+        assert run_verify() == EXIT_OK
+        assert "prep_solver\tPASS" in capsys.readouterr().out
 
     def test_corrupted_network_fails_oracle_and_symmetry(self, monkeypatch, capsys):
         # The triplicator prep angles change the gate sequence that the

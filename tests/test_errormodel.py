@@ -11,7 +11,6 @@ from uqcm import errormodel, optics
 from uqcm.cli import EXIT_VERIFY, _exact_fidelities, main
 from uqcm.errormodel import ErrorBudget, PerturbationResult, fidelity_error_bound, perturbation_sweep
 from uqcm.hilbert import DensityMatrix, IsometryError, fidelity
-from uqcm.network import cloner_prep_angles
 from uqcm.optics import HWP, OpticalTrain, PhaseShift, build_cloner_train, modes_to_qubits
 from uqcm.tomography import reconstruct_replica, signal_probabilities
 
@@ -190,8 +189,8 @@ class TestElementUnitarityCheck:
         # One body element's coefficients scaled by 1 + 1e-8:
         # |J^H J - I| ~ 2e-8. Every element's coefficients come from
         # `optics._coefficients`; equal elements elsewhere stay exact.
-        body = optics._body_elements(cloner_prep_angles())
-        monkeypatch.setattr(errormodel, "_body_elements", lambda prep: body)
+        body = optics._body_elements()
+        monkeypatch.setattr(errormodel, "_body_elements", lambda: body)
         k = next(k for k, e in enumerate(body) if isinstance(e, kind) and e.path == path)
         scale_coefficients(body[k], 1.0 + 1e-8)
         return f"Jones matrix of element {self.N_INPUT + k} ({kind.__name__} on path {path})"

@@ -8,6 +8,8 @@ import pathlib
 import pkgutil
 import types
 
+import pytest
+
 import uqcm
 
 
@@ -98,3 +100,34 @@ def test_retired_names_are_gone():
     assert not hasattr(uqcm.PureState, "inner")
     assert not hasattr(uqcm.tomography, "_AUX_CSWAP")
     assert not hasattr(uqcm.optics, "_POL_NAMES")
+
+
+# Parameters that only tests or the retired `verify --inject-hwp-offset-deg`
+# set, by the function that took them. Each now uses its one value in use:
+# the tolerances are module constants, the prep angles `cloner_prep_angles()`,
+# and output goes to sys.stdout.
+RETIRED_PARAMETERS = {
+    "uqcm.cli.run_sweep": ("stdout",),
+    "uqcm.cli.run_verify": ("hwp_offset_rad", "stdout"),
+    "uqcm.cli._check_optics_equivalence": ("hwp_offset_rad",),
+    "uqcm.cli.run_tomo": ("stdout",),
+    "uqcm.optics.verify_equivalence": ("tol",),
+    "uqcm.optics.modes_to_qubits": ("tol",),
+    "uqcm.optics._unit_norms": ("tol",),
+    "uqcm.angles.solve_prep_angles": ("tol",),
+    "uqcm.network.build_measurement_circuit": ("prep_angles",),
+    "uqcm.optics._body_elements": ("prep",),
+    "uqcm.optics._body_isometry": ("prep",),
+    "uqcm.optics._cloner_train_elements": ("prep",),
+}
+
+
+@pytest.mark.parametrize("name", RETIRED_PARAMETERS)
+def test_retired_parameters_are_gone(name):
+    taken = inspect.signature(dict(package_functions())[name]).parameters
+    assert [p for p in RETIRED_PARAMETERS[name] if p in taken] == []
+
+
+def test_retired_tolerances_are_module_constants():
+    assert (uqcm.optics.EQUIVALENCE_TOL, uqcm.optics.NORM_TOL, uqcm.angles.PREP_TOL) == (1e-9, 1e-9, 1e-10)
+    assert list(inspect.signature(uqcm.optics._body_isometry).parameters) == []
