@@ -39,7 +39,6 @@ from .optics import (
     BS,
     HWP,
     PBS,
-    EquivalenceReport,
     LossyTrainError,
     OpticalTrain,
     PhaseShift,
@@ -113,7 +112,6 @@ __all__ = [
     "BS",
     "HWP",
     "PBS",
-    "EquivalenceReport",
     "LossyTrainError",
     "OpticalTrain",
     "PhaseShift",

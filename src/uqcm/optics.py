@@ -1,10 +1,13 @@
 """Single-photon mode-space simulation of the optical cloning bench.
 
-A single photon carries one polarization qubit and up to three path qubits.
-On n_paths paths it is a plain (2 n_paths,) complex amplitude vector over
-the modes (path index) x (polarization in {H, V}): mode (path, pol) is
-index 2 * path + pol with H = 0, V = 1. `OpticalTrain` takes the path
-count, and `modes_to_qubits` reads such a vector as a qubit register.
+The bench encodes four qubits in one photon: its N_BENCH_PATHS = 8 paths
+carry the probe ("aux"), q2 and q3 as path bits (probe most significant),
+and its polarization carries q1. Its state is a (16,) complex amplitude
+vector over the modes (path) x (polarization in {H, V}): mode (path, pol)
+is index 2 * path + pol with H = 0, V = 1. `MODE_QUBIT_INDEX` gives each
+mode's basis index on the register `BENCH_REGISTER` = (aux, 1, 2, 3), the
+one place this layout is written; `modes_to_qubits`, `verify_equivalence`
+and `tomography._path_rows` read it.
 
 Every element is lossless. Element conventions (fixed once, compensating
 phase plates absorb the rest):
@@ -25,11 +28,10 @@ Apart from the PBS, an exact row swap, each element is four coefficients
 a x + b y, c x + d y; propagation, `element_matrix` and the one unitarity
 check, `_coefficient_dev` (`_hwp_dev` for an HWP), all read them.
 
-The compiled cloner train lives on 8 paths: path bits are (probe, q2, q3)
-with the probe ("aux") as the most significant bit. Fragments placed before
-the probe-spreading splitters are duplicated across the upper four paths so
-that every fragment implements its gate on the full space (the upper paths
-are simply dark until the splitters populate them).
+Fragments of the compiled cloner train placed before the probe-spreading
+splitters are duplicated across the upper four paths so that every
+fragment implements its gate on the full space (the upper paths are simply
+dark until the splitters populate them).
 """
 
 from __future__ import annotations
@@ -46,6 +48,12 @@ from .hilbert import AUX, PureState, _require_isometry, _require_isometry_dev
 from .network import _input_amplitudes, cloner_prep_angles
 
 POL_H, POL_V = 0, 1
+N_BENCH_PATHS = 8
+BENCH_REGISTER = (AUX, 1, 2, 3)
+# Basis index on BENCH_REGISTER of each mode 2 * path + pol, path bits
+# (probe, q2, q3): probe * 8 + pol * 4 + q2 * 2 + q3.
+MODE_QUBIT_INDEX = np.array([(p >> 2) * 8 + s * 4 + (p & 3) for p in range(N_BENCH_PATHS) for s in (POL_H, POL_V)])
+MODE_QUBIT_INDEX.flags.writeable = False
 NORM_TOL = 1e-9  # largest |norm - 1| of a photon that arrives unabsorbed
 EQUIVALENCE_TOL = 1e-9  # largest |U_train - e^(i phi) U_circuit| of a train that matches
 
@@ -148,11 +156,11 @@ def _hwp_dev(c, s) -> float:
     return float(abs(_abs2(c) + _abs2(s) - 1.0).max())
 
 
-def _check_paths(element: OpticalElement, n_paths: int) -> None:
+def _check_paths(element: OpticalElement) -> None:
     paths = (element.path_a, element.path_b) if isinstance(element, (PBS, BS)) else (element.path,)
     for p in paths:
-        if not (0 <= p < n_paths):
-            raise ValueError(f"element {element!r} references path {p} outside the {n_paths} paths")
+        if not (0 <= p < N_BENCH_PATHS):
+            raise ValueError(f"element {element!r} references path {p} outside the {N_BENCH_PATHS} paths")
 
 
 def _row_pairs(element: OpticalElement) -> list:
@@ -166,16 +174,16 @@ def _row_pairs(element: OpticalElement) -> list:
     return [(2 * element.path + POL_H, 2 * element.path + POL_V)]
 
 
-def element_matrix(element: OpticalElement, n_paths: int) -> np.ndarray:
-    """Full (2 n_paths, 2 n_paths) matrix of one element on n_paths paths
-    (identity outside its modes).
+def element_matrix(element: OpticalElement) -> np.ndarray:
+    """Full 16 x 16 matrix of one element on the bench's modes (identity
+    outside its own).
 
     Propagation never builds these; they are the dense reference for the
     row-update kernel, with rows placed by the kernel's own `_row_pairs`
     and blocks filled from `_coefficients` (a PBS's block is the swap).
     """
-    _check_paths(element, n_paths)
-    mat = np.eye(2 * n_paths, dtype=complex)
+    _check_paths(element)
+    mat = np.eye(2 * N_BENCH_PATHS, dtype=complex)
     if isinstance(element, PBS):
         block = [[0.0, 1.0], [1.0, 0.0]]
     else:
@@ -265,8 +273,8 @@ def _propagate(elements, m: np.ndarray, offsets=None) -> np.ndarray:
 
 
 class OpticalTrain:
-    """Ordered optical elements on `n_paths` paths (a positive integer),
-    acting on the 2 n_paths mode amplitudes, mode 2 * path + pol.
+    """Ordered optical elements on the bench's N_BENCH_PATHS paths, acting
+    on its 16 mode amplitudes, mode 2 * path + pol.
 
     The composite matrix is compiled at construction by propagating the
     identity through the elements (each touches only its own rows); it must
@@ -275,16 +283,13 @@ class OpticalTrain:
     batch of jittered copies (`errormodel.perturbation_sweep`).
     """
 
-    def __init__(self, n_paths: int, elements):
-        if int(n_paths) != n_paths or n_paths < 1:
-            raise ValueError(f"n_paths must be a positive integer, got {n_paths!r}")
-        n_paths, elements = int(n_paths), tuple(elements)
+    def __init__(self, elements):
+        elements = tuple(elements)
         for e in elements:
-            _check_paths(e, n_paths)
-        composite = _propagate(elements, np.eye(2 * n_paths, dtype=complex))
+            _check_paths(e)
+        composite = _propagate(elements, np.eye(2 * N_BENCH_PATHS, dtype=complex))
         _require_isometry(composite, "lossless train composite")
         composite.flags.writeable = False
-        self.n_paths = n_paths
         self._elements = elements
         self._composite = composite
 
@@ -293,7 +298,7 @@ class OpticalTrain:
         return self._elements
 
     def unitary(self) -> np.ndarray:
-        """Composite (2 n_paths, 2 n_paths) mode matrix."""
+        """Composite 16 x 16 mode matrix."""
         return self._composite
 
     def describe(self) -> str:
@@ -311,37 +316,7 @@ class OpticalTrain:
         return "\n".join(lines) + "\n"
 
     def __repr__(self):
-        return f"OpticalTrain(n_paths={self.n_paths}, n_elements={len(self._elements)})"
-
-
-def mode_qubit_labels(n_paths: int) -> tuple:
-    """Qubit labels carried by a photon on n_paths paths (canonical order)."""
-    k = int(round(math.log2(n_paths)))
-    if 2 ** k != n_paths:
-        raise ValueError(f"n_paths must be a power of two, got {n_paths}")
-    if k > 3:
-        raise ValueError("at most 8 paths (three path qubits) are supported")
-    if k == 0:
-        return (1,)
-    if k == 1:
-        return (1, 2)
-    if k == 2:
-        return (1, 2, 3)
-    return (AUX, 1, 2, 3)
-
-
-def _mode_to_qubit_permutation(n_paths: int) -> np.ndarray:
-    """qubit basis index for each mode index (2 * path + pol)."""
-    k = int(round(math.log2(n_paths)))
-    perm = np.empty(2 * n_paths, dtype=int)
-    for p in range(n_paths):
-        for s in (POL_H, POL_V):
-            if k == 3:
-                q = (p >> 2) * 8 + s * 4 + (p & 3)
-            else:
-                q = s * n_paths + p
-            perm[2 * p + s] = q
-    return perm
+        return f"OpticalTrain(n_elements={len(self._elements)})"
 
 
 def _unit_norms(amps: np.ndarray) -> np.ndarray:
@@ -355,22 +330,20 @@ def _unit_norms(amps: np.ndarray) -> np.ndarray:
 
 
 def modes_to_qubits(amplitudes) -> PureState:
-    """Relabel a photon's 1-D vector of 2, 4, 8 or 16 mode amplitudes, mode
-    2 * path + pol, as qubits (ValueError for any other shape): polarization
-    is qubit 1 (H=0, V=1), path bits are qubits 2, 3 (and the probe qubit
-    for 8 paths).
+    """Relabel the bench photon's (16,) mode amplitudes, mode 2 * path + pol,
+    as a state on BENCH_REGISTER (ValueError for any other shape):
+    polarization is qubit 1 (H=0, V=1), the path bits are the probe, q2 and q3.
 
     Requires unit norm within NORM_TOL (post-selection on no loss);
     renormalizes the residual rounding before constructing the state.
     """
     amps = np.asarray(amplitudes, dtype=complex)
-    if amps.ndim != 1 or amps.size not in (2, 4, 8, 16):
-        raise ValueError(f"expected 2 n_paths amplitudes, n_paths a power of two up to 8, got shape {amps.shape}")
+    if amps.shape != MODE_QUBIT_INDEX.shape:
+        raise ValueError(f"expected {2 * N_BENCH_PATHS} mode amplitudes, got shape {amps.shape}")
     nrm = _unit_norms(amps)
-    perm = _mode_to_qubit_permutation(amps.size // 2)
     qamps = np.empty(amps.size, dtype=complex)
-    qamps[perm] = amps
-    return PureState(mode_qubit_labels(amps.size // 2), qamps / nrm)
+    qamps[MODE_QUBIT_INDEX] = amps
+    return PureState(BENCH_REGISTER, qamps / nrm)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +396,6 @@ def _swap_pol_with_path(pbs_pairs, flip_paths) -> list:
 
 
 # Path pair groups of the 8-path bench; path bits are (probe, q2, q3).
-N_BENCH_PATHS = 8
 _Q3_PAIRS = ((0, 1), (2, 3), (4, 5), (6, 7))
 _Q2_PAIRS = ((0, 2), (1, 3), (4, 6), (5, 7))
 _PROBE_PAIRS = ((0, 4), (1, 5), (2, 6), (3, 7))
@@ -503,7 +475,7 @@ def build_cloner_train(theta: float = 0.0, delta: float = 0.0) -> OpticalTrain:
     delta outside [0, 2 pi) with ValueError, as `network.clone` does.
     """
     _input_amplitudes(theta, delta)
-    return OpticalTrain(N_BENCH_PATHS, _cloner_train_elements(float(theta), float(delta)))
+    return OpticalTrain(_cloner_train_elements(float(theta), float(delta)))
 
 
 def _bench_modes(theta, delta) -> np.ndarray:
@@ -545,40 +517,21 @@ def optical_measurement_state(theta: float, delta: float) -> PureState:
     return modes_to_qubits(_bench_modes(theta, delta))
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    max_deviation: float
-    phase: float
-    tol: float
-    passed: bool
+def verify_equivalence(train: OpticalTrain, circuit: Circuit) -> float:
+    """max |U_train - e^(i phi) U_circuit|: how far a train is from a circuit
+    on BENCH_REGISTER as a unitary, up to global phase.
 
-    def __str__(self):
-        status = "PASS" if self.passed else "FAIL"
-        return (
-            f"{status}: max |U_train - e^(i phi) U_circuit| = "
-            f"{self.max_deviation:.3e} (tol {self.tol:.1e}, phi {self.phase:+.6f})"
-        )
-
-
-def verify_equivalence(train: OpticalTrain, circuit: Circuit) -> EquivalenceReport:
-    """Compare a train against a circuit as unitaries, up to global phase.
-
-    The train's composite matrix is conjugated into the qubit basis via the
-    mode relabeling; the reported deviation is the elementwise maximum after
-    removing the trace-optimal global phase, and passes at EQUIVALENCE_TOL or below.
+    The train's composite matrix is conjugated into the qubit basis by
+    MODE_QUBIT_INDEX, and phi is the trace-optimal global phase. A train
+    matches at EQUIVALENCE_TOL or below.
     """
-    labels = mode_qubit_labels(train.n_paths)
-    if labels != circuit.register:
+    if circuit.register != BENCH_REGISTER:
         raise ValueError(
-            f"dimension mismatch: train carries qubits {labels!r}, "
+            f"dimension mismatch: train carries qubits {BENCH_REGISTER!r}, "
             f"circuit register is {circuit.register!r}"
         )
-    perm = _mode_to_qubit_permutation(train.n_paths)
-    dim = 2 * train.n_paths
-    u_train = np.zeros((dim, dim), dtype=complex)
-    u_train[np.ix_(perm, perm)] = train.unitary()
+    u_train = np.empty((2 * N_BENCH_PATHS, 2 * N_BENCH_PATHS), dtype=complex)
+    u_train[np.ix_(MODE_QUBIT_INDEX, MODE_QUBIT_INDEX)] = train.unitary()
     u_circ = circuit_unitary(circuit)
-    overlap = complex(np.trace(u_circ.conj().T @ u_train))
-    phase = float(np.angle(overlap)) if abs(overlap) > 0 else 0.0
-    dev = float(np.max(np.abs(u_train - np.exp(1j * phase) * u_circ)))
-    return EquivalenceReport(max_deviation=dev, phase=phase, tol=EQUIVALENCE_TOL, passed=dev <= EQUIVALENCE_TOL)
+    phase = float(np.angle(complex(np.trace(u_circ.conj().T @ u_train))))
+    return float(np.max(np.abs(u_train - np.exp(1j * phase) * u_circ)))

@@ -48,7 +48,6 @@ from typing import Union
 import numpy as np
 
 from .hilbert import (
-    AUX,
     DensityMatrix,
     PureState,
     _qubit_stokes,
@@ -58,6 +57,7 @@ from .hilbert import (
     stokes_decompose,
 )
 from .network import _clone_outputs, _input_amplitudes
+from .optics import BENCH_REGISTER, MODE_QUBIT_INDEX, N_BENCH_PATHS
 from .streams import streams
 
 # Input points per refit and bootstrap block of the counting pipeline: the
@@ -84,8 +84,6 @@ BASIS_VECTORS = {
 }
 # (2, 4): amplitude rows times this give the basis-state overlaps H, V, D, R.
 _BASIS_MATRIX = np.stack([BASIS_VECTORS[b] for b in BASES], axis=1).conj()
-
-N_PATHS = 8
 
 # Salt for deriving the bootstrap stream from a record's seed.
 _BOOTSTRAP_SALT = 0x626F6F74
@@ -133,7 +131,7 @@ class CountsRecord:
 
     def __post_init__(self):
         raw = np.asarray(self.counts)
-        if raw.shape != (N_PATHS, len(BASES)):
+        if raw.shape != (N_BENCH_PATHS, len(BASES)):
             raise ValueError(f"counts must have shape (8, 4), got {raw.shape}")
         if raw.dtype.kind not in "biu" and not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
             raise ValueError("counts must be finite whole numbers")
@@ -176,10 +174,10 @@ def _aux_cswap(out) -> np.ndarray:
 
 def _path_rows(meas) -> np.ndarray:
     """(..., 8, 2) per-path polarization amplitudes of (..., 16) amplitudes on
-    (aux, 1, 2, 3): the canonical index probe*8 + q1*4 + q2*2 + q3 regrouped so
-    that the polarization bit q1 is the trailing axis."""
+    (aux, 1, 2, 3): row p, column pol is the bench's mode 2 * p + pol, read
+    through `optics.MODE_QUBIT_INDEX`."""
     meas = np.asarray(meas)
-    return np.swapaxes(meas.reshape(meas.shape[:-1] + (2, 2, 4)), -1, -2).reshape(meas.shape[:-1] + (8, 2))
+    return meas[..., MODE_QUBIT_INDEX].reshape(meas.shape[:-1] + (N_BENCH_PATHS, 2))
 
 
 def measurement_state(theta: float, delta: float) -> PureState:
@@ -189,7 +187,7 @@ def measurement_state(theta: float, delta: float) -> PureState:
     (`network._clone_outputs`) and the probe-controlled swap is an axis
     exchange (`_aux_cswap`); no replica matrices are formed.
     """
-    return PureState((AUX, 1, 2, 3), _aux_cswap(_clone_outputs(_input_amplitudes(theta, delta))))
+    return PureState(BENCH_REGISTER, _aux_cswap(_clone_outputs(_input_amplitudes(theta, delta))))
 
 
 def per_path_amplitudes(meas: PureState) -> np.ndarray:
@@ -197,7 +195,7 @@ def per_path_amplitudes(meas: PureState) -> np.ndarray:
 
     The path index bits are (probe, q2, q3); column 0 is H, column 1 is V.
     """
-    if meas.labels != (AUX, 1, 2, 3):
+    if meas.labels != BENCH_REGISTER:
         raise ValueError(f"expected a state on (aux, 1, 2, 3), got {meas.labels!r}")
     return _path_rows(meas.amplitudes)
 
@@ -240,7 +238,7 @@ def simulate_counts(
     detector.
     """
     probs = np.asarray(signal_probs, dtype=float)
-    if probs.shape != (N_PATHS, len(BASES)):
+    if probs.shape != (N_BENCH_PATHS, len(BASES)):
         raise ValueError(f"signal_probs must have shape (8, 4), got {probs.shape}")
     _require_trials(trials)
     counts = _draw_counts(probs[None], model, trials, streams(_count_entropy([seed])))[0]
@@ -262,7 +260,7 @@ def _draw_counts(probs: np.ndarray, model: DetectorModel, trials: int, rngs) -> 
     of the multinomial table is contiguous, so it sums as one setting's array."""
     if not (probs.min() >= -1e-12 and probs.max() <= 1.0 + 1e-12):
         raise ValueError("signal probabilities must lie in [0, 1]")
-    settings = np.ascontiguousarray(np.swapaxes(np.clip(probs, 0.0, 1.0), -1, -2)).reshape(-1, N_PATHS)
+    settings = np.ascontiguousarray(np.swapaxes(np.clip(probs, 0.0, 1.0), -1, -2)).reshape(-1, N_BENCH_PATHS)
     if settings.sum(axis=-1).max() > 1.0 + 1e-12:
         raise ValueError("signal probabilities of a setting must sum to at most 1: a photon fires one detector")
     detect = settings * model.efficiency
@@ -271,9 +269,9 @@ def _draw_counts(probs: np.ndarray, model: DetectorModel, trials: int, rngs) -> 
     dark_mean = model.dark_mean(trials)
     counts = np.empty(detect.shape, dtype=np.int64)
     for row, rng in zip(range(len(pvals)), rngs):
-        signal, dark = rng.multinomial(trials, pvals[row])[:N_PATHS], rng.poisson(dark_mean, size=N_PATHS)
+        signal, dark = rng.multinomial(trials, pvals[row])[:N_BENCH_PATHS], rng.poisson(dark_mean, size=N_BENCH_PATHS)
         counts[row] = np.minimum(signal, int(trials) - dark) + dark
-    return np.swapaxes(counts.reshape(probs.shape[:-2] + (len(BASES), N_PATHS)), -1, -2).copy()
+    return np.swapaxes(counts.reshape(probs.shape[:-2] + (len(BASES), N_BENCH_PATHS)), -1, -2).copy()
 
 
 def _path_stokes(counts: np.ndarray) -> np.ndarray:
@@ -297,7 +295,7 @@ def _replica_stokes(counts, replicas=(1, 2)) -> np.ndarray:
     floor.
     """
     arr = np.asarray(counts.counts if isinstance(counts, CountsRecord) else counts, dtype=float)
-    if arr.shape[-2:] != (N_PATHS, len(BASES)):
+    if arr.shape[-2:] != (N_BENCH_PATHS, len(BASES)):
         raise ValueError(f"counts must have shape (..., 8, 4), got {arr.shape}")
     pick = slice(None) if tuple(replicas) == (1, 2) else [r - 1 for r in replicas]
     groups = arr.reshape(arr.shape[:-2] + (2, 4, len(BASES)))[..., pick, :, :]

@@ -99,4 +99,4 @@ def misaligned_cloner_train(offset_deg: float) -> OpticalTrain:
     elements = list(train.elements)
     k = next(k for k, e in enumerate(elements) if isinstance(e, HWP))
     elements[k] = replace(elements[k], angle=elements[k].angle + math.radians(offset_deg))
-    return OpticalTrain(train.n_paths, elements)
+    return OpticalTrain(elements)

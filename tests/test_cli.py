@@ -117,6 +117,40 @@ class TestConfig:
         assert values["delta_list"] == (0.0, 1.57)
         assert values["theta_steps"] == 3
 
+    def test_hash_starts_a_comment_only_after_whitespace(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("  # indented comment\nout = run#3.csv # the file\nseed = 7\t# tab\n#seed = 8\n")
+        assert load_config_file(str(path)) == {"out": "run#3.csv", "seed": 7}
+
+    def test_hash_inside_a_value_names_the_whole_file(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("theta_steps = 2\ndelta_list = 0\nout = run#3.csv\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "--config", str(path)]) == EXIT_OK
+        capsys.readouterr()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run#3.csv", "run.cfg"]
+
+    def test_key_given_twice_rejected(self, tmp_path, capsys):
+        path = tmp_path / "twice.cfg"
+        path.write_text("seed = 1\n# trials = 5\nseed = 2\n")
+        assert main(["sweep", "--config", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {path}:3: config key 'seed' given twice\n"
+
+    @pytest.mark.parametrize("value", ["0.1,,0.2", "0.1,", ",0.1", "0.1, ,0.2", ","])
+    def test_empty_delta_list_item_rejected(self, value, tmp_path, capsys):
+        path, out = tmp_path / "gap.cfg", tmp_path / "x.csv"
+        path.write_text(f"theta_steps = 2\ndelta_list = {value}\n")
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2: bad value for 'delta_list': could not convert string to float: ")
+        assert not out.exists()
+
+    def test_empty_delta_list_rejected(self, tmp_path, capsys):
+        path = tmp_path / "empty.cfg"
+        path.write_text("delta_list = \n")
+        assert main(["sweep", "--config", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: delta_list must not be empty\n"
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("gain = 11\n")
@@ -453,7 +487,8 @@ class TestStreamedOutput:
     def test_grid_too_large_to_allocate_is_a_usage_error(self, key, tmp_path, capsys):
         # numpy refuses 10**15 points or samples at once, before any work.
         cfg, out = tmp_path / "huge.cfg", tmp_path / "x.csv"
-        cfg.write_text(f"mode = perturbed\ntheta_steps = 2\ndelta_list = 0\n{key} = {10**15}\n")
+        small = {"theta_steps": 2, "samples": 25, key: 10**15}
+        cfg.write_text("mode = perturbed\ndelta_list = 0\n" + "".join(f"{k} = {v}\n" for k, v in small.items()))
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
         out_text, err = capsys.readouterr()
         assert out_text == "" and err.startswith("error: Unable to allocate ")

@@ -29,7 +29,7 @@ def reference_sweep(jitter, n_samples, seed, theta, delta, delta_c_total):
             if isinstance(e, HWP) else e
             for e in base.elements
         ]
-        train = OpticalTrain(base.n_paths, elements)
+        train = OpticalTrain(elements)
         probs = signal_probabilities(modes_to_qubits(train.unitary()[:, 0]))
         u = rng.uniform(-1.0, 1.0, size=4)
         probs[0:4] *= (1.0 + u * (delta_c_total / np.abs(u).sum()))[:, None]

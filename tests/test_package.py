@@ -85,8 +85,11 @@ def test_bootstrap_size_and_detector_model_are_no_parameters():
 RETIRED = {
     "hilbert": ("tensor_product", "random_pure_state"),
     "network": ("input_state", "reference_clone_output"),
-    "optics": ("source_photon", "apply_train", "qubits_to_modes", "ModeSpace", "PhotonState", "element_paths"),
-    "tomography": ("attach_aux_cswap", "reconstruct_single_qubit", "replicas_from_state"),
+    "optics": (
+        "source_photon", "apply_train", "qubits_to_modes", "ModeSpace", "PhotonState", "element_paths",
+        "mode_qubit_labels", "_mode_to_qubit_permutation", "EquivalenceReport",
+    ),
+    "tomography": ("attach_aux_cswap", "reconstruct_single_qubit", "replicas_from_state", "N_PATHS"),
 }
 
 
@@ -105,7 +108,7 @@ def test_retired_names_are_gone():
 # Parameters that only tests or the retired `verify --inject-hwp-offset-deg`
 # set, by the function that took them. Each now uses its one value in use:
 # the tolerances are module constants, the prep angles `cloner_prep_angles()`,
-# and output goes to sys.stdout.
+# the path count the bench's N_BENCH_PATHS, and output goes to sys.stdout.
 RETIRED_PARAMETERS = {
     "uqcm.cli.run_sweep": ("stdout",),
     "uqcm.cli.run_verify": ("hwp_offset_rad", "stdout"),
@@ -119,6 +122,8 @@ RETIRED_PARAMETERS = {
     "uqcm.optics._body_elements": ("prep",),
     "uqcm.optics._body_isometry": ("prep",),
     "uqcm.optics._cloner_train_elements": ("prep",),
+    "uqcm.optics.OpticalTrain.__init__": ("n_paths",),
+    "uqcm.optics.element_matrix": ("n_paths",),
 }
 
 

@@ -26,12 +26,12 @@ from uqcm.cli import SweepConfig
 from uqcm.network import _input_amplitudes
 from uqcm.streams import streams
 from uqcm.network import build_cloning_network, clone
+from uqcm.optics import N_BENCH_PATHS
 from uqcm.tomography import (
     _BOOTSTRAP_SALT,
     MAX_TRIALS,
     MONTECARLO_BLOCK,
     N_BOOTSTRAP,
-    N_PATHS,
     _aux_cswap,
     _bootstrap_entropy,
     _bootstrap_errors,
@@ -108,7 +108,7 @@ def reference_replica_stokes(counts, replicas=(1, 2)) -> np.ndarray:
     floor.
     """
     arr = np.asarray(counts.counts if isinstance(counts, CountsRecord) else counts, dtype=float)
-    if arr.shape[-2:] != (N_PATHS, len(BASES)):
+    if arr.shape[-2:] != (N_BENCH_PATHS, len(BASES)):
         raise ValueError(f"counts must have shape (..., 8, 4), got {arr.shape}")
     groups = arr.reshape(arr.shape[:-2] + (2, 4, len(BASES)))[..., [r - 1 for r in replicas], :, :]
     weights = groups[..., 0] + groups[..., 1]
@@ -136,8 +136,8 @@ def reference_draw_counts(probs: np.ndarray, model: DetectorModel, trials: int, 
         point, b = divmod(k, len(BASES))
         detect = probs[point, :, b] * model.efficiency
         pvals = np.append(detect, max(0.0, 1.0 - float(detect.sum())))
-        signal = rng.multinomial(trials, pvals / pvals.sum())[:N_PATHS]
-        dark = rng.poisson(dark_mean, size=N_PATHS)
+        signal = rng.multinomial(trials, pvals / pvals.sum())[:N_BENCH_PATHS]
+        dark = rng.poisson(dark_mean, size=N_BENCH_PATHS)
         counts[point, :, b] = np.minimum(signal + dark, trials)
     return counts
 
@@ -196,6 +196,14 @@ class TestProbeAttachment:
 
 class TestPathDistribution:
     """Click probabilities per (path, basis) from `signal_probabilities`."""
+
+    def test_path_rows_follow_the_bench_layout(self):
+        # Path p = (probe, q2, q3) in binary; its H and V amplitudes sit at
+        # basis index probe*8 + q1*4 + q2*2 + q3 of (aux, 1, 2, 3), q1 = 0, 1.
+        index = np.arange(16)
+        want = [[(p >> 2) * 8 + pol * 4 + (p & 3) for pol in (0, 1)] for p in range(8)]
+        assert _path_rows(index).tolist() == want
+        assert _path_rows(np.stack([index, index + 16])).tolist() == [want, (np.array(want) + 16).tolist()]
 
     def test_uniform_state_spreads_evenly(self):
         meas = PureState((AUX, 1, 2, 3), np.full(16, 0.25))
