@@ -27,7 +27,6 @@ from .network import (
     build_cloning_circuit,
     build_cloning_network,
     build_measurement_circuit,
-    build_preparation_circuit,
     clone,
     cloner_prep_angles,
     optimal_fidelity,
@@ -101,7 +100,6 @@ __all__ = [
     "build_cloning_circuit",
     "build_cloning_network",
     "build_measurement_circuit",
-    "build_preparation_circuit",
     "clone",
     "cloner_prep_angles",
     "optimal_fidelity",

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import CNOT, Circuit, Rotation
-from .hilbert import PureState
 
 _TWO_PI = 2.0 * math.pi
 # Largest 1 - overlap of the prepared state with the target that a solve accepts.
@@ -105,19 +104,14 @@ def sequence_amplitudes(t1: float, t2: float, t3: float) -> np.ndarray:
 def solve_prep_angles(target) -> PrepAngles:
     """Angles whose preparation sequence reproduces `target` from |00>.
 
-    `target` is a PureState on two qubits or a length-4 amplitude vector,
-    normalized with real nonnegative entries. Returns the closed-form branch
-    of the module docstring, t2 in [-pi/4, pi/4]; raises SolverError with
-    the residual when its angles miss 1 - PREP_TOL overlap.
+    `target` is the length-4 amplitude vector on qubits (2, 3) in basis
+    order, normalized with real nonnegative entries. Returns the closed-form
+    branch of the module docstring, t2 in [-pi/4, pi/4]; raises SolverError
+    with the residual when its angles miss 1 - PREP_TOL overlap.
     """
-    if isinstance(target, PureState):
-        if target.n_qubits != 2:
-            raise ValueError("target must live on exactly two qubits")
-        amps = target.amplitudes
-    else:
-        amps = np.asarray(target, dtype=complex).reshape(-1)
-        if amps.size != 4:
-            raise ValueError("target must have 4 amplitudes")
+    amps = np.asarray(target, dtype=complex).reshape(-1)
+    if amps.size != 4:
+        raise ValueError("target must have 4 amplitudes")
     if not np.all(np.isfinite(amps)):
         raise ValueError("target amplitudes must be finite")
     if np.max(np.abs(amps.imag)) > 1e-12 or np.min(amps.real) < -1e-12:

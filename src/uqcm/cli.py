@@ -107,6 +107,16 @@ def _check_angles(theta, delta) -> None:
         raise UsageError(str(exc)) from exc
 
 
+def _sorted_deltas(values) -> tuple:
+    """`values` as sorted floats; ValueError naming a value given twice,
+    which would sweep its points twice."""
+    deltas = tuple(sorted(float(d) for d in values))
+    for a, b in zip(deltas, deltas[1:]):
+        if a == b:
+            raise ValueError(f"delta value {a!r} given twice")
+    return deltas
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     mode: str = "exact"
@@ -128,6 +138,8 @@ class SweepConfig:
         _check_angles((self.theta_start, self.theta_end), 0.0)
         if self.theta_end < self.theta_start:
             raise UsageError("theta_end must be >= theta_start")
+        if self.theta_end == self.theta_start and self.theta_steps > 1:
+            raise UsageError(f"theta_end equals theta_start, so theta_steps must be 1, got {self.theta_steps}")
         _check_count("trials", self.trials, MAX_TRIALS)
         _check_count("samples", self.samples, MAX_GRID_AXIS)
         if self.seed < 0:
@@ -137,7 +149,10 @@ class SweepConfig:
         # A path weight is scaled by at least 1 - delta_c, so more would make counts negative.
         if not 0 <= self.delta_c <= 1:
             raise UsageError("delta_c must be finite and in [0, 1]")
-        deltas = tuple(sorted(float(d) for d in self.delta_list))
+        try:
+            deltas = _sorted_deltas(self.delta_list)
+        except ValueError as exc:
+            raise UsageError(f"delta_list: {exc}") from exc
         if not deltas:
             raise UsageError("delta_list must not be empty")
         _check_angles(0.0, deltas)
@@ -155,7 +170,7 @@ _CONFIG_PARSERS = {
     "theta_end": float,
     "theta_steps": int,
     # An empty item fails float(""); an empty value is the empty list.
-    "delta_list": lambda v: tuple(float(x) for x in v.split(",")) if v else (),
+    "delta_list": lambda v: _sorted_deltas(v.split(",")) if v else (),
     "trials": int,
     "seed": int,
     "jitter_deg": float,

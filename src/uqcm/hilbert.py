@@ -1,11 +1,12 @@
 """Complex linear algebra over labeled multi-qubit registers.
 
 States and density matrices carry explicit qubit labels instead of bare
-positions. The basis ordering is a pure function of the labels: the
-auxiliary qubit ("aux"), when present, is the most significant bit of the
-basis index, followed by the numbered qubits in ascending order (smallest
-label = most significant remaining bit). All values are immutable after
-construction and every operation is a pure function.
+positions, given in the one basis order: the auxiliary qubit ("aux"), when
+present, is the most significant bit of the basis index, followed by the
+numbered qubits in ascending order (smallest label = most significant
+remaining bit). A constructor rejects labels in any other order rather than
+permuting the amplitudes. All values are immutable after construction and
+every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -53,29 +54,28 @@ def canonical_labels(labels) -> tuple:
     return tuple(sorted(seq, key=label_key))
 
 
-def _permute_to_canonical(amps: np.ndarray, given: tuple, canon: tuple) -> np.ndarray:
-    n = len(canon)
-    perm = [given.index(lab) for lab in canon]
-    return amps.reshape((2,) * n).transpose(perm).reshape(-1)
+def _basis_labels(labels) -> tuple:
+    """Validated labels, which must already be in canonical (basis) order."""
+    given = tuple(labels)
+    canon = canonical_labels(given)
+    if given != canon:
+        raise LabelError(f"labels {given!r} are not in basis order {canon!r}: aux first, then qubits ascending")
+    return canon
 
 
 class PureState:
     """Normalized pure state over labeled qubits.
 
-    Amplitudes are stored in canonical basis order regardless of the label
-    order passed to the constructor.
+    `labels` come in basis order and `amplitudes` are indexed in that order.
     """
 
     def __init__(self, labels, amplitudes):
-        given = tuple(labels)
-        canon = canonical_labels(given)
+        canon = _basis_labels(labels)
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if amps.size != 2 ** len(canon):
             raise ValueError(
                 f"amplitude vector has length {amps.size}, expected {2 ** len(canon)}"
             )
-        if given != canon:
-            amps = _permute_to_canonical(amps, given, canon)
         nrm2 = float(np.sum(np.abs(amps) ** 2))
         if not abs(nrm2 - 1.0) <= ATOL:
             raise ValueError(f"state is not normalized: sum |a|^2 = {nrm2!r}")
@@ -96,10 +96,6 @@ class PureState:
     def n_qubits(self) -> int:
         return len(self._labels)
 
-    @property
-    def dim(self) -> int:
-        return self._amps.size
-
     def density(self) -> "DensityMatrix":
         return DensityMatrix(self._labels, np.outer(self._amps, self._amps.conj()))
 
@@ -108,20 +104,15 @@ class PureState:
 
 
 class DensityMatrix:
-    """Hermitian, positive semidefinite, trace-one matrix over labeled qubits."""
+    """Hermitian, positive semidefinite, trace-one matrix over labeled qubits
+    given in basis order."""
 
     def __init__(self, labels, matrix):
-        given = tuple(labels)
-        canon = canonical_labels(given)
+        canon = _basis_labels(labels)
         mat = np.asarray(matrix, dtype=complex)
         d = 2 ** len(canon)
         if mat.shape != (d, d):
             raise ValueError(f"matrix has shape {mat.shape}, expected {(d, d)}")
-        if given != canon:
-            n = len(canon)
-            perm = [given.index(lab) for lab in canon]
-            full = perm + [p + n for p in perm]
-            mat = mat.reshape((2,) * (2 * n)).transpose(full).reshape(d, d)
         # Every check is "not within": NaN fails each of them.
         if not np.max(np.abs(mat - mat.conj().T)) <= ATOL:
             raise ValueError("matrix is not Hermitian within tolerance")
@@ -146,10 +137,6 @@ class DensityMatrix:
     @property
     def n_qubits(self) -> int:
         return len(self._labels)
-
-    @property
-    def dim(self) -> int:
-        return self._matrix.shape[0]
 
     def __repr__(self):
         return f"DensityMatrix(labels={self._labels!r}, matrix={self._matrix!r})"

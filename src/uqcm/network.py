@@ -81,13 +81,6 @@ def triplicator_prep_angles() -> PrepAngles:
     return solve_prep_angles(TRIPLICATOR_PREP_TARGET)
 
 
-def build_preparation_circuit(angles: PrepAngles | None = None) -> Circuit:
-    """Preparation stage on qubits (2, 3); defaults to the cloner angles."""
-    if angles is None:
-        angles = cloner_prep_angles()
-    return prep_circuit(angles)
-
-
 def build_cloning_circuit() -> Circuit:
     """The four-CNOT cloning stage on qubits (1, 2, 3)."""
     return Circuit(
@@ -97,10 +90,10 @@ def build_cloning_circuit() -> Circuit:
 
 
 def build_cloning_network(prep_angles: PrepAngles | None = None) -> Circuit:
-    """Full two-stage network (preparation then cloning) on qubits (1, 2, 3)."""
-    prep = build_preparation_circuit(prep_angles)
-    cloning = build_cloning_circuit()
-    return Circuit((1, 2, 3), prep.gates + cloning.gates)
+    """Full two-stage network (preparation then cloning) on qubits (1, 2, 3);
+    the preparation defaults to the cloner angles."""
+    prep = prep_circuit(cloner_prep_angles() if prep_angles is None else prep_angles)
+    return Circuit((1, 2, 3), prep.gates + build_cloning_circuit().gates)
 
 
 # Images of the basis inputs under the cloning machine, basis order (1, 2, 3):

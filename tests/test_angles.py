@@ -69,12 +69,6 @@ def test_solves_triplicator_target():
     assert float(np.real(out @ TRIPLICATOR_PREP_TARGET)) >= 1 - 1e-10
 
 
-def test_accepts_pure_state_target():
-    target = PureState((2, 3), CLONER_PREP_TARGET)
-    angles = solve_prep_angles(target)
-    assert abs(prepared_state(angles) @ CLONER_PREP_TARGET) >= 1 - 1e-10
-
-
 def test_deterministic_resolution():
     a = solve_prep_angles(CLONER_PREP_TARGET)
     b = solve_prep_angles(CLONER_PREP_TARGET)
@@ -106,8 +100,6 @@ def test_rejects_invalid_targets():
         solve_prep_angles(np.array([1.0, 1.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match="4 amplitudes"):
         solve_prep_angles(np.array([1.0, 0.0]))
-    with pytest.raises(ValueError, match="two qubits"):
-        solve_prep_angles(PureState([1], [1, 0]))
     for bad in ([math.nan, 0.0, 0.0, 0.0], [1.0, math.nan, 0.0, 0.0], [1.0, complex(0.0, math.nan), 0.0, 0.0]):
         with pytest.raises(ValueError, match="finite"):
             solve_prep_angles(np.array(bad))

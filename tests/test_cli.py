@@ -145,6 +145,25 @@ class TestConfig:
         assert err.startswith(f"error: {path}:2: bad value for 'delta_list': could not convert string to float: ")
         assert not out.exists()
 
+    def test_repeated_delta_rejected(self, tmp_path, capsys):
+        # A repeated delta would sweep its points twice, each copy from its own seed.
+        path, out = tmp_path / "twice.cfg", tmp_path / "x.csv"
+        path.write_text("mode = montecarlo\ntheta_steps = 2\ndelta_list = 0, 0\n")
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {path}:3: bad value for 'delta_list': delta value 0.0 given twice\n"
+        assert not out.exists()
+        with pytest.raises(UsageError, match=r"^delta_list: delta value 1.0 given twice$"):
+            SweepConfig(delta_list=(1.0, 0.5, 1.0))
+
+    def test_equal_theta_bounds_take_one_step(self, tmp_path, capsys):
+        # Equal bounds over several steps would sweep one input several times.
+        path, out = tmp_path / "flat.cfg", tmp_path / "x.csv"
+        path.write_text("mode = montecarlo\ntheta_start = 0.5\ntheta_end = 0.5\ntheta_steps = 3\ndelta_list = 0\n")
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: theta_end equals theta_start, so theta_steps must be 1, got 3\n"
+        assert not out.exists()
+        assert SweepConfig(theta_start=0.5, theta_end=0.5, theta_steps=1).theta_grid().tolist() == [0.5]
+
     def test_empty_delta_list_rejected(self, tmp_path, capsys):
         path = tmp_path / "empty.cfg"
         path.write_text("delta_list = \n")

@@ -10,6 +10,7 @@ from uqcm.hilbert import (
     DensityMatrix,
     IsometryError,
     LabelError,
+    PSD_FLOOR,
     PureState,
     fidelity,
     partial_trace,
@@ -29,19 +30,20 @@ class TestPureState:
         s = PureState((1, 2), [0, 0, 1, 0])
         assert s.amplitudes[0b10] == 1.0
 
-    def test_constructor_canonicalizes_label_order(self):
-        # Same physical state given with reversed label order.
-        a = PureState((1, 2), [0, 1, 0, 0])   # |0>_1 |1>_2
-        b = PureState((2, 1), [0, 0, 1, 0])   # |1>_2 |0>_1
-        assert a.labels == b.labels == (1, 2)
-        assert np.allclose(a.amplitudes, b.amplitudes)
-
     def test_aux_is_most_significant(self):
-        # Given in (1, aux) order, index 0b10 means q1 = 1, aux = 0.
-        s = PureState((1, AUX), [0, 0, 1, 0])
+        # In (aux, 1) order, index 0b01 means aux = 0, q1 = 1.
+        s = PureState((AUX, 1), [0, 1, 0, 0])
         assert s.labels == (AUX, 1)
-        # Canonically (aux, 1): the same component is index 0b01.
-        assert s.amplitudes[0b01] == 1.0
+        assert partial_trace(s, [1]).matrix[1, 1] == 1.0
+        assert partial_trace(s, [AUX]).matrix[0, 0] == 1.0
+
+    @pytest.mark.parametrize("labels", [(2, 1), (1, AUX), (0, AUX), (3, 1, 2)])
+    def test_labels_out_of_basis_order_rejected(self, labels):
+        # No constructor permutes amplitudes: a register is given in basis order.
+        with pytest.raises(LabelError, match=r"not in basis order .*: aux first, then qubits ascending"):
+            PureState(labels, np.eye(2 ** len(labels))[0])
+        with pytest.raises(LabelError, match="not in basis order"):
+            DensityMatrix(labels, np.diag(np.eye(2 ** len(labels))[0]))
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="not normalized"):
@@ -52,8 +54,8 @@ class TestPureState:
             PureState([1], [math.nan, 0.0])
 
     def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError, match="length"):
-            PureState([1, 2], [1.0, 0.0])
+        with pytest.raises(ValueError, match="has length 2, expected 8$"):
+            PureState([1, 2, 3], [1.0, 0.0])
 
     def test_rejects_duplicate_labels(self):
         with pytest.raises(LabelError):
@@ -81,6 +83,13 @@ class TestDensityMatrix:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityMatrix([1], [[1.5, 0.0], [0.0, -0.5]])
+
+    def test_tolerances_are_inclusive(self):
+        # A deviation of exactly ATOL from Hermitian or from trace one, and
+        # an eigenvalue of exactly PSD_FLOOR, still pass.
+        DensityMatrix([1], [[0.5, 1e-12], [0.0, 0.5]])
+        DensityMatrix([1], np.eye(2) * (0.5 + 0.5e-12j))
+        DensityMatrix([1], np.diag([1.0 + 1e-10, -1e-10]))
 
     def test_rejects_nan_matrix(self):
         # Rejected before eigvalsh, which would otherwise see the NaN.
@@ -146,6 +155,14 @@ class TestPartialTrace:
             assert np.max(np.abs(m - m.conj().T)) < 1e-12
             assert np.trace(m).real == pytest.approx(1.0, abs=1e-12)
             assert np.min(np.linalg.eigvalsh(m)) > -1e-10
+
+    def test_three_of_four_qubits_kept_or_traced(self):
+        # |0>_aux |psi>_123: keeping (1, 2, 3) gives psi's projector, and
+        # keeping qubit 2 alone traces three qubits out.
+        psi = random_pure_state((1, 2, 3), np.random.default_rng(29))
+        joint = tensor_product(PureState([AUX], [1, 0]), psi)
+        assert np.max(np.abs(partial_trace(joint, (1, 2, 3)).matrix - psi.density().matrix)) < 1e-12
+        assert np.max(np.abs(partial_trace(joint, [2]).matrix - partial_trace(psi, [2]).matrix)) < 1e-12
 
     def test_numpy_integer_is_one_label(self):
         # As an int is: canonical_labels accepts numpy integer labels.
@@ -250,3 +267,10 @@ class TestInvariantChecks:
     def test_non_finite_stokes_vector_is_rejected(self, stokes):
         with pytest.raises(ValueError, match="positivity floor"):
             _require_physical_stokes(np.array(stokes))
+
+    def test_stokes_floor_is_the_eigenvalue_floor(self):
+        # The smaller eigenvalue (1 - |S|) / 2 may dip to PSD_FLOOR = -1e-10, no further.
+        _require_physical_stokes(np.array([0.0, 0.0, 1.0 + 1.5e-10]))
+        _require_physical_stokes(np.array([0.0, 0.0, 1.0 - 2.0 * PSD_FLOOR]))
+        with pytest.raises(ValueError, match="positivity floor"):
+            _require_physical_stokes(np.array([0.0, 0.0, 1.0 + 2.5e-10]))

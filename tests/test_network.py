@@ -1,4 +1,5 @@
-"""Cloning network: stage contracts, oracle equivalence, fidelities, triplicator."""
+"""Cloning network: stage contracts, oracle equivalence, fidelities, triplicator,
+optimality certificate."""
 
 import math
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from uqcm.angles import prep_circuit
 from uqcm.gates import CNOT, CSWAP, SWAP, Rotation, apply_circuit, circuit_unitary
 from uqcm.hilbert import (
     AUX,
@@ -28,7 +30,6 @@ from uqcm.network import (
     build_cloning_circuit,
     build_cloning_network,
     build_measurement_circuit,
-    build_preparation_circuit,
     clone,
     cloner_prep_angles,
     optimal_fidelity,
@@ -43,7 +44,7 @@ F_OPT = 5.0 / 6.0
 
 
 def test_preparation_circuit_reproduces_target_state():
-    out = apply_circuit(build_preparation_circuit(), BLANK)
+    out = apply_circuit(prep_circuit(cloner_prep_angles()), BLANK)
     assert np.allclose(out.amplitudes, CLONER_PREP_TARGET, atol=1e-10)
 
 
@@ -107,7 +108,7 @@ def test_network_matches_reference_oracle():
 
 
 def test_network_composite_is_unitary():
-    for circ in (build_preparation_circuit(), build_cloning_circuit(), build_cloning_network()):
+    for circ in (prep_circuit(cloner_prep_angles()), build_cloning_circuit(), build_cloning_network()):
         u = circuit_unitary(circ)
         assert np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) < 1e-10
 
@@ -332,3 +333,59 @@ class TestNetworkImage:
         shrunk = (2 / 3) * np.outer(amps, amps.conj()) + np.eye(2) / 6
         assert np.max(np.abs(res.rho1.matrix - shrunk)) < 1e-12
         assert np.max(np.abs(res.rho2.matrix - shrunk)) < 1e-12
+
+
+# The six axis states of the Bloch sphere: a 3-design, so their average
+# integrates the degree-2 integrand of R_N exactly.
+AXIS_STATES = np.array([[1, 0], [0, 1], [1, 1], [1, -1], [1, 1j], [1, -1j]])
+AXIS_STATES = AXIS_STATES / np.linalg.norm(AXIS_STATES, axis=1, keepdims=True)
+
+
+def replica_fidelity_operator(n):
+    """R_N = average over inputs psi of conj(psi) x (1/N) sum_k psi on copy k,
+    on input x N copies, so that tr(J R_N) is the mean replica fidelity of
+    the 1-to-N channel with Choi matrix J."""
+    r = 0
+    for a in AXIS_STATES:
+        p = np.outer(a, a.conj())
+        copies = sum(np.kron(np.kron(np.eye(2**k), p), np.eye(2 ** (n - k - 1))) for k in range(n)) / n
+        r = r + np.kron(p.conj(), copies)
+    return r / len(AXIS_STATES)
+
+
+def choi_matrix(image, n_kept):
+    """Choi matrix sum_ij |i><j| x tr_rest(V|i><j|V^H) of the 8 x 2 image V,
+    on input x the first `n_kept` output qubits, the rest traced out."""
+    v = image.T.reshape(2, 2**n_kept, -1)
+    d = 2 * 2**n_kept
+    return np.einsum("iak,jbk->iajb", v, v.conj()).reshape(d, d)
+
+
+class TestOptimalityCertificate:
+    """Every channel has tr_out J = I, so tr(J R_N) <= lambda_max(R_N) tr J
+    = 2 lambda_max(R_N): reaching that bound certifies that no universal
+    1-to-N cloner does better (the dual of the cloning SDP; Werner, PRA 58,
+    1827 (1998); Audenaert & De Moor, PRA 65, 030302(R) (2002))."""
+
+    @pytest.mark.parametrize(("prep", "n"), [(cloner_prep_angles, 2), (triplicator_prep_angles, 3)])
+    def test_machine_reaches_the_bound(self, prep, n):
+        j = choi_matrix(_network_image(prep()), n)
+        d = 2**n
+        assert np.max(np.abs(np.einsum("iaja->ij", j.reshape(2, d, 2, d)) - np.eye(2))) < 1e-12
+        assert np.linalg.eigvalsh(j)[0] > -1e-12
+        r = replica_fidelity_operator(n)
+        bound = 2 * np.linalg.eigvalsh(r)[-1]
+        assert abs(np.trace(j @ r).real - bound) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_optimal_fidelity_is_the_bound(self, n):
+        bound = 2 * np.linalg.eigvalsh(replica_fidelity_operator(n))[-1]
+        assert optimal_fidelity(1, n) == pytest.approx(bound, abs=1e-12)
+
+    def test_cloner_prep_on_three_copies_falls_short(self):
+        # The bound separates machines: the cloner's prep spread over three
+        # copies reads 20/27, below the 1-to-3 optimum 7/9.
+        j = choi_matrix(_network_image(cloner_prep_angles()), 3)
+        value = np.trace(j @ replica_fidelity_operator(3)).real
+        assert value == pytest.approx(20 / 27, abs=1e-12)
+        assert value < optimal_fidelity(1, 3) - 0.03

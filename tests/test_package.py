@@ -83,8 +83,8 @@ def test_bootstrap_size_and_detector_model_are_no_parameters():
 # the package, by the module that defined them. The object-tier references
 # among them live in tests/reference.py.
 RETIRED = {
-    "hilbert": ("tensor_product", "random_pure_state"),
-    "network": ("input_state", "reference_clone_output"),
+    "hilbert": ("tensor_product", "random_pure_state", "_permute_to_canonical"),
+    "network": ("input_state", "reference_clone_output", "build_preparation_circuit"),
     "optics": (
         "source_photon", "apply_train", "qubits_to_modes", "ModeSpace", "PhotonState", "element_paths",
         "mode_qubit_labels", "_mode_to_qubit_permutation", "EquivalenceReport",
@@ -101,6 +101,7 @@ def test_retired_names_are_gone():
             assert not hasattr(uqcm, name), name
             assert not hasattr(module, name), f"{module_name}.{name}"
     assert not hasattr(uqcm.PureState, "inner")
+    assert not hasattr(uqcm.PureState, "dim") and not hasattr(uqcm.DensityMatrix, "dim")
     assert not hasattr(uqcm.tomography, "_AUX_CSWAP")
     assert not hasattr(uqcm.optics, "_POL_NAMES")
 
