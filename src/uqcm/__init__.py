@@ -50,7 +50,6 @@ from .optics import (
 from .tomography import (
     BASES,
     CountsRecord,
-    DetectorModel,
     FidelityReport,
     ReconstructionError,
     exact_report,
@@ -62,7 +61,6 @@ from .tomography import (
     simulate_counts,
 )
 from .errormodel import (
-    ErrorBudget,
     PerturbationResult,
     fidelity_error_bound,
     perturbation_sweep,
@@ -121,7 +119,6 @@ __all__ = [
     # tomography
     "BASES",
     "CountsRecord",
-    "DetectorModel",
     "FidelityReport",
     "ReconstructionError",
     "exact_report",
@@ -132,7 +129,6 @@ __all__ = [
     "signal_probabilities",
     "simulate_counts",
     # errormodel
-    "ErrorBudget",
     "PerturbationResult",
     "fidelity_error_bound",
     "perturbation_sweep",

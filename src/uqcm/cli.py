@@ -39,7 +39,7 @@ from .hilbert import (
     _stokes_fidelity,
 )
 from .angles import PREP_TOL, SolverError, prep_circuit, solve_prep_angles
-from .errormodel import TRAIN_BLOCK, ErrorBudget, _jittered_fidelities, fidelity_error_bound
+from .errormodel import TRAIN_BLOCK, _jittered_fidelities, fidelity_error_bound
 from .network import (
     CLONER_PREP_TARGET,
     TRIPLICATOR_PREP_TARGET,
@@ -82,6 +82,9 @@ PERTURBED_BOUND = 0.005
 # perturbed point's fidelities are (samples, 2) float64, and numpy describes
 # no array of 2**63 bytes or more (it raises ValueError, not MemoryError).
 MAX_GRID_AXIS = np.iinfo(np.intp).max // 16
+# Least spacing of two values of one grid axis: twice the CSV's 1e-9
+# resolution, so that no two of them print alike.
+MIN_GRID_SPACING = 2e-9
 
 _DEFAULT_DELTAS = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
 
@@ -109,11 +112,13 @@ def _check_angles(theta, delta) -> None:
 
 def _sorted_deltas(values) -> tuple:
     """`values` as sorted floats; ValueError naming a value given twice,
-    which would sweep its points twice."""
+    which would sweep its points twice, or two that print alike."""
     deltas = tuple(sorted(float(d) for d in values))
     for a, b in zip(deltas, deltas[1:]):
         if a == b:
             raise ValueError(f"delta value {a!r} given twice")
+        if b - a < MIN_GRID_SPACING:
+            raise ValueError(f"delta values {a!r} and {b!r} lie closer than {MIN_GRID_SPACING!r}")
     return deltas
 
 
@@ -140,6 +145,9 @@ class SweepConfig:
             raise UsageError("theta_end must be >= theta_start")
         if self.theta_end == self.theta_start and self.theta_steps > 1:
             raise UsageError(f"theta_end equals theta_start, so theta_steps must be 1, got {self.theta_steps}")
+        if self.theta_steps > 1 and (self.theta_end - self.theta_start) / (self.theta_steps - 1) < MIN_GRID_SPACING:
+            raise UsageError(f"theta_start {self.theta_start!r} and theta_end {self.theta_end!r} over "
+                             f"{self.theta_steps} steps give thetas closer than {MIN_GRID_SPACING!r}")
         _check_count("trials", self.trials, MAX_TRIALS)
         _check_count("samples", self.samples, MAX_GRID_AXIS)
         if self.seed < 0:
@@ -303,10 +311,9 @@ def compute_sweep(config: SweepConfig, write):
             f"max |F - 5/6| = {worst_a:.6f}, max bootstrap stderr = {worst_b:.6f}",
         ]
     else:
-        budget = ErrorBudget(delta_c=(config.delta_c / 4.0,) * 4, delta_theta=jitter)
         summary = [
             f"perturbed sweep: jitter={config.jitter_deg} deg, delta_c={config.delta_c}, samples={samples} per point",
-            f"analytic bound sum(dC) + 1.5*dtheta = {fidelity_error_bound(budget):.4f}",
+            f"analytic bound sum(dC) + 1.5*dtheta = {fidelity_error_bound(config.delta_c, jitter):.4f}",
             f"max mean |F - 5/6| over grid = {worst_a:.6f} (reference bound {PERTURBED_BOUND})",
             f"samples exceeding bound: {n_exceeding} (flagged, not fatal)",
         ]

@@ -5,7 +5,9 @@ per-path relative counts (Delta C_i, four paths of the first replica group)
 and the orientation precision of the waveplates (Delta theta). The
 analytic upper bound combines them as
 
-    Delta F = sum_i Delta C_i + (3/2) Delta theta.
+    Delta F = sum_i Delta C_i + (3/2) Delta theta,
+
+which depends on the Delta C_i only through their total, `delta_c_total`.
 
 The empirical side perturbs the axis angle of every half-wave plate, the
 bench's only mounted axes, independently and reruns the exact pipeline.
@@ -27,7 +29,7 @@ from .hilbert import _qubit_stokes, _stokes_fidelity
 from .network import _input_amplitudes, optimal_fidelity
 from .optics import HWP, N_BENCH_PATHS, _body_elements, _input_elements, _propagate
 from .streams import streams
-from .tomography import _click_probabilities, _replica_stokes
+from .tomography import _click_probabilities, _replica_stokes, _require_seed
 
 _TARGET_F = optimal_fidelity(1, 2)
 # Jittered trains per propagation batch: a block holds TRAIN_BLOCK source
@@ -40,25 +42,13 @@ _TARGET_F = optimal_fidelity(1, 2)
 TRAIN_BLOCK = 1024
 
 
-@dataclass(frozen=True)
-class ErrorBudget:
-    """Relative count oscillations per replica-1 path and orientation precision."""
-
-    delta_c: tuple
-    delta_theta: float
-
-    def __post_init__(self):
-        dc = tuple(float(x) for x in self.delta_c)
-        if len(dc) != 4:
-            raise ValueError(f"delta_c needs 4 entries, got {len(dc)}")
-        if not all(math.isfinite(x) and x >= 0 for x in dc + (float(self.delta_theta),)):
-            raise ValueError("error budget entries must be finite and nonnegative")
-        object.__setattr__(self, "delta_c", dc)
-
-
-def fidelity_error_bound(budget: ErrorBudget) -> float:
-    """Upper bound on |Delta F|: sum of count oscillations plus 1.5 * Delta theta."""
-    return float(sum(budget.delta_c) + 1.5 * budget.delta_theta)
+def fidelity_error_bound(delta_c_total: float, delta_theta: float) -> float:
+    """Upper bound on |Delta F|: the total count oscillation sum_i Delta C_i
+    plus 1.5 * Delta theta, the waveplate orientation precision in radians."""
+    for name, value in (("delta_c_total", delta_c_total), ("delta_theta", delta_theta)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+    return float(delta_c_total + 1.5 * delta_theta)
 
 
 @dataclass(frozen=True)
@@ -147,11 +137,10 @@ def _jittered_fidelities(theta, delta, seeds, n_samples: int, jitter: float, del
         _propagate(_input_elements(theta[point], delta[point]) + body, column, draws[:, :n_oriented])
         del draws
         # Mode 2p + pol is path p's polarization: the rows regroup as (8, 2).
-        out = column[:, :, 0]
-        out /= np.linalg.norm(out, axis=1, keepdims=True)
-        probs = _click_probabilities(out.reshape(train.size, N_BENCH_PATHS, 2))
-        # Neither is needed for the refit, which is the block's memory peak.
-        del column, out
+        # The refit takes ratios of clicks, so the photon needs no renormalising.
+        probs = _click_probabilities(column[:, :, 0].reshape(train.size, N_BENCH_PATHS, 2))
+        # Not needed for the refit, which is the block's memory peak.
+        del column
         if delta_c_total > 0.0:
             norm = np.abs(u).sum(axis=1, keepdims=True)
             probs[:, 0:4] *= (1.0 + u * (delta_c_total / np.where(norm > 0.0, norm, 1.0)))[:, :, None]
@@ -183,6 +172,7 @@ def perturbation_sweep(
     Samples whose |F - 5/6| exceeds a nonnegative `bound` are counted; an
     infinite bound flags none.
     """
+    _require_seed(seed)
     if not (math.isfinite(jitter) and jitter >= 0):
         raise ValueError(f"jitter must be finite and nonnegative, got {jitter!r}")
     if not (isinstance(n_samples, numbers.Integral) and n_samples >= 1):

@@ -24,8 +24,9 @@ vectors, and its fidelity with a pure input of Bloch vector n is
 F = (1 + S . n) / 2; `_replica_stokes` evaluates S over whole count arrays.
 The counting pipeline runs over any number of input points at once
 (`_montecarlo_fidelities`, the kernel of the montecarlo sweep, of `uqcm
-tomo --mode montecarlo` and of `montecarlo_report`), with the default
-DetectorModel and N_BOOTSTRAP resamples per point; neither is a parameter.
+tomo --mode montecarlo` and of `montecarlo_report`), with the bench's one
+detector bank (the module constants EFFICIENCY, DARK_RATE, MAX_RATE and
+GATE_WINDOW) and N_BOOTSTRAP resamples per point; neither is a parameter.
 Each call seeds all its streams, prices every point's clicks and draws every
 point's counts in one pass each; only the refits and the bootstrap go in
 blocks of MONTECARLO_BLOCK points. Only the
@@ -43,7 +44,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -88,36 +88,15 @@ _BASIS_MATRIX = np.stack([BASIS_VECTORS[b] for b in BASES], axis=1).conj()
 # Salt for deriving the bootstrap stream from a record's seed.
 _BOOTSTRAP_SALT = 0x626F6F74
 
+# The bench's single-photon counting modules; timing is not simulated.
+EFFICIENCY = 0.70       # probability that a photon reaching a detector clicks
+DARK_RATE = 50.0        # dark events per second
+MAX_RATE = 20000.0      # detection rate cap, events per second
+GATE_WINDOW = 5e-9      # gate, seconds: the bench passage time
+
 
 class ReconstructionError(ValueError):
     """Counts are insufficient to invert a density matrix."""
-
-
-@dataclass(frozen=True)
-class DetectorModel:
-    """Single-photon counting module parameters.
-
-    Defaults follow the bench hardware: 70% efficiency, 50 dark events per
-    second, detection rates capped at 20000 per second, and a 5 ns gate
-    (the bench passage time). The rate cap is carried as metadata; timing
-    is not simulated.
-    """
-
-    efficiency: float = 0.70
-    dark_rate: float = 50.0
-    max_rate: float = 20000.0
-    gate_window: float = 5e-9
-
-    def __post_init__(self):
-        if not (0.0 <= self.efficiency <= 1.0):
-            raise ValueError(f"efficiency {self.efficiency!r} outside [0, 1]")
-        finite = (0 <= self.dark_rate < math.inf, 0 < self.max_rate < math.inf, 0 <= self.gate_window < math.inf)
-        if not all(finite):
-            raise ValueError("rates and gate window must be finite and nonnegative (max_rate positive)")
-
-    def dark_mean(self, trials: int) -> float:
-        """Expected dark counts per (path, basis) cell for a `trials` run."""
-        return self.dark_rate * self.gate_window * trials / self.max_rate
 
 
 @dataclass(frozen=True)
@@ -130,6 +109,7 @@ class CountsRecord:
     seed: int
 
     def __post_init__(self):
+        _require_seed(self.seed)
         raw = np.asarray(self.counts)
         if raw.shape != (N_BENCH_PATHS, len(BASES)):
             raise ValueError(f"counts must have shape (8, 4), got {raw.shape}")
@@ -139,13 +119,22 @@ class CountsRecord:
         counts = np.asarray(raw, dtype=np.int64)
         if counts.min() < 0 or counts.max() > self.total_trials:
             raise ValueError("counts must lie in [0, total_trials]")
-        if not isinstance(self.seed, numbers.Integral):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         counts = counts.copy()
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
+
+
+def _require_seed(seed) -> None:
+    """`seed` a nonnegative integer, as the entropy of its streams must be."""
+    if not isinstance(seed, numbers.Integral):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+
+
+def _dark_mean(trials) -> float:
+    """Expected dark counts per (path, basis) cell for a `trials` run."""
+    return DARK_RATE * GATE_WINDOW * trials / MAX_RATE
 
 
 def _require_trials(trials, name: str = "trials") -> None:
@@ -216,19 +205,14 @@ def _gate_probabilities(amps) -> np.ndarray:
     return _click_probabilities(_path_rows(_aux_cswap(_clone_outputs(amps))))
 
 
-def simulate_counts(
-    signal_probs: np.ndarray,
-    model: DetectorModel,
-    trials: int,
-    seed: int,
-) -> CountsRecord:
+def simulate_counts(signal_probs: np.ndarray, trials: int, seed: int) -> CountsRecord:
     """Simulate photon counting for all four polarizer settings.
 
     Per setting, `trials` emitted photons distribute multinomially over the
     eight detectors and an absorbed remainder, so each (path, basis) cell is
-    marginally Binomial(trials, p * efficiency); a single photon can only
+    marginally Binomial(trials, p * EFFICIENCY); a single photon can only
     fire one detector, which anticorrelates the path counts. Poisson dark
-    counts with mean dark_rate * gate_window * trials / max_rate are added
+    counts with mean DARK_RATE * GATE_WINDOW * trials / MAX_RATE are added
     per cell, capped at `trials`. Each basis setting consumes its own
     substream derived from (seed, basis index), so settings may be simulated
     in parallel without changing the result.
@@ -237,11 +221,12 @@ def simulate_counts(
     probabilities may sum to at most 1 (within 1e-12): one photon fires one
     detector.
     """
+    _require_seed(seed)
     probs = np.asarray(signal_probs, dtype=float)
     if probs.shape != (N_BENCH_PATHS, len(BASES)):
         raise ValueError(f"signal_probs must have shape (8, 4), got {probs.shape}")
     _require_trials(trials)
-    counts = _draw_counts(probs[None], model, trials, streams(_count_entropy([seed])))[0]
+    counts = _draw_counts(probs[None], trials, streams(_count_entropy([seed])))[0]
     return CountsRecord(counts=counts, total_trials=trials, seed=seed)
 
 
@@ -253,7 +238,7 @@ def _bootstrap_entropy(seeds) -> list:
     return [(seed, _BOOTSTRAP_SALT) for seed in seeds]
 
 
-def _draw_counts(probs: np.ndarray, model: DetectorModel, trials: int, rngs) -> np.ndarray:
+def _draw_counts(probs: np.ndarray, trials: int, rngs) -> np.ndarray:
     """(N, 8, 4) counts for (N, 8, 4) signal probabilities, drawn as in
     `simulate_counts`: basis b of point k takes generator 4 k + b of `rngs`,
     the streams of `_count_entropy(seeds)`; exactly 4 N are taken. Row 4 k + b
@@ -263,10 +248,10 @@ def _draw_counts(probs: np.ndarray, model: DetectorModel, trials: int, rngs) -> 
     settings = np.ascontiguousarray(np.swapaxes(np.clip(probs, 0.0, 1.0), -1, -2)).reshape(-1, N_BENCH_PATHS)
     if settings.sum(axis=-1).max() > 1.0 + 1e-12:
         raise ValueError("signal probabilities of a setting must sum to at most 1: a photon fires one detector")
-    detect = settings * model.efficiency
+    detect = settings * EFFICIENCY
     pvals = np.concatenate([detect, np.maximum(0.0, 1.0 - detect.sum(axis=-1))[:, None]], axis=-1)
     pvals /= pvals.sum(axis=-1, keepdims=True)
-    dark_mean = model.dark_mean(trials)
+    dark_mean = _dark_mean(trials)
     counts = np.empty(detect.shape, dtype=np.int64)
     for row, rng in zip(range(len(pvals)), rngs):
         signal, dark = rng.multinomial(trials, pvals[row])[:N_BENCH_PATHS], rng.poisson(dark_mean, size=N_BENCH_PATHS)
@@ -381,7 +366,7 @@ def fidelity_report(
     theta: float,
     delta: float,
     mode: str = "exact",
-    counts: Union[CountsRecord, None] = None,
+    counts: CountsRecord | None = None,
 ) -> FidelityReport:
     """Fidelities of both replicas against the (theta, delta) input state.
 
@@ -396,15 +381,7 @@ def fidelity_report(
     if counts is not None:
         rngs = streams(_bootstrap_entropy([counts.seed]))
         err1, err2 = _bootstrap_errors(counts.counts[None], counts.total_trials, rngs, bloch[None])[0]
-    return FidelityReport(
-        fidelity1=float(f1),
-        fidelity2=float(f2),
-        stderr1=float(err1),
-        stderr2=float(err2),
-        theta=theta,
-        delta=delta,
-        mode=mode,
-    )
+    return FidelityReport(float(f1), float(f2), float(err1), float(err2), theta, delta, mode=mode)
 
 
 def exact_report(theta: float, delta: float) -> FidelityReport:
@@ -418,7 +395,7 @@ def exact_report(theta: float, delta: float) -> FidelityReport:
 def _montecarlo_fidelities(theta, delta, seeds, trials: int) -> tuple:
     """(N, 2) replica fidelities, (N, 2) bootstrap standard errors and
     (N, 2, 3) replica Stokes vectors of the counting pipeline at N input
-    points, point k seeded by seeds[k], counted by the default DetectorModel.
+    points, point k seeded by seeds[k], counted by the bench's detectors.
 
     One `streams.streams` call seeds every stream of the call, the 4 N
     counting streams and then the N bootstrap streams; one
@@ -438,7 +415,7 @@ def _montecarlo_fidelities(theta, delta, seeds, trials: int) -> tuple:
     errs = np.empty((len(amps), 2))
     stokes = np.empty((len(amps), 2, 3))
     rngs = streams(_count_entropy(seeds) + _bootstrap_entropy(seeds))
-    counts = _draw_counts(_gate_probabilities(amps), DetectorModel(), trials, rngs)
+    counts = _draw_counts(_gate_probabilities(amps), trials, rngs)
     for start in range(0, len(amps), MONTECARLO_BLOCK):
         block = slice(start, start + MONTECARLO_BLOCK)
         stokes[block] = _replica_stokes(counts[block])
@@ -454,6 +431,7 @@ def montecarlo_report(theta: float, delta: float, trials: int, seed: int) -> Fid
     The single-point use of `_montecarlo_fidelities`, the kernel the
     montecarlo sweep runs over its whole grid.
     """
+    _require_seed(seed)
     fids, errs, _ = _montecarlo_fidelities([theta], [delta], [seed], trials)
     (f1, f2), (err1, err2) = fids[0].tolist(), errs[0].tolist()
     return FidelityReport(f1, f2, err1, err2, theta, delta, mode="montecarlo")

@@ -26,3 +26,17 @@ def scale_coefficients(monkeypatch):
         monkeypatch.setattr(optics, "_coefficients", scaled)
 
     return scale
+
+
+@pytest.fixture
+def detector(monkeypatch):
+    """detector(NAME=value, ...): from then on the named detector constants
+    of `uqcm.tomography` (EFFICIENCY, DARK_RATE, MAX_RATE, GATE_WINDOW) hold
+    the given values, as counting modules other than the bench's would."""
+    from uqcm import tomography
+
+    def patch(**constants):
+        for name, value in constants.items():
+            monkeypatch.setattr(tomography, name, value)
+
+    return patch

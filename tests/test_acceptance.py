@@ -9,7 +9,7 @@ import numpy as np
 
 from uqcm.angles import prep_circuit, solve_prep_angles
 from uqcm.cli import main
-from uqcm.errormodel import ErrorBudget, fidelity_error_bound, perturbation_sweep
+from uqcm.errormodel import fidelity_error_bound, perturbation_sweep
 from uqcm.gates import apply_circuit, circuit_unitary
 from uqcm.hilbert import DensityMatrix, PureState, fidelity, partial_trace
 from uqcm.network import (
@@ -22,7 +22,6 @@ from uqcm.network import (
 )
 from uqcm.optics import optical_measurement_state
 from uqcm.tomography import (
-    DetectorModel,
     measurement_state,
     reconstruct_replica,
     signal_probabilities,
@@ -153,7 +152,7 @@ def test_criterion_6_monte_carlo_realism():
     psi = input_state(0.0, 0.0)
     hits = 0
     for seed in range(100):
-        rec = simulate_counts(probs, DetectorModel(), 20000, seed)
+        rec = simulate_counts(probs, 20000, seed)
         f1 = fidelity(psi, DensityMatrix([1], reconstruct_replica(rec, 1).matrix))
         f2 = fidelity(psi, DensityMatrix([1], reconstruct_replica(rec, 2).matrix))
         if abs(f1 - F_OPT) <= 0.01 and abs(f2 - F_OPT) <= 0.01:
@@ -166,7 +165,7 @@ def test_criterion_6_monte_carlo_realism():
 
 def test_criterion_7_error_model():
     """Analytic bound arithmetic plus empirical jitter sweep under 0.005."""
-    bound_value = fidelity_error_bound(ErrorBudget((0.0005,) * 4, 0.0018))
+    bound_value = fidelity_error_bound(0.002, 0.0018)
     arithmetic_ok = abs(bound_value - 0.0047) < 1e-12
     sweep = perturbation_sweep(
         jitter=0.0018, n_samples=500, seed=2026, delta_c_total=0.002, bound=0.005

@@ -43,7 +43,6 @@ from uqcm.sweepcsv import CSV_HEADER, format_row, write_csv
 from uqcm.tomography import (
     MONTECARLO_BLOCK,
     CountsRecord,
-    DetectorModel,
     FidelityReport,
     ReconstructionError,
     _replica_stokes,
@@ -163,6 +162,34 @@ class TestConfig:
         assert capsys.readouterr().err == "error: theta_end equals theta_start, so theta_steps must be 1, got 3\n"
         assert not out.exists()
         assert SweepConfig(theta_start=0.5, theta_end=0.5, theta_steps=1).theta_grid().tolist() == [0.5]
+
+    def test_deltas_that_print_alike_rejected(self, tmp_path, capsys):
+        # 0.1 and 0.1000000001 both print as 0.100000000: each row would come twice.
+        path, out = tmp_path / "close.cfg", tmp_path / "x.csv"
+        path.write_text("theta_steps = 1\ndelta_list = 0.1, 0.1000000001\n")
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {path}:2: bad value for 'delta_list': delta values 0.1 and 0.1000000001 lie closer than 2e-09\n")
+        assert not out.exists()
+        with pytest.raises(UsageError, match=r"^delta_list: delta values 1.0 and 1.0000000019 lie closer than 2e-09$"):
+            SweepConfig(delta_list=(1.0000000019, 0.5, 1.0))
+        # MIN_GRID_SPACING apart, the two print apart.
+        assert [f"{d:.9f}" for d in SweepConfig(delta_list=(2e-9, 0.0)).delta_list] == ["0.000000000", "0.000000002"]
+
+    def test_thetas_that_print_alike_rejected(self, tmp_path, capsys):
+        # Bounds one ulp apart: a 3-step grid would print 0.500000000 three times.
+        path, out = tmp_path / "close.cfg", tmp_path / "x.csv"
+        path.write_text("theta_start = 0.5\ntheta_end = 0.5000000000000001\ntheta_steps = 3\n")
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: theta_start 0.5 and theta_end 0.5000000000000001 over 3 steps give thetas closer than 2e-09\n")
+        assert not out.exists()
+        # No theta range holds 10**15 steps that print apart; none is allocated.
+        with pytest.raises(UsageError, match="over 1000000000000000 steps give thetas closer than 2e-09$"):
+            SweepConfig(theta_steps=10**15)
+        # Steps of MIN_GRID_SPACING print apart.
+        grid = SweepConfig(theta_start=0.0, theta_end=4e-9, theta_steps=3).theta_grid()
+        assert [f"{t:.9f}" for t in grid] == ["0.000000000", "0.000000002", "0.000000004"]
 
     def test_empty_delta_list_rejected(self, tmp_path, capsys):
         path = tmp_path / "empty.cfg"
@@ -502,9 +529,11 @@ class TestStreamedOutput:
         assert capsys.readouterr().err.startswith("error: replica ")
         self._assert_untouched(out)
 
-    @pytest.mark.parametrize("key", ["theta_steps", "samples"])
+    # A theta axis that large has steps under MIN_GRID_SPACING and is
+    # refused first (test_thetas_that_print_alike_rejected).
+    @pytest.mark.parametrize("key", ["samples"])
     def test_grid_too_large_to_allocate_is_a_usage_error(self, key, tmp_path, capsys):
-        # numpy refuses 10**15 points or samples at once, before any work.
+        # numpy refuses 10**15 samples at once, before any work.
         cfg, out = tmp_path / "huge.cfg", tmp_path / "x.csv"
         small = {"theta_steps": 2, "samples": 25, key: 10**15}
         cfg.write_text("mode = perturbed\ndelta_list = 0\n" + "".join(f"{k} = {v}\n" for k, v in small.items()))
@@ -534,8 +563,12 @@ class TestStreamedOutput:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.cfg"]
 
     def test_largest_grid_axis_is_accepted(self):
-        cfg = SweepConfig(mode="perturbed", theta_steps=MAX_GRID_AXIS, samples=MAX_GRID_AXIS)
-        assert cfg.theta_steps == cfg.samples == MAX_GRID_AXIS == 2**59 - 1
+        cfg = SweepConfig(mode="perturbed", theta_steps=1, samples=MAX_GRID_AXIS)
+        assert cfg.samples == MAX_GRID_AXIS == 2**59 - 1
+        # MAX_GRID_AXIS theta steps pass the count check, but no theta range
+        # holds that many steps MIN_GRID_SPACING apart.
+        with pytest.raises(UsageError, match="steps give thetas closer than 2e-09$"):
+            SweepConfig(theta_steps=MAX_GRID_AXIS)
 
     @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
     def test_new_csv_mode_follows_the_umask(self, umask, tmp_path, capsys):
@@ -869,7 +902,7 @@ class TestExitCodes:
         probs = signal_probabilities(measurement_state(0.0, 0.0))
         for seed in range(4):
             try:
-                _replica_stokes(simulate_counts(probs, DetectorModel(), trials, seed))
+                _replica_stokes(simulate_counts(probs, trials, seed))
                 reconstructs = True
             except ReconstructionError:
                 reconstructs = False
@@ -1045,7 +1078,7 @@ def library_tomo(theta, delta, mode, trials, seed):
     """(stdout, stderr, exit code) of `tomo` built from the library's object
     chain: `simulate_counts` -> `reconstruct_replica` -> `fidelity_report`."""
     probs = signal_probabilities(measurement_state(theta, delta))
-    record = None if mode == "exact" else simulate_counts(probs, DetectorModel(), trials, seed)
+    record = None if mode == "exact" else simulate_counts(probs, trials, seed)
     source = probs if record is None else record
     try:
         rho1, rho2 = reconstruct_replica(source, 1), reconstruct_replica(source, 2)

@@ -9,7 +9,7 @@ import pytest
 
 from uqcm import errormodel, optics
 from uqcm.cli import EXIT_VERIFY, _exact_fidelities, main
-from uqcm.errormodel import ErrorBudget, PerturbationResult, fidelity_error_bound, perturbation_sweep
+from uqcm.errormodel import PerturbationResult, fidelity_error_bound, perturbation_sweep
 from uqcm.hilbert import DensityMatrix, IsometryError, fidelity
 from uqcm.optics import HWP, OpticalTrain, PhaseShift, build_cloner_train, modes_to_qubits
 from uqcm.tomography import reconstruct_replica, signal_probabilities
@@ -41,38 +41,29 @@ def reference_sweep(jitter, n_samples, seed, theta, delta, delta_c_total):
 class TestAnalyticBound:
     def test_bench_budget(self):
         # Sum dC = 0.002 and dtheta = 0.0018 rad give 0.0047 (quoted as ~0.005).
-        budget = ErrorBudget(delta_c=(0.0005,) * 4, delta_theta=0.0018)
-        assert fidelity_error_bound(budget) == pytest.approx(0.0047, abs=1e-12)
+        assert fidelity_error_bound(0.002, 0.0018) == pytest.approx(0.0047, abs=1e-12)
 
     def test_zero_budget(self):
-        assert fidelity_error_bound(ErrorBudget((0, 0, 0, 0), 0.0)) == 0.0
+        assert fidelity_error_bound(0.0, 0.0) == 0.0
 
     def test_orientation_only(self):
-        assert fidelity_error_bound(ErrorBudget((0, 0, 0, 0), 0.002)) == pytest.approx(0.003)
+        assert fidelity_error_bound(0.0, 0.002) == pytest.approx(0.003)
 
     def test_linear_and_monotone(self):
-        base = ErrorBudget((0.001, 0.002, 0.0, 0.0005), 0.001)
-        b0 = fidelity_error_bound(base)
-        assert fidelity_error_bound(
-            ErrorBudget((0.002, 0.004, 0.0, 0.001), 0.002)
-        ) == pytest.approx(2 * b0)
-        bumped = ErrorBudget((0.001, 0.002, 0.0001, 0.0005), 0.001)
-        assert fidelity_error_bound(bumped) > b0
+        b0 = fidelity_error_bound(0.0035, 0.001)
+        assert fidelity_error_bound(0.007, 0.002) == pytest.approx(2 * b0)
+        assert fidelity_error_bound(0.0036, 0.001) > b0
+        assert fidelity_error_bound(0.0035, 0.0011) > b0
 
-    def test_negative_entries_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            ErrorBudget((-0.001, 0, 0, 0), 0.0)
-        with pytest.raises(ValueError, match="nonnegative"):
-            ErrorBudget((0, 0, 0, 0), -0.1)
-        with pytest.raises(ValueError, match="4 entries"):
-            ErrorBudget((0.1, 0.1), 0.0)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_entries_rejected(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            ErrorBudget((0.001, bad, 0.0, 0.0), 0.001)
-        with pytest.raises(ValueError, match="finite"):
-            ErrorBudget((0.001, 0.0, 0.0, 0.0), bad)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.001])
+    @pytest.mark.parametrize("argument", ["delta_c_total", "delta_theta"])
+    def test_invalid_argument_rejected(self, argument, bad):
+        # Each argument on its own, with the other one valid; the message
+        # names the argument and repeats the value.
+        args = {"delta_c_total": 0.001, "delta_theta": 0.001, argument: bad}
+        message = f"^{argument} must be finite and nonnegative, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            fidelity_error_bound(**args)
 
 
 class TestPerturbationSweep:
@@ -112,6 +103,22 @@ class TestPerturbationSweep:
         assert res.n_exceeding_bound > 0
         assert isinstance(res, PerturbationResult)
 
+    def test_a_sample_at_the_bound_is_not_flagged(self):
+        # Only a deviation strictly above the bound counts, and 0 is a bound.
+        res = perturbation_sweep(jitter=0.01, n_samples=6, seed=4)
+        assert res.min_deviation > 0.0
+        assert perturbation_sweep(jitter=0.01, n_samples=6, seed=4, bound=res.max_deviation).n_exceeding_bound == 0
+        assert perturbation_sweep(jitter=0.01, n_samples=6, seed=4, bound=0.0).n_exceeding_bound == 6
+
+    def test_one_sample_at_the_default_input(self):
+        # One sample is a sweep, and theta and delta default to 0, the |H> input.
+        one = perturbation_sweep(jitter=0.01, n_samples=1, seed=4)
+        assert one.n_samples == 1 and one.deviations.shape == (1,)
+        explicit = perturbation_sweep(jitter=0.01, n_samples=1, seed=4, theta=0.0, delta=0.0)
+        assert one.fidelities1.tobytes() == explicit.fidelities1.tobytes()
+        assert one.fidelities1.tobytes() != perturbation_sweep(0.01, 1, 4, theta=1.0).fidelities1.tobytes()
+        assert one.fidelities1.tobytes() != perturbation_sweep(0.01, 1, 4, delta=1.0).fidelities1.tobytes()
+
     def test_stats_fields(self):
         res = perturbation_sweep(jitter=0.001, n_samples=8, seed=1)
         assert res.min_deviation <= res.mean_deviation <= res.max_deviation
@@ -126,8 +133,10 @@ class TestPerturbationSweep:
             perturbation_sweep(jitter=0.1, n_samples=0, seed=0)
         with pytest.raises(ValueError, match="n_samples must be a positive integer, got 2.5"):
             perturbation_sweep(jitter=0.001, n_samples=2.5, seed=1)
-        with pytest.raises(ValueError, match="entropy must be an"):
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 2\.5$"):
             perturbation_sweep(jitter=0.001, n_samples=3, seed=2.5)
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+            perturbation_sweep(0.001, 3, -1)
         with pytest.raises(ValueError, match="delta_c_total"):
             perturbation_sweep(jitter=0.1, n_samples=5, seed=0, delta_c_total=-1.0)
         # A NaN bound would flag no sample and a negative one every sample.

@@ -10,8 +10,8 @@ import pytest
 
 from uqcm import optics
 from uqcm.gates import Circuit, Rotation
-from uqcm.hilbert import IsometryError, fidelity, DensityMatrix
-from uqcm.network import build_measurement_circuit
+from uqcm.hilbert import IsometryError, fidelity, DensityMatrix, _qubit_stokes
+from uqcm.network import _input_amplitudes, build_measurement_circuit
 from uqcm.optics import (
     AJWP,
     BENCH_REGISTER,
@@ -38,7 +38,13 @@ from uqcm.optics import (
     _propagate,
     _unit_norms,
 )
-from uqcm.tomography import measurement_state, per_path_amplitudes, signal_probabilities
+from uqcm.tomography import (
+    _click_probabilities,
+    _replica_stokes,
+    measurement_state,
+    per_path_amplitudes,
+    signal_probabilities,
+)
 
 from reference import input_state, misaligned_cloner_train, replicas_from_state
 
@@ -566,6 +572,30 @@ class TestClonerTrain:
         for entry in (optical_measurement_state, build_cloner_train):
             with pytest.raises(ValueError, match="theta value|delta value"):
                 entry(theta, delta)
+
+    def test_replica_maps_are_affine_with_trace_four(self):
+        # Each replica's Stokes vector is affine in the input's Bloch vector
+        # n, S = T n + t. Fitted at Bloch +z, -z, +x and +y, the optics tier's
+        # maps are T = (2/3) I and t = 0: tr T1 + tr T2 = 4, and each
+        # replica's sphere-average fidelity 1/2 + tr T / 6 is 5/6.
+        def stokes(theta, delta):
+            return _replica_stokes(_click_probabilities(_bench_path_amplitudes(theta, delta)))
+
+        plus_z, minus_z, plus_x, plus_y = stokes(
+            np.array([0.0, math.pi / 2, math.pi / 4, math.pi / 4]), np.array([0.0, 0.0, 0.0, math.pi / 2]))
+        t = (plus_z + minus_z) / 2
+        # (replica, 3, 3), columns the images of x, y and z.
+        T = np.stack([plus_x - t, plus_y - t, (plus_z - minus_z) / 2], axis=-1)
+        assert np.max(np.abs(T - (2 / 3) * np.eye(3))) <= 1e-12
+        assert np.max(np.abs(t)) <= 1e-12
+        traces = np.trace(T, axis1=-2, axis2=-1)
+        assert abs(traces.sum() - 4.0) <= 1e-12
+        assert np.max(np.abs(0.5 + traces / 6 - 5 / 6)) <= 1e-12
+        rng = np.random.default_rng(55)
+        thetas, deltas = rng.uniform(-math.pi / 2, math.pi / 2, 50), rng.uniform(0.0, 2 * math.pi, 50)
+        bloch = _qubit_stokes(_input_amplitudes(thetas, deltas))
+        predicted = np.einsum("rij,kj->kri", T, bloch) + t
+        assert np.max(np.abs(stokes(thetas, deltas) - predicted)) <= 1e-12
 
     def test_optics_pipeline_reaches_optimal_fidelity(self):
         thetas = np.linspace(-math.pi / 2 + math.pi / 36, math.pi / 2, 7)

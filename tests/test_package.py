@@ -66,17 +66,17 @@ def package_functions():
 
 
 def test_bootstrap_size_and_detector_model_are_no_parameters():
-    # One bootstrap size and one detector model: the counting kernel and its
-    # single-point report count with `DetectorModel()` and N_BOOTSTRAP
-    # resamples. `simulate_counts` keeps its model, which tests vary.
+    # One bootstrap size and one detector bank: every count is drawn with the
+    # module constants of `tomography` and bootstrapped with N_BOOTSTRAP
+    # resamples. Tests that vary the detectors patch those constants.
     functions = dict(package_functions())
     assert "uqcm.tomography._montecarlo_fidelities" in functions and "uqcm.cli.run_tomo" in functions
-    assert [name for name, fn in functions.items() if "n_bootstrap" in inspect.signature(fn).parameters] == []
+    for parameter in ("n_bootstrap", "model"):
+        assert [name for name, fn in functions.items() if parameter in inspect.signature(fn).parameters] == []
     assert not hasattr(uqcm.tomography, "_require_bootstrap")
     assert uqcm.tomography.N_BOOTSTRAP == 50
-    for fn in (uqcm.tomography._montecarlo_fidelities, uqcm.tomography.montecarlo_report):
-        assert "model" not in inspect.signature(fn).parameters, fn.__name__
-    assert "model" in inspect.signature(uqcm.tomography.simulate_counts).parameters
+    detector = tuple(getattr(uqcm.tomography, name) for name in ("EFFICIENCY", "DARK_RATE", "MAX_RATE", "GATE_WINDOW"))
+    assert detector == (0.70, 50.0, 20000.0, 5e-9)
 
 
 # Public helpers that no command, tracer target or release criterion needs in
@@ -89,7 +89,8 @@ RETIRED = {
         "source_photon", "apply_train", "qubits_to_modes", "ModeSpace", "PhotonState", "element_paths",
         "mode_qubit_labels", "_mode_to_qubit_permutation", "EquivalenceReport",
     ),
-    "tomography": ("attach_aux_cswap", "reconstruct_single_qubit", "replicas_from_state", "N_PATHS"),
+    "tomography": ("attach_aux_cswap", "reconstruct_single_qubit", "replicas_from_state", "N_PATHS", "DetectorModel"),
+    "errormodel": ("ErrorBudget",),
 }
 
 
@@ -109,7 +110,8 @@ def test_retired_names_are_gone():
 # Parameters that only tests or the retired `verify --inject-hwp-offset-deg`
 # set, by the function that took them. Each now uses its one value in use:
 # the tolerances are module constants, the prep angles `cloner_prep_angles()`,
-# the path count the bench's N_BENCH_PATHS, and output goes to sys.stdout.
+# the path count the bench's N_BENCH_PATHS, the detector the constants of
+# `tomography`, and output goes to sys.stdout.
 RETIRED_PARAMETERS = {
     "uqcm.cli.run_sweep": ("stdout",),
     "uqcm.cli.run_verify": ("hwp_offset_rad", "stdout"),
@@ -125,6 +127,8 @@ RETIRED_PARAMETERS = {
     "uqcm.optics._cloner_train_elements": ("prep",),
     "uqcm.optics.OpticalTrain.__init__": ("n_paths",),
     "uqcm.optics.element_matrix": ("n_paths",),
+    "uqcm.tomography.simulate_counts": ("model",),
+    "uqcm.tomography._draw_counts": ("model",),
 }
 
 

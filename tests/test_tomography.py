@@ -42,7 +42,6 @@ from uqcm.tomography import (
     _path_stokes,
     BASES,
     CountsRecord,
-    DetectorModel,
     FidelityReport,
     ReconstructionError,
     exact_report,
@@ -121,20 +120,21 @@ def reference_replica_stokes(counts, replicas=(1, 2)) -> np.ndarray:
     return stokes
 
 
-def reference_draw_counts(probs: np.ndarray, model: DetectorModel, trials: int, rngs) -> np.ndarray:
+def reference_draw_counts(probs: np.ndarray, trials: int, rngs) -> np.ndarray:
     """(N, 8, 4) counts for (N, 8, 4) signal probabilities, drawn as in
-    `simulate_counts`: basis b of point k takes generator 4 k + b of `rngs`,
-    the streams of `_count_entropy(seeds)`; exactly 4 N are taken."""
+    `simulate_counts` by the detector constants of `tomography` as they are
+    at the call: basis b of point k takes generator 4 k + b of `rngs`, the
+    streams of `_count_entropy(seeds)`; exactly 4 N are taken."""
     if probs.min() < -1e-12 or probs.max() > 1.0 + 1e-12:
         raise ValueError("signal probabilities must lie in [0, 1]")
     if trials < 1:
         raise ValueError("trials must be positive")
     probs = np.clip(probs, 0.0, 1.0)
-    dark_mean = model.dark_mean(trials)
+    dark_mean = tomography.DARK_RATE * tomography.GATE_WINDOW * trials / tomography.MAX_RATE
     counts = np.zeros(probs.shape, dtype=np.int64)
     for k, rng in zip(range(len(probs) * len(BASES)), rngs):
         point, b = divmod(k, len(BASES))
-        detect = probs[point, :, b] * model.efficiency
+        detect = probs[point, :, b] * tomography.EFFICIENCY
         pvals = np.append(detect, max(0.0, 1.0 - float(detect.sum())))
         signal = rng.multinomial(trials, pvals / pvals.sum())[:N_BENCH_PATHS]
         dark = rng.poisson(dark_mean, size=N_BENCH_PATHS)
@@ -246,52 +246,49 @@ class TestPathDistribution:
 class TestSimulateCounts:
     def test_same_seed_same_record(self):
         probs = signal_probabilities(measurement_state(0.2, 0.4))
-        a = simulate_counts(probs, DetectorModel(), 5000, 7)
-        b = simulate_counts(probs, DetectorModel(), 5000, 7)
+        a = simulate_counts(probs, 5000, 7)
+        b = simulate_counts(probs, 5000, 7)
         assert np.array_equal(a.counts, b.counts)
 
-    def test_fractions_approach_probabilities(self):
+    def test_fractions_approach_probabilities(self, detector):
         probs = signal_probabilities(measurement_state(0.0, 0.0))
-        model = DetectorModel(efficiency=1.0, dark_rate=0.0)
+        detector(EFFICIENCY=1.0, DARK_RATE=0.0)
         trials = 10**6
-        rec = simulate_counts(probs, model, trials, 3)
+        rec = simulate_counts(probs, trials, 3)
         for b in range(4):
             for path in range(8):
                 p = probs[path, b]
                 sigma = math.sqrt(p * (1 - p) * trials)
                 assert abs(rec.counts[path, b] - p * trials) <= 3 * sigma
 
-    def test_efficiency_scales_mean_counts(self):
+    def test_efficiency_scales_mean_counts(self, detector):
         probs = signal_probabilities(measurement_state(0.0, 0.0))
         trials = 20000
-        full = np.mean(
-            [simulate_counts(probs, DetectorModel(efficiency=1.0, dark_rate=0.0), trials, s).counts.sum()
-             for s in range(100)]
-        )
-        reduced = np.mean(
-            [simulate_counts(probs, DetectorModel(efficiency=0.7, dark_rate=0.0), trials, s).counts.sum()
-             for s in range(100)]
-        )
+        detector(EFFICIENCY=1.0, DARK_RATE=0.0)
+        full = np.mean([simulate_counts(probs, trials, s).counts.sum() for s in range(100)])
+        detector(EFFICIENCY=0.7)
+        reduced = np.mean([simulate_counts(probs, trials, s).counts.sum() for s in range(100)])
         assert reduced / full == pytest.approx(0.7, abs=0.01)
 
     @pytest.mark.parametrize("seed", [5, 2**32, 2**64 + 5])
-    def test_each_basis_draws_from_its_seed_sequence_stream(self, seed):
+    def test_each_basis_draws_from_its_seed_sequence_stream(self, seed, detector):
         probs = signal_probabilities(measurement_state(0.3, 2.0))
-        model = DetectorModel(dark_rate=5e4, gate_window=1e-3)
+        detector(DARK_RATE=5e4, GATE_WINDOW=1e-3)
         trials = 3000
         expect = np.empty((8, 4), dtype=np.int64)
         for b in range(4):
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, b))))
-            detect = probs[:, b] * model.efficiency
+            # The bench's efficiency and rate cap, the patched rate and gate.
+            detect = probs[:, b] * 0.70
             pvals = np.append(detect, max(0.0, 1.0 - float(detect.sum())))
             signal = rng.multinomial(trials, pvals / pvals.sum())[:8]
-            expect[:, b] = np.minimum(signal + rng.poisson(model.dark_mean(trials), size=8), trials)
-        assert np.array_equal(simulate_counts(probs, model, trials, seed).counts, expect)
+            expect[:, b] = np.minimum(signal + rng.poisson(5e4 * 1e-3 * trials / 20000.0, size=8), trials)
+        assert np.array_equal(simulate_counts(probs, trials, seed).counts, expect)
 
-    def test_dark_counts_appear_at_large_gate_window(self):
+    def test_dark_counts_appear_at_large_gate_window(self, detector):
         probs = np.zeros((8, 4))
-        model = DetectorModel(efficiency=0.0, dark_rate=50.0, gate_window=1.0)
-        rec = simulate_counts(probs, model, 20000, 11)
+        detector(EFFICIENCY=0.0, DARK_RATE=50.0, GATE_WINDOW=1.0)
+        rec = simulate_counts(probs, 20000, 11)
         assert rec.counts.sum() > 0
 
     def test_record_validation(self):
@@ -308,23 +305,11 @@ class TestSimulateCounts:
         assert CountsRecord(counts=np.ones((8, 4), dtype=int), total_trials=1, seed=0).total_trials == 1
 
     def test_record_holds_counts_trials_and_seed_only(self):
-        # The detector model only shapes the draws; the record does not carry it.
-        rec = simulate_counts(signal_probabilities(measurement_state(0.1, 0.2)), DetectorModel(), 12345, 99)
+        # The detectors only shape the draws; the record does not describe them.
+        rec = simulate_counts(signal_probabilities(measurement_state(0.1, 0.2)), 12345, 99)
         assert [f.name for f in dataclasses.fields(CountsRecord)] == ["counts", "total_trials", "seed"]
         assert (rec.total_trials, rec.seed, rec.counts.shape) == (12345, 99, (8, 4))
         assert not rec.counts.flags.writeable
-
-    @pytest.mark.parametrize(
-        ("value", "field"),
-        [(bad, field) for field in ("dark_rate", "max_rate", "gate_window") for bad in (math.nan, math.inf)]
-        + [(-1.0, "dark_rate"), (0.0, "max_rate"), (-1.0, "gate_window")]
-        + [(-0.1, "efficiency"), (1.5, "efficiency"), (math.nan, "efficiency")],
-    )
-    def test_detector_model_requires_finite_values(self, value, field):
-        # Finite, and in range: efficiency in [0, 1], rates and gate window
-        # nonnegative, max_rate positive.
-        with pytest.raises(ValueError, match=r"must be finite|outside \[0, 1\]"):
-            DetectorModel(**{field: value})
 
 
 class TestSingleQubitInversion:
@@ -416,7 +401,7 @@ class TestReplicaReconstruction:
         psi = input_state(0.0, 0.0)
         hits = 0
         for seed in range(100):
-            rec = simulate_counts(probs, DetectorModel(), 10**6, seed)
+            rec = simulate_counts(probs, 10**6, seed)
             f1 = fidelity(psi, DensityMatrix([1], reconstruct_replica(rec, 1).matrix))
             f2 = fidelity(psi, DensityMatrix([1], reconstruct_replica(rec, 2).matrix))
             if abs(f1 - F_OPT) < 0.003 and abs(f2 - F_OPT) < 0.003:
@@ -427,7 +412,7 @@ class TestReplicaReconstruction:
     def test_montecarlo_report_matches_public_route(self, theta, delta, trials, seed):
         # The counting kernel against counts, replica matrices and bootstrap
         # taken one public call at a time.
-        rec = simulate_counts(signal_probabilities(measurement_state(theta, delta)), DetectorModel(), trials, seed)
+        rec = simulate_counts(signal_probabilities(measurement_state(theta, delta)), trials, seed)
         ref = fidelity_report(
             reconstruct_replica(rec, 1), reconstruct_replica(rec, 2), theta, delta,
             mode="montecarlo", counts=rec,
@@ -527,7 +512,7 @@ class TestArrayReconstruction:
     def test_bootstrap_is_one_batched_draw(self):
         theta, delta = 0.4, 1.1
         probs = signal_probabilities(measurement_state(theta, delta))
-        rec = simulate_counts(probs, DetectorModel(), 20000, 11)
+        rec = simulate_counts(probs, 20000, 11)
         psi = input_state(theta, delta)
 
         def stream():
@@ -626,16 +611,17 @@ class TestBlockKernels:
             assert_stokes_match_reference(probs)
 
     @pytest.mark.parametrize(
-        ("n_points", "trials", "model"),
+        ("n_points", "trials", "constants"),
         [
-            (1, 20000, DetectorModel()),
-            (MONTECARLO_BLOCK, 3000, DetectorModel(dark_rate=5e4, gate_window=1e-3)),
-            (3, 5, DetectorModel(dark_rate=1e4, gate_window=1.0)),   # the cap at trials binds
-            (2, 700, DetectorModel(efficiency=0.0)),                 # every photon absorbed
+            (1, 20000, {}),
+            (MONTECARLO_BLOCK, 3000, dict(DARK_RATE=5e4, GATE_WINDOW=1e-3)),
+            (3, 5, dict(DARK_RATE=1e4, GATE_WINDOW=1.0)),   # the cap at trials binds
+            (2, 700, dict(EFFICIENCY=0.0)),                 # every photon absorbed
         ],
     )
     @pytest.mark.parametrize("source", ["gate", "generic"])
-    def test_draw_counts_matches_per_stream_loop(self, n_points, trials, model, source):
+    def test_draw_counts_matches_per_stream_loop(self, n_points, trials, constants, source, detector):
+        detector(**constants)
         rng = np.random.default_rng(n_points)
         probs = _gate_probabilities(random_amplitudes(rng, n_points))
         if source == "generic":
@@ -643,9 +629,9 @@ class TestBlockKernels:
             probs = rng.uniform(0.01, 0.125, size=probs.shape)
         entropy = _count_entropy(rng.integers(0, 2**63, size=n_points).tolist())
         expect_log, log = [], []
-        expect = reference_draw_counts(probs, model, trials, (RecordingGenerator(e, expect_log) for e in entropy))
+        expect = reference_draw_counts(probs, trials, (RecordingGenerator(e, expect_log) for e in entropy))
         rngs = iter([RecordingGenerator(e, log) for e in entropy] + ["next stream"])
-        counts = _draw_counts(probs, model, trials, rngs)
+        counts = _draw_counts(probs, trials, rngs)
         assert next(rngs) == "next stream"   # exactly 4 N generators taken
         assert log == expect_log             # the same draws with the same arguments, in order
         assert counts.shape == expect.shape and counts.dtype == expect.dtype
@@ -654,7 +640,7 @@ class TestBlockKernels:
         if trials == 5:
             assert np.any(counts == trials)
         # The batched seeding hands out the same streams.
-        assert _draw_counts(probs, model, trials, streams(entropy)).tobytes() == expect.tobytes()
+        assert _draw_counts(probs, trials, streams(entropy)).tobytes() == expect.tobytes()
 
     @pytest.mark.parametrize(("n_points", "trials"), [(1, 20000), (MONTECARLO_BLOCK, 500), (3, 50)])
     def test_bootstrap_errors_match_per_point_std(self, n_points, trials):
@@ -663,7 +649,7 @@ class TestBlockKernels:
         rng = np.random.default_rng(n_points)
         amps = random_amplitudes(rng, n_points)
         seeds = rng.integers(0, 2**32, size=n_points).tolist()
-        counts = _draw_counts(_gate_probabilities(amps), DetectorModel(), trials, streams(_count_entropy(seeds)))
+        counts = _draw_counts(_gate_probabilities(amps), trials, streams(_count_entropy(seeds)))
         bloch = _qubit_stokes(amps)
         expect = []
         for k, entropy in enumerate(_bootstrap_entropy(seeds)):
@@ -720,13 +706,13 @@ class TestCountingInputs:
 
     def test_setting_summing_above_one_rejected(self):
         with pytest.raises(ValueError, match="must sum to at most 1"):
-            simulate_counts(np.full((8, 4), 0.5), DetectorModel(), 100, 1)
+            simulate_counts(np.full((8, 4), 0.5), 100, 1)
         probs = np.zeros((3, 8, 4))
         probs[1, :, 2] = 0.125 + 1e-12   # one setting of one point, 1 + 8e-12 in all
         with pytest.raises(ValueError, match="must sum to at most 1"):
-            _draw_counts(probs, DetectorModel(), 100, streams(_count_entropy([0, 1, 2])))
+            _draw_counts(probs, 100, streams(_count_entropy([0, 1, 2])))
         probs[1, :, 2] = 0.125           # exactly 1: a photon always clicks
-        assert _draw_counts(probs, DetectorModel(), 100, streams(_count_entropy([0, 1, 2]))).shape == (3, 8, 4)
+        assert _draw_counts(probs, 100, streams(_count_entropy([0, 1, 2]))).shape == (3, 8, 4)
 
     def test_default_grid_block_passes_the_sum_check(self):
         config = SweepConfig(mode="montecarlo")
@@ -735,7 +721,7 @@ class TestCountingInputs:
         probs = _gate_probabilities(amps)
         assert probs.sum(axis=-2).max() == pytest.approx(5 / 6, abs=1e-12)
         seeds = list(range(len(probs)))
-        assert _draw_counts(probs, DetectorModel(), 20000, streams(_count_entropy(seeds))).shape == probs.shape
+        assert _draw_counts(probs, 20000, streams(_count_entropy(seeds))).shape == probs.shape
 
     def test_single_probability_above_one_rejected(self):
         # The clip to [0, 1] runs before the sum check, which alone would
@@ -743,19 +729,38 @@ class TestCountingInputs:
         probs = np.zeros((1, 8, 4))
         probs[0, 3, 1] = 1.5
         with pytest.raises(ValueError, match=r"signal probabilities must lie in \[0, 1\]"):
-            _draw_counts(probs, DetectorModel(), 100, streams(_count_entropy([0])))
+            _draw_counts(probs, 100, streams(_count_entropy([0])))
+
+    def test_probability_tolerance_is_1e_12(self):
+        # Rounding may put a probability, or a setting's sum, 1e-12 beyond
+        # its range, the bound included; no more.
+        for cell, accepted in ((-1e-12, True), (-2e-12, False), (1.0 + 1e-12, True), (1.0 + 2e-12, False)):
+            probs = np.zeros((1, 8, 4))
+            probs[0, 2, 1] = cell
+            if accepted:
+                assert _draw_counts(probs, 100, streams(_count_entropy([0]))).shape == (1, 8, 4)
+            else:
+                with pytest.raises(ValueError, match=r"signal probabilities must lie in \[0, 1\]"):
+                    _draw_counts(probs, 100, streams(_count_entropy([0])))
+        probs = np.zeros((1, 8, 4))
+        probs[0, 0:2, 3] = [1e-12, 1.0]
+        assert probs[0, :, 3].sum() == 1.0 + 1e-12
+        assert _draw_counts(probs, 100, streams(_count_entropy([0]))).shape == (1, 8, 4)
+        probs[0, 0, 3] = 2e-12
+        with pytest.raises(ValueError, match="must sum to at most 1"):
+            _draw_counts(probs, 100, streams(_count_entropy([0])))
 
     def test_nan_probability_rejected(self):
         probs = signal_probabilities(measurement_state(0.2, 0.4))
         probs[3, 1] = math.nan
         with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
-            simulate_counts(probs, DetectorModel(), 100, 1)
+            simulate_counts(probs, 100, 1)
 
     @pytest.mark.parametrize("trials", [100.5, math.nan, math.inf, "100"])
     def test_non_integral_trials_rejected(self, trials):
         probs = signal_probabilities(measurement_state(0.1, 0.2))
         with pytest.raises(ValueError, match=f"trials must be a whole number, got {re.escape(repr(trials))}"):
-            simulate_counts(probs, DetectorModel(), trials, 1)
+            simulate_counts(probs, trials, 1)
         with pytest.raises(ValueError, match="trials must be a whole number"):
             montecarlo_report(0.1, 0.2, trials, 1)
         with pytest.raises(ValueError, match="total_trials must be a whole number"):
@@ -765,7 +770,7 @@ class TestCountingInputs:
     def test_trials_below_one_rejected(self, trials):
         probs = signal_probabilities(measurement_state(0.1, 0.2))
         with pytest.raises(ValueError, match="trials must be positive"):
-            simulate_counts(probs, DetectorModel(), trials, 1)
+            simulate_counts(probs, trials, 1)
         with pytest.raises(ValueError, match="trials must be positive"):
             montecarlo_report(0.1, 0.2, trials, 1)
 
@@ -775,10 +780,10 @@ class TestCountingInputs:
         probs = signal_probabilities(measurement_state(0.3, 0.5))
         too_many = f"trials must be at most {MAX_TRIALS}, got {re.escape(repr(trials))}"
         with pytest.raises(ValueError, match=too_many):
-            simulate_counts(probs, DetectorModel(), trials, 0)
+            simulate_counts(probs, trials, 0)
         with pytest.raises(ValueError, match=too_many):
             montecarlo_report(0.3, 0.5, trials, 1)
-        counts = simulate_counts(probs, DetectorModel(), 20000, 0).counts
+        counts = simulate_counts(probs, 20000, 0).counts
         rho1, rho2 = reconstruct_replica(probs, 1), reconstruct_replica(probs, 2)
         with pytest.raises(ValueError, match=f"total_{too_many}"):
             fidelity_report(rho1, rho2, 0.3, 0.5, mode="montecarlo", counts=CountsRecord(counts, trials, 0))
@@ -789,21 +794,21 @@ class TestCountingInputs:
         counts = np.full((8, 4), MAX_TRIALS)
         assert CountsRecord(counts, MAX_TRIALS, 0).total_trials == MAX_TRIALS
 
-    def test_counts_at_int64_max_are_capped_without_wrapping(self):
+    def test_counts_at_int64_max_are_capped_without_wrapping(self, detector):
         # A cell that takes every trial, plus its dark counts, is capped at
         # trials; summed first, the two would wrap negative in int64.
         probs = np.zeros((8, 4))
         probs[0, 0] = 1.0
-        model = DetectorModel(efficiency=1.0)
-        assert model.dark_mean(MAX_TRIALS) > 1e8
-        counts = simulate_counts(probs, model, MAX_TRIALS, 0).counts
+        detector(EFFICIENCY=1.0)
+        assert tomography._dark_mean(MAX_TRIALS) > 1e8
+        counts = simulate_counts(probs, MAX_TRIALS, 0).counts
         assert counts[0, 0] == MAX_TRIALS
 
     def test_integral_trials_of_any_type_accepted(self):
         probs = signal_probabilities(measurement_state(0.1, 0.2))
-        expect = simulate_counts(probs, DetectorModel(), 100, 1).counts
+        expect = simulate_counts(probs, 100, 1).counts
         for trials in (100.0, np.int64(100), np.float64(100.0)):
-            assert np.array_equal(simulate_counts(probs, DetectorModel(), trials, 1).counts, expect)
+            assert np.array_equal(simulate_counts(probs, trials, 1).counts, expect)
 
     @pytest.mark.parametrize("bad", [2.7, math.nan, math.inf, -0.5])
     def test_non_integral_counts_rejected(self, bad):
@@ -813,13 +818,15 @@ class TestCountingInputs:
             CountsRecord(counts, 10, 1)
 
     def test_non_integer_seed_rejected(self):
+        # Named as the seed it is, not as the stream entropy it becomes.
         probs = signal_probabilities(measurement_state(0.1, 0.2))
-        with pytest.raises(ValueError, match="entropy must be an"):
-            simulate_counts(probs, DetectorModel(), 100, 1.5)
-        with pytest.raises(ValueError, match="entropy must be an"):
-            montecarlo_report(0.3, 0.5, 100, 2.5)
-        with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
-            CountsRecord(np.zeros((8, 4), dtype=int), 10, seed=1.5)
+        for bad, message in ((1.5, r"^seed must be an integer, got 1\.5$"), (-1, "^seed must be nonnegative, got -1$")):
+            with pytest.raises(ValueError, match=message):
+                simulate_counts(probs, 100, bad)
+            with pytest.raises(ValueError, match=message):
+                montecarlo_report(0.1, 0.2, 100, bad)
+            with pytest.raises(ValueError, match=message):
+                CountsRecord(np.zeros((8, 4), dtype=int), 10, seed=bad)
         assert CountsRecord(np.zeros((8, 4), dtype=int), 10, seed=np.int64(3)).seed == 3
 
     def test_integral_float_counts_accepted(self):
@@ -848,7 +855,7 @@ class TestFidelityReport:
 
     def test_bootstrap_is_deterministic(self):
         probs = signal_probabilities(measurement_state(0.0, 0.0))
-        rec = simulate_counts(probs, DetectorModel(), 20000, 5)
+        rec = simulate_counts(probs, 20000, 5)
         rho1 = reconstruct_replica(rec, 1)
         rho2 = reconstruct_replica(rec, 2)
         a = fidelity_report(rho1, rho2, 0.0, 0.0, mode="montecarlo", counts=rec)
@@ -865,6 +872,14 @@ class TestFidelityReport:
     def test_fidelity_above_one_rejected(self, fidelities):
         with pytest.raises(ValueError, match=r"fidelity 1.5 outside \[0, 1\]"):
             FidelityReport(*fidelities, 0.0, 0.0, 0.0, 0.0, "montecarlo")
+
+    def test_fidelity_tolerance_is_1e_12(self):
+        # Rounding may put a fidelity 1e-12 outside [0, 1], the bound included; no more.
+        for fid in (-1e-12, 1.0 + 1e-12):
+            assert FidelityReport(fid, fid, 0.0, 0.0, 0.0, 0.0, "exact").fidelity2 == fid
+        for fid in (-2e-12, 1.0 + 2e-12):
+            with pytest.raises(ValueError, match=rf"^fidelity {re.escape(repr(fid))} outside \[0, 1\]$"):
+                FidelityReport(F_OPT, fid, 0.0, 0.0, 0.0, 0.0, "exact")
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-3])
     def test_non_finite_or_negative_stderr_rejected(self, bad):
