@@ -35,8 +35,9 @@ import sys
 
 import numpy as np
 
-from uqcm.angles import sequence_amplitudes, solve_prep_angles
-from uqcm.gates import circuit_unitary
+from uqcm.angles import prep_circuit, solve_prep_angles
+from uqcm.gates import apply_circuit, circuit_unitary
+from uqcm.hilbert import PureState
 from uqcm.network import TRIPLICATOR_FIDELITY, TRIPLICATOR_PREP_TARGET, build_cloning_circuit
 
 CLONING_UNITARY = circuit_unitary(build_cloning_circuit())
@@ -112,14 +113,15 @@ def main():
             return 1
         scored.append((fidelity, d[P_OF_D]))
     best_f, best = max(scored, key=lambda fp: fp[0])
-    angles = solve_prep_angles(best).as_tuple()
-    angle_dev = float(np.max(np.abs(sequence_amplitudes(*angles) - best)))
+    angles = solve_prep_angles(best)
+    prepared = apply_circuit(prep_circuit(angles), PureState((2, 3), [1, 0, 0, 0])).amplitudes
+    angle_dev = float(np.max(np.abs(prepared - best)))
     prep_dev = float(np.max(np.abs(best - TRIPLICATOR_PREP_TARGET)))
     f_dev = abs(best_f - TRIPLICATOR_FIDELITY)
 
     print()
     print(f"selected triplicator prep state: {best}, common fidelity {best_f:.12f}")
-    print(f"prep angles {angles} reproduce it to {angle_dev:.1e}")
+    print(f"prep angles {angles.as_tuple()} reproduce it to {angle_dev:.1e}")
     print(f"deviation from TRIPLICATOR_PREP_TARGET {prep_dev:.1e}, from TRIPLICATOR_FIDELITY {f_dev:.1e}")
     if not (prep_dev <= 1e-12 and f_dev <= 1e-12 and angle_dev <= 1e-12):
         print("MISMATCH with the frozen constants")

@@ -54,14 +54,12 @@ from .tomography import (
     ReconstructionError,
     exact_report,
     fidelity_report,
-    measurement_state,
     montecarlo_report,
     reconstruct_replica,
     signal_probabilities,
     simulate_counts,
 )
 from .errormodel import (
-    PerturbationResult,
     fidelity_error_bound,
     perturbation_sweep,
 )
@@ -123,13 +121,11 @@ __all__ = [
     "ReconstructionError",
     "exact_report",
     "fidelity_report",
-    "measurement_state",
     "montecarlo_report",
     "reconstruct_replica",
     "signal_probabilities",
     "simulate_counts",
     # errormodel
-    "PerturbationResult",
     "fidelity_error_bound",
     "perturbation_sweep",
 ]

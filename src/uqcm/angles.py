@@ -6,7 +6,12 @@ The preparation sequence acts on a blank two-qubit register (a, b) as
 
 and the solver finds (t1, t2, t3) mapping |00> to a requested target state
 with real nonnegative amplitudes (a0, a1, a2, a3). Composing the five steps
-(`sequence_amplitudes`) gives, with c2 = cos t2 and s2 = sin t2,
+by hand, with ck = cos tk and sk = sin tk, gives the image of |00> in basis
+order (a the most significant bit)
+
+    (c3 c1 c2 + s3 s1 s2,  c3 s1 c2 - s3 c1 s2,  s3 c1 c2 - c3 s1 s2,  s3 s1 c2 + c3 c1 s2),
+
+whose sums and differences read
 
     (a0 + a3, a2 - a1) = (c2 + s2) (cos, sin)(t3 - t1)
     (a0 - a3, a2 + a1) = (c2 - s2) (cos, sin)(t3 + t1)
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import CNOT, Circuit, Rotation
+from .gates import CNOT, Circuit, Rotation, _apply_gates
 
 _TWO_PI = 2.0 * math.pi
 # Largest 1 - overlap of the prepared state with the target that a solve accepts.
@@ -81,33 +86,14 @@ def prep_circuit(angles: PrepAngles) -> Circuit:
     )
 
 
-def sequence_amplitudes(t1: float, t2: float, t3: float) -> np.ndarray:
-    """Closed-form image of |00> under the preparation sequence.
-
-    Basis order (a, b) with `a` the most significant bit. Obtained by
-    composing the five steps by hand; used by the solver, while tests
-    validate solved angles through the generic circuit machinery.
-    """
-    c1, s1 = math.cos(t1), math.sin(t1)
-    c2, s2 = math.cos(t2), math.sin(t2)
-    c3, s3 = math.cos(t3), math.sin(t3)
-    return np.array(
-        [
-            c3 * c1 * c2 + s3 * s1 * s2,
-            c3 * s1 * c2 - s3 * c1 * s2,
-            s3 * c1 * c2 - c3 * s1 * s2,
-            s3 * s1 * c2 + c3 * c1 * s2,
-        ]
-    )
-
-
 def solve_prep_angles(target) -> PrepAngles:
     """Angles whose preparation sequence reproduces `target` from |00>.
 
     `target` is the length-4 amplitude vector on qubits (2, 3) in basis
     order, normalized with real nonnegative entries. Returns the closed-form
     branch of the module docstring, t2 in [-pi/4, pi/4]; raises SolverError
-    with the residual when its angles miss 1 - PREP_TOL overlap.
+    with the residual when the image of |00> under `prep_circuit` of those
+    angles misses 1 - PREP_TOL overlap.
     """
     amps = np.asarray(target, dtype=complex).reshape(-1)
     if amps.size != 4:
@@ -124,12 +110,13 @@ def solve_prep_angles(target) -> PrepAngles:
     u, v = math.atan2(a2 - a1, a0 + a3), math.atan2(a2 + a1, a0 - a3)
     # Every raw angle is already in (-pi, pi]; the wrap still rounds some last
     # bits, and the pinned cloner angles, so every CSV, depend on those bits.
-    x = tuple(_wrap_angle(w) for w in ((v - u) / 2.0, math.atan2(p - q, p + q), (u + v) / 2.0))
-    residual = 1.0 - abs(float(sequence_amplitudes(*x) @ t))
+    angles = PrepAngles(*(_wrap_angle(w) for w in ((v - u) / 2.0, math.atan2(p - q, p + q), (u + v) / 2.0)))
+    # Checked on the circuit the network runs.
+    residual = 1.0 - abs(complex(_apply_gates(prep_circuit(angles), np.eye(4)[0]) @ t))
     if not residual <= PREP_TOL:
         residual = max(0.0, residual)
         raise SolverError(
             f"prep-angle solve failed: residual {residual:.3e} exceeds tol {PREP_TOL:.1e}",
             residual=residual,
         )
-    return PrepAngles(*x)
+    return angles

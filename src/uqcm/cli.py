@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import numbers
 import re
 import sys
 from dataclasses import dataclass
@@ -137,6 +138,13 @@ class SweepConfig:
     out: str = "fidelity_sweep.csv"
 
     def __post_init__(self):
+        # Counts and the seed are integers, as the config parsers and the
+        # flags give them; the kernels would fail on any other value partway
+        # through the CSV.
+        for name in ("theta_steps", "trials", "samples", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise UsageError(f"{name} must be an integer, got {value!r}")
         if self.mode not in ("exact", "montecarlo", "perturbed"):
             raise UsageError(f"unknown mode {self.mode!r}")
         _check_count("theta_steps", self.theta_steps, MAX_GRID_AXIS)
@@ -225,10 +233,7 @@ def build_sweep_config(args: argparse.Namespace) -> SweepConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    try:
-        return SweepConfig(**values)
-    except TypeError as exc:
-        raise UsageError(str(exc)) from exc
+    return SweepConfig(**values)
 
 
 def _exact_fidelities(theta: np.ndarray, delta: np.ndarray) -> tuple:
@@ -474,7 +479,8 @@ def _format_matrix(matrix: np.ndarray) -> str:
     0., never as -0. or as rounding residue in scientific notation."""
     m = np.array(matrix, dtype=complex)
     for part in (m.real, m.imag):
-        part[np.abs(part) < 5e-7] = 0.0
+        # The float 5e-7 lies just below 5e-7 and rounds to zero too.
+        part[np.abs(part) <= 5e-7] = 0.0
     return np.array2string(m, precision=6, suppress_small=True)
 
 

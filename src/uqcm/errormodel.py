@@ -13,25 +13,24 @@ The empirical side perturbs the axis angle of every half-wave plate, the
 bench's only mounted axes, independently and reruns the exact pipeline.
 Only the source photon's column is propagated, for the jittered copies of
 the bench at any number of (theta, delta) points at once, in blocks of
-TRAIN_BLOCK trains that bound the working set; samples exceeding a
-supplied bound are counted rather than silently accepted.
+TRAIN_BLOCK trains that bound the working set. `perturbation_sweep`
+returns both replicas' fidelities per sample; callers score them against
+5/6 and the bound themselves.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
 from .hilbert import _qubit_stokes, _stokes_fidelity
-from .network import _input_amplitudes, optimal_fidelity
+from .network import _input_amplitudes
 from .optics import HWP, N_BENCH_PATHS, _body_elements, _input_elements, _propagate
 from .streams import streams
 from .tomography import _click_probabilities, _replica_stokes, _require_seed
 
-_TARGET_F = optimal_fidelity(1, 2)
 # Jittered trains per propagation batch: a block holds TRAIN_BLOCK source
 # photon columns (16 amplitudes each) and their axis offsets, whatever the
 # grid size or the sample count. An element step costs about the same
@@ -49,44 +48,6 @@ def fidelity_error_bound(delta_c_total: float, delta_theta: float) -> float:
         if not (math.isfinite(value) and value >= 0):
             raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
     return float(delta_c_total + 1.5 * delta_theta)
-
-
-@dataclass(frozen=True)
-class PerturbationResult:
-    """Empirical |Delta F| distribution from an angle-jitter sweep."""
-
-    jitter: float
-    delta_c_total: float
-    n_samples: int
-    seed: int
-    deviations: np.ndarray
-    fidelities1: np.ndarray
-    fidelities2: np.ndarray
-    bound: float | None = None
-
-    def __post_init__(self):
-        for name in ("deviations", "fidelities1", "fidelities2"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    @property
-    def min_deviation(self) -> float:
-        return float(self.deviations.min())
-
-    @property
-    def mean_deviation(self) -> float:
-        return float(self.deviations.mean())
-
-    @property
-    def max_deviation(self) -> float:
-        return float(self.deviations.max())
-
-    @property
-    def n_exceeding_bound(self):
-        if self.bound is None:
-            return None
-        return int(np.sum(self.deviations > self.bound))
 
 
 def _jittered_fidelities(theta, delta, seeds, n_samples: int, jitter: float, delta_c_total: float) -> np.ndarray:
@@ -155,22 +116,23 @@ def perturbation_sweep(
     theta: float = 0.0,
     delta: float = 0.0,
     delta_c_total: float = 0.0,
-    bound: float | None = None,
-) -> PerturbationResult:
+) -> np.ndarray:
     """Rerun the exact optical pipeline under waveplate angle jitter.
 
     Each sample draws an independent uniform(-jitter, +jitter) offset for
     every half-wave plate of the bench for input (theta, delta), adds
     the optional count-oscillation injection (the four replica-1 path
     weights are scaled by 1 + u_i with sum |u_i| = delta_c_total, at most 1
-    so that no weight turns negative), and records |F - 5/6| of replica 1.
+    so that no weight turns negative), and scores both replicas.
     Deterministic given the seed: sample i draws from its own substream
     (seed, i). The single-point use of `_jittered_fidelities`, the kernel the
     perturbed sweep runs over its whole grid: the jittered trains propagate
     the source photon's column in blocks of TRAIN_BLOCK, each element checked
     unitary, and every sample is scored from its (8, 4) click probabilities.
-    Samples whose |F - 5/6| exceeds a nonnegative `bound` are counted; an
-    infinite bound flags none.
+
+    Returns a read-only, C-contiguous (2, n_samples) array: row r holds
+    replica r + 1's fidelity per sample, so `f[r].mean()` sums in the order
+    the perturbed sweep sums its row.
     """
     _require_seed(seed)
     if not (math.isfinite(jitter) and jitter >= 0):
@@ -179,17 +141,6 @@ def perturbation_sweep(
         raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
     if not 0 <= delta_c_total <= 1:
         raise ValueError(f"delta_c_total must be finite and in [0, 1], got {delta_c_total!r}")
-    if not (bound is None or bound >= 0):
-        raise ValueError(f"bound must be None or nonnegative, got {bound!r}")
-    f1s, f2s = _jittered_fidelities([theta], [delta], [seed], n_samples, jitter, delta_c_total)[0].T
-    devs = np.abs(f1s - _TARGET_F)
-    return PerturbationResult(
-        jitter=jitter,
-        delta_c_total=delta_c_total,
-        n_samples=n_samples,
-        seed=seed,
-        deviations=devs,
-        fidelities1=f1s,
-        fidelities2=f2s,
-        bound=bound,
-    )
+    fids = np.ascontiguousarray(_jittered_fidelities([theta], [delta], [seed], n_samples, jitter, delta_c_total)[0].T)
+    fids.flags.writeable = False
+    return fids

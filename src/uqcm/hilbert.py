@@ -167,10 +167,8 @@ def partial_trace(rho, keep) -> DensityMatrix:
     return DensityMatrix(keep_canon, reduced)
 
 
-def fidelity(psi: PureState, rho) -> float:
+def fidelity(psi: PureState, rho: DensityMatrix) -> float:
     """Overlap <psi|rho|psi> of a pure state with a density matrix."""
-    if isinstance(rho, PureState):
-        rho = rho.density()
     if psi.labels != rho.labels:
         raise LabelError(f"register mismatch: {psi.labels!r} vs {rho.labels!r}")
     value = complex(psi.amplitudes.conj() @ rho.matrix @ psi.amplitudes)

@@ -498,7 +498,7 @@ def _bench_path_amplitudes(theta, delta) -> np.ndarray:
     """(..., 8, 2) unit-norm polarization amplitudes per detector path.
 
     Mode 2 p + s is row p, column s, the layout of
-    `tomography.per_path_amplitudes(optical_measurement_state(theta, delta))`;
+    `tomography._path_rows(optical_measurement_state(theta, delta).amplitudes)`;
     every photon must arrive unabsorbed (norm 1 within NORM_TOL).
     """
     modes = _bench_modes(theta, delta)

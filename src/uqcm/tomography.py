@@ -169,34 +169,18 @@ def _path_rows(meas) -> np.ndarray:
     return meas[..., MODE_QUBIT_INDEX].reshape(meas.shape[:-1] + (N_BENCH_PATHS, 2))
 
 
-def measurement_state(theta: float, delta: float) -> PureState:
-    """Gate-tier four-qubit state entering the detectors.
-
-    The machine output comes from the compiled network image
-    (`network._clone_outputs`) and the probe-controlled swap is an axis
-    exchange (`_aux_cswap`); no replica matrices are formed.
-    """
-    return PureState(BENCH_REGISTER, _aux_cswap(_clone_outputs(_input_amplitudes(theta, delta))))
-
-
-def per_path_amplitudes(meas: PureState) -> np.ndarray:
-    """(8, 2) array of unnormalized polarization amplitudes per detector path.
-
-    The path index bits are (probe, q2, q3); column 0 is H, column 1 is V.
-    """
-    if meas.labels != BENCH_REGISTER:
-        raise ValueError(f"expected a state on (aux, 1, 2, 3), got {meas.labels!r}")
-    return _path_rows(meas.amplitudes)
-
-
 def _click_probabilities(rows: np.ndarray) -> np.ndarray:
     """(..., 8, 4) click probabilities from (..., 8, 2) per-path amplitudes."""
     return (np.abs(rows.reshape(-1, 2) @ _BASIS_MATRIX) ** 2).reshape(rows.shape[:-1] + (4,))
 
 
 def signal_probabilities(meas: PureState) -> np.ndarray:
-    """(8, 4) probability of a click behind the polarizer per (path, basis)."""
-    return _click_probabilities(per_path_amplitudes(meas))
+    """(8, 4) probability of a click behind the polarizer per (path, basis)
+    for a state on (aux, 1, 2, 3), as entering the detectors. The path index
+    bits are (probe, q2, q3)."""
+    if meas.labels != BENCH_REGISTER:
+        raise ValueError(f"expected a state on (aux, 1, 2, 3), got {meas.labels!r}")
+    return _click_probabilities(_path_rows(meas.amplitudes))
 
 
 def _gate_probabilities(amps) -> np.ndarray:

@@ -3,7 +3,9 @@
 No command runs these. Each builds labeled states and density matrices
 step by step (tensor products, a gate-level probe swap, one path at a time),
 where the package computes the same thing as array arithmetic, so the
-release criteria and the kernel tests use them as independent references.
+release criteria and the kernel tests use them as independent references;
+`measurement_state` is the gate-tier detector input that the tests feed to
+`tomography.signal_probabilities`.
 `misaligned_cloner_train` is the one faulty bench the tests feed to the
 optics equivalence check.
 """
@@ -15,9 +17,16 @@ import numpy as np
 
 from uqcm.gates import CSWAP, Circuit, apply_circuit
 from uqcm.hilbert import AUX, DensityMatrix, LabelError, PureState, canonical_labels, stokes_compose
-from uqcm.network import _input_amplitudes, _reference_outputs
-from uqcm.optics import HWP, OpticalTrain, build_cloner_train
-from uqcm.tomography import _SQ2, ReconstructionError, _path_stokes, reconstruct_replica, signal_probabilities
+from uqcm.network import _clone_outputs, _input_amplitudes, _reference_outputs
+from uqcm.optics import BENCH_REGISTER, HWP, OpticalTrain, build_cloner_train
+from uqcm.tomography import (
+    _SQ2,
+    ReconstructionError,
+    _aux_cswap,
+    _path_stokes,
+    reconstruct_replica,
+    signal_probabilities,
+)
 
 
 def tensor_product(a: PureState, b: PureState) -> PureState:
@@ -70,6 +79,16 @@ def attach_aux_cswap(out3: PureState) -> PureState:
     probe = PureState([AUX], [_SQ2, _SQ2])
     joint = tensor_product(probe, out3)
     return apply_circuit(_AUX_CSWAP, joint)
+
+
+def measurement_state(theta: float, delta: float) -> PureState:
+    """Gate-tier four-qubit state entering the detectors.
+
+    The machine output comes from the compiled network image
+    (`network._clone_outputs`) and the probe-controlled swap is an axis
+    exchange (`tomography._aux_cswap`); no replica matrices are formed.
+    """
+    return PureState(BENCH_REGISTER, _aux_cswap(_clone_outputs(_input_amplitudes(theta, delta))))
 
 
 def reconstruct_single_qubit(c_h, c_v, c_d, c_r, label=1) -> DensityMatrix:

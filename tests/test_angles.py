@@ -1,6 +1,7 @@
 """Preparation-angle solver: the closed-form angles and their checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from uqcm.angles import (
     PrepAngles,
     SolverError,
     prep_circuit,
-    sequence_amplitudes,
     solve_prep_angles,
 )
 from uqcm.gates import apply_circuit
@@ -25,7 +25,7 @@ BLANK = PureState((2, 3), [1, 0, 0, 0])
 
 
 def prepared_state(angles):
-    """Run the actual gate sequence (not the solver's closed form)."""
+    """Run the gate sequence, the image the solver checks its angles on."""
     return apply_circuit(prep_circuit(angles), BLANK).amplitudes
 
 
@@ -33,19 +33,15 @@ def test_prep_angles_range_validation():
     PrepAngles(math.pi, 0.0, -3.0)
     with pytest.raises(ValueError):
         PrepAngles(4.0, 0.0, 0.0)
+    # The range is half open: -pi is pi's alias and is rejected.
+    with pytest.raises(ValueError, match=r"^theta1=-3.141592653589793 outside \(-pi, pi\]$"):
+        PrepAngles(-math.pi, 0.0, 0.0)
     with pytest.raises(ValueError):
         PrepAngles(0.0, float("inf"), 0.0)
 
 
 def test_zero_angles_prepare_blank():
     assert np.allclose(prepared_state(PrepAngles(0, 0, 0)), [1, 0, 0, 0])
-
-
-def test_closed_form_matches_gate_sequence():
-    rng = np.random.default_rng(12)
-    for _ in range(30):
-        t = rng.uniform(-math.pi, math.pi, size=3)
-        assert np.allclose(sequence_amplitudes(*t), prepared_state(PrepAngles(*t)), atol=1e-12)
 
 
 def test_solves_identity_target():
@@ -79,16 +75,29 @@ def test_tightened_tolerance_still_converges():
     # The closed form lands far inside PREP_TOL: its residual is at most 1e-14.
     for target in (CLONER_PREP_TARGET, TRIPLICATOR_PREP_TARGET):
         angles = solve_prep_angles(target)
-        assert 1.0 - abs(sequence_amplitudes(*angles.as_tuple()) @ target) <= 1e-14
-        assert abs(prepared_state(angles) @ target) >= 1 - 1e-12
+        assert 1.0 - abs(prepared_state(angles) @ target) <= 1e-14
 
 
 def test_solver_error_carries_best_residual(monkeypatch):
     # An impossible tolerance must fail loudly and report how close it got.
+    # The cloner's overlap rounds above 1, so its raw residual is -2.2e-16:
+    # the error reports 0, and a positive residual as it is.
     monkeypatch.setattr("uqcm.angles.PREP_TOL", -1.0)
-    with pytest.raises(SolverError) as err:
-        solve_prep_angles(CLONER_PREP_TARGET)
-    assert err.value.residual >= 0.0
+    for target, residual in ((CLONER_PREP_TARGET, 0.0), (TRIPLICATOR_PREP_TARGET, 1.1102230246251565e-16)):
+        with pytest.raises(SolverError, match=re.escape(f"residual {residual:.3e} exceeds")) as err:
+            solve_prep_angles(target)
+        assert err.value.residual == residual
+
+
+def test_tolerances_are_inclusive(monkeypatch):
+    # An imaginary part or a negative real part of exactly 1e-12 is rounding
+    # and is accepted, and so is a residual equal to PREP_TOL: the
+    # triplicator's is 1.1e-16.
+    blank = solve_prep_angles(np.array([1.0, 0.0, 0.0, 0.0]))
+    assert solve_prep_angles(np.array([1.0, 1e-12j, 0.0, 0.0])) == blank
+    assert solve_prep_angles(np.array([1.0, -1e-12, 0.0, 0.0])) == blank
+    monkeypatch.setattr("uqcm.angles.PREP_TOL", 1.1102230246251565e-16)
+    assert solve_prep_angles(TRIPLICATOR_PREP_TARGET) == triplicator_prep_angles()
 
 
 def test_rejects_invalid_targets():
@@ -112,7 +121,7 @@ def test_random_reachable_targets_are_recovered():
     found = 0
     for _ in range(200):
         t = rng.uniform(-math.pi, math.pi, size=3)
-        target = sequence_amplitudes(*t)
+        target = prepared_state(PrepAngles(*t)).real
         if target.min() < 0.0:
             continue  # solver contract covers nonnegative targets only
         angles = solve_prep_angles(target)

@@ -4,8 +4,10 @@ import contextlib
 import functools
 import hashlib
 import io
+import json
 import math
 import os
+import platform
 import stat
 import subprocess
 import sys
@@ -36,7 +38,7 @@ from uqcm.cli import (
     run_verify,
 )
 from uqcm.errormodel import TRAIN_BLOCK, perturbation_sweep
-from uqcm.hilbert import DensityMatrix, IsometryError, PureState, fidelity
+from uqcm.hilbert import DensityMatrix, IsometryError, PureState, _qubit_stokes, fidelity
 from uqcm.network import clone
 from uqcm.optics import optical_measurement_state
 from uqcm.sweepcsv import CSV_HEADER, format_row, write_csv
@@ -47,15 +49,14 @@ from uqcm.tomography import (
     ReconstructionError,
     _replica_stokes,
     fidelity_report,
-    measurement_state,
     montecarlo_report,
     reconstruct_replica,
     signal_probabilities,
     simulate_counts,
 )
 
-from reference import input_state, misaligned_cloner_train, replicas_from_state
-from test_package import perfbench_constant
+from reference import input_state, measurement_state, misaligned_cloner_train, replicas_from_state
+from test_package import PERFBENCH, perfbench_constant
 
 
 def python(*args, **kwargs):
@@ -101,6 +102,26 @@ class TestConfig:
                 SweepConfig(mode="perturbed", delta_c=bad)
         assert SweepConfig(mode="perturbed", delta_c=1.0).delta_c == 1.0
 
+    @pytest.mark.parametrize(
+        "field, fields",
+        [
+            ("trials", dict(mode="montecarlo", trials=2.5)),
+            ("seed", dict(mode="montecarlo", seed=1.5)),
+            ("theta_steps", dict(theta_steps=2.5)),
+            ("samples", dict(mode="perturbed", samples=2.5)),
+        ],
+        ids=["trials", "seed", "theta_steps", "samples"],
+    )
+    def test_counts_and_seed_must_be_integers(self, field, fields):
+        # Rejected before any other rule, and before a sweep could start
+        # writing its CSV: the kernels would fail on these partway through.
+        with pytest.raises(UsageError, match=rf"^{field} must be an integer, got {fields[field]!r}$"):
+            SweepConfig(**fields)
+        with pytest.raises(UsageError, match=rf"^{field} must be an integer, got {fields[field]!r}$"):
+            SweepConfig(**dict(fields, mode="bogus", theta_start=-2.0))
+        # numpy's integers are integers.
+        assert getattr(SweepConfig(**dict(fields, **{field: np.int64(3)})), field) == 3
+
     def test_config_file_parsing(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(
@@ -109,12 +130,15 @@ class TestConfig:
             "trials = 500\n"
             "delta_list = 0, 1.57\n"
             "theta_steps = 3\n"
+            "out = run=3.csv\n"
         )
         values = load_config_file(str(path))
         assert values["mode"] == "montecarlo"
         assert values["trials"] == 500
         assert values["delta_list"] == (0.0, 1.57)
         assert values["theta_steps"] == 3
+        # Only the first '=' splits the key from its value.
+        assert values["out"] == "run=3.csv"
 
     def test_hash_starts_a_comment_only_after_whitespace(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -162,6 +186,15 @@ class TestConfig:
         assert capsys.readouterr().err == "error: theta_end equals theta_start, so theta_steps must be 1, got 3\n"
         assert not out.exists()
         assert SweepConfig(theta_start=0.5, theta_end=0.5, theta_steps=1).theta_grid().tolist() == [0.5]
+        with pytest.raises(UsageError, match="^theta_end equals theta_start, so theta_steps must be 1, got 2$"):
+            SweepConfig(theta_start=0.5, theta_end=0.5, theta_steps=2)
+
+    def test_theta_end_below_theta_start_rejected(self, tmp_path, capsys):
+        path, out = tmp_path / "down.cfg", tmp_path / "x.csv"
+        path.write_text("theta_start = 0.5\ntheta_end = 0.25\n")
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: theta_end must be >= theta_start\n"
+        assert not out.exists()
 
     def test_deltas_that_print_alike_rejected(self, tmp_path, capsys):
         # 0.1 and 0.1000000001 both print as 0.100000000: each row would come twice.
@@ -187,6 +220,9 @@ class TestConfig:
         # No theta range holds 10**15 steps that print apart; none is allocated.
         with pytest.raises(UsageError, match="over 1000000000000000 steps give thetas closer than 2e-09$"):
             SweepConfig(theta_steps=10**15)
+        # Two steps are one spacing.
+        with pytest.raises(UsageError, match="over 2 steps give thetas closer than 2e-09$"):
+            SweepConfig(theta_start=0.5, theta_end=0.5 + 1e-9, theta_steps=2)
         # Steps of MIN_GRID_SPACING print apart.
         grid = SweepConfig(theta_start=0.0, theta_end=4e-9, theta_steps=3).theta_grid()
         assert [f"{t:.9f}" for t in grid] == ["0.000000000", "0.000000002", "0.000000004"]
@@ -299,10 +335,11 @@ class TestSweep:
         assert max(gate, optics_tier) > 1e-3
 
     # Grids the default sweeps do not cover: one delta, one theta, one
-    # sample (no spread), no count oscillation, two seeds, and grids whose
-    # trains or points span several blocks.
+    # sample (no spread) and two (a spread), no count oscillation, two seeds,
+    # and grids whose trains or points span several blocks.
     GRID_CASES = [
         dict(mode="perturbed", theta_steps=1, delta_list=(1.1,), samples=1, seed=3),
+        dict(mode="perturbed", theta_steps=1, delta_list=(0.7,), samples=2, seed=12),
         dict(mode="perturbed", theta_steps=3, delta_list=(0.0, 2.5), samples=4, delta_c=0.0, seed=8),
         dict(mode="perturbed", theta_steps=2, delta_list=(0.3,), samples=600, jitter_deg=0.5, seed=5),
         dict(mode="montecarlo", theta_steps=1, delta_list=(2.0,), trials=300, seed=9),
@@ -329,16 +366,14 @@ class TestSweep:
                     point_devs += [abs(f - 5 / 6) for f, _ in stats]
                     point_errs += [e for _, e in stats]
                 else:
-                    res = perturbation_sweep(
+                    fids = perturbation_sweep(
                         math.radians(cfg.jitter_deg), cfg.samples, seed, theta=theta, delta=delta,
-                        delta_c_total=cfg.delta_c, bound=PERTURBED_BOUND,
+                        delta_c_total=cfg.delta_c,
                     )
-                    stats = [
-                        (float(np.mean(fs)), float(np.std(fs, ddof=1)) if len(fs) > 1 else 0.0)
-                        for fs in (res.fidelities1, res.fidelities2)
-                    ]
-                    point_devs.append(res.mean_deviation)
-                    n_exceed += res.n_exceeding_bound
+                    stats = [(float(np.mean(fs)), float(np.std(fs, ddof=1)) if len(fs) > 1 else 0.0) for fs in fids]
+                    devs = np.abs(fids[0] - 5 / 6)
+                    point_devs.append(float(devs.mean()))
+                    n_exceed += int(np.sum(devs > PERTURBED_BOUND))
                 expect += [format_row(cfg.mode, delta, theta, r, f, e, seed) for r, (f, e) in enumerate(stats, 1)]
         assert code == EXIT_OK
         assert rows == expect
@@ -396,6 +431,18 @@ class TestSweep:
         rows, summary, code = sweep_rows(cfg)
         assert code == EXIT_OK
         assert all(float(r.split(",")[5]) > 0 for r in rows)
+
+    def test_deviation_at_the_tolerance_passes(self, monkeypatch):
+        # Only a deviation above EXACT_TOL fails: both tiers of the default
+        # grid reach 3.3306690738754696e-16 at most, so that tolerance passes.
+        monkeypatch.setattr(cli, "EXACT_TOL", 3.3306690738754696e-16)
+        _, summary, code = sweep_rows(SweepConfig())
+        assert code == EXIT_OK
+        assert summary[1:] == [
+            "max |F - 5/6| gate tier:   3.331e-16",
+            "max |F - 5/6| optics tier: 3.331e-16",
+            "PASS: all fidelities within 3.3e-16 of 5/6",
+        ]
 
     def test_perturbed_summary_reports_bound(self):
         cfg = SweepConfig(mode="perturbed", theta_steps=1, delta_list=(0.0,), samples=5)
@@ -643,6 +690,19 @@ class TestStreamedOutput:
         assert main(["sweep", "--out", os.devnull]) == EXIT_OK
         assert capsys.readouterr().out.startswith(f"wrote {19 * 4 * 2} rows to {os.devnull}\n")
 
+    def test_output_that_is_stdout_goes_through_sys_stdout(self, tmp_path, monkeypatch):
+        # In process: --out names the file sys.stdout is open on, so the CSV
+        # and then the summary go through sys.stdout, and no temporary file
+        # replaces it.
+        listing = tmp_path / "listing.txt"
+        with open(listing, "w", encoding="ascii") as fh:
+            monkeypatch.setattr(sys, "stdout", fh)
+            assert main(["sweep", "--out", str(listing)]) == EXIT_OK
+        lines = listing.read_text(encoding="ascii").splitlines()
+        assert lines[0] == CSV_HEADER and len(lines) == 1 + 19 * 4 * 2 + 5
+        assert lines[1 + 19 * 4 * 2] == f"wrote {19 * 4 * 2} rows to {listing}"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["listing.txt"]
+
     def test_stdout_redirected_to_a_file_keeps_csv_and_summary(self, tmp_path):
         # --out /dev/stdout with stdout redirected to a regular file: the CSV
         # goes through sys.stdout, so the summary lines follow it there.
@@ -732,6 +792,14 @@ class TestStreamedOutput:
 class TestGoldenCsv:
     """The default sweep CSVs are pinned byte for byte (Python 3.11, numpy 2.4)."""
 
+    # The versions the pins were recorded with, read from perfbench/golden.json:
+    # a mismatch under other versions names both.
+    _RECORDED = json.loads((PERFBENCH / "golden.json").read_text(encoding="utf-8"))
+    VERSIONS = (
+        f"pinned with numpy {_RECORDED['numpy']} and Python {_RECORDED['python']}, "
+        f"running numpy {np.__version__} and Python {platform.python_version()}"
+    )
+
     GOLDEN_SHA256 = {
         "exact": "7a790a2eb13a029f03cbcadcd4057c49b9efa3c4f269ec1f4426c82b74f67e03",
         "montecarlo": "053ab2149ce42455291ef2a51d5084b4421a69d2e26178d21c42957710c9385c",
@@ -764,8 +832,8 @@ class TestGoldenCsv:
     def test_default_sweep_csv_hash(self, mode, tmp_path, capsys):
         out = tmp_path / f"{mode}.csv"
         assert main(["sweep", "--mode", mode, "--out", str(out)]) == EXIT_OK
-        assert capsys.readouterr().out == f"wrote 152 rows to {out}\n" + self.SUMMARY[mode]
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN_SHA256[mode]
+        assert capsys.readouterr().out == f"wrote 152 rows to {out}\n" + self.SUMMARY[mode], self.VERSIONS
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN_SHA256[mode], self.VERSIONS
 
     # Base seeds of two and three 32-bit words, recorded while every stream
     # was still built as Generator(PCG64(SeedSequence(...))) one by one.
@@ -781,7 +849,7 @@ class TestGoldenCsv:
         out = tmp_path / f"{mode}.csv"
         assert main(["sweep", "--mode", mode, "--seed", str(seed), "--out", str(out)]) == EXIT_OK
         capsys.readouterr()
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.MULTIWORD_SHA256[mode, seed]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.MULTIWORD_SHA256[mode, seed], self.VERSIONS
 
     # 300 theta steps x the 4 default deltas: 1,200 points in five
     # EXACT_BLOCK blocks, the last one partial.
@@ -797,9 +865,9 @@ class TestGoldenCsv:
             "max |F - 5/6| gate tier:   3.331e-16\n"
             "max |F - 5/6| optics tier: 7.772e-16\n"
             "PASS: all fidelities within 1.0e-09 of 5/6\n"
-        )
+        ), self.VERSIONS
         assert -(-300 * 4 // EXACT_BLOCK) == 5
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.MULTIBLOCK_SHA256
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.MULTIBLOCK_SHA256, self.VERSIONS
 
 
 class TestExitCodes:
@@ -974,12 +1042,21 @@ class TestExitCodes:
             "",
         )
 
+    def test_print_to_a_broken_stdout_is_an_io_error(self, monkeypatch, capsys):
+        class BrokenPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", BrokenPipe())
+        assert main(["tomo"]) == EXIT_IO
+        assert capsys.readouterr().err == "I/O error: [Errno 32] Broken pipe\n"
+
     def test_distinct_exit_codes(self):
         # The README's exit-code promise, through the real entry point: one
         # `python -W error -m uqcm.cli` process per code. Exit 3 comes from a
         # `python -W error -c` child that misaligns the bench as
         # `test_verify_fails_with_injected_misalignment` does.
-        assert len({EXIT_OK, EXIT_USAGE, EXIT_VERIFY, EXIT_IO}) == 4
+        assert (EXIT_OK, EXIT_USAGE, EXIT_VERIFY, EXIT_IO) == (0, 2, 3, 4)
         misaligned = "; ".join((
             f"import sys; sys.path.insert(0, {os.path.dirname(os.path.abspath(__file__))!r})",
             "from reference import misaligned_cloner_train",
@@ -1040,6 +1117,24 @@ class TestVerify:
         monkeypatch.setattr("uqcm.angles.PREP_TOL", 1e-14)
         assert run_verify() == EXIT_OK
         assert "prep_solver\tPASS" in capsys.readouterr().out
+
+    def test_check_inputs_are_four_bloch_axes(self):
+        # +z, -z, +x and +y: the 1 + 2 sqrt(2) bound of the affine checks
+        # holds for these four inputs.
+        bloch = _qubit_stokes(cli._CHECK_INPUTS)
+        assert np.max(np.abs(bloch - [[0, 0, 1], [0, 0, -1], [1, 0, 0], [0, 1, 0]])) < 1e-15
+
+    @pytest.mark.parametrize(
+        ("check", "tol", "deviation"),
+        [("_check_optics_equivalence", "EQUIVALENCE_TOL", 2.266972348095712e-16),
+         ("_check_prep_solver", "PREP_TOL", 1.1102230246251565e-16)],
+    )
+    def test_deviation_at_the_tolerance_passes(self, check, tol, deviation, monkeypatch):
+        # Only a deviation above the tolerance fails: the pristine build's own
+        # deviation, taken as the tolerance, passes.
+        monkeypatch.setattr(cli, tol, deviation)
+        result = getattr(cli, check)()
+        assert (result.passed, result.deviation) == (True, deviation)
 
     def test_corrupted_network_fails_oracle_and_symmetry(self, monkeypatch, capsys):
         # The triplicator prep angles change the gate sequence that the
@@ -1196,6 +1291,11 @@ class TestTomo:
         assert _format_matrix(np.array([[0.25, -0.1j], [0.1j, 0.75]])) == (
             "[[0.25+0.j  0.  -0.1j]\n [0.  +0.1j 0.75+0.j ]]"
         )
+        # The float -5e-7 rounds to -0.000000 too; the next float down does not.
+        assert _format_matrix(np.array([[0.5, -5e-7 - 5e-7j], [-5e-7 + 5e-7j, 0.5]])) == (
+            "[[0.5+0.j 0. +0.j]\n [0. +0.j 0.5+0.j]]"
+        )
+        assert "-0.000001" in _format_matrix(np.array([[np.nextafter(-5e-7, -1.0)]]))
 
     @pytest.mark.parametrize("flags", sorted(PINNED_STDOUT))
     def test_stdout_pinned(self, flags, capsys):

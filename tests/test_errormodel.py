@@ -9,7 +9,7 @@ import pytest
 
 from uqcm import errormodel, optics
 from uqcm.cli import EXIT_VERIFY, _exact_fidelities, main
-from uqcm.errormodel import PerturbationResult, fidelity_error_bound, perturbation_sweep
+from uqcm.errormodel import fidelity_error_bound, perturbation_sweep
 from uqcm.hilbert import DensityMatrix, IsometryError, fidelity
 from uqcm.optics import HWP, OpticalTrain, PhaseShift, build_cloner_train, modes_to_qubits
 from uqcm.tomography import reconstruct_replica, signal_probabilities
@@ -68,63 +68,59 @@ class TestAnalyticBound:
 
 class TestPerturbationSweep:
     def test_zero_jitter_gives_zero_deviation(self):
-        res = perturbation_sweep(jitter=0.0, n_samples=5, seed=2)
-        assert res.max_deviation < 1e-9
+        fids = perturbation_sweep(jitter=0.0, n_samples=5, seed=2)
+        assert np.max(np.abs(fids - 5 / 6)) < 1e-9
 
     def test_deterministic_given_seed(self):
         a = perturbation_sweep(jitter=0.0018, n_samples=10, seed=5, delta_c_total=0.002)
         b = perturbation_sweep(jitter=0.0018, n_samples=10, seed=5, delta_c_total=0.002)
-        assert np.array_equal(a.deviations, b.deviations)
+        assert a.tobytes() == b.tobytes()
 
     def test_batch_matches_per_sample_trains(self):
         args = dict(jitter=0.01, n_samples=12, seed=31, theta=0.7, delta=2.4, delta_c_total=0.002)
-        res = perturbation_sweep(**args)
+        fids = perturbation_sweep(**args)
         f1s, f2s = reference_sweep(**args)
-        assert np.max(np.abs(res.fidelities1 - f1s)) < 1e-12
-        assert np.max(np.abs(res.fidelities2 - f2s)) < 1e-12
-        assert np.max(np.abs(res.deviations - np.abs(f1s - 5 / 6))) < 1e-12
+        assert np.max(np.abs(fids[0] - f1s)) < 1e-12
+        assert np.max(np.abs(fids[1] - f2s)) < 1e-12
+
+    def test_returns_read_only_replica_rows(self):
+        # Row r is replica r + 1, one column per sample, the kernel's values
+        # bit for bit; each row's mean sums in the perturbed sweep's order.
+        args = (0.0018, 0.0, 0.002)
+        fids = perturbation_sweep(args[0], 25, 77, theta=0.3, delta=1.1, delta_c_total=args[2])
+        assert fids.shape == (2, 25) and fids.dtype == np.float64
+        assert fids.flags.c_contiguous and not fids.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            fids[0, 0] = 0.0
+        kernel = errormodel._jittered_fidelities([0.3], [1.1], [77], 25, args[0], args[2])
+        assert fids[0].tobytes() == kernel[0, :, 0].tobytes() and fids[1].tobytes() == kernel[0, :, 1].tobytes()
+        per_replica = np.ascontiguousarray(np.moveaxis(kernel, -1, 0))
+        assert fids.mean(axis=-1).tobytes() == per_replica.mean(axis=-1)[:, 0].tobytes()
+        assert [fids[r].mean() for r in (0, 1)] == per_replica.mean(axis=-1)[:, 0].tolist()
 
     def test_mean_deviation_monotone_in_jitter(self):
         means = [
-            perturbation_sweep(jitter=j, n_samples=60, seed=9).mean_deviation
+            np.abs(perturbation_sweep(jitter=j, n_samples=60, seed=9)[0] - 5 / 6).mean()
             for j in (0.0009, 0.0018, 0.0036)
         ]
         assert means[0] <= means[1] <= means[2]
 
     def test_bench_budget_stays_under_analytic_bound(self):
-        res = perturbation_sweep(
-            jitter=0.0018, n_samples=100, seed=13, delta_c_total=0.002, bound=0.005
-        )
-        assert res.mean_deviation <= 0.005
-        assert res.n_exceeding_bound == 0
-
-    def test_exceeding_samples_are_flagged_not_fatal(self):
-        res = perturbation_sweep(jitter=0.1, n_samples=20, seed=3, bound=1e-6)
-        assert res.n_exceeding_bound > 0
-        assert isinstance(res, PerturbationResult)
-
-    def test_a_sample_at_the_bound_is_not_flagged(self):
-        # Only a deviation strictly above the bound counts, and 0 is a bound.
-        res = perturbation_sweep(jitter=0.01, n_samples=6, seed=4)
-        assert res.min_deviation > 0.0
-        assert perturbation_sweep(jitter=0.01, n_samples=6, seed=4, bound=res.max_deviation).n_exceeding_bound == 0
-        assert perturbation_sweep(jitter=0.01, n_samples=6, seed=4, bound=0.0).n_exceeding_bound == 6
+        fids = perturbation_sweep(jitter=0.0018, n_samples=100, seed=13, delta_c_total=0.002)
+        devs = np.abs(fids[0] - 5 / 6)
+        assert devs.mean() <= 0.005
+        assert devs.max() <= 0.005
 
     def test_one_sample_at_the_default_input(self):
         # One sample is a sweep, and theta and delta default to 0, the |H> input.
         one = perturbation_sweep(jitter=0.01, n_samples=1, seed=4)
-        assert one.n_samples == 1 and one.deviations.shape == (1,)
+        assert one.shape == (2, 1)
         explicit = perturbation_sweep(jitter=0.01, n_samples=1, seed=4, theta=0.0, delta=0.0)
-        assert one.fidelities1.tobytes() == explicit.fidelities1.tobytes()
-        assert one.fidelities1.tobytes() != perturbation_sweep(0.01, 1, 4, theta=1.0).fidelities1.tobytes()
-        assert one.fidelities1.tobytes() != perturbation_sweep(0.01, 1, 4, delta=1.0).fidelities1.tobytes()
-
-    def test_stats_fields(self):
-        res = perturbation_sweep(jitter=0.001, n_samples=8, seed=1)
-        assert res.min_deviation <= res.mean_deviation <= res.max_deviation
-        assert res.n_samples == 8
-        assert res.n_exceeding_bound is None
-        assert len(res.fidelities1) == len(res.fidelities2) == 8
+        assert one.tobytes() == explicit.tobytes()
+        # Each replica's fidelity moves with the input, not just one of them.
+        for other in (perturbation_sweep(0.01, 1, 4, theta=1.0), perturbation_sweep(0.01, 1, 4, delta=1.0)):
+            assert one[0].tobytes() != other[0].tobytes()
+            assert one[1].tobytes() != other[1].tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError, match="jitter"):
@@ -139,11 +135,6 @@ class TestPerturbationSweep:
             perturbation_sweep(0.001, 3, -1)
         with pytest.raises(ValueError, match="delta_c_total"):
             perturbation_sweep(jitter=0.1, n_samples=5, seed=0, delta_c_total=-1.0)
-        # A NaN bound would flag no sample and a negative one every sample.
-        for bad in (math.nan, -0.1):
-            with pytest.raises(ValueError, match="bound must be None or nonnegative"):
-                perturbation_sweep(jitter=0.001, n_samples=3, seed=0, bound=bad)
-        assert perturbation_sweep(jitter=0.1, n_samples=3, seed=0, bound=math.inf).n_exceeding_bound == 0
 
     def test_delta_c_total_above_one_rejected(self):
         # A path weight is scaled by 1 + u_i delta_c / sum |u_j| >= 1 - delta_c, which
@@ -151,8 +142,8 @@ class TestPerturbationSweep:
         for bad in (1.0 + 1e-12, 1.5, 3.0, 10.0):
             with pytest.raises(ValueError, match=r"delta_c_total must be finite and in \[0, 1\]"):
                 perturbation_sweep(jitter=0.001, n_samples=3, seed=0, delta_c_total=bad)
-        res = perturbation_sweep(jitter=0.001, n_samples=20, seed=4, delta_c_total=1.0)
-        assert np.all((res.fidelities1 >= 0.0) & (res.fidelities1 <= 1.0))
+        fids = perturbation_sweep(jitter=0.001, n_samples=20, seed=4, delta_c_total=1.0)
+        assert np.all((fids >= 0.0) & (fids <= 1.0))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_parameters_rejected(self, bad):

@@ -1,5 +1,7 @@
 """Gate unitaries, circuit validation, and circuit application."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,20 @@ def test_apply_circuit_matches_composite_unitary():
             out = apply_circuit(circ, psi)
             assert np.allclose(out.amplitudes, u @ psi.amplitudes, atol=1e-12)
             assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_permutation_gates_match_their_unitaries_in_every_placement():
+    # Every CNOT, SWAP and CSWAP on (1, 2, 3), each qubit in each role, the
+    # least significant one (3) included: the runner's basis permutation
+    # against the dense unitary.
+    register = (1, 2, 3)
+    amps = np.arange(8) + 1j * np.arange(8, 16)
+    gates = [CNOT(a, b) for a, b in itertools.permutations(register, 2)]
+    gates += [SWAP(a, b) for a, b in itertools.permutations(register, 2)]
+    gates += [CSWAP(c, a, b) for c, a, b in itertools.permutations(register, 3)]
+    for gate in gates:
+        out = _apply_gates(Circuit(register, [gate]), amps)
+        assert np.array_equal(out, gate_unitary(gate, register) @ amps), gate
 
 
 @pytest.mark.parametrize(

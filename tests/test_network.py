@@ -37,7 +37,7 @@ from uqcm.network import (
     triplicator_prep_angles,
 )
 
-from reference import input_state, random_pure_state, reference_clone_output, tensor_product
+from reference import input_state, measurement_state, random_pure_state, reference_clone_output, tensor_product
 
 BLANK = PureState((2, 3), [1, 0, 0, 0])
 F_OPT = 5.0 / 6.0
@@ -251,8 +251,6 @@ def test_measurement_circuit_produces_probe_superposition():
     # Applying the bench circuit to |0>_aux |psi>_1 |00>_23 must equal the
     # hand-built probe attachment of the machine output (the output is
     # symmetric under exchanging the replicas, so the input swap is invisible).
-    from uqcm.tomography import measurement_state
-
     for theta, delta in ((0.0, 0.0), (0.7, 1.3)):
         psi = input_state(theta, delta)
         start = tensor_product(
@@ -320,6 +318,12 @@ class TestNetworkImage:
             _input_amplitudes(np.array([0.1, 2.0]), np.array([0.0, 0.0]))
         with pytest.raises(ValueError, match="delta"):
             _input_amplitudes(np.array([0.1, 0.2]), np.array([0.0, 2 * math.pi]))
+        # theta lies in (-pi/2, pi/2]: -pi/2 is pi/2's alias and is rejected,
+        # and so is anything below it.
+        for bad in (-math.pi / 2, -1.6, -3.0):
+            with pytest.raises(ValueError, match=f"^theta value {re.escape(repr(bad))} outside"):
+                _input_amplitudes(bad, 0.0)
+        assert _input_amplitudes(math.pi / 2, 0.0).shape == (2,)
 
     def test_nan_input_amplitude_is_not_normalized(self):
         with pytest.raises(ValueError, match="machine output is not normalized: sum \\|a\\|\\^2 = nan"):
@@ -329,6 +333,7 @@ class TestNetworkImage:
         res = clone(0.6, 2.5)
         amps = _input_amplitudes(0.6, 2.5)
         assert np.array_equal(res.output.amplitudes, _clone_outputs(amps))
+        assert res.output.labels == (1, 2, 3)
         assert res.rho1.labels == (1,) and res.rho2.labels == (2,)
         shrunk = (2 / 3) * np.outer(amps, amps.conj()) + np.eye(2) / 6
         assert np.max(np.abs(res.rho1.matrix - shrunk)) < 1e-12

@@ -40,13 +40,12 @@ from uqcm.optics import (
 )
 from uqcm.tomography import (
     _click_probabilities,
+    _path_rows,
     _replica_stokes,
-    measurement_state,
-    per_path_amplitudes,
     signal_probabilities,
 )
 
-from reference import input_state, misaligned_cloner_train, replicas_from_state
+from reference import input_state, measurement_state, misaligned_cloner_train, replicas_from_state
 
 DIM = 2 * N_BENCH_PATHS
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cloner_train.txt")
@@ -540,7 +539,7 @@ class TestClonerTrain:
         for theta, delta, m, r in zip(thetas, deltas, modes, rows):
             column = build_cloner_train(theta, delta).unitary()[:, 0]
             assert np.max(np.abs(m - column)) < 1e-12
-            expect = per_path_amplitudes(optical_measurement_state(theta, delta))
+            expect = _path_rows(optical_measurement_state(theta, delta).amplitudes)
             assert np.max(np.abs(r - expect)) < 1e-12
 
     def test_batched_rows_are_renormalized(self, monkeypatch):

@@ -89,8 +89,12 @@ RETIRED = {
         "source_photon", "apply_train", "qubits_to_modes", "ModeSpace", "PhotonState", "element_paths",
         "mode_qubit_labels", "_mode_to_qubit_permutation", "EquivalenceReport",
     ),
-    "tomography": ("attach_aux_cswap", "reconstruct_single_qubit", "replicas_from_state", "N_PATHS", "DetectorModel"),
-    "errormodel": ("ErrorBudget",),
+    "tomography": (
+        "attach_aux_cswap", "reconstruct_single_qubit", "replicas_from_state", "N_PATHS", "DetectorModel",
+        "measurement_state", "per_path_amplitudes",
+    ),
+    "errormodel": ("ErrorBudget", "PerturbationResult", "_TARGET_F"),
+    "angles": ("sequence_amplitudes",),
 }
 
 
@@ -111,7 +115,8 @@ def test_retired_names_are_gone():
 # set, by the function that took them. Each now uses its one value in use:
 # the tolerances are module constants, the prep angles `cloner_prep_angles()`,
 # the path count the bench's N_BENCH_PATHS, the detector the constants of
-# `tomography`, and output goes to sys.stdout.
+# `tomography`, and output goes to sys.stdout. `perturbation_sweep` returns
+# its fidelities, and callers count the samples beyond their own bound.
 RETIRED_PARAMETERS = {
     "uqcm.cli.run_sweep": ("stdout",),
     "uqcm.cli.run_verify": ("hwp_offset_rad", "stdout"),
@@ -129,6 +134,7 @@ RETIRED_PARAMETERS = {
     "uqcm.optics.element_matrix": ("n_paths",),
     "uqcm.tomography.simulate_counts": ("model",),
     "uqcm.tomography._draw_counts": ("model",),
+    "uqcm.errormodel.perturbation_sweep": ("bound",),
 }
 
 

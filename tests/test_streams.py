@@ -99,6 +99,10 @@ def test_entropy_must_be_a_table_of_nonnegative_ints():
             seed_words(rows, 1)
         with pytest.raises(ValueError, match=r"\(N, K\) array of nonnegative ints"):
             streams(rows)
+    # A table that is not of numpy ints is read as Python objects, as the
+    # message says.
+    with pytest.raises(ValueError, match=r"ints, got object of shape \(1, 2\)$"):
+        seed_words([(1.5, 0)], 1)
 
 
 def test_package_tables_are_mixed_in_batch(monkeypatch):
@@ -109,6 +113,7 @@ def test_package_tables_are_mixed_in_batch(monkeypatch):
         [(seed, 0x626F6F74) for seed in (0, 7, 2**32 - 1)],                # (seed, salt)
         np.column_stack((np.repeat([3, 2**31], 25), np.tile(np.arange(25), 2))),   # (seed, sample)
         [(2**32 - 1, d, t) for d in range(4) for t in range(19)],           # (seed, i_delta, i_theta)
+        [(2**32 - 1, 1, 2, 3), (0, 0, 0, 0)],                                # four words fill the pool
     ]
     expect = [(_numpy_words(rows, 1), [_numpy_state(row) for row in np.asarray(rows).tolist()]) for rows in tables]
 

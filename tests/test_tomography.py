@@ -46,9 +46,7 @@ from uqcm.tomography import (
     ReconstructionError,
     exact_report,
     fidelity_report,
-    measurement_state,
     montecarlo_report,
-    per_path_amplitudes,
     reconstruct_replica,
     signal_probabilities,
     simulate_counts,
@@ -58,6 +56,7 @@ from uqcm.tomography import (
 from reference import (
     attach_aux_cswap,
     input_state,
+    measurement_state,
     random_pure_state,
     reconstruct_single_qubit,
     replicas_from_state,
@@ -191,7 +190,7 @@ class TestProbeAttachment:
         for index in np.ndindex(3, 5):
             meas = attach_aux_cswap(PureState((1, 2, 3), out[index]))
             assert np.max(np.abs(_aux_cswap(out[index]) - meas.amplitudes)) < 1e-15
-            assert np.max(np.abs(rows[index] - per_path_amplitudes(meas))) < 1e-15
+            assert np.max(np.abs(rows[index] - _path_rows(meas.amplitudes))) < 1e-15
 
 
 class TestPathDistribution:
@@ -205,6 +204,12 @@ class TestPathDistribution:
         assert _path_rows(index).tolist() == want
         assert _path_rows(np.stack([index, index + 16])).tolist() == [want, (np.array(want) + 16).tolist()]
 
+    def test_rejects_a_state_off_the_bench_register(self):
+        for labels in ((1, 2, 3), ("aux", 1, 2)):
+            state = PureState(labels, np.eye(8)[0])
+            with pytest.raises(ValueError, match=re.escape(f"expected a state on (aux, 1, 2, 3), got {labels!r}")):
+                signal_probabilities(state)
+
     def test_uniform_state_spreads_evenly(self):
         meas = PureState((AUX, 1, 2, 3), np.full(16, 0.25))
         probs = signal_probabilities(meas)
@@ -216,7 +221,7 @@ class TestPathDistribution:
         meas = measurement_state(0.9, 4.0)
         probs = signal_probabilities(meas)
         assert probs.min() >= 0.0
-        weights = np.sum(np.abs(per_path_amplitudes(meas)) ** 2, axis=1)
+        weights = np.sum(np.abs(_path_rows(meas.amplitudes)) ** 2, axis=1)
         assert np.max(np.abs(probs[:, 0] + probs[:, 1] - weights)) < 1e-15
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
