@@ -86,6 +86,12 @@ def prep_circuit(angles: PrepAngles) -> Circuit:
     )
 
 
+def _prep_residual(angles: PrepAngles, target) -> float:
+    """1 - |<target|psi>| for psi the image of |00> under `prep_circuit(angles)`,
+    the gate sequence the network runs; `target` real, as the solver takes it."""
+    return 1.0 - abs(complex(_apply_gates(prep_circuit(angles), np.eye(4)[0]) @ target))
+
+
 def solve_prep_angles(target) -> PrepAngles:
     """Angles whose preparation sequence reproduces `target` from |00>.
 
@@ -111,8 +117,7 @@ def solve_prep_angles(target) -> PrepAngles:
     # Every raw angle is already in (-pi, pi]; the wrap still rounds some last
     # bits, and the pinned cloner angles, so every CSV, depend on those bits.
     angles = PrepAngles(*(_wrap_angle(w) for w in ((v - u) / 2.0, math.atan2(p - q, p + q), (u + v) / 2.0)))
-    # Checked on the circuit the network runs.
-    residual = 1.0 - abs(complex(_apply_gates(prep_circuit(angles), np.eye(4)[0]) @ t))
+    residual = _prep_residual(angles, t)
     if not residual <= PREP_TOL:
         residual = max(0.0, residual)
         raise SolverError(

@@ -30,17 +30,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import apply_circuit
 from .hilbert import (
     IsometryError,
-    PureState,
+    _phase_deviation,
     _qubit_stokes,
     _require_physical_stokes,
     _stokes_density,
     _stokes_fidelity,
 )
-from .angles import PREP_TOL, SolverError, prep_circuit, solve_prep_angles
-from .errormodel import TRAIN_BLOCK, _jittered_fidelities, fidelity_error_bound
+from .angles import PREP_TOL, SolverError, _prep_residual, solve_prep_angles
+from .errormodel import TRAIN_BLOCK, _jittered_fidelities, _require_budget, fidelity_error_bound
 from .network import (
     CLONER_PREP_TARGET,
     TRIPLICATOR_PREP_TARGET,
@@ -57,8 +56,9 @@ from .streams import seed_words
 from .sweepcsv import format_block, write_csv
 from .tomography import (
     _BASIS_MATRIX,
-    MAX_TRIALS,
     MONTECARLO_BLOCK,
+    SWEEP_MODES,
+    TOMO_MODES,
     ReconstructionError,
     _click_probabilities,
     _gate_probabilities,
@@ -66,6 +66,8 @@ from .tomography import (
     _path_stokes,
     _replica_stokes,
     _require_report_values,
+    _require_seed,
+    _require_trials,
 )
 
 EXIT_OK = 0
@@ -80,7 +82,7 @@ EXACT_BLOCK = 256
 MONTECARLO_SWEEP_BLOCK = 32 * MONTECARLO_BLOCK
 PERTURBED_BOUND = 0.005
 # Theta steps and samples per point: the theta grid is float64 and a
-# perturbed point's fidelities are (samples, 2) float64, and numpy describes
+# perturbed point's fidelities are (2, samples) float64, and numpy describes
 # no array of 2**63 bytes or more (it raises ValueError, not MemoryError).
 MAX_GRID_AXIS = np.iinfo(np.intp).max // 16
 # Least spacing of two values of one grid axis: twice the CSV's 1e-9
@@ -98,15 +100,17 @@ class UsageError(Exception):
     """Invalid configuration or flags."""
 
 
-def _check_count(name: str, value: int, limit: int) -> None:
+def _check_count(name: str, value, limit: int) -> None:
+    if not isinstance(value, numbers.Integral):
+        raise UsageError(f"{name} must be an integer, got {value!r}")
     if not 1 <= value <= limit:
         raise UsageError(f"{name} must be >= 1 and <= {limit}")
 
 
-def _check_angles(theta, delta) -> None:
-    """The machine's input-angle domain check, as a usage error."""
+def _usage(check, *args) -> None:
+    """`check(*args)`, the library's rule for an input, its ValueError a usage error."""
     try:
-        _input_amplitudes(theta, delta)
+        check(*args)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -138,17 +142,16 @@ class SweepConfig:
     out: str = "fidelity_sweep.csv"
 
     def __post_init__(self):
-        # Counts and the seed are integers, as the config parsers and the
+        # Counts and the seed first: integers, as the config parsers and the
         # flags give them; the kernels would fail on any other value partway
         # through the CSV.
-        for name in ("theta_steps", "trials", "samples", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise UsageError(f"{name} must be an integer, got {value!r}")
-        if self.mode not in ("exact", "montecarlo", "perturbed"):
-            raise UsageError(f"unknown mode {self.mode!r}")
         _check_count("theta_steps", self.theta_steps, MAX_GRID_AXIS)
-        _check_angles((self.theta_start, self.theta_end), 0.0)
+        _check_count("samples", self.samples, MAX_GRID_AXIS)
+        _usage(_require_trials, self.trials)
+        _usage(_require_seed, self.seed)
+        if self.mode not in SWEEP_MODES:
+            raise UsageError(f"unknown mode {self.mode!r}")
+        _usage(_input_amplitudes, (self.theta_start, self.theta_end), 0.0)
         if self.theta_end < self.theta_start:
             raise UsageError("theta_end must be >= theta_start")
         if self.theta_end == self.theta_start and self.theta_steps > 1:
@@ -156,22 +159,15 @@ class SweepConfig:
         if self.theta_steps > 1 and (self.theta_end - self.theta_start) / (self.theta_steps - 1) < MIN_GRID_SPACING:
             raise UsageError(f"theta_start {self.theta_start!r} and theta_end {self.theta_end!r} over "
                              f"{self.theta_steps} steps give thetas closer than {MIN_GRID_SPACING!r}")
-        _check_count("trials", self.trials, MAX_TRIALS)
-        _check_count("samples", self.samples, MAX_GRID_AXIS)
-        if self.seed < 0:
-            raise UsageError("seed must be >= 0")
-        if not (math.isfinite(self.jitter_deg) and self.jitter_deg >= 0):
-            raise UsageError("jitter_deg must be finite and nonnegative")
-        # A path weight is scaled by at least 1 - delta_c, so more would make counts negative.
-        if not 0 <= self.delta_c <= 1:
-            raise UsageError("delta_c must be finite and in [0, 1]")
+        _usage(_require_budget, "jitter_deg", self.jitter_deg)
+        _usage(_require_budget, "delta_c", self.delta_c, 1)
         try:
             deltas = _sorted_deltas(self.delta_list)
         except ValueError as exc:
             raise UsageError(f"delta_list: {exc}") from exc
         if not deltas:
             raise UsageError("delta_list must not be empty")
-        _check_angles(0.0, deltas)
+        _usage(_input_amplitudes, 0.0, deltas)
         object.__setattr__(self, "delta_list", deltas)
 
     def theta_grid(self) -> np.ndarray:
@@ -286,8 +282,7 @@ def compute_sweep(config: SweepConfig, write):
         else:
             # (replica, point, sample): a point's samples contiguous, as in
             # `perturbation_sweep`, so means and spreads sum in its order.
-            per_replica = np.ascontiguousarray(np.moveaxis(
-                _jittered_fidelities(theta, delta, seeds, samples, jitter, config.delta_c), -1, 0))
+            per_replica = _jittered_fidelities(theta, delta, seeds, samples, jitter, config.delta_c)
             fids = per_replica.mean(axis=-1).T
             errs = per_replica.std(axis=-1, ddof=1).T if samples > 1 else np.zeros_like(fids)
             devs = np.abs(per_replica[0] - TARGET_F)
@@ -345,9 +340,13 @@ def run_sweep(config: SweepConfig) -> int:
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    passed: bool
     deviation: float
     tol: float
+
+    @property
+    def passed(self) -> bool:
+        """The deviation within the tolerance; NaN fails."""
+        return self.deviation <= self.tol
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -366,32 +365,26 @@ def _check_reference_oracle() -> CheckResult:
     """The gate sequence's image of the input basis |0>, |1> equals the
     closed-form oracle's up to one global phase. A linear map that matches on
     a basis up to one phase matches on every input."""
-    out = _network_outputs(np.eye(2))
-    ref = _reference_outputs(np.eye(2))
-    phase = np.exp(1j * np.angle(np.vdot(ref, out)))
-    worst = float(np.max(np.abs(out - phase * ref)))
-    return CheckResult("reference_oracle", worst <= 1e-10, worst, 1e-10)
+    dev = _phase_deviation(_network_outputs(np.eye(2)), _reference_outputs(np.eye(2)))
+    return CheckResult("reference_oracle", dev, 1e-10)
 
 
 def _check_optics_equivalence() -> CheckResult:
     """Compiled train matches the measurement circuit as a unitary."""
     dev = verify_equivalence(build_cloner_train(), build_measurement_circuit())
-    return CheckResult("optics_equivalence", dev <= EQUIVALENCE_TOL, dev, EQUIVALENCE_TOL)
+    return CheckResult("optics_equivalence", dev, EQUIVALENCE_TOL)
 
 
 def _check_prep_solver() -> CheckResult:
-    """Solved angles reproduce both preparation targets through the circuit."""
-    worst = 0.0
-    for target in (CLONER_PREP_TARGET, TRIPLICATOR_PREP_TARGET):
-        try:
-            angles = solve_prep_angles(target)
-        except SolverError as exc:
-            return CheckResult("prep_solver", False, exc.residual, PREP_TOL)
-        blank = PureState((2, 3), [1, 0, 0, 0])
-        prepared = apply_circuit(prep_circuit(angles), blank)
-        overlap = abs(complex(np.vdot(np.asarray(target, dtype=complex), prepared.amplitudes)))
-        worst = max(worst, 1.0 - overlap)
-    return CheckResult("prep_solver", worst <= PREP_TOL, worst, PREP_TOL)
+    """Solved angles reproduce both preparation targets through the circuit,
+    by the solver's own residual. A failed solve reads NaN, which fails
+    whatever residual the SolverError reports."""
+    targets = (CLONER_PREP_TARGET, TRIPLICATOR_PREP_TARGET)
+    try:
+        worst = max(0.0, *(_prep_residual(solve_prep_angles(t), t) for t in targets))
+    except SolverError:
+        worst = math.nan
+    return CheckResult("prep_solver", worst, PREP_TOL)
 
 
 def _check_tomography_roundtrip() -> CheckResult:
@@ -403,8 +396,7 @@ def _check_tomography_roundtrip() -> CheckResult:
     probs = np.einsum("ib,nij,jb->nb", _BASIS_MATRIX, rho, _BASIS_MATRIX.conj()).real
     recovered = _path_stokes(probs)
     _require_physical_stokes(recovered)
-    worst = float(np.max(np.abs(_stokes_density(recovered) - rho)))
-    return CheckResult("tomography_roundtrip", worst <= 1e-12, worst, 1e-12)
+    return CheckResult("tomography_roundtrip", float(np.max(np.abs(_stokes_density(recovered) - rho))), 1e-12)
 
 
 def _check_pipeline_fidelity() -> CheckResult:
@@ -414,30 +406,23 @@ def _check_pipeline_fidelity() -> CheckResult:
     largest |S - (2/3) n| found here."""
     stokes = _replica_stokes(_gate_probabilities(_CHECK_INPUTS))
     shrunk = (2.0 / 3.0) * _qubit_stokes(_CHECK_INPUTS)[:, None]
-    worst = float(np.max(np.linalg.norm(stokes - shrunk, axis=-1)))
-    return CheckResult("pipeline_fidelity", worst <= 1e-10, worst, 1e-10)
+    return CheckResult("pipeline_fidelity", float(np.max(np.linalg.norm(stokes - shrunk, axis=-1))), 1e-10)
 
 
 def _check_replica_symmetry() -> CheckResult:
     """rho1 = rho2 and both match the shrunk-input form (2/3)|psi><psi| + I/6,
     through the gate sequence itself. Both sides are linear in |psi><psi|,
     and the four inputs' projectors span a qubit's Hermitian matrices."""
-    out = _network_outputs(_CHECK_INPUTS)
-    rho1, rho2 = _stokes_density(_qubit_stokes(out, 0)), _stokes_density(_qubit_stokes(out, 1))
+    rho = _stokes_density(_replica_stokes_of_outputs(_network_outputs(_CHECK_INPUTS)))
+    rho1, rho2 = rho[:, 0], rho[:, 1]
     shrunk = (2.0 / 3.0) * _CHECK_INPUTS[:, :, None] * _CHECK_INPUTS[:, None, :].conj() + np.eye(2) / 6.0
     worst = max(float(np.max(np.abs(rho1 - rho2))), float(np.max(np.abs(rho1 - shrunk))))
-    return CheckResult("replica_symmetry", worst <= 1e-10, worst, 1e-10)
+    return CheckResult("replica_symmetry", worst, 1e-10)
 
 
 def run_verify() -> int:
-    checks = [
-        _check_reference_oracle(),
-        _check_optics_equivalence(),
-        _check_prep_solver(),
-        _check_tomography_roundtrip(),
-        _check_pipeline_fidelity(),
-        _check_replica_symmetry(),
-    ]
+    checks = [check() for check in (_check_reference_oracle, _check_optics_equivalence, _check_prep_solver,
+                                    _check_tomography_roundtrip, _check_pipeline_fidelity, _check_replica_symmetry)]
     for check in checks:
         print(check.line())
     passed = all(c.passed for c in checks)
@@ -454,12 +439,11 @@ def run_tomo(theta: float, delta: float, mode: str, trials: int, seed: int) -> i
     click probabilities, as the pipeline check does; montecarlo mode is one
     single-point `_montecarlo_fidelities` call, so F and +/- equal
     `montecarlo_report` and the sweep's row at the same seed."""
-    if mode not in ("exact", "montecarlo"):
-        raise UsageError(f"tomo supports modes 'exact' and 'montecarlo', got {mode!r}")
-    _check_angles(theta, delta)
-    _check_count("trials", trials, MAX_TRIALS)
-    if seed < 0:
-        raise UsageError("seed must be >= 0")
+    if mode not in TOMO_MODES:
+        raise UsageError(f"tomo supports modes {' and '.join(map(repr, TOMO_MODES))}, got {mode!r}")
+    _usage(_input_amplitudes, theta, delta)
+    _usage(_require_trials, trials)
+    _usage(_require_seed, seed)
     if mode == "exact":
         amps = _input_amplitudes(theta, delta)
         stokes = _replica_stokes(_gate_probabilities(amps))
@@ -496,7 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="sweep the input-state grid and write CSV")
-    sweep.add_argument("--mode", choices=("exact", "montecarlo", "perturbed"), default=None)
+    sweep.add_argument("--mode", choices=SWEEP_MODES, default=None)
     sweep.add_argument("--trials", type=int, default=None, help="photons per basis setting")
     sweep.add_argument("--seed", type=int, default=None)
     sweep.add_argument("--jitter-deg", dest="jitter_deg", type=float, default=None)
@@ -508,7 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tomo = sub.add_parser("tomo", help="single-state tomography run")
     tomo.add_argument("--theta", type=float, default=0.0, help="input angle in radians")
     tomo.add_argument("--delta", type=float, default=0.0, help="input phase in radians")
-    tomo.add_argument("--mode", choices=("exact", "montecarlo"), default="exact")
+    tomo.add_argument("--mode", choices=TOMO_MODES, default="exact")
     tomo.add_argument("--trials", type=int, default=20000)
     tomo.add_argument("--seed", type=int, default=42)
 

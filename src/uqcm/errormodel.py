@@ -41,17 +41,26 @@ from .tomography import _click_probabilities, _replica_stokes, _require_seed
 TRAIN_BLOCK = 1024
 
 
+def _require_budget(name: str, value, high: float = math.inf) -> None:
+    """`value` finite and in [0, high] (NaN fails). A jitter and the bound's
+    terms are nonnegative; a delta_c is at most 1, since a replica-1 path
+    weight is scaled by at least 1 - delta_c."""
+    if not (math.isfinite(value) and 0 <= value <= high):
+        span = "nonnegative" if high == math.inf else f"in [0, {high}]"
+        raise ValueError(f"{name} must be finite and {span}, got {value!r}")
+
+
 def fidelity_error_bound(delta_c_total: float, delta_theta: float) -> float:
     """Upper bound on |Delta F|: the total count oscillation sum_i Delta C_i
     plus 1.5 * Delta theta, the waveplate orientation precision in radians."""
-    for name, value in (("delta_c_total", delta_c_total), ("delta_theta", delta_theta)):
-        if not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+    _require_budget("delta_c_total", delta_c_total)
+    _require_budget("delta_theta", delta_theta)
     return float(delta_c_total + 1.5 * delta_theta)
 
 
 def _jittered_fidelities(theta, delta, seeds, n_samples: int, jitter: float, delta_c_total: float) -> np.ndarray:
-    """(N, n_samples, 2) replica fidelities of jittered benches at N input points.
+    """(2, N, n_samples) replica fidelities of jittered benches at N input
+    points, C-contiguous: replica-major, a point's samples in one row.
 
     `theta`, `delta` and `seeds` have one entry per point. Sample i of point
     k draws from its own stream PCG64(SeedSequence((seeds[k], i))): first one
@@ -59,15 +68,13 @@ def _jittered_fidelities(theta, delta, seeds, n_samples: int, jitter: float, del
     train order, then, if `delta_c_total` > 0, the four count-oscillation
     factors u_i in [-1, 1], which scale the replica-1 path weights by
     1 + u_i delta_c_total / sum |u_i|. The (point, sample) trains are taken
-    point-major in blocks of TRAIN_BLOCK. A block's streams are seeded
-    together by `streams.streams`; each fills its row of one buffer with
-    random(), which is scaled in place as Generator.uniform would scale it.
-    Each block then propagates only the source photon's column (mode
-    (path 0, H)), a (TRAIN_BLOCK, 16, 1) batch, through its input elements
-    and the shared body in one `optics._propagate` call: row arithmetic,
-    each half-wave plate as two (trains,) coefficient rows cos 2(a + d) and
-    sin 2(a + d), no arithmetic on the rows the photon has not reached,
-    and every element checked unitary as it is applied.
+    point-major in blocks of TRAIN_BLOCK, whose streams `streams.streams`
+    seeds together. Each block propagates only the source photon's column
+    (mode (path 0, H)), a (TRAIN_BLOCK, 16, 1) batch, through its input
+    elements and the shared body in one `optics._propagate` call: row
+    arithmetic, each half-wave plate as two (trains,) coefficient rows
+    cos 2(a + d) and sin 2(a + d), no arithmetic on the rows the photon has
+    not reached, and every element checked unitary as it is applied.
     """
     theta, delta = np.asarray(theta, dtype=float), np.asarray(delta, dtype=float)
     bloch = _qubit_stokes(_input_amplitudes(theta, delta))
@@ -80,7 +87,7 @@ def _jittered_fidelities(theta, delta, seeds, n_samples: int, jitter: float, del
     low = np.repeat([-jitter, -1.0], [n_oriented, n_draws - n_oriented])
     span = np.repeat([2.0 * jitter, 2.0], [n_oriented, n_draws - n_oriented])
     seeds = np.asarray(seeds)
-    fids = np.empty((n_trains, 2))
+    fids = np.empty((2, n_trains))
     for start in range(0, n_trains, TRAIN_BLOCK):
         train = np.arange(start, min(start + TRAIN_BLOCK, n_trains))
         point = train // n_samples
@@ -105,8 +112,8 @@ def _jittered_fidelities(theta, delta, seeds, n_samples: int, jitter: float, del
         if delta_c_total > 0.0:
             norm = np.abs(u).sum(axis=1, keepdims=True)
             probs[:, 0:4] *= (1.0 + u * (delta_c_total / np.where(norm > 0.0, norm, 1.0)))[:, :, None]
-        fids[start:start + train.size] = _stokes_fidelity(_replica_stokes(probs), bloch[point])
-    return fids.reshape(theta.size, n_samples, 2)
+        fids[:, start:start + train.size] = _stokes_fidelity(_replica_stokes(probs), bloch[point]).T
+    return fids.reshape(2, theta.size, n_samples)
 
 
 def perturbation_sweep(
@@ -126,21 +133,17 @@ def perturbation_sweep(
     so that no weight turns negative), and scores both replicas.
     Deterministic given the seed: sample i draws from its own substream
     (seed, i). The single-point use of `_jittered_fidelities`, the kernel the
-    perturbed sweep runs over its whole grid: the jittered trains propagate
-    the source photon's column in blocks of TRAIN_BLOCK, each element checked
-    unitary, and every sample is scored from its (8, 4) click probabilities.
+    perturbed sweep runs over its whole grid.
 
     Returns a read-only, C-contiguous (2, n_samples) array: row r holds
     replica r + 1's fidelity per sample, so `f[r].mean()` sums in the order
     the perturbed sweep sums its row.
     """
     _require_seed(seed)
-    if not (math.isfinite(jitter) and jitter >= 0):
-        raise ValueError(f"jitter must be finite and nonnegative, got {jitter!r}")
+    _require_budget("jitter", jitter)
     if not (isinstance(n_samples, numbers.Integral) and n_samples >= 1):
         raise ValueError(f"n_samples must be a positive integer, got {n_samples!r}")
-    if not 0 <= delta_c_total <= 1:
-        raise ValueError(f"delta_c_total must be finite and in [0, 1], got {delta_c_total!r}")
-    fids = np.ascontiguousarray(_jittered_fidelities([theta], [delta], [seed], n_samples, jitter, delta_c_total)[0].T)
+    _require_budget("delta_c_total", delta_c_total, 1)
+    fids = _jittered_fidelities([theta], [delta], [seed], n_samples, jitter, delta_c_total)[:, 0]
     fids.flags.writeable = False
     return fids

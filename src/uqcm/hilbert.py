@@ -233,6 +233,12 @@ def _require_isometry_dev(dev, what: str) -> None:
         raise IsometryError(f"{what} is not an isometry (dev {dev:.3e})")
 
 
+def _phase_deviation(a, b) -> float:
+    """max |a - e^(i phi) b| over two arrays of one shape, phi = arg <b, a>
+    the global phase that best aligns b with a."""
+    return float(np.max(np.abs(a - np.exp(1j * np.angle(np.vdot(b, a))) * b)))
+
+
 def _stokes_density(stokes) -> np.ndarray:
     """(..., 2, 2) matrices (I + S . sigma) / 2 of (..., 3) Stokes vectors."""
     return 0.5 * (np.eye(2) + np.einsum("...k,kij->...ij", np.asarray(stokes, dtype=float), _PAULIS))

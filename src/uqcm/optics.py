@@ -44,7 +44,7 @@ from typing import Union
 import numpy as np
 
 from .gates import Circuit, circuit_unitary
-from .hilbert import AUX, PureState, _require_isometry, _require_isometry_dev
+from .hilbert import AUX, PureState, _phase_deviation, _require_isometry, _require_isometry_dev
 from .network import _input_amplitudes, cloner_prep_angles
 
 POL_H, POL_V = 0, 1
@@ -522,8 +522,9 @@ def verify_equivalence(train: OpticalTrain, circuit: Circuit) -> float:
     on BENCH_REGISTER as a unitary, up to global phase.
 
     The train's composite matrix is conjugated into the qubit basis by
-    MODE_QUBIT_INDEX, and phi is the trace-optimal global phase. A train
-    matches at EQUIVALENCE_TOL or below.
+    MODE_QUBIT_INDEX, and phi = arg tr(U_circuit^H U_train), the aligning
+    phase of `hilbert._phase_deviation`. A train matches at EQUIVALENCE_TOL
+    or below.
     """
     if circuit.register != BENCH_REGISTER:
         raise ValueError(
@@ -532,6 +533,4 @@ def verify_equivalence(train: OpticalTrain, circuit: Circuit) -> float:
         )
     u_train = np.empty((2 * N_BENCH_PATHS, 2 * N_BENCH_PATHS), dtype=complex)
     u_train[np.ix_(MODE_QUBIT_INDEX, MODE_QUBIT_INDEX)] = train.unitary()
-    u_circ = circuit_unitary(circuit)
-    phase = float(np.angle(complex(np.trace(u_circ.conj().T @ u_train))))
-    return float(np.max(np.abs(u_train - np.exp(1j * phase) * u_circ)))
+    return _phase_deviation(u_train, circuit_unitary(circuit))

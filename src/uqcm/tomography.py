@@ -75,6 +75,9 @@ MAX_TRIALS = 2**63 - 1
 
 BASES = ("H", "V", "D", "R")
 
+SWEEP_MODES = ("exact", "montecarlo", "perturbed")
+TOMO_MODES = ("exact", "montecarlo")
+
 _SQ2 = 1.0 / math.sqrt(2.0)
 BASIS_VECTORS = {
     "H": np.array([1.0, 0.0], dtype=complex),
@@ -138,15 +141,13 @@ def _dark_mean(trials) -> float:
 
 
 def _require_trials(trials, name: str = "trials") -> None:
-    """`trials` a whole number in [1, MAX_TRIALS]: an integer, or a real
-    number that holds one (numpy would truncate any other before drawing,
-    and overflow on a larger one)."""
-    integral = isinstance(trials, numbers.Integral)
-    if not (integral or isinstance(trials, numbers.Real) and float(trials).is_integer()):
-        raise ValueError(f"{name} must be a whole number, got {trials!r}")
+    """`trials` an integer in [1, MAX_TRIALS] (numpy's draws would truncate
+    a fraction and overflow on a larger count)."""
+    if not isinstance(trials, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {trials!r}")
     if trials < 1:
         raise ValueError(f"{name} must be positive, got {trials!r}")
-    # int(): numpy would round MAX_TRIALS to a float64 equal to 2.0**63.
+    # int(): numpy 1.x compares a uint64 with MAX_TRIALS as float64s, both 2.0**63.
     if int(trials) > MAX_TRIALS:
         raise ValueError(f"{name} must be at most {MAX_TRIALS}, got {trials!r}")
 
@@ -201,7 +202,7 @@ def simulate_counts(signal_probs: np.ndarray, trials: int, seed: int) -> CountsR
     substream derived from (seed, basis index), so settings may be simulated
     in parallel without changing the result.
 
-    `trials` must be a whole number in [1, MAX_TRIALS], and a setting's
+    `trials` must be an integer in [1, MAX_TRIALS], and a setting's
     probabilities may sum to at most 1 (within 1e-12): one photon fires one
     detector.
     """
@@ -340,7 +341,7 @@ class FidelityReport:
 
     def __post_init__(self):
         _require_report_values((self.fidelity1, self.fidelity2), (self.stderr1, self.stderr2))
-        if self.mode not in ("exact", "montecarlo", "perturbed"):
+        if self.mode not in SWEEP_MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 

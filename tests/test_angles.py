@@ -9,6 +9,7 @@ import pytest
 from uqcm.angles import (
     PrepAngles,
     SolverError,
+    _prep_residual,
     prep_circuit,
     solve_prep_angles,
 )
@@ -76,6 +77,14 @@ def test_tightened_tolerance_still_converges():
     for target in (CLONER_PREP_TARGET, TRIPLICATOR_PREP_TARGET):
         angles = solve_prep_angles(target)
         assert 1.0 - abs(prepared_state(angles) @ target) <= 1e-14
+
+
+def test_residual_is_that_of_the_state_runner():
+    # The solver's residual, which `uqcm verify` prints, bit for bit that of
+    # the labelled state run through `apply_circuit`.
+    for target, residual in ((CLONER_PREP_TARGET, -2.220446049250313e-16), (TRIPLICATOR_PREP_TARGET, 1.1102230246251565e-16)):
+        angles = solve_prep_angles(target)
+        assert _prep_residual(angles, target) == 1.0 - abs(complex(np.vdot(target, prepared_state(angles)))) == residual
 
 
 def test_solver_error_carries_best_residual(monkeypatch):

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from uqcm import cli, errormodel, network, optics, tomography
+from uqcm.angles import SolverError
 from uqcm.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -121,6 +122,35 @@ class TestConfig:
             SweepConfig(**dict(fields, mode="bogus", theta_start=-2.0))
         # numpy's integers are integers.
         assert getattr(SweepConfig(**dict(fields, **{field: np.int64(3)})), field) == 3
+
+    @pytest.mark.parametrize(
+        ("field", "value", "name", "library"),
+        [
+            ("trials", 0, "trials", lambda v: montecarlo_report(0.1, 0.2, v, 1)),
+            ("trials", 2**63, "trials", lambda v: simulate_counts(np.zeros((8, 4)), v, 1)),
+            ("seed", -1, "seed", lambda v: montecarlo_report(0.1, 0.2, 100, v)),
+            ("jitter_deg", -0.5, "jitter", lambda v: perturbation_sweep(v, 3, 0)),
+            ("jitter_deg", math.nan, "jitter", lambda v: perturbation_sweep(v, 3, 0)),
+            ("delta_c", 1.5, "delta_c_total", lambda v: perturbation_sweep(0.001, 3, 0, delta_c_total=v)),
+        ],
+    )
+    def test_input_rules_are_the_library_rules(self, field, value, name, library):
+        # One rule per input: the config's error is the library's, under the config's name.
+        with pytest.raises(ValueError) as lib:
+            library(value)
+        with pytest.raises(UsageError) as usage:
+            SweepConfig(mode="perturbed", **{field: value})
+        assert str(usage.value).removeprefix(field) == str(lib.value).removeprefix(name)
+
+    def test_mode_names_are_the_library_tuples(self):
+        parser = cli._build_parser()
+        subparsers = next(a for a in parser._actions if a.dest == "command").choices
+        for command, modes in (("sweep", tomography.SWEEP_MODES), ("tomo", tomography.TOMO_MODES)):
+            assert next(a for a in subparsers[command]._actions if a.dest == "mode").choices is modes
+        with pytest.raises(UsageError, match="^unknown mode 'tomo'$"):
+            SweepConfig(mode="tomo")
+        with pytest.raises(ValueError, match="^unknown mode 'tomo'$"):
+            FidelityReport(0.8, 0.8, 0.0, 0.0, 0.0, 0.0, mode="tomo")
 
     def test_config_file_parsing(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -499,7 +529,7 @@ class TestStreamedOutput:
 
         def fake_jittered(theta, delta, seeds, samples, jitter, delta_c):
             sizes.append(len(theta))
-            return np.full((len(theta), samples, 2), 5 / 6)
+            return np.full((2, len(theta), samples), 5 / 6)
 
         monkeypatch.setattr(cli, "_exact_fidelities", fake)
         monkeypatch.setattr(cli, "_montecarlo_fidelities", fake_montecarlo)
@@ -918,7 +948,7 @@ class TestExitCodes:
             argv += ["--out", str(tmp_path / "x.csv")]
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith("error: trials must be >= 1 and <= 9223372036854775807")
+        assert err == f"error: trials must be at most 9223372036854775807, got {10**20}\n"
         assert not (tmp_path / "x.csv").exists()
 
     def test_trials_beyond_int64_range_in_config(self, tmp_path, capsys):
@@ -929,8 +959,10 @@ class TestExitCodes:
         assert SweepConfig(mode="montecarlo", trials=2**63 - 1).trials == 2**63 - 1
 
     def test_negative_seed(self, capsys):
-        assert main(["sweep", "--mode", "montecarlo", "--seed", "-1"]) == EXIT_USAGE
-        assert "seed must be >= 0" in capsys.readouterr().err
+        # The library's own seed rule, as a usage error, in both commands.
+        for command in ("sweep", "tomo"):
+            assert main([command, "--mode", "montecarlo", "--seed", "-1"]) == EXIT_USAGE
+            assert capsys.readouterr() == ("", "error: seed must be nonnegative, got -1\n")
 
     @pytest.mark.parametrize(
         "flags",
@@ -1135,6 +1167,38 @@ class TestVerify:
         monkeypatch.setattr(cli, tol, deviation)
         result = getattr(cli, check)()
         assert (result.passed, result.deviation) == (True, deviation)
+
+    @pytest.mark.parametrize("residual", [0.0, 1.1102230246251565e-16, 0.5, math.nan])
+    def test_solver_error_fails_whatever_its_residual(self, residual, monkeypatch):
+        def failing(target):
+            raise SolverError("prep-angle solve failed", residual=residual)
+
+        monkeypatch.setattr(cli, "solve_prep_angles", failing)
+        result = cli._check_prep_solver()
+        assert not result.passed and math.isnan(result.deviation)
+        assert result.line() == "prep_solver\tFAIL\tdeviation=nan\ttol=1.0e-10"
+
+    def test_prep_check_reads_the_solvers_residual(self, monkeypatch):
+        residuals = []
+
+        def spy(angles, target, _residual=cli._prep_residual):
+            residuals.append(_residual(angles, target))
+            return residuals[-1]
+
+        monkeypatch.setattr(cli, "_prep_residual", spy)
+        assert cli._check_prep_solver().deviation == max(residuals) == 1.1102230246251565e-16
+        assert len(residuals) == 2
+
+    def test_nan_deviation_fails(self):
+        assert not cli.CheckResult("x", math.nan, 1.0).passed
+        assert cli.CheckResult("x", 1.0, 1.0).passed and not cli.CheckResult("x", np.nextafter(1.0, 2.0), 1.0).passed
+
+    def test_symmetry_check_reads_the_replica_kernel(self, monkeypatch):
+        # Replica 2 read from qubit 3: the check sees the kernel's replicas.
+        monkeypatch.setattr(cli, "_replica_stokes_of_outputs",
+                            lambda out: np.stack([_qubit_stokes(out, 0), _qubit_stokes(out, 2)], axis=-2))
+        result = cli._check_replica_symmetry()
+        assert not result.passed and result.deviation > 0.1
 
     def test_corrupted_network_fails_oracle_and_symmetry(self, monkeypatch, capsys):
         # The triplicator prep angles change the gate sequence that the

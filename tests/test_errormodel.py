@@ -93,10 +93,10 @@ class TestPerturbationSweep:
         with pytest.raises(ValueError, match="read-only"):
             fids[0, 0] = 0.0
         kernel = errormodel._jittered_fidelities([0.3], [1.1], [77], 25, args[0], args[2])
-        assert fids[0].tobytes() == kernel[0, :, 0].tobytes() and fids[1].tobytes() == kernel[0, :, 1].tobytes()
-        per_replica = np.ascontiguousarray(np.moveaxis(kernel, -1, 0))
-        assert fids.mean(axis=-1).tobytes() == per_replica.mean(axis=-1)[:, 0].tobytes()
-        assert [fids[r].mean() for r in (0, 1)] == per_replica.mean(axis=-1)[:, 0].tolist()
+        assert kernel.shape == (2, 1, 25) and kernel.flags.c_contiguous
+        assert fids[0].tobytes() == kernel[0, 0].tobytes() and fids[1].tobytes() == kernel[1, 0].tobytes()
+        assert fids.mean(axis=-1).tobytes() == kernel.mean(axis=-1)[:, 0].tobytes()
+        assert [fids[r].mean() for r in (0, 1)] == kernel.mean(axis=-1)[:, 0].tolist()
 
     def test_mean_deviation_monotone_in_jitter(self):
         means = [
@@ -159,8 +159,8 @@ class TestPerturbationSweep:
         delta = np.repeat([0.0, 1.3, 5.9], 7)
         fids = errormodel._jittered_fidelities(theta, delta, np.arange(21) + 5, 3, 0.0, 0.0)
         _, f_optics = _exact_fidelities(theta, delta)
-        assert fids.shape == (21, 3, 2)
-        assert np.max(np.abs(fids - f_optics[:, None, :])) < 1e-12
+        assert fids.shape == (2, 21, 3) and fids.flags.c_contiguous
+        assert np.max(np.abs(fids - f_optics.T[:, :, None])) < 1e-12
 
 
 @pytest.mark.parametrize("jitter, delta_c", [(0.0017, 0.002), (0.035, 0.0)])

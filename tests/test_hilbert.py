@@ -16,6 +16,7 @@ from uqcm.hilbert import (
     partial_trace,
     stokes_compose,
     stokes_decompose,
+    _phase_deviation,
     _require_isometry,
     _require_isometry_dev,
     _require_physical_stokes,
@@ -274,3 +275,18 @@ class TestInvariantChecks:
         _require_physical_stokes(np.array([0.0, 0.0, 1.0 - 2.0 * PSD_FLOOR]))
         with pytest.raises(ValueError, match="positivity floor"):
             _require_physical_stokes(np.array([0.0, 0.0, 1.0 + 2.5e-10]))
+
+
+class TestPhaseDeviation:
+    def test_a_global_phase_is_removed(self):
+        b = np.array([[0.6, 0.8j], [0.8j, 0.6]])
+        assert _phase_deviation(np.exp(2.1j) * b, b) < 1e-15
+        assert _phase_deviation(b, b) == 0.0
+
+    def test_a_relative_phase_is_not(self):
+        # Column 1 negated: the aligning phase arg <b, a> is then 0.
+        b = np.array([[0.6, 0.8j], [0.8j, 0.6]])
+        assert _phase_deviation(b * [1, -1], b) == pytest.approx(1.6)
+
+    def test_nan_propagates(self):
+        assert math.isnan(_phase_deviation(np.array([math.nan, 0.0]), np.array([1.0, 0.0])))

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from uqcm import network
 from uqcm.angles import prep_circuit
 from uqcm.gates import CNOT, CSWAP, SWAP, Rotation, apply_circuit, circuit_unitary
 from uqcm.hilbert import (
@@ -338,6 +339,20 @@ class TestNetworkImage:
         shrunk = (2 / 3) * np.outer(amps, amps.conj()) + np.eye(2) / 6
         assert np.max(np.abs(res.rho1.matrix - shrunk)) < 1e-12
         assert np.max(np.abs(res.rho2.matrix - shrunk)) < 1e-12
+
+    # |0>_1 |1>_2 |0>_3: a product output whose two replicas differ, which
+    # the symmetric machine never gives, so swapping them shows.
+    ASYMMETRIC_OUTPUT = np.eye(8, dtype=complex)[0b010]
+
+    def test_replica_stokes_read_qubit_1_then_qubit_2(self):
+        stokes = _replica_stokes_of_outputs(self.ASYMMETRIC_OUTPUT)
+        assert np.array_equal(stokes, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+
+    def test_clone_builds_each_replica_from_its_own_qubit(self, monkeypatch):
+        monkeypatch.setattr(network, "_clone_outputs", lambda amps: self.ASYMMETRIC_OUTPUT)
+        res = clone(0.6, 2.5)
+        assert res.rho1.labels == (1,) and np.array_equal(res.rho1.matrix, [[1, 0], [0, 0]])
+        assert res.rho2.labels == (2,) and np.array_equal(res.rho2.matrix, [[0, 0], [0, 1]])
 
 
 # The six axis states of the Bloch sphere: a 3-design, so their average

@@ -21,7 +21,6 @@ from uqcm.hilbert import (
 )
 from uqcm.gates import apply_circuit
 from uqcm import errormodel, tomography
-from uqcm import cli
 from uqcm.cli import SweepConfig
 from uqcm.network import _input_amplitudes
 from uqcm.streams import streams
@@ -761,17 +760,19 @@ class TestCountingInputs:
         with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
             simulate_counts(probs, 100, 1)
 
-    @pytest.mark.parametrize("trials", [100.5, math.nan, math.inf, "100"])
+    # Reals that hold a whole number are refused too, as `SweepConfig` refuses them.
+    @pytest.mark.parametrize("trials", [100.5, math.nan, math.inf, "100", 100.0, 0.0, 1e19, np.float64(2.0**63)])
     def test_non_integral_trials_rejected(self, trials):
         probs = signal_probabilities(measurement_state(0.1, 0.2))
-        with pytest.raises(ValueError, match=f"trials must be a whole number, got {re.escape(repr(trials))}"):
+        message = f"^trials must be an integer, got {re.escape(repr(trials))}$"
+        with pytest.raises(ValueError, match=message):
             simulate_counts(probs, trials, 1)
-        with pytest.raises(ValueError, match="trials must be a whole number"):
+        with pytest.raises(ValueError, match=message):
             montecarlo_report(0.1, 0.2, trials, 1)
-        with pytest.raises(ValueError, match="total_trials must be a whole number"):
+        with pytest.raises(ValueError, match=f"^total_{message[1:]}"):
             CountsRecord(np.zeros((8, 4), dtype=int), trials, 1)
 
-    @pytest.mark.parametrize("trials", [0, -3, 0.0])
+    @pytest.mark.parametrize("trials", [0, -3])
     def test_trials_below_one_rejected(self, trials):
         probs = signal_probabilities(measurement_state(0.1, 0.2))
         with pytest.raises(ValueError, match="trials must be positive"):
@@ -779,7 +780,7 @@ class TestCountingInputs:
         with pytest.raises(ValueError, match="trials must be positive"):
             montecarlo_report(0.1, 0.2, trials, 1)
 
-    @pytest.mark.parametrize("trials", [2**63, 2**64, 1e19, np.float64(2.0**63), np.uint64(2**63)])
+    @pytest.mark.parametrize("trials", [2**63, 2**64, np.uint64(2**63)])
     def test_trials_beyond_int64_rejected(self, trials):
         # numpy's draws take int64 trial numbers and would overflow first.
         probs = signal_probabilities(measurement_state(0.3, 0.5))
@@ -795,7 +796,6 @@ class TestCountingInputs:
 
     def test_trials_up_to_int64_max_accepted(self):
         assert MAX_TRIALS == 2**63 - 1 == np.iinfo(np.int64).max
-        assert cli.MAX_TRIALS is MAX_TRIALS
         counts = np.full((8, 4), MAX_TRIALS)
         assert CountsRecord(counts, MAX_TRIALS, 0).total_trials == MAX_TRIALS
 
@@ -812,7 +812,7 @@ class TestCountingInputs:
     def test_integral_trials_of_any_type_accepted(self):
         probs = signal_probabilities(measurement_state(0.1, 0.2))
         expect = simulate_counts(probs, 100, 1).counts
-        for trials in (100.0, np.int64(100), np.float64(100.0)):
+        for trials in (np.int64(100), np.uint64(100)):
             assert np.array_equal(simulate_counts(probs, trials, 1).counts, expect)
 
     @pytest.mark.parametrize("bad", [2.7, math.nan, math.inf, -0.5])
