@@ -119,7 +119,8 @@ def solve_prep_angles(target) -> PrepAngles:
     angles = PrepAngles(*(_wrap_angle(w) for w in ((v - u) / 2.0, math.atan2(p - q, p + q), (u + v) / 2.0)))
     residual = _prep_residual(angles, t)
     if not residual <= PREP_TOL:
-        residual = max(0.0, residual)
+        # An overlap that rounds above 1 reports 0; a NaN stays NaN.
+        residual = max(residual, 0.0)
         raise SolverError(
             f"prep-angle solve failed: residual {residual:.3e} exceeds tol {PREP_TOL:.1e}",
             residual=residual,

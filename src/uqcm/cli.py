@@ -12,6 +12,15 @@ Subcommands:
 * ``tomo``   - single-state tomography run printing the reconstructed
   replica density matrices, through the sweep's kernels.
 
+Flags: each subcommand's flags and their types or choices are one table,
+`_COMMANDS`. A flag's value is the text after its `=` (``--seed=-2e0``), or
+else the next token, whatever it looks like (``--seed -2e0``); a missing
+next token, or one starting with ``--``, is an error. A unique prefix names
+its flag (``--jit`` is ``--jitter-deg``), an ambiguous one is an error, and
+a flag given twice takes its last value. ``-h`` or ``--help`` prints the
+usage lines and exits 0. A usage error prints the usage lines, then
+``uqcm <cmd>: error: ...``, on stderr and exits 2.
+
 Exit codes: 0 success, 2 configuration/usage error (counts too sparse to
 reconstruct included), 3 verification failure, 4 I/O failure. CSV output is
 byte-identical for identical (config, seed): all randomness comes from
@@ -21,7 +30,6 @@ explicitly seeded PCG64 streams and all numbers are printed with fixed
 
 from __future__ import annotations
 
-import argparse
 import math
 import numbers
 import re
@@ -90,10 +98,6 @@ MAX_GRID_AXIS = np.iinfo(np.intp).max // 16
 MIN_GRID_SPACING = 2e-9
 
 _DEFAULT_DELTAS = (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4)
-
-# A negative flag value, exponent form and inf included; argparse's own
-# pattern has neither, so it takes "--theta -1e-3" for a flag without a value.
-_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE)
 
 
 class UsageError(Exception):
@@ -220,16 +224,12 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-def build_sweep_config(args: argparse.Namespace) -> SweepConfig:
-    """Config file first, then explicit flags override."""
-    values = {}
-    if args.config:
-        values.update(load_config_file(args.config))
-    for key in ("mode", "trials", "seed", "jitter_deg", "out"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-    return SweepConfig(**values)
+def build_sweep_config(flags: dict) -> SweepConfig:
+    """The config file that flags["config"] names, if any, then the other
+    flags over it."""
+    values = dict(flags)
+    path = values.pop("config", None)
+    return SweepConfig(**{**(load_config_file(path) if path else {}), **values})
 
 
 def _exact_fidelities(theta: np.ndarray, delta: np.ndarray) -> tuple:
@@ -434,7 +434,7 @@ def run_verify() -> int:
 # tomo
 # ---------------------------------------------------------------------------
 
-def run_tomo(theta: float, delta: float, mode: str, trials: int, seed: int) -> int:
+def run_tomo(theta: float = 0.0, delta: float = 0.0, mode: str = "exact", trials: int = 20000, seed: int = 42) -> int:
     """One input state through the sweep's kernels: exact mode refits the
     click probabilities, as the pipeline check does; montecarlo mode is one
     single-point `_montecarlo_fidelities` call, so F and +/- equal
@@ -469,52 +469,106 @@ def _format_matrix(matrix: np.ndarray) -> str:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# command line
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="uqcm",
-        description="Universal 1-to-2 qubit cloning machine simulator.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each subcommand's flags and what each takes: a tuple of its choices, or the
+# type that converts its text. A flag not given takes the default of
+# `SweepConfig` or of `run_tomo`.
+_COMMANDS = {
+    "sweep": {"--mode": SWEEP_MODES, "--trials": int, "--seed": int, "--jitter-deg": float, "--out": str,
+              "--config": str},
+    "verify": {},
+    "tomo": {"--theta": float, "--delta": float, "--mode": TOMO_MODES, "--trials": int, "--seed": int},
+}
+_METAVARS = {int: "N", float: "X", str: "FILE"}
 
-    sweep = sub.add_parser("sweep", help="sweep the input-state grid and write CSV")
-    sweep.add_argument("--mode", choices=SWEEP_MODES, default=None)
-    sweep.add_argument("--trials", type=int, default=None, help="photons per basis setting")
-    sweep.add_argument("--seed", type=int, default=None)
-    sweep.add_argument("--jitter-deg", dest="jitter_deg", type=float, default=None)
-    sweep.add_argument("--out", type=str, default=None)
-    sweep.add_argument("--config", type=str, default=None, help="key = value config file")
 
-    sub.add_parser("verify", help="run the invariant suite")
+def _usage_text(command=None) -> str:
+    """The usage lines of `command`, or of every command, three flags a line:
+    the `--help` text. Those of every command are the README's "Command line"
+    block."""
+    lines = []
+    for name in [command] if command else _COMMANDS:
+        items = [f"[{flag} {'|'.join(kind) if isinstance(kind, tuple) else _METAVARS[kind]}]"
+                 for flag, kind in _COMMANDS[name].items()]
+        for k in range(0, max(len(items), 1), 3):
+            lines.append(((f"uqcm {name}" if k == 0 else "").ljust(12) + " ".join(items[k:k + 3])).rstrip())
+    return "\n".join(lines)
 
-    tomo = sub.add_parser("tomo", help="single-state tomography run")
-    tomo.add_argument("--theta", type=float, default=0.0, help="input angle in radians")
-    tomo.add_argument("--delta", type=float, default=0.0, help="input phase in radians")
-    tomo.add_argument("--mode", choices=TOMO_MODES, default="exact")
-    tomo.add_argument("--trials", type=int, default=20000)
-    tomo.add_argument("--seed", type=int, default=42)
 
-    for command in (sweep, tomo):
-        command._negative_number_matcher = _NEGATIVE_NUMBER
-    return parser
+def _fail(command, message):
+    """A usage error: the usage lines and `uqcm <command>: error: message`
+    on stderr, then SystemExit(EXIT_USAGE)."""
+    usage = _usage_text(command).replace("\n", "\n       ")
+    print(f"usage: {usage}\n{f'uqcm {command}' if command else 'uqcm'}: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
+def _flag_named(command, name):
+    """The flag of `command`, or --help, that `name` is or abbreviates, and
+    --help for -h; None for any other name. An abbreviation of two flags is
+    a usage error."""
+    if name == "-h":
+        return "--help"
+    if not name.startswith("--") or name == "--":
+        return None
+    flags = [*_COMMANDS.get(command, ()), "--help"]
+    matches = [name] if name in flags else [flag for flag in flags if flag.startswith(name)]
+    if len(matches) > 1:
+        _fail(command, f"ambiguous option: {name} could match {', '.join(matches)}")
+    return matches[0] if matches else None
+
+
+def _parse_args(argv) -> tuple:
+    """(command, {name: value}) of the flags given, named as `SweepConfig`'s
+    fields and `run_tomo`'s parameters are. For -h or --help it prints the
+    usage lines and raises SystemExit(EXIT_OK); on a usage error, `_fail`."""
+    command = argv[0] if argv else None
+    if command not in _COMMANDS:
+        if command is not None and _flag_named(None, command) == "--help":
+            print(_usage_text())
+            raise SystemExit(EXIT_OK)
+        _fail(None, "the following arguments are required: command" if command is None else
+              f"argument command: invalid choice: {command!r} (choose from {', '.join(map(repr, _COMMANDS))})")
+    flags, rest = _COMMANDS[command], list(argv[1:])
+    values, unrecognized = {}, []
+    while rest:
+        token = rest.pop(0)
+        name, has_value, text = token.partition("=")
+        flag = _flag_named(command, name)
+        if flag == "--help":
+            print(_usage_text(command))
+            raise SystemExit(EXIT_OK)
+        if flag is None:
+            unrecognized.append(token)
+            continue
+        if not has_value:
+            if not rest or rest[0].startswith("--"):
+                _fail(command, f"argument {flag}: expected one argument")
+            text = rest.pop(0)
+        kind = flags[flag]
+        if isinstance(kind, tuple) and text not in kind:
+            _fail(command, f"argument {flag}: invalid choice: {text!r} (choose from {', '.join(map(repr, kind))})")
+        try:
+            values[flag[2:].replace("-", "_")] = text if isinstance(kind, tuple) else kind(text)
+        except ValueError:
+            _fail(command, f"argument {flag}: invalid {kind.__name__} value: {text!r}")
+    if unrecognized:
+        _fail(command, f"unrecognized arguments: {' '.join(unrecognized)}")
+    return command, values
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits with 2 on usage errors, matching EXIT_USAGE
-        return int(exc.code) if exc.code else EXIT_OK
-    try:
-        if args.command == "sweep":
-            return run_sweep(build_sweep_config(args))
-        if args.command == "verify":
+        command, values = _parse_args(sys.argv[1:] if argv is None else argv)
+        if command == "sweep":
+            return run_sweep(build_sweep_config(values))
+        if command == "verify":
             return run_verify()
-        if args.command == "tomo":
-            return run_tomo(args.theta, args.delta, args.mode, args.trials, args.seed)
+        return run_tomo(**values)
+    except SystemExit as exc:
+        return exc.code
     except (UsageError, ReconstructionError, MemoryError) as exc:
         # MemoryError: numpy cannot allocate a grid that large.
         print(f"error: {exc}", file=sys.stderr)
@@ -525,7 +579,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

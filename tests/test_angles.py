@@ -98,6 +98,14 @@ def test_solver_error_carries_best_residual(monkeypatch):
         assert err.value.residual == residual
 
 
+def test_nan_residual_is_reported_as_nan(monkeypatch):
+    # A NaN residual fails the tolerance and is reported as NaN, not as 0.
+    monkeypatch.setattr("uqcm.angles._prep_residual", lambda angles, target: math.nan)
+    with pytest.raises(SolverError, match=re.escape("residual nan exceeds tol")) as err:
+        solve_prep_angles(CLONER_PREP_TARGET)
+    assert math.isnan(err.value.residual)
+
+
 def test_tolerances_are_inclusive(monkeypatch):
     # An imaginary part or a negative real part of exactly 1e-12 is rounding
     # and is accepted, and so is a residual equal to PREP_TOL: the

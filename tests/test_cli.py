@@ -143,10 +143,8 @@ class TestConfig:
         assert str(usage.value).removeprefix(field) == str(lib.value).removeprefix(name)
 
     def test_mode_names_are_the_library_tuples(self):
-        parser = cli._build_parser()
-        subparsers = next(a for a in parser._actions if a.dest == "command").choices
         for command, modes in (("sweep", tomography.SWEEP_MODES), ("tomo", tomography.TOMO_MODES)):
-            assert next(a for a in subparsers[command]._actions if a.dest == "mode").choices is modes
+            assert cli._COMMANDS[command]["--mode"] is modes
         with pytest.raises(UsageError, match="^unknown mode 'tomo'$"):
             SweepConfig(mode="tomo")
         with pytest.raises(ValueError, match="^unknown mode 'tomo'$"):
@@ -276,16 +274,7 @@ class TestConfig:
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("mode = exact\nseed = 1\n")
-
-        class Args:
-            config = str(path)
-            mode = "montecarlo"
-            trials = None
-            seed = None
-            jitter_deg = None
-            out = None
-
-        cfg = build_sweep_config(Args())
+        cfg = build_sweep_config({"config": str(path), "mode": "montecarlo"})
         assert cfg.mode == "montecarlo"
         assert cfg.seed == 1
 
@@ -1030,7 +1019,7 @@ class TestExitCodes:
         ],
     )
     def test_negative_value_reads_alike_in_both_forms(self, flag, value, code, tmp_path, capsys):
-        # argparse's own negative-number pattern has no exponent and no inf.
+        # The next token is the value, whatever it looks like.
         *head, name = flag.split()
         head += ["--out", str(tmp_path / "x.csv")] if head[0] == "sweep" else []
         runs = [(main(argv), capsys.readouterr()) for argv in (head + [name, value], head + [f"{name}={value}"])]
@@ -1080,8 +1069,9 @@ class TestExitCodes:
                 raise BrokenPipeError(32, "Broken pipe")
 
         monkeypatch.setattr(sys, "stdout", BrokenPipe())
-        assert main(["tomo"]) == EXIT_IO
-        assert capsys.readouterr().err == "I/O error: [Errno 32] Broken pipe\n"
+        for argv in (["tomo"], ["--help"], ["sweep", "-h"]):
+            assert main(argv) == EXIT_IO
+            assert capsys.readouterr().err == "I/O error: [Errno 32] Broken pipe\n"
 
     def test_distinct_exit_codes(self):
         # The README's exit-code promise, through the real entry point: one
@@ -1111,6 +1101,95 @@ class TestExitCodes:
             proc = python("-W", "error", *argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
             assert proc.returncode == code, (argv, proc.stderr)
             assert err in proc.stderr if err else proc.stderr == "", proc.stderr
+
+
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
+
+
+class TestCommandLine:
+    """The flag table's parser: help, usage errors, prefixes and defaults."""
+
+    SWEEP_USAGE = (
+        "uqcm sweep  [--mode exact|montecarlo|perturbed] [--trials N] [--seed N]\n"
+        "            [--jitter-deg X] [--out FILE] [--config FILE]\n"
+    )
+
+    @pytest.mark.parametrize("argv", [["sweep", "-h"], ["sweep", "--help"], ["sweep", "--mode", "exact", "--he"]])
+    def test_sweep_help_prints_its_usage_and_exits_0(self, argv, capsys):
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr() == (self.SWEEP_USAGE, "")
+
+    def test_help_is_the_readme_block(self, capsys):
+        # One usage text: `uqcm --help` prints the README's "Command line"
+        # block, and each command's help is that command's lines of it.
+        with open(README, encoding="utf-8") as fh:
+            readme = fh.read()
+        for argv in (["--help"], ["-h"]):
+            assert main(argv) == EXIT_OK
+            full, err = capsys.readouterr()
+            assert err == "" and f"## Command line\n\n```\n{full}```\n" in readme
+        for command in cli._COMMANDS:
+            assert main([command, "-h"]) == EXIT_OK
+            out = capsys.readouterr().out
+            assert out.startswith(f"uqcm {command}") and out in full
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            ([], "uqcm: error: the following arguments are required: command"),
+            (["bogus"],
+             "uqcm: error: argument command: invalid choice: 'bogus' (choose from 'sweep', 'verify', 'tomo')"),
+            (["tomo", "--theta"], "uqcm tomo: error: argument --theta: expected one argument"),
+            (["sweep", "--seed", "--out", "x.csv"], "uqcm sweep: error: argument --seed: expected one argument"),
+            (["tomo", "--t", "1"], "uqcm tomo: error: ambiguous option: --t could match --theta, --trials"),
+            (["sweep", "--trials", "1e3"], "uqcm sweep: error: argument --trials: invalid int value: '1e3'"),
+            (["tomo", "--theta=x"], "uqcm tomo: error: argument --theta: invalid float value: 'x'"),
+            (["tomo", "--mode", "perturbed"],
+             "uqcm tomo: error: argument --mode: invalid choice: 'perturbed' (choose from 'exact', 'montecarlo')"),
+            (["sweep", "--out", "x.csv", "3"], "uqcm sweep: error: unrecognized arguments: 3"),
+        ],
+    )
+    def test_usage_error_exits_2(self, argv, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        usage = cli._usage_text(argv[0] if argv and argv[0] in cli._COMMANDS else None)
+        assert (out, err) == ("", "usage: " + usage.replace("\n", "\n       ") + f"\n{message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_usage_error_printout(self, capsys):
+        assert main(["sweep", "--mode", "bogus"]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "usage: uqcm sweep  [--mode exact|montecarlo|perturbed] [--trials N] [--seed N]\n"
+            "                   [--jitter-deg X] [--out FILE] [--config FILE]\n"
+            "uqcm sweep: error: argument --mode: invalid choice: 'bogus' "
+            "(choose from 'exact', 'montecarlo', 'perturbed')\n"
+        )
+        assert main(["verify", "--bogus", "-1"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "usage: uqcm verify\nuqcm verify: error: unrecognized arguments: --bogus -1\n"
+
+    def test_unique_prefix_names_its_flag(self, capsys):
+        argv = ["sweep", "--jit", "0.2", "--m=perturbed", "--c", "run.cfg", "--o", "-h", "--s", "-3"]
+        assert cli._parse_args(argv) == (
+            "sweep", {"jitter_deg": 0.2, "mode": "perturbed", "config": "run.cfg", "out": "-h", "seed": -3}
+        )
+        runs = [(main(argv), capsys.readouterr()) for argv in (["tomo", "--th", "0.7", "--d=2.1"],
+                                                               ["tomo", "--theta", "0.7", "--delta", "2.1"])]
+        assert runs[0] == runs[1] and runs[0][0] == EXIT_OK
+
+    def test_last_value_of_a_flag_given_twice_wins(self):
+        assert cli._parse_args(["tomo", "--seed", "1", "--seed=2", "--theta", "0.5"]) == (
+            "tomo", {"seed": 2, "theta": 0.5}
+        )
+
+    def test_defaults(self, capsys):
+        # A flag not given takes the default of `SweepConfig` or `run_tomo`.
+        assert cli._parse_args(["sweep"]) == ("sweep", {}) and build_sweep_config({}) == SweepConfig()
+        assert cli._parse_args(["tomo"]) == ("tomo", {})
+        for mode in ("exact", "montecarlo"):
+            explicit = ["tomo", "--theta", "0", "--delta", "0", "--mode", mode, "--trials", "20000", "--seed", "42"]
+            runs = [(main(argv), capsys.readouterr()) for argv in (["tomo", "--mode", mode], explicit)]
+            assert runs[0] == runs[1] and runs[0][0] == EXIT_OK
 
 
 class TestVerify:
@@ -1388,6 +1467,30 @@ def test_exact_commands_never_import_numpy_random(tmp_path):
     assert (proc.returncode, proc.stderr) == (EXIT_OK, b"[False, False, False, True]\n")
 
 
+def test_command_line_loads_no_argparse_gettext_or_locale(tmp_path):
+    # The flag table is parsed without argparse, whose first gettext call
+    # imports locale; importing argparse afterwards shows that the probe
+    # sees all three.
+    script = "\n".join((
+        "import sys",
+        "import uqcm.cli",
+        f"assert uqcm.cli.main(['sweep', '--out', {str(tmp_path / 'exact.csv')!r}]) == 0",
+        "assert uqcm.cli.main(['tomo']) == 0",
+        "assert uqcm.cli.main(['verify']) == 0",
+        "assert uqcm.cli.main(['tomo', '--help']) == 0",
+        "assert uqcm.cli.main(['tomo', '--bogus']) == 2",
+        "probe = lambda: sorted({'argparse', 'gettext', 'locale'} & set(sys.modules))",
+        "loaded = [probe()]",
+        "import argparse",
+        "argparse.ArgumentParser().parse_args([])",
+        "loaded.append(probe())",
+        "print(loaded)",
+    ))
+    proc = python("-c", script, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout.splitlines()[-1] == "[[], ['argparse', 'gettext', 'locale']]"
+
+
 WORKFLOW = os.path.join(os.path.dirname(__file__), "..", ".github", "workflows", "tests.yml")
 
 
@@ -1417,5 +1520,5 @@ def test_cli_checks_live_in_the_suite_not_the_workflow():
     assert len(tier1) == 1 and any("perfbench/run.py" in c for c in commands)
     assert [c for c in commands if "uqcm" in c or "scripts/" in c] == []
     # The README gives the suite's command as CI runs it.
-    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+    with open(README, encoding="utf-8") as fh:
         assert tier1[0] in fh.read()
