@@ -28,11 +28,11 @@ family of angles reaches, atan2(0, 0) = 0 picks one member of the family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .gates import CNOT, Circuit, Rotation, _apply_gates
+from .hilbert import _Record
 
 _TWO_PI = 2.0 * math.pi
 # Largest 1 - overlap of the prepared state with the target that a solve accepts.
@@ -52,21 +52,20 @@ def _wrap_angle(x: float) -> float:
     return math.pi if w == -math.pi else w
 
 
-@dataclass(frozen=True)
-class PrepAngles:
+class PrepAngles(_Record):
     """Rotation angles of the preparation sequence, each in (-pi, pi]."""
 
-    theta1: float
-    theta2: float
-    theta3: float
+    __slots__ = ("theta1", "theta2", "theta3")
 
-    def __post_init__(self):
-        for name in ("theta1", "theta2", "theta3"):
-            v = getattr(self, name)
+    def __init__(self, theta1: float, theta2: float, theta3: float):
+        for name, v in zip(self.__slots__, (theta1, theta2, theta3)):
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v!r}")
             if not (-math.pi < v <= math.pi):
                 raise ValueError(f"{name}={v!r} outside (-pi, pi]")
+        object.__setattr__(self, "theta1", theta1)
+        object.__setattr__(self, "theta2", theta2)
+        object.__setattr__(self, "theta3", theta3)
 
     def as_tuple(self) -> tuple:
         return (self.theta1, self.theta2, self.theta3)

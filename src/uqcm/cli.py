@@ -34,12 +34,12 @@ import math
 import numbers
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .hilbert import (
     IsometryError,
+    _Record,
     _phase_deviation,
     _qubit_stokes,
     _require_physical_stokes,
@@ -131,48 +131,43 @@ def _sorted_deltas(values) -> tuple:
     return deltas
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    mode: str = "exact"
-    theta_start: float = -math.pi / 2 + math.pi / 36
-    theta_end: float = math.pi / 2
-    theta_steps: int = 19
-    delta_list: tuple = _DEFAULT_DELTAS
-    trials: int = 20000
-    seed: int = 42
-    jitter_deg: float = 0.1
-    delta_c: float = 0.002
-    samples: int = 25
-    out: str = "fidelity_sweep.csv"
+class SweepConfig(_Record):
+    __slots__ = ("mode", "theta_start", "theta_end", "theta_steps", "delta_list", "trials", "seed",
+                 "jitter_deg", "delta_c", "samples", "out")
 
-    def __post_init__(self):
+    def __init__(self, mode: str = "exact", theta_start: float = -math.pi / 2 + math.pi / 36,
+                 theta_end: float = math.pi / 2, theta_steps: int = 19, delta_list: tuple = _DEFAULT_DELTAS,
+                 trials: int = 20000, seed: int = 42, jitter_deg: float = 0.1, delta_c: float = 0.002,
+                 samples: int = 25, out: str = "fidelity_sweep.csv"):
         # Counts and the seed first: integers, as the config parsers and the
         # flags give them; the kernels would fail on any other value partway
         # through the CSV.
-        _check_count("theta_steps", self.theta_steps, MAX_GRID_AXIS)
-        _check_count("samples", self.samples, MAX_GRID_AXIS)
-        _usage(_require_trials, self.trials)
-        _usage(_require_seed, self.seed)
-        if self.mode not in SWEEP_MODES:
-            raise UsageError(f"unknown mode {self.mode!r}")
-        _usage(_input_amplitudes, (self.theta_start, self.theta_end), 0.0)
-        if self.theta_end < self.theta_start:
+        _check_count("theta_steps", theta_steps, MAX_GRID_AXIS)
+        _check_count("samples", samples, MAX_GRID_AXIS)
+        _usage(_require_trials, trials)
+        _usage(_require_seed, seed)
+        if mode not in SWEEP_MODES:
+            raise UsageError(f"unknown mode {mode!r}")
+        _usage(_input_amplitudes, (theta_start, theta_end), 0.0)
+        if theta_end < theta_start:
             raise UsageError("theta_end must be >= theta_start")
-        if self.theta_end == self.theta_start and self.theta_steps > 1:
-            raise UsageError(f"theta_end equals theta_start, so theta_steps must be 1, got {self.theta_steps}")
-        if self.theta_steps > 1 and (self.theta_end - self.theta_start) / (self.theta_steps - 1) < MIN_GRID_SPACING:
-            raise UsageError(f"theta_start {self.theta_start!r} and theta_end {self.theta_end!r} over "
-                             f"{self.theta_steps} steps give thetas closer than {MIN_GRID_SPACING!r}")
-        _usage(_require_budget, "jitter_deg", self.jitter_deg)
-        _usage(_require_budget, "delta_c", self.delta_c, 1)
+        if theta_end == theta_start and theta_steps > 1:
+            raise UsageError(f"theta_end equals theta_start, so theta_steps must be 1, got {theta_steps}")
+        if theta_steps > 1 and (theta_end - theta_start) / (theta_steps - 1) < MIN_GRID_SPACING:
+            raise UsageError(f"theta_start {theta_start!r} and theta_end {theta_end!r} over "
+                             f"{theta_steps} steps give thetas closer than {MIN_GRID_SPACING!r}")
+        _usage(_require_budget, "jitter_deg", jitter_deg)
+        _usage(_require_budget, "delta_c", delta_c, 1)
         try:
-            deltas = _sorted_deltas(self.delta_list)
+            deltas = _sorted_deltas(delta_list)
         except ValueError as exc:
             raise UsageError(f"delta_list: {exc}") from exc
         if not deltas:
             raise UsageError("delta_list must not be empty")
         _usage(_input_amplitudes, 0.0, deltas)
-        object.__setattr__(self, "delta_list", deltas)
+        for name, value in zip(self.__slots__, (mode, theta_start, theta_end, theta_steps, deltas, trials, seed,
+                                                jitter_deg, delta_c, samples, out)):
+            object.__setattr__(self, name, value)
 
     def theta_grid(self) -> np.ndarray:
         if self.theta_steps == 1:
@@ -337,11 +332,13 @@ def run_sweep(config: SweepConfig) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    deviation: float
-    tol: float
+class CheckResult(_Record):
+    __slots__ = ("name", "deviation", "tol")
+
+    def __init__(self, name: str, deviation: float, tol: float):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "deviation", deviation)
+        object.__setattr__(self, "tol", tol)
 
     @property
     def passed(self) -> bool:

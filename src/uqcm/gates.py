@@ -7,65 +7,64 @@ R(t)|1> = -sin t |0> + cos t |1>.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .hilbert import LabelError, PureState, canonical_labels
+from .hilbert import LabelError, PureState, _Record, canonical_labels
 
 
-@dataclass(frozen=True)
-class Rotation:
-    target: object
-    angle: float
+class Rotation(_Record):
+    __slots__ = ("target", "angle")
 
-    def __post_init__(self):
-        if not math.isfinite(self.angle):
-            raise ValueError(f"rotation angle must be finite, got {self.angle!r}")
+    def __init__(self, target, angle: float):
+        if not math.isfinite(angle):
+            raise ValueError(f"rotation angle must be finite, got {angle!r}")
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "angle", angle)
 
     @property
     def labels(self):
         return (self.target,)
 
 
-@dataclass(frozen=True)
-class CNOT:
-    control: object
-    target: object
+class CNOT(_Record):
+    __slots__ = ("control", "target")
 
-    def __post_init__(self):
-        if self.control == self.target:
+    def __init__(self, control, target):
+        if control == target:
             raise LabelError("CNOT control and target must differ")
+        object.__setattr__(self, "control", control)
+        object.__setattr__(self, "target", target)
 
     @property
     def labels(self):
         return (self.control, self.target)
 
 
-@dataclass(frozen=True)
-class SWAP:
-    a: object
-    b: object
+class SWAP(_Record):
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if self.a == self.b:
+    def __init__(self, a, b):
+        if a == b:
             raise LabelError("SWAP qubits must differ")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def labels(self):
         return (self.a, self.b)
 
 
-@dataclass(frozen=True)
-class CSWAP:
-    control: object
-    a: object
-    b: object
+class CSWAP(_Record):
+    __slots__ = ("control", "a", "b")
 
-    def __post_init__(self):
-        if len({self.control, self.a, self.b}) != 3:
+    def __init__(self, control, a, b):
+        if len({control, a, b}) != 3:
             raise LabelError("CSWAP qubits must be distinct")
+        object.__setattr__(self, "control", control)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def labels(self):

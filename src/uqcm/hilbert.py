@@ -11,6 +11,8 @@ every operation is a pure function.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 import numpy as np
 
 AUX = "aux"
@@ -24,6 +26,42 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _PAULIS = np.stack([PAULI_X, PAULI_Y, PAULI_Z])
+
+
+class _Record:
+    """Frozen record base: each subclass names its fields in `__slots__`, in
+    constructor order, and sets them in `__init__` with `object.__setattr__`.
+
+    Equality, hash, repr, immutability and pickling are those of a frozen
+    dataclass, without generating code at import.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # `_values`, the field tuple, read by one C getter per class.
+        cls._values = property(attrgetter(*cls.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={value!r}" for name, value in zip(self.__slots__, self._values)])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values
 
 
 class LabelError(ValueError):

@@ -17,7 +17,6 @@ realization are checked.
 from __future__ import annotations
 
 import math
-from dataclasses import fields, replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -227,8 +226,8 @@ def build_measurement_circuit() -> Circuit:
     """
 
     def exchanged(gate):
-        qubits = {f.name: getattr(gate, f.name) for f in fields(gate) if f.name != "angle"}
-        return replace(gate, **{name: {1: 2, 2: 1}.get(q, q) for name, q in qubits.items()})
+        return type(gate)(*[v if name == "angle" else {1: 2, 2: 1}.get(v, v)
+                            for name, v in zip(gate.__slots__, gate._values)])
 
     network = [exchanged(g) for g in build_cloning_network().gates]
     return Circuit((1, 2, 3, AUX), (SWAP(1, 2), *network, Rotation(AUX, math.pi / 4), CSWAP(AUX, 1, 2)))

@@ -37,14 +37,13 @@ dark until the splitters populate them).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
 import numpy as np
 
 from .gates import Circuit, circuit_unitary
-from .hilbert import AUX, PureState, _phase_deviation, _require_isometry, _require_isometry_dev
+from .hilbert import AUX, PureState, _Record, _phase_deviation, _require_isometry, _require_isometry_dev
 from .network import _input_amplitudes, cloner_prep_angles
 
 POL_H, POL_V = 0, 1
@@ -62,42 +61,48 @@ class LossyTrainError(ValueError):
     """A lossless state was required but the train absorbed amplitude."""
 
 
-@dataclass(frozen=True)
-class HWP:
-    path: int
-    angle: float
+class HWP(_Record):
+    __slots__ = ("path", "angle")
+
+    def __init__(self, path: int, angle: float):
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "angle", angle)
 
 
-@dataclass(frozen=True)
-class AJWP:
-    path: int
-    retardance: float
+class AJWP(_Record):
+    __slots__ = ("path", "retardance")
+
+    def __init__(self, path: int, retardance: float):
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "retardance", retardance)
 
 
-@dataclass(frozen=True)
-class PBS:
-    path_a: int
-    path_b: int
+class PBS(_Record):
+    __slots__ = ("path_a", "path_b")
 
-    def __post_init__(self):
-        if self.path_a == self.path_b:
+    def __init__(self, path_a: int, path_b: int):
+        if path_a == path_b:
             raise ValueError("PBS needs two distinct paths")
+        object.__setattr__(self, "path_a", path_a)
+        object.__setattr__(self, "path_b", path_b)
 
 
-@dataclass(frozen=True)
-class BS:
-    path_a: int
-    path_b: int
+class BS(_Record):
+    __slots__ = ("path_a", "path_b")
 
-    def __post_init__(self):
-        if self.path_a == self.path_b:
+    def __init__(self, path_a: int, path_b: int):
+        if path_a == path_b:
             raise ValueError("BS needs two distinct paths")
+        object.__setattr__(self, "path_a", path_a)
+        object.__setattr__(self, "path_b", path_b)
 
 
-@dataclass(frozen=True)
-class PhaseShift:
-    path: int
-    phase: float
+class PhaseShift(_Record):
+    __slots__ = ("path", "phase")
+
+    def __init__(self, path: int, phase: float):
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "phase", phase)
 
 
 OpticalElement = Union[HWP, AJWP, PBS, BS, PhaseShift]

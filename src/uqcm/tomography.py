@@ -43,13 +43,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
 from .hilbert import (
     DensityMatrix,
     PureState,
+    _Record,
     _qubit_stokes,
     _require_physical_stokes,
     _stokes_fidelity,
@@ -102,29 +102,28 @@ class ReconstructionError(ValueError):
     """Counts are insufficient to invert a density matrix."""
 
 
-@dataclass(frozen=True)
-class CountsRecord:
+class CountsRecord(_Record):
     """Simulated detector counts, indexed [path 0..7][basis H, V, D, R], as
     `simulate_counts` returns them; `seed` drives the bootstrap streams."""
 
-    counts: np.ndarray
-    total_trials: int
-    seed: int
+    __slots__ = ("counts", "total_trials", "seed")
 
-    def __post_init__(self):
-        _require_seed(self.seed)
-        raw = np.asarray(self.counts)
+    def __init__(self, counts: np.ndarray, total_trials: int, seed: int):
+        _require_seed(seed)
+        raw = np.asarray(counts)
         if raw.shape != (N_BENCH_PATHS, len(BASES)):
             raise ValueError(f"counts must have shape (8, 4), got {raw.shape}")
         if raw.dtype.kind not in "biu" and not np.all(np.isfinite(raw) & (raw == np.trunc(raw))):
             raise ValueError("counts must be finite whole numbers")
-        _require_trials(self.total_trials, "total_trials")
+        _require_trials(total_trials, "total_trials")
         counts = np.asarray(raw, dtype=np.int64)
-        if counts.min() < 0 or counts.max() > self.total_trials:
+        if counts.min() < 0 or counts.max() > total_trials:
             raise ValueError("counts must lie in [0, total_trials]")
         counts = counts.copy()
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "total_trials", total_trials)
+        object.__setattr__(self, "seed", seed)
 
 
 def _require_seed(seed) -> None:
@@ -327,22 +326,23 @@ def _require_report_values(fids, errs) -> None:
         raise ValueError(f"standard errors must be finite and nonnegative, got {errs.ravel().tolist()!r}")
 
 
-@dataclass(frozen=True)
-class FidelityReport:
+class FidelityReport(_Record):
     """Replica fidelities against the input state, with count statistics."""
 
-    fidelity1: float
-    fidelity2: float
-    stderr1: float
-    stderr2: float
-    theta: float
-    delta: float
-    mode: str
+    __slots__ = ("fidelity1", "fidelity2", "stderr1", "stderr2", "theta", "delta", "mode")
 
-    def __post_init__(self):
-        _require_report_values((self.fidelity1, self.fidelity2), (self.stderr1, self.stderr2))
-        if self.mode not in SWEEP_MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+    def __init__(self, fidelity1: float, fidelity2: float, stderr1: float, stderr2: float,
+                 theta: float, delta: float, mode: str):
+        _require_report_values((fidelity1, fidelity2), (stderr1, stderr2))
+        if mode not in SWEEP_MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        object.__setattr__(self, "fidelity1", fidelity1)
+        object.__setattr__(self, "fidelity2", fidelity2)
+        object.__setattr__(self, "stderr1", stderr1)
+        object.__setattr__(self, "stderr2", stderr2)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "mode", mode)
 
 
 def fidelity_report(

@@ -11,7 +11,6 @@ optics equivalence check.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -117,5 +116,5 @@ def misaligned_cloner_train(offset_deg: float) -> OpticalTrain:
     train = build_cloner_train()
     elements = list(train.elements)
     k = next(k for k, e in enumerate(elements) if isinstance(e, HWP))
-    elements[k] = replace(elements[k], angle=elements[k].angle + math.radians(offset_deg))
+    elements[k] = HWP(elements[k].path, elements[k].angle + math.radians(offset_deg))
     return OpticalTrain(elements)

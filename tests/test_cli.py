@@ -86,6 +86,11 @@ class TestConfig:
         assert grid[0] == pytest.approx(-math.pi / 2 + math.pi / 36)
         assert grid[-1] == pytest.approx(math.pi / 2)
 
+    def test_theta_grid_has_every_step_and_keeps_a_single_start(self):
+        assert SweepConfig(theta_start=-0.5, theta_end=0.5, theta_steps=2).theta_grid().tolist() == [-0.5, 0.5]
+        # One step is theta_start itself: linspace would turn -0.0 into 0.0.
+        assert math.copysign(1.0, SweepConfig(theta_start=-0.0, theta_steps=1).theta_grid()[0]) == -1.0
+
     def test_validation(self):
         with pytest.raises(UsageError, match="mode"):
             SweepConfig(mode="bogus")
@@ -1177,6 +1182,15 @@ class TestCommandLine:
                                                                ["tomo", "--theta", "0.7", "--delta", "2.1"])]
         assert runs[0] == runs[1] and runs[0][0] == EXIT_OK
 
+    def test_help_acts_where_it_is_read(self, capsys):
+        # Flags are read left to right: help before an ambiguous prefix prints
+        # the usage lines; the prefix first is a usage error (argparse exited
+        # 2 for both).
+        assert main(["tomo", "-h", "--t"]) == EXIT_OK
+        assert capsys.readouterr() == (cli._usage_text("tomo") + "\n", "")
+        assert main(["tomo", "--t", "-h"]) == EXIT_USAGE
+        assert capsys.readouterr().err.endswith("\nuqcm tomo: error: ambiguous option: --t could match --theta, --trials\n")
+
     def test_last_value_of_a_flag_given_twice_wins(self):
         assert cli._parse_args(["tomo", "--seed", "1", "--seed=2", "--theta", "0.5"]) == (
             "tomo", {"seed": 2, "theta": 0.5}
@@ -1489,6 +1503,26 @@ def test_command_line_loads_no_argparse_gettext_or_locale(tmp_path):
     proc = python("-c", script, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
     assert proc.returncode == EXIT_OK
     assert proc.stdout.splitlines()[-1] == "[[], ['argparse', 'gettext', 'locale']]"
+
+
+def test_commands_load_no_dataclasses(tmp_path):
+    # The records are plain slots classes: no command imports dataclasses,
+    # and importing it afterwards shows that the probe sees it.
+    script = "\n".join((
+        "import sys",
+        "import uqcm, uqcm.cli",
+        f"assert uqcm.cli.main(['sweep', '--out', {str(tmp_path / 'exact.csv')!r}]) == 0",
+        "assert uqcm.cli.main(['verify']) == 0",
+        "assert uqcm.cli.main(['tomo']) == 0",
+        "assert uqcm.cli.main(['tomo', '--mode', 'montecarlo']) == 0",
+        "loaded = ['dataclasses' in sys.modules]",
+        "import dataclasses",
+        "loaded.append('dataclasses' in sys.modules)",
+        "print(loaded)",
+    ))
+    proc = python("-c", script, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout.splitlines()[-1] == "[False, True]"
 
 
 WORKFLOW = os.path.join(os.path.dirname(__file__), "..", ".github", "workflows", "tests.yml")

@@ -2,7 +2,6 @@
 
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ def reference_sweep(jitter, n_samples, seed, theta, delta, delta_c_total):
     for i in range(n_samples):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
         elements = [
-            replace(e, angle=e.angle + rng.uniform(-jitter, jitter))
+            HWP(e.path, e.angle + rng.uniform(-jitter, jitter))
             if isinstance(e, HWP) else e
             for e in base.elements
         ]

@@ -3,7 +3,6 @@
 import math
 import os
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -139,7 +138,7 @@ class TestRowUpdateKernel:
         if isinstance(element, HWP):
             angles = rng.uniform(-math.pi, math.pi, size=5)
             _apply_element(element, np.moveaxis(got, 0, -1), angles)
-            dense = [element_matrix(replace(element, angle=a)) for a in angles]
+            dense = [element_matrix(HWP(element.path, a)) for a in angles]
         else:
             _apply_element(element, np.moveaxis(got, 0, -1))
             dense = [element_matrix(element)] * 5
@@ -171,9 +170,9 @@ class TestJitteredPropagation:
             dense, j = np.eye(DIM), 0
             for e in elements:
                 if isinstance(e, HWP):
-                    e, j = replace(e, angle=e.angle + offsets[b, j]), j + 1
+                    e, j = HWP(e.path, e.angle + offsets[b, j]), j + 1
                 elif isinstance(e, AJWP) and np.ndim(e.retardance):
-                    e = replace(e, retardance=float(e.retardance[b]))
+                    e = AJWP(e.path, float(e.retardance[b]))
                 dense = element_matrix(e) @ dense
             assert np.max(np.abs(got[b] - dense @ m[b])) < 1e-12
 

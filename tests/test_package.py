@@ -1,16 +1,27 @@
-"""Package surface: the explicit public name list and the names the
-benchmark tracer patches."""
+"""Package surface: the explicit public name list, the names the
+benchmark tracer patches, and the frozen records."""
 
 import ast
+import copy
 import importlib
 import inspect
+import math
 import pathlib
+import pickle
 import pkgutil
 import types
 
+import numpy as np
 import pytest
 
 import uqcm
+from uqcm.angles import PrepAngles
+from uqcm.cli import CheckResult, SweepConfig
+from uqcm.gates import CNOT, CSWAP, SWAP, Rotation
+from uqcm.hilbert import LabelError
+from uqcm.network import _network_image, cloner_prep_angles
+from uqcm.optics import AJWP, BS, HWP, PBS, PhaseShift
+from uqcm.tomography import CountsRecord, FidelityReport
 
 
 def test_all_lists_public_objects_not_submodules():
@@ -147,3 +158,99 @@ def test_retired_parameters_are_gone(name):
 def test_retired_tolerances_are_module_constants():
     assert (uqcm.optics.EQUIVALENCE_TOL, uqcm.optics.NORM_TOL, uqcm.angles.PREP_TOL) == (1e-9, 1e-9, 1e-10)
     assert list(inspect.signature(uqcm.optics._body_isometry).parameters) == []
+
+
+COUNTS = np.arange(32).reshape(8, 4)
+# Every record: its fields in constructor order and its repr, the text the
+# frozen dataclasses printed.
+RECORDS = [
+    (Rotation, {"target": 1, "angle": 0.5}, "Rotation(target=1, angle=0.5)"),
+    (CNOT, {"control": 1, "target": 2}, "CNOT(control=1, target=2)"),
+    (SWAP, {"a": 1, "b": 2}, "SWAP(a=1, b=2)"),
+    (CSWAP, {"control": "aux", "a": 1, "b": 2}, "CSWAP(control='aux', a=1, b=2)"),
+    (PrepAngles, {"theta1": 0.1, "theta2": -0.2, "theta3": math.pi},
+     "PrepAngles(theta1=0.1, theta2=-0.2, theta3=3.141592653589793)"),
+    (HWP, {"path": 0, "angle": 0.5}, "HWP(path=0, angle=0.5)"),
+    (AJWP, {"path": 1, "retardance": 0.25}, "AJWP(path=1, retardance=0.25)"),
+    (PBS, {"path_a": 0, "path_b": 1}, "PBS(path_a=0, path_b=1)"),
+    (BS, {"path_a": 2, "path_b": 3}, "BS(path_a=2, path_b=3)"),
+    (PhaseShift, {"path": 4, "phase": 1.5}, "PhaseShift(path=4, phase=1.5)"),
+    (CountsRecord, {"counts": COUNTS, "total_trials": 40, "seed": 3},
+     f"CountsRecord(counts={COUNTS!r}, total_trials=40, seed=3)"),
+    (FidelityReport,
+     {"fidelity1": 0.8, "fidelity2": 0.75, "stderr1": 0.01, "stderr2": 0.0, "theta": 0.1, "delta": 0.2,
+      "mode": "montecarlo"},
+     "FidelityReport(fidelity1=0.8, fidelity2=0.75, stderr1=0.01, stderr2=0.0, theta=0.1, delta=0.2, "
+     "mode='montecarlo')"),
+    (SweepConfig,
+     {"mode": "perturbed", "theta_start": -1.0, "theta_end": 1.0, "theta_steps": 5, "delta_list": (0.5, 0.0),
+      "trials": 100, "seed": 7, "jitter_deg": 0.2, "delta_c": 0.001, "samples": 3, "out": "x.csv"},
+     "SweepConfig(mode='perturbed', theta_start=-1.0, theta_end=1.0, theta_steps=5, delta_list=(0.0, 0.5), "
+     "trials=100, seed=7, jitter_deg=0.2, delta_c=0.001, samples=3, out='x.csv')"),
+    (CheckResult, {"name": "oracle", "deviation": 1e-12, "tol": 1e-9},
+     "CheckResult(name='oracle', deviation=1e-12, tol=1e-09)"),
+]
+
+
+@pytest.mark.parametrize(("cls", "fields", "text"), RECORDS, ids=[row[0].__name__ for row in RECORDS])
+def test_records_behave_as_frozen_dataclasses(cls, fields, text):
+    record = cls(*fields.values())
+    assert repr(record) == repr(cls(**fields)) == text
+    clones = [cls(**fields), pickle.loads(pickle.dumps(record)), copy.deepcopy(record), copy.copy(record)]
+    assert [(type(c), repr(c)) for c in clones] == [(cls, text)] * 4
+    if cls is CountsRecord:
+        # An array field makes the record unhashable and its equality
+        # ambiguous, as it made the dataclass's.
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+    else:
+        assert clones == [record] * 4 and {hash(c) for c in clones} == {hash(record)}
+        assert hash(record) == hash(tuple(getattr(record, name) for name in fields))
+    assert record.__eq__(tuple(getattr(record, name) for name in fields)) is NotImplemented
+    for name in fields:
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(record, name)
+    with pytest.raises(AttributeError, match="^cannot assign to field 'extra'$"):
+        record.extra = 1
+    assert repr(record) == text
+
+
+def test_records_compare_by_class_then_fields():
+    assert HWP(0, 0.5) != AJWP(0, 0.5) and CNOT(1, 2) != SWAP(1, 2) and PBS(0, 1) != BS(0, 1)
+    assert HWP(0, 0.5) != HWP(0, 0.25) and HWP(0, 0.5) != HWP(1, 0.5)
+    assert CheckResult("a", 0.0, 1.0) == CheckResult("a", 0.0, 1.0) != CheckResult("a", 0.0, 2.0)
+    defaults = SweepConfig()
+    assert defaults == SweepConfig(
+        "exact", -math.pi / 2 + math.pi / 36, math.pi / 2, 19, (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4),
+        20000, 42, 0.1, 0.002, 25, "fidelity_sweep.csv",
+    )
+    assert hash(defaults) == hash(SweepConfig())
+
+
+def test_equal_prep_angles_hit_the_network_image_cache():
+    prep = cloner_prep_angles()
+    _network_image(prep)
+    hits = _network_image.cache_info().hits
+    image = _network_image(PrepAngles(*prep.as_tuple()))
+    assert _network_image.cache_info().hits == hits + 1 and image is _network_image(prep)
+
+
+@pytest.mark.parametrize(
+    ("build", "error", "message"),
+    [
+        (lambda: Rotation(1, math.nan), ValueError, "rotation angle must be finite, got nan"),
+        (lambda: Rotation(1, -math.inf), ValueError, "rotation angle must be finite, got -inf"),
+        (lambda: CNOT(2, 2), LabelError, "CNOT control and target must differ"),
+        (lambda: SWAP(3, 3), LabelError, "SWAP qubits must differ"),
+        (lambda: CSWAP("aux", 1, "aux"), LabelError, "CSWAP qubits must be distinct"),
+        (lambda: PrepAngles(0.0, math.inf, 0.0), ValueError, "theta2 must be finite, got inf"),
+        (lambda: PrepAngles(0.0, 0.0, 4.0), ValueError, r"theta3=4.0 outside \(-pi, pi\]"),
+        (lambda: PBS(5, 5), ValueError, "PBS needs two distinct paths"),
+        (lambda: BS(6, 6), ValueError, "BS needs two distinct paths"),
+    ],
+)
+def test_record_constructors_reject_with_their_message(build, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build()

@@ -1,6 +1,5 @@
 """Tomography stack: probe attachment, distributions, counting, inversion."""
 
-import dataclasses
 import itertools
 import math
 import re
@@ -311,7 +310,7 @@ class TestSimulateCounts:
     def test_record_holds_counts_trials_and_seed_only(self):
         # The detectors only shape the draws; the record does not describe them.
         rec = simulate_counts(signal_probabilities(measurement_state(0.1, 0.2)), 12345, 99)
-        assert [f.name for f in dataclasses.fields(CountsRecord)] == ["counts", "total_trials", "seed"]
+        assert CountsRecord.__slots__ == ("counts", "total_trials", "seed")
         assert (rec.total_trials, rec.seed, rec.counts.shape) == (12345, 99, (8, 4))
         assert not rec.counts.flags.writeable
 
