@@ -7,8 +7,8 @@ Subcommands:
   write one CSV row per (delta, theta, replica) plus a summary against the
   5/6 reference.
 * ``verify`` - run the full invariant suite (oracle equivalence, optics vs
-  gates, tomography round-trip, prep-angle solver, replica symmetry) and
-  report machine-readable pass/fail lines.
+  gates, prep-angle solver, tomography round-trip, pipeline fidelity,
+  replica symmetry) and report machine-readable pass/fail lines.
 * ``tomo``   - single-state tomography run printing the reconstructed
   replica density matrices, through the sweep's kernels.
 

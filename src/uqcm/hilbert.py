@@ -258,9 +258,7 @@ def _stokes_fidelity(stokes, bloch) -> np.ndarray:
 
 def _require_isometry(m: np.ndarray, what: str) -> None:
     """Columns of `m` (shape (..., dim, k)) orthonormal within 1e-10, for every batch entry."""
-    # Summed row by row: a batched matmul is slow on stacks of small matrices.
-    conj = m.conj()
-    gram = sum(conj[..., j, :, None] * m[..., j, None, :] for j in range(m.shape[-2]))
+    gram = m.conj().swapaxes(-1, -2) @ m
     _require_isometry_dev(np.max(np.abs(gram - np.eye(m.shape[-1]))), what)
 
 

@@ -57,7 +57,7 @@ from uqcm.tomography import (
 )
 
 from reference import input_state, measurement_state, misaligned_cloner_train, replicas_from_state
-from test_package import PERFBENCH, perfbench_constant
+from test_package import PERFBENCH, RETIRED_FLAGS, perfbench_constant
 
 
 def python(*args, **kwargs):
@@ -1031,13 +1031,15 @@ class TestExitCodes:
         assert runs[0] == runs[1]
         assert runs[0][0] == code
 
-    @pytest.mark.parametrize("flag", ["--prep-tol 1e-12", "--inject-hwp-offset-deg 0.1"])
-    def test_verify_has_no_retired_flag(self, flag, capsys):
+    @pytest.mark.parametrize(
+        ("command", "flag", "value"), RETIRED_FLAGS, ids=[f"{flag} {value}" for _, flag, value in RETIRED_FLAGS]
+    )
+    def test_verify_has_no_retired_flag(self, command, flag, value, capsys):
         # verify takes no flag: a retired one is a usage error, not a check.
-        assert main(["verify", *flag.split()]) == EXIT_USAGE
+        assert main([command, flag, value]) == EXIT_USAGE
         out, err = capsys.readouterr()
         assert out == ""
-        assert f"unrecognized arguments: {flag}" in err
+        assert f"unrecognized arguments: {flag} {value}" in err
         assert "Traceback" not in err
 
     def test_io_error_on_unwritable_output(self, capsys):
@@ -1374,6 +1376,12 @@ class TestTomo:
         assert library_tomo(0.3, 0.5, "montecarlo", 2000, 5)[2] == EXIT_OK
         assert set(built) == {"PureState", "DensityMatrix", "CountsRecord", "FidelityReport"}
         capsys.readouterr()
+
+    def test_library_run_rejects_a_mode_tomo_does_not_support(self, capsys):
+        # `--mode` offers only TOMO_MODES; `run_tomo` holds its callers to them too.
+        with pytest.raises(UsageError, match=r"^tomo supports modes 'exact' and 'montecarlo', got 'perturbed'$"):
+            cli.run_tomo(mode="perturbed")
+        assert capsys.readouterr() == ("", "")
 
     def test_exact_output(self, capsys):
         assert main(["tomo", "--theta", "0.0", "--delta", "0.0"]) == EXIT_OK

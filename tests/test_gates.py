@@ -1,6 +1,7 @@
 """Gate unitaries, circuit validation, and circuit application."""
 
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -88,6 +89,11 @@ def test_gate_label_validation():
         Rotation(1, float("nan"))
     with pytest.raises(LabelError):
         gate_unitary(CNOT(1, 5), (1, 2))
+
+
+def test_gate_unitary_rejects_an_unknown_gate_type():
+    with pytest.raises(TypeError, match=r"^unknown gate type: namespace\(labels=\(1,\)\)$"):
+        gate_unitary(types.SimpleNamespace(labels=(1,)), (1, 2))
 
 
 def test_circuit_rejects_foreign_labels():

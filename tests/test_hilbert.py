@@ -62,6 +62,10 @@ class TestPureState:
         with pytest.raises(LabelError):
             PureState((1, 1), [1, 0, 0, 0])
 
+    def test_rejects_a_label_that_is_neither_aux_nor_an_integer(self):
+        with pytest.raises(LabelError, match=r"^invalid qubit label: 'x'$"):
+            PureState((1, "x"), np.eye(4)[0])
+
     def test_amplitudes_are_immutable(self):
         s = PureState([1], [1, 0])
         with pytest.raises(ValueError):
@@ -91,6 +95,10 @@ class TestDensityMatrix:
         DensityMatrix([1], [[0.5, 1e-12], [0.0, 0.5]])
         DensityMatrix([1], np.eye(2) * (0.5 + 0.5e-12j))
         DensityMatrix([1], np.diag([1.0 + 1e-10, -1e-10]))
+
+    def test_rejects_a_matrix_of_another_register_size(self):
+        with pytest.raises(ValueError, match=r"^matrix has shape \(4, 4\), expected \(2, 2\)$"):
+            DensityMatrix([1], np.eye(4) / 4)
 
     def test_rejects_nan_matrix(self):
         # Rejected before eigvalsh, which would otherwise see the NaN.
@@ -205,6 +213,14 @@ class TestFidelity:
         # F = 1 iff the matrix is the projector onto psi
         psi = random_pure_state([1], np.random.default_rng(9))
         assert fidelity(psi, psi.density()) > 1 - 1e-10
+
+    def test_nonreal_overlap_rejected(self):
+        # Off-diagonals i 5e-13 (J - I) keep the matrix Hermitian within
+        # ATOL, yet 240 of them add up to an imaginary overlap of 7.5e-12.
+        labels = (AUX, 1, 2, 3)
+        rho = DensityMatrix(labels, np.eye(16) / 16 + 5e-13j * (np.ones((16, 16)) - np.eye(16)))
+        with pytest.raises(ValueError, match=r"^fidelity has a nonreal value: \(0\.0625\+7\.\d*e-12j\)$"):
+            fidelity(PureState(labels, np.full(16, 0.25)), rho)
 
     def test_dimension_mismatch_rejected(self):
         psi = PureState([1], [1, 0])

@@ -3,6 +3,7 @@
 import math
 import os
 import re
+import types
 
 import numpy as np
 import pytest
@@ -95,6 +96,10 @@ class TestElements:
         for e in els:
             u = element_matrix(e)
             assert np.max(np.abs(u.conj().T @ u - np.eye(DIM))) < 1e-12
+
+    def test_unknown_element_has_no_row_coefficients(self):
+        with pytest.raises(TypeError, match=r"^namespace\(path=0\) has no row coefficients$"):
+            element_matrix(types.SimpleNamespace(path=0))
 
     def test_invalid_path_reference(self):
         with pytest.raises(ValueError, match="outside"):

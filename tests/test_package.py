@@ -84,25 +84,32 @@ def test_bootstrap_size_and_detector_model_are_no_parameters():
     assert "uqcm.tomography._montecarlo_fidelities" in functions and "uqcm.cli.run_tomo" in functions
     for parameter in ("n_bootstrap", "model"):
         assert [name for name, fn in functions.items() if parameter in inspect.signature(fn).parameters] == []
-    assert not hasattr(uqcm.tomography, "_require_bootstrap")
     assert uqcm.tomography.N_BOOTSTRAP == 50
     detector = tuple(getattr(uqcm.tomography, name) for name in ("EFFICIENCY", "DARK_RATE", "MAX_RATE", "GATE_WINDOW"))
     assert detector == (0.70, 50.0, 20000.0, 5e-9)
 
 
-# Public helpers that no command, tracer target or release criterion needs in
-# the package, by the module that defined them. The object-tier references
-# among them live in tests/reference.py.
+# Names that no command, tracer target or release criterion needs in the
+# package, by the module that defined them; a dotted name is an attribute of
+# a class that stays. The object-tier references among them live in
+# tests/reference.py.
 RETIRED = {
-    "hilbert": ("tensor_product", "random_pure_state", "_permute_to_canonical"),
+    "hilbert": (
+        "tensor_product", "random_pure_state", "_permute_to_canonical", "PureState.inner", "PureState.dim",
+        "PureState.equal_up_to_global_phase", "DensityMatrix.from_pure", "DensityMatrix.dim",
+    ),
+    "gates": ("Circuit.extended",),
     "network": ("input_state", "reference_clone_output", "build_preparation_circuit"),
     "optics": (
         "source_photon", "apply_train", "qubits_to_modes", "ModeSpace", "PhotonState", "element_paths",
-        "mode_qubit_labels", "_mode_to_qubit_permutation", "EquivalenceReport",
+        "mode_qubit_labels", "_mode_to_qubit_permutation", "EquivalenceReport", "QWP", "Polarizer",
+        "crot_path_controls_polarization", "crot_polarization_controls_path", "OpticalTrain.has_loss",
+        "OpticalTrain.n_paths", "_POL_NAMES",
     ),
     "tomography": (
         "attach_aux_cswap", "reconstruct_single_qubit", "replicas_from_state", "N_PATHS", "DetectorModel",
-        "measurement_state", "per_path_amplitudes",
+        "measurement_state", "per_path_amplitudes", "path_distribution", "CountsRecord.to_text",
+        "CountsRecord.from_text", "CountsRecord.model", "_AUX_CSWAP", "_require_bootstrap",
     ),
     "errormodel": ("ErrorBudget", "PerturbationResult", "_TARGET_F"),
     "angles": ("sequence_amplitudes",),
@@ -112,32 +119,37 @@ RETIRED = {
 def test_retired_names_are_gone():
     for module_name, names in RETIRED.items():
         module = importlib.import_module(f"uqcm.{module_name}")
-        for name in names:
-            assert name not in uqcm.__all__, name
-            assert not hasattr(uqcm, name), name
-            assert not hasattr(module, name), f"{module_name}.{name}"
-    assert not hasattr(uqcm.PureState, "inner")
-    assert not hasattr(uqcm.PureState, "dim") and not hasattr(uqcm.DensityMatrix, "dim")
-    assert not hasattr(uqcm.tomography, "_AUX_CSWAP")
-    assert not hasattr(uqcm.optics, "_POL_NAMES")
+        for dotted in names:
+            *owner_path, name = dotted.split(".")
+            owner = module
+            for part in owner_path:
+                owner = getattr(owner, part)
+            assert not hasattr(owner, name), f"{module_name}.{dotted}"
+            if not owner_path:
+                assert name not in uqcm.__all__ and not hasattr(uqcm, name), name
 
 
 # Parameters that only tests or the retired `verify --inject-hwp-offset-deg`
 # set, by the function that took them. Each now uses its one value in use:
 # the tolerances are module constants, the prep angles `cloner_prep_angles()`,
-# the path count the bench's N_BENCH_PATHS, the detector the constants of
-# `tomography`, and output goes to sys.stdout. `perturbation_sweep` returns
-# its fidelities, and callers count the samples beyond their own bound.
+# the prep qubits (2, 3), the path count the bench's N_BENCH_PATHS, the
+# detector the constants of `tomography`, the bootstrap size N_BOOTSTRAP, and
+# output goes to sys.stdout. `perturbation_sweep` returns its fidelities, and
+# callers count the samples beyond their own bound. A check result works out
+# `passed` from its deviation.
 RETIRED_PARAMETERS = {
     "uqcm.cli.run_sweep": ("stdout",),
     "uqcm.cli.run_verify": ("hwp_offset_rad", "stdout"),
     "uqcm.cli._check_optics_equivalence": ("hwp_offset_rad",),
     "uqcm.cli.run_tomo": ("stdout",),
+    "uqcm.cli.CheckResult.__init__": ("passed",),
     "uqcm.optics.verify_equivalence": ("tol",),
     "uqcm.optics.modes_to_qubits": ("tol",),
     "uqcm.optics._unit_norms": ("tol",),
     "uqcm.angles.solve_prep_angles": ("tol",),
+    "uqcm.angles.prep_circuit": ("qubit_a", "qubit_b"),
     "uqcm.network.build_measurement_circuit": ("prep_angles",),
+    "uqcm.optics.build_cloner_train": ("prep_angles",),
     "uqcm.optics._body_elements": ("prep",),
     "uqcm.optics._body_isometry": ("prep",),
     "uqcm.optics._cloner_train_elements": ("prep",),
@@ -145,6 +157,8 @@ RETIRED_PARAMETERS = {
     "uqcm.optics.element_matrix": ("n_paths",),
     "uqcm.tomography.simulate_counts": ("model",),
     "uqcm.tomography._draw_counts": ("model",),
+    "uqcm.tomography.fidelity_report": ("n_bootstrap",),
+    "uqcm.tomography.montecarlo_report": ("n_bootstrap", "model"),
     "uqcm.errormodel.perturbation_sweep": ("bound",),
 }
 
@@ -153,6 +167,42 @@ RETIRED_PARAMETERS = {
 def test_retired_parameters_are_gone(name):
     taken = inspect.signature(dict(package_functions())[name]).parameters
     assert [p for p in RETIRED_PARAMETERS[name] if p in taken] == []
+
+
+# Flags the command line no longer takes, each with a value to pass it:
+# (command, flag, value). Each is a usage error (exit 2) now.
+RETIRED_FLAGS = (("verify", "--prep-tol", "1e-12"), ("verify", "--inject-hwp-offset-deg", "0.1"))
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _public(dotted):
+    return not any(part.startswith("_") for part in dotted.split("."))
+
+
+def readme_retired_entries():
+    """First-column entries of the README's "Removed public names" table."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Removed public names\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:-1] for line in section.splitlines() if line.startswith("| `")]
+    assert rows and all(len(row) == 2 and row[1].strip() for row in rows), "a row without its replacement"
+    return [row[0].strip().strip("`") for row in rows]
+
+
+def test_readme_lists_every_public_retirement():
+    # The README's table is the public part of the three tables above: a
+    # name as module.name, a parameter as function(parameter) with a
+    # constructor named by its class, and a flag as `uqcm <command> <flag>`.
+    expected = [f"{module}.{name}" for module, names in RETIRED.items() for name in names]
+    for function, parameters in RETIRED_PARAMETERS.items():
+        owner = function.removeprefix("uqcm.").removesuffix(".__init__")
+        expected += [f"{owner}({parameter})" for parameter in parameters]
+    expected = [entry for entry in expected if _public(entry.split("(")[0])]
+    expected += [f"uqcm {command} {flag}" for command, flag, _ in RETIRED_FLAGS]
+    listed = readme_retired_entries()
+    assert len(listed) == len(set(listed))
+    assert sorted(set(listed) - set(expected)) == [], "in the README only"
+    assert sorted(set(expected) - set(listed)) == [], "in the code-side tables only"
 
 
 def test_retired_tolerances_are_module_constants():

@@ -294,6 +294,10 @@ class TestSimulateCounts:
         rec = simulate_counts(probs, 20000, 11)
         assert rec.counts.sum() > 0
 
+    def test_rejects_probabilities_of_another_shape(self):
+        with pytest.raises(ValueError, match=r"^signal_probs must have shape \(8, 4\), got \(8, 3\)$"):
+            simulate_counts(np.zeros((8, 3)), 10, 0)
+
     def test_record_validation(self):
         with pytest.raises(ValueError, match="shape"):
             CountsRecord(counts=np.zeros((4, 4), dtype=int), total_trials=10, seed=0)
